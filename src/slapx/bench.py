@@ -7,6 +7,7 @@ derives the service-time table the simulator consumes.
 """
 from __future__ import annotations
 
+import gc
 import platform
 import statistics
 import time
@@ -61,15 +62,33 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _time_op(fn, iterations: int) -> tuple[float, float]:
-    samples = []
-    for _ in range(iterations):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    samples.sort()
-    p95 = samples[min(len(samples) - 1, int(0.95 * len(samples)))]
-    return statistics.median(samples), p95
+def _time_ops(ops: dict[str, tuple]) -> dict[str, tuple[float, float]]:
+    """Median and p95 wall time of each `name: (fn, iterations)` entry.
+
+    The ops are timed round-robin, each op's runs spread evenly over the
+    rounds, so every op samples the whole run: a slow spell of the host
+    then lands on all ops alike instead of on whichever one was running.
+    """
+    rounds = max(iters for _, iters in ops.values())
+    samples = {name: [] for name in ops}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()        # as timeit does: no collector pause inside a sample
+    try:
+        for r in range(rounds):
+            for name, (fn, iters) in ops.items():
+                if (r + 1) * iters // rounds > r * iters // rounds:
+                    t0 = time.perf_counter()
+                    fn()
+                    samples[name].append(time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    out = {}
+    for name, xs in samples.items():
+        xs.sort()
+        out[name] = (statistics.median(xs),
+                     xs[min(len(xs) - 1, int(0.95 * len(xs)))])
+    return out
 
 
 def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
@@ -101,42 +120,41 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     dbp_a = dbp.DbpKeyPair.generate(group, rng)
     dbp_b = dbp.DbpKeyPair.generate(group, rng)
 
-    def run(name, fn, iters=iterations):
-        med, p95 = _time_op(fn, iters)
-        report.ops[name] = OpTiming(name, iters, med, p95)
-
-    run("cred_prove", lambda: dac.dac_cred_prove(
-        params, sk, nym, aux, cred, (1, 2), b"bench", rng))
     pres = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"bench", rng)
-    run("cred_verify", lambda: dac.dac_cred_verify(params, pres, b"bench"))
-
-    sig_holder = {}
-
-    def do_sign():
-        sig_holder["sig"] = rlrs.rlrs_sign(rkeys["AP-0"], b"m", ring, event,
-                                           rparams, rng)
-    run("rlrs_sign", do_sign)
-    sig = sig_holder["sig"]
-    run("rlrs_verify", lambda: rlrs.rlrs_verify(ring, b"m", event, sig, rparams))
+    sig = rlrs.rlrs_sign(rkeys["AP-0"], b"m", ring, event, rparams, rng)
     sig2 = rlrs.rlrs_sign(rkeys["AP-0"], b"m2", ring, event, rparams, rng)
-    run("rlrs_link", lambda: sig.tau == sig2.tau)
-
-    run("aka", lambda: dbp.dbp_aka(dbp_a, dbp_b.pk, b"nonce", 100))
-
-    run("sgn_sign", lambda: sgn_key.sign(b"puzzle", rng))
     psig = sgn_key.sign(b"puzzle", rng)
-    run("sgn_verify", lambda: sgn_verify(group, sgn_key.pk, b"puzzle", psig))
-
-    run("vdf_setup", lambda: vdf.vdf_setup(vdf_modulus_bits, 1000,
-                                           rng.spawn("b")), heavy)
     vparams = vdf.vdf_setup(vdf_modulus_bits, 1000, rng.spawn("fix"))
+
+    ops = {
+        "cred_prove": (lambda: dac.dac_cred_prove(
+            params, sk, nym, aux, cred, (1, 2), b"bench", rng), iterations),
+        "cred_verify": (lambda: dac.dac_cred_verify(params, pres, b"bench"),
+                        iterations),
+        "rlrs_sign": (lambda: rlrs.rlrs_sign(rkeys["AP-0"], b"m", ring, event,
+                                             rparams, rng), iterations),
+        "rlrs_verify": (lambda: rlrs.rlrs_verify(ring, b"m", event, sig,
+                                                 rparams), iterations),
+        "rlrs_link": (lambda: sig.tau == sig2.tau, iterations),
+        "aka": (lambda: dbp.dbp_aka(dbp_a, dbp_b.pk, b"nonce", 100), iterations),
+        "sgn_sign": (lambda: sgn_key.sign(b"puzzle", rng), iterations),
+        "sgn_verify": (lambda: sgn_verify(group, sgn_key.pk, b"puzzle", psig),
+                       iterations),
+        "vdf_setup": (lambda: vdf.vdf_setup(vdf_modulus_bits, 1000,
+                                            rng.spawn("b")), heavy),
+    }
     for kappa in kappa_grid:
         ch = vdf.VdfChallenge(b"bench-input", kappa)
-        iters = heavy if kappa >= 5 * 10 ** 4 else max(heavy, 3)
-        run(f"vdf_eval_k{kappa}", lambda c=ch: vdf.vdf_eval(vparams, c), iters)
         sol = vdf.vdf_eval(vparams, ch)
-        run(f"vdf_verify_k{kappa}",
-            lambda c=ch, s=sol: vdf.vdf_verify(vparams, c, s), max(heavy, 3))
+        # below 5e4 squarings an eval is cheap enough for the full sample
+        ops[f"vdf_eval_k{kappa}"] = (lambda c=ch: vdf.vdf_eval(vparams, c),
+                                     heavy if kappa >= 5 * 10 ** 4
+                                     else iterations)
+        # verification is O(log kappa) modular exponentiations at any kappa
+        ops[f"vdf_verify_k{kappa}"] = (
+            lambda c=ch, s=sol: vdf.vdf_verify(vparams, c, s), iterations)
+    for name, (med, p95) in _time_ops(ops).items():
+        report.ops[name] = OpTiming(name, ops[name][1], med, p95)
 
     m = report.median
     report.phases = {

@@ -1,20 +1,58 @@
 """Integer and modular arithmetic: primality testing, prime search, RSA moduli.
 
-Miller-Rabin with 64 rounds gives error probability below 2^-128 for random
-bases on top of the deterministic small-prime filter; the contract only
-requires < 2^-64.
+Miller-Rabin round policy. Every number that may come from an adversary
+(`next_prime`, and through it `hash_to_prime`, and any caller that relies on
+the default) gets `MR_ROUNDS` = 64 rounds with random bases, on top of trial
+division by the primes below 256: any composite passes with probability at
+most 4^-64 = 2^-128 over the bases. The contract only requires < 2^-64.
+
+`random_prime` tests candidates it drew uniformly itself, and for those the
+average case applies (Damgard, Landrock and Pomerance 1993, "Average case
+error estimates for the strong probable prime test"; FIPS 186-5 Appendix
+B.3). A random odd k-bit integer that passes t rounds is composite with
+probability at most
+
+    p(k, t) <= k^(3/2) * 2^t * t^(-1/2) * 4^(2 - sqrt(t*k)),
+
+valid for k >= 21 and 3 <= t <= k/9. `random_prime_rounds` picks the least
+valid t with p(k, t) <= 2^-129: forcing the top two bits of a candidate keeps
+half of the k-bit integers, which can raise the error by at most a factor of
+2, so the error of a returned prime stays below 2^-128. That gives 6 rounds
+at 1024 bits and 12 at 512 bits. Where no valid t reaches the target (256
+bits and below) the 64 rounds are kept.
+
+Before any round, `random_prime` rejects every candidate that shares a factor
+with the odd primes below 2^14 (one gcd with their product). The filter
+removes composites only, at widths where every candidate exceeds the largest
+sieve prime, so the candidates stay uniform, the primes returned have the
+same distribution, and the bound above still holds.
 """
 from __future__ import annotations
+
+import math
 
 from .errors import ParameterError
 from .rng import SeededRng
 
 MR_ROUNDS = 64
+SIEVE_BOUND = 1 << 14
+# p(k, t) target for random candidates: 2^-128, halved because random_prime
+# also forces the second-highest bit
+_RANDOM_ERROR_LOG2 = -129
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-                 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-                 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251]
+
+def _primes_below(n: int) -> list[int]:
+    is_p = bytearray([1]) * n
+    is_p[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if is_p[i]:
+            is_p[i * i::i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(n) if is_p[i]]
+
+
+_SIEVE_PRIMES = _primes_below(SIEVE_BOUND)[1:]      # odd primes only
+SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
+_SMALL_PRIMES = [2] + [p for p in _SIEVE_PRIMES if p < 256]
 
 
 def is_probable_prime(n: int, rng: SeededRng | None = None, rounds: int = MR_ROUNDS) -> bool:
@@ -58,6 +96,18 @@ def next_prime(n: int) -> int:
     return c
 
 
+def random_prime_rounds(bits: int) -> int:
+    """Miller-Rabin rounds for a uniformly random `bits`-bit candidate: the
+    least t in [3, bits/9] whose Damgard-Landrock-Pomerance bound is at most
+    2^-129, else MR_ROUNDS (see the module docstring)."""
+    for t in range(3, bits // 9 + 1):
+        log2_p = (1.5 * math.log2(bits) + t - 0.5 * math.log2(t)
+                  + 2 * (2 - math.sqrt(t * bits)))
+        if log2_p <= _RANDOM_ERROR_LOG2:
+            return t
+    return MR_ROUNDS
+
+
 def random_prime(bits: int, rng: SeededRng) -> int:
     """Random prime with exactly `bits` bits. For >= 16 bits the top two
     bits are forced so a product of two such primes reaches the full
@@ -66,9 +116,13 @@ def random_prime(bits: int, rng: SeededRng) -> int:
     if bits < 3:
         raise ParameterError("prime size too small")
     top = (1 << (bits - 1)) | (1 << (bits - 2)) if bits >= 16 else 1 << (bits - 1)
+    rounds = random_prime_rounds(bits)
+    sieve = (1 << (bits - 1)) > _SIEVE_PRIMES[-1]
     for _ in range(40 * bits):
         cand = rng.randint_bits(bits) | top | 1
-        if is_probable_prime(cand, rng):
+        if sieve and math.gcd(cand, SIEVE_PRODUCT) != 1:
+            continue
+        if is_probable_prime(cand, rng, rounds):
             return cand
     raise ParameterError(f"no {bits}-bit prime found within retry bound")
 

@@ -16,7 +16,8 @@ import threading
 from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf, wire
-from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
+from .errors import (CryptoError, ParameterError, ProtocolReject, RejectReason,
+                     SlapxError)
 from .group import Group, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .rng import SeededRng
@@ -122,6 +123,15 @@ class LocationProof:
         window = int.from_bytes(ev[16:24], "big")
         return cls(m=m, sig=rlrs.decode_signature(sig_block, params),
                    l_x=l_x, l_y=l_y, window=window, beacon_digest=ev[24:56])
+
+
+def _decode_proof(data: bytes, params: rlrs.RlrsParams) -> LocationProof:
+    """LocationProof.decode for a proof a client presents to a server: a
+    malformed one is a BAD_POL reject."""
+    try:
+        return LocationProof.decode(data, params)
+    except SlapxError as e:
+        raise ProtocolReject(RejectReason.BAD_POL, "proof undecodable") from e
 
 
 def pol_message(beacon: Beacon, l_x: float, l_y: float, window: int,
@@ -258,7 +268,7 @@ class AccessPoint:
 
         try:
             pres = decode_presentation(pres_b, self.view.dac_params)
-        except (CryptoError, IndexError, UnicodeDecodeError) as e:
+        except _DECODE_ERRORS as e:
             raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
                                  "presentation undecodable") from e
         ctx = presentation_context("pol-ap", window, self.ap_id)
@@ -292,6 +302,11 @@ class AccessPoint:
 def presentation_context(kind: str, window: int, verifier_id: str) -> bytes:
     return H_tagged("ctx", kind.encode(), window.to_bytes(8, "big"),
                     verifier_id.encode())
+
+
+# what decode_presentation raises on malformed bytes; ParameterError comes
+# from an attribute whose value has the wrong width for its kind
+_DECODE_ERRORS = (CryptoError, ParameterError, IndexError, UnicodeDecodeError)
 
 
 def decode_presentation(data: bytes, params: dac.DacParams) -> dac.Presentation:
@@ -381,7 +396,7 @@ class NeighborDevice:
             raise ProtocolReject(RejectReason.EXPIRED, "window mismatch")
         try:
             pres = decode_presentation(pres_b, params)
-        except (CryptoError, IndexError, UnicodeDecodeError) as e:
+        except _DECODE_ERRORS as e:
             raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
                                  "presentation undecodable") from e
         ctx = presentation_context("pol-nd", window, "ND")
@@ -479,8 +494,7 @@ class Psd:
 
     def __init__(self, view_factory, authority: Authority, rng: SeededRng,
                  db: SpectrumDatabase | None = None,
-                 modulus_bits: int = vdf.DEFAULT_MODULUS_BITS,
-                 pool_depth: int = 2):
+                 modulus_bits: int = vdf.DEFAULT_MODULUS_BITS):
         self.rng = rng
         self.db = db or SpectrumDatabase(seed=7)
         self.authority = authority
@@ -513,7 +527,7 @@ class Psd:
         window = window_of(now_s)
         try:
             pres = decode_presentation(pres_b, self.view.dac_params)
-        except (CryptoError, IndexError, UnicodeDecodeError) as e:
+        except _DECODE_ERRORS as e:
             raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
                                  "presentation undecodable") from e
         ctx = presentation_context("spectrum", window, "PSD")
@@ -525,7 +539,7 @@ class Psd:
 
         if pres.ext is None:
             # AP path: verify the ring signature, then scan the window
-            proof = LocationProof.decode(phi_b, self.view.rlrs_params)
+            proof = _decode_proof(phi_b, self.view.rlrs_params)
             if proof.window != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
             if (proof.l_x, proof.l_y) != (l_x, l_y):
@@ -586,7 +600,7 @@ class ServiceServer:
         window = window_of(now_s)
         try:
             pres = decode_presentation(pres_b, self.view.dac_params)
-        except (CryptoError, IndexError, UnicodeDecodeError) as e:
+        except _DECODE_ERRORS as e:
             raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
                                  "presentation undecodable") from e
         ctx = presentation_context("service", window, "SERVER")
@@ -617,7 +631,7 @@ class ServiceServer:
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
 
         if pres.ext is None:
-            proof = LocationProof.decode(phi_b, self.view.rlrs_params)
+            proof = _decode_proof(phi_b, self.view.rlrs_params)
             if proof.window != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
             if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event(),
@@ -628,6 +642,10 @@ class ServiceServer:
             if ts_attr is None or int.from_bytes(ts_attr.value, "big") != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
 
+        # a puzzle buys one grant: a resent request finds it spent
+        with self.psd._lock:
+            if self.psd.puzzles.pop(pid, None) is None:
+                raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle already redeemed")
         token = H_tagged("grant", pid, m)[:16]
         return wire.pack_fields(b"\x01", token)
 

@@ -3,9 +3,12 @@ attacks that reuse valid pieces in the wrong place must fail cleanly."""
 import pytest
 
 from slapx import dac, rlrs, vdf, wire
-from slapx.errors import CryptoError, ProtocolReject, SlapxError
-from slapx.protocol import (DeviceProfile, Puzzle, decode_presentation,
-                            run_pol_ap, run_spectrum_query, window_of)
+from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
+                          RejectReason, SlapxError)
+from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
+                            Puzzle, decode_presentation, presentation_context,
+                            run_pol_ap, run_service_request,
+                            run_spectrum_query, window_of)
 from slapx.rng import SeededRng
 
 EVENT = rlrs.EventId(1.0, 2.0, 3, b"b" * 32)
@@ -222,3 +225,98 @@ class TestMalformedWire:
         with pytest.raises(ProtocolReject):
             run_spectrum_query(c1, deployment.psd, 10.0, 20.0, t + 1,
                                proof=proof1)
+
+
+class _RawPhi:
+    """Stands in for a LocationProof whose encoding is the given bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def encode(self, params) -> bytes:
+        return self.data
+
+
+def malformed_phi(proof: LocationProof, params, rng: SeededRng) -> bytes:
+    """proof's encoding with its signature block replaced by random bytes of
+    the same length, so that it no longer decodes."""
+    m_b, sig_b, ev_b = wire.unpack_fields(proof.encode(params), 3)
+    for _ in range(20):
+        phi = wire.pack_fields(m_b, rng.bytes(len(sig_b)), ev_b)
+        try:
+            LocationProof.decode(phi, params)
+        except SlapxError:
+            return phi
+    raise AssertionError("no undecodable signature block found")
+
+
+class TestHandlersRejectCleanly:
+    """Malformed parts that decode to a library error must come back as a
+    ProtocolReject with the right reason, and a granted request must not be
+    granted again."""
+
+    def test_malformed_phi_at_psd_is_bad_pol(self, deployment):
+        t = 5000.0
+        c = deployment.new_client(DeviceProfile(b"MPH-0001", 30.0, 0), seed=7101)
+        proof, _ = run_pol_ap(c, deployment.ap, 4.0, 6.0, t)
+        phi = malformed_phi(proof, c.view.rlrs_params, SeededRng(81))
+        with pytest.raises(ProtocolReject) as e:
+            run_spectrum_query(c, deployment.psd, 4.0, 6.0, t, proof=_RawPhi(phi))
+        assert e.value.reason == RejectReason.BAD_POL
+
+    def test_malformed_phi_at_server_is_bad_pol(self, deployment):
+        t = 5100.0
+        c = deployment.new_client(DeviceProfile(b"MPH-0002", 30.0, 0), seed=7102)
+        proof, _ = run_pol_ap(c, deployment.ap, 4.0, 7.0, t)
+        _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 4.0, 7.0, t,
+                                             proof=proof)
+        phi = malformed_phi(proof, c.view.rlrs_params, SeededRng(82))
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(c, deployment.server, b"m", puzzle, t,
+                                proof=_RawPhi(phi))
+        assert e.value.reason == RejectReason.BAD_POL
+
+    def test_wrong_width_attribute_is_bad_credential(self, deployment):
+        t = 5200.0
+        c = deployment.new_client(DeviceProfile(b"MPH-0003", 30.0, 0), seed=7103)
+        params = c.view.dac_params
+        nym, aux = c.fresh_nym()
+        pres = dac.dac_cred_prove(params, c.sk, nym, aux, c.cred,
+                                  DISCLOSE_DEVICE, b"ctx", c.rng)
+        device_type = next(a for _, a in pres.disclosed if a.kind == "device_type")
+        enc = device_type.encode()      # kind length, kind, 2-byte length, value
+        widened = enc[:-3] + (2).to_bytes(2, "big") + device_type.value * 2
+        pres_b = pres.to_bytes(params)
+        bad = pres_b.replace(enc, widened)
+        assert bad != pres_b
+        with pytest.raises(ParameterError):
+            decode_presentation(bad, params)
+        handlers = [
+            (deployment.psd.handle_spectrum_request,
+             wire.pack_fields(b"l" * 16, b"c", b"v", bad, b"phi")),
+            (deployment.server.handle_service_request,
+             wire.pack_fields(b"m", b"p" * 8, b"s", bad, b"phi")),
+            (lambda content, now: deployment.ap.issue_pol(content, now, 5.0),
+             wire.pack_fields(deployment.ap.beacon(t).encode(), b"l" * 16,
+                              window_of(t).to_bytes(8, "big"), bad)),
+        ]
+        for handle, content in handlers:
+            with pytest.raises(ProtocolReject) as e:
+                handle(content, t)
+            assert e.value.reason == RejectReason.BAD_CREDENTIAL
+
+    def test_service_request_replay_rejected(self, deployment):
+        t = 5300.0
+        c = deployment.new_client(DeviceProfile(b"RPL-0001", 30.0, 0), seed=7104)
+        proof, _ = run_pol_ap(c, deployment.ap, 4.0, 8.0, t)
+        _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 4.0, 8.0, t,
+                                             proof=proof)
+        token, _, trace = run_service_request(c, deployment.server, b"m",
+                                              puzzle, t, proof=proof)
+        assert len(token) == 16
+        request = wire.message_content(trace.request)
+        for later in (t, t + 1.0):
+            with pytest.raises(ProtocolReject) as e:
+                deployment.server.handle_service_request(request, later)
+            assert e.value.reason == RejectReason.BAD_PUZZLE
+        assert puzzle.puzzle_id not in deployment.psd.puzzles

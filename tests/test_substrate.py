@@ -1,4 +1,5 @@
 """Group laws, hash-to-prime, RSA modulus generation, seeded randomness."""
+import inspect
 import math
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from slapx.errors import CryptoError, ParameterError
 from slapx.group import group_setup
 from slapx.hashes import H, H_expand, hash_to_prime
-from slapx.modmath import (is_probable_prime, next_prime, random_prime,
-                           rsa_setup)
+from slapx.modmath import (MR_ROUNDS, SIEVE_BOUND, SIEVE_PRODUCT,
+                           is_probable_prime, next_prime, random_prime,
+                           random_prime_rounds, rsa_setup)
 from slapx.rng import SeededRng
 
 GROUP, GEN = group_setup(128)
@@ -110,10 +112,77 @@ class TestPrimes:
         assert hash_to_prime(b"same") == hash_to_prime(b"same")
 
     def test_random_prime_width(self):
+        # random_prime runs fewer rounds than the 64-round default above
+        # 256 bits; its outputs must still pass the 64-round test
         rng = SeededRng(9)
-        p = random_prime(64, rng)
-        assert p.bit_length() == 64
-        assert is_probable_prime(p)
+        for bits, count in ((64, 20), (512, 4), (1024, 2)):
+            for _ in range(count):
+                p = random_prime(bits, rng)
+                assert p.bit_length() == bits
+                assert p >> (bits - 2) == 0b11          # top two bits forced
+                assert is_probable_prime(p, rounds=64)
+
+
+def brute_force_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def dlp_bound_log2(k: int, t: int) -> float:
+    """log2 of k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(t k))."""
+    return 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+
+
+class TestRandomPrimeFastPath:
+    """random_prime's gcd sieve and its round counts for random candidates."""
+
+    def test_narrow_widths_around_sieve_guard(self):
+        # below 15 bits a candidate can equal a sieve prime, so no gcd
+        # filter runs; from 15 bits on, every candidate exceeds 16381
+        rng = SeededRng(8)
+        for bits in (3, 4, 10, 14, 15, 16, 20):
+            for _ in range(5):
+                p = random_prime(bits, rng)
+                assert p.bit_length() == bits
+                assert brute_force_prime(p)
+
+    def test_sieve_never_rejects_a_prime(self):
+        rng = SeededRng(17)
+        for bits in (15, 16, 24, 64, 256, 512):
+            for _ in range(10):
+                p = next_prime(rng.randint_bits(bits - 1) | 1 << (bits - 1))
+                assert p > SIEVE_BOUND
+                assert math.gcd(p, SIEVE_PRODUCT) == 1
+
+    def test_sieve_covers_the_odd_primes_below_bound(self):
+        odd_primes = [q for q in range(3, SIEVE_BOUND, 2) if brute_force_prime(q)]
+        assert SIEVE_PRODUCT == math.prod(odd_primes)
+
+    def test_round_counts(self):
+        assert random_prime_rounds(1024) == 6
+        assert random_prime_rounds(512) == 12
+        for bits in (3, 16, 64, 128, 192, 256):
+            assert random_prime_rounds(bits) == MR_ROUNDS
+        for bits in (384, 512, 768, 1024, 2048):
+            t = random_prime_rounds(bits)
+            assert 3 <= t <= bits // 9
+            assert dlp_bound_log2(bits, t) <= -129
+            assert t == 3 or dlp_bound_log2(bits, t - 1) > -129
+
+    def test_default_rounds_unchanged(self):
+        default = inspect.signature(is_probable_prime).parameters["rounds"].default
+        assert default == MR_ROUNDS == 64
+        # a strong pseudoprime to every prime base up to 23
+        assert not is_probable_prime(3825123056546413051)
+
+    def test_hash_to_prime_values_unchanged(self):
+        assert hash_to_prime(b"") == int(
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16)
+        assert hash_to_prime(b"slapx") == int(
+            "28f4556cfcabc833af2c7edc1963ef49269b301df741df0006023ac57434e7e1", 16)
+        assert hash_to_prime(b"vdf/ell") == int(
+            "9f77436a9b2d4f5ec8dea777cfc916bcd0ef765a8917b1b6c747ee1e3b18c3fb", 16)
+        assert hash_to_prime(bytes(range(64))) == int(
+            "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d915113f", 16)
 
 
 class TestRsaSetup:
@@ -136,7 +205,9 @@ class TestRsaSetup:
             rsa_setup(7, SeededRng(1), _allow_tiny=True)
 
     def test_deterministic_per_seed(self):
-        assert rsa_setup(128, SeededRng(5)).n == rsa_setup(128, SeededRng(5)).n
+        for bits in (128, 512, 1024):
+            assert rsa_setup(bits, SeededRng(5)).n == rsa_setup(bits, SeededRng(5)).n
+        assert rsa_setup(1024, SeededRng(5)).n != rsa_setup(1024, SeededRng(6)).n
 
 
 class TestRngAndHash:

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from slapx.errors import ParameterError
-from slapx.modmath import RsaModulus, random_prime
+from slapx.hashes import hash_to_prime, int_sum_to_bytes
+from slapx.modmath import RsaModulus, is_probable_prime, random_prime
 from slapx.rng import SeededRng
 from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge, VdfParams,
                        VdfSolution, challenge_base, difficulty_for,
@@ -128,10 +129,72 @@ class TestModulusPool:
     def test_inline_fallback_and_width(self):
         pool = ModulusPool(bits=128, rng=SeededRng(4))
         assert pool.get().bit_length in (127, 128)
-        pool.close()
 
-    def test_background_producer(self):
-        pool = ModulusPool(bits=128, depth=2, rng=SeededRng(5), background=True)
-        mods = {pool.get().n for _ in range(4)}
-        assert len(mods) == 4
-        pool.close()
+
+def reference_verify(params, challenge, sol) -> bool:
+    """vdf_verify as it was before it compared ell first: it tested the
+    submitted ell for primality on its own and checked the power equation
+    before recomputing ell. vdf_verify must accept exactly what this does."""
+    n = params.modulus.n
+    if not (0 <= sol.pi < n and 0 <= sol.y < n):
+        return False
+    if sol.ell < 2 or not is_probable_prime(sol.ell):
+        return False
+    x = challenge_base(params, challenge.m)
+    r = pow(2, challenge.tau, sol.ell)
+    y_check = (pow(sol.pi, sol.ell, n) * pow(x, r, n)) % n
+    if y_check != sol.y:
+        return False
+    return sol.ell == hash_to_prime(int_sum_to_bytes(x + y_check))
+
+
+def tampered_solutions(params, ch, sol, big_prime):
+    n = params.modulus.n
+    ell, pi, y = sol.ell, sol.pi, sol.y
+    x = challenge_base(params, ch.m)
+
+    def forged(e):
+        # a proof for exponent e that satisfies pi^e * x^r == y; only the
+        # comparison with the recomputed ell can reject it
+        return VdfSolution(e, pow(x, (1 << ch.tau) // e, n), y)
+
+    return {
+        "forged for ell+2": forged(ell + 2),
+        "forged for small prime": forged(3),
+        "forged for composite": forged(ell * 3),
+        "ell 1, pi = y": VdfSolution(1, y, y),
+        "ell+2": VdfSolution(ell + 2, pi, y),
+        "other prime ell": VdfSolution(hash_to_prime(b"other"), pi, y),
+        "composite ell": VdfSolution(ell * 3, pi, y),
+        "ell+1": VdfSolution(ell + 1, pi, y),
+        "ell 1": VdfSolution(1, pi, y),
+        "huge composite ell": VdfSolution((1 << 4096) + 1, pi, y),
+        "huge prime ell": VdfSolution(big_prime, pi, y),
+        "pi+1": VdfSolution(ell, (pi + 1) % n, y),
+        "y+1": VdfSolution(ell, pi, (y + 1) % n),
+        "y out of range": VdfSolution(ell, pi, y + n),
+    }
+
+
+class TestVerifyMatchesReference:
+    def test_accept_set_unchanged(self):
+        rng = SeededRng(61)
+        big_prime = random_prime(512, rng)
+        cases = []
+        for i in range(3):
+            params = vdf_setup(256, kappa=64, rng=rng.spawn(f"full{i}"))
+            cases.append((params, VdfChallenge(rng.bytes(8), 50 + 30 * i)))
+        for i in range(3):
+            n, _, _ = tiny_modulus(rng.spawn(f"tiny{i}"))
+            cases.append((VdfParams(RsaModulus(n), kappa=4),
+                          VdfChallenge(rng.bytes(8), rng.randrange(300))))
+        for params, ch in cases:
+            sol = vdf_eval(params, ch)
+            assert vdf_verify(params, ch, sol) and reference_verify(params, ch, sol)
+            for challenge in (VdfChallenge(ch.m + b"!", ch.tau),
+                              VdfChallenge(ch.m, ch.tau + 1)):
+                assert vdf_verify(params, challenge, sol) == \
+                    reference_verify(params, challenge, sol)
+            for name, bad in tampered_solutions(params, ch, sol, big_prime).items():
+                assert not reference_verify(params, ch, bad), name
+                assert not vdf_verify(params, ch, bad), name
