@@ -90,20 +90,19 @@ def cmd_enroll(args) -> int:
     return EXIT_OK
 
 
-def _run_protocol_once(args) -> int:
-    dep = _deployment(args)
+def _run_protocol_once(args, dep: Deployment, ap, psd, server) -> int:
     client = _client_for(dep, args)
     now = 120.0
     l_x, l_y = args.x, args.y
 
-    proof, tr1 = run_pol_ap(client, dep.ap, l_x, l_y, now)
+    proof, tr1 = run_pol_ap(client, ap, l_x, l_y, now)
     if args.expired:
         now += 61.0  # proof now belongs to the previous window
     if args.replay:
-        run_spectrum_query(client, dep.psd, l_x, l_y, now, proof=proof)
-    record, puzzle, sig, tr2 = run_spectrum_query(client, dep.psd, l_x, l_y,
+        run_spectrum_query(client, psd, l_x, l_y, now, proof=proof)
+    record, puzzle, sig, tr2 = run_spectrum_query(client, psd, l_x, l_y,
                                                   now, proof=proof)
-    token, sol, tr3 = run_service_request(client, dep.server, b"usage-report",
+    token, sol, tr3 = run_service_request(client, server, b"usage-report",
                                           puzzle, now, proof=proof)
     print(f"GRANTED token={token.hex()}")
     print(f"phase_bytes pol_ap={tr1.total_payload} "
@@ -157,129 +156,92 @@ def cmd_service(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    if args.transport == "socket":
-        return _run_protocol_socket(args)
-    return _run_protocol_once(args)
+    dep = _deployment(args)
+    if args.transport == "in-process":
+        return _run_protocol_once(args, dep, dep.ap, dep.psd, dep.server)
+    roles = [_SocketRole(dep.ap, "issue_pol", "pol_ap"),
+             _SocketRole(dep.psd, "handle_spectrum_request", "spectrum"),
+             _SocketRole(dep.server, "handle_service_request", "service")]
+    try:
+        return _run_protocol_once(args, dep, *roles)
+    finally:
+        for role in roles:
+            role.close()
 
 
 # -- socket transport (demo) ------------------------------------------------------
 
-def _serve_role(handler, now_s: float):
-    """One-shot listener: accept framed requests, answer framed responses."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.bind(("127.0.0.1", 0))
-    srv.listen(4)
-    port = srv.getsockname()[1]
-
-    def loop():
-        while True:
-            try:
-                conn, _ = srv.accept()
-            except OSError:
-                return
-            with conn:
-                data = b""
-                while len(data) < wire.HEADER_LEN or \
-                        len(data) < wire.HEADER_LEN + int.from_bytes(data[1:5], "big"):
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    data += chunk
-                msg, _ = wire.decode_message(data)
-                reply = handler(msg, now_s)
-                conn.sendall(reply.encode())
-
-    t = threading.Thread(target=loop, daemon=True)
-    t.start()
-    return srv, port
+def _recv_frame(conn: socket.socket) -> wire.WireMessage:
+    data = b""
+    while len(data) < wire.HEADER_LEN or \
+            len(data) < wire.HEADER_LEN + int.from_bytes(data[1:5], "big"):
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    msg, _ = wire.decode_message(data)
+    return msg
 
 
-def _socket_call(port: int, msg: wire.WireMessage) -> wire.WireMessage:
-    with socket.create_connection(("127.0.0.1", port)) as conn:
+def _socket_call(address, msg: wire.WireMessage) -> wire.WireMessage:
+    """One request/response exchange; a REJECT frame is raised again here."""
+    with socket.create_connection(address) as conn:
         conn.sendall(msg.encode())
-        data = b""
-        while len(data) < wire.HEADER_LEN or \
-                len(data) < wire.HEADER_LEN + int.from_bytes(data[1:5], "big"):
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            data += chunk
-    reply, _ = wire.decode_message(data)
+        reply = _recv_frame(conn)
+    if reply.type == wire.MessageType.REJECT:
+        raise ProtocolReject(list(RejectReason)[reply.payload[0]],
+                             "rejected over the socket")
     return reply
 
 
-def _run_protocol_socket(args) -> int:
-    dep = _deployment(args)
-    client = _client_for(dep, args)
-    now = 120.0
+class _SocketRole:
+    """Stands in for a role in the phase drivers: the handler call travels as
+    one framed request over a loopback socket to a thread that runs the real
+    handler. Other attributes (the AP's `beacon` and `ap_id`) come from the
+    local role. The handler's arguments after the content, the clock and
+    the AP's radio measurement, model the physical world, which no frame
+    carries, so they are handed to the thread in memory."""
 
-    def ap_handler(msg, now_s):
-        content = wire.message_content(msg)
-        out = dep.ap.issue_pol(content, now_s, true_distance_m=args.distance or 22.4)
-        return wire.build_message("pol_ap_response", out)
+    def __init__(self, role, handler: str, messages: str):
+        self._role = role
+        self._handle = getattr(role, handler)
+        self._request, self._response = (f"{messages}_request",
+                                         f"{messages}_response")
+        self._args = ()
+        self._srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._srv.bind(("127.0.0.1", 0))
+        self._srv.listen(4)
+        threading.Thread(target=self._serve, daemon=True).start()
+        setattr(self, handler, self._call)
 
-    def psd_handler(msg, now_s):
-        out = dep.psd.handle_spectrum_request(wire.message_content(msg), now_s)
-        return wire.build_message("spectrum_response", out)
+    def __getattr__(self, name):
+        return getattr(self._role, name)
 
-    def server_handler(msg, now_s):
-        out = dep.server.handle_service_request(wire.message_content(msg), now_s)
-        return wire.build_message("service_response", out)
-
-    servers = [_serve_role(h, now) for h in (ap_handler, psd_handler, server_handler)]
-    try:
-        from . import dac
-        from .protocol import LocationProof, presentation_context
-
-        # PoL over the socket
-        window = int(now // 60)
-        beacon = dep.ap.beacon(now)
-        nym, aux = client.fresh_nym()
-        loc = dac.Attribute.location(args.x, args.y).value
-        win_b = window.to_bytes(8, "big")
-        ctx = presentation_context("pol-ap", window, dep.ap.ap_id)
-        pres = dac.dac_cred_prove(dep.view.dac_params, client.sk, nym, aux,
-                                  client.cred, (), ctx, client.rng,
-                                  payload=beacon.encode() + loc + win_b)
-        req = wire.build_message("pol_ap_request", wire.pack_fields(
-            beacon.encode(), loc, win_b, pres.to_bytes(dep.view.dac_params)))
-        resp = _socket_call(servers[0][1], req)
-        proof = LocationProof.decode(wire.message_content(resp), dep.view.rlrs_params)
-
-        record, puzzle, sig, tr2 = run_spectrum_query(
-            client, _PsdProxy(dep, servers[1][1]), args.x, args.y, now, proof=proof)
-        token, sol, tr3 = run_service_request(
-            client, _ServerProxy(dep, servers[2][1]), b"usage-report", puzzle,
-            now, proof=proof)
-        total_pol = len(req.payload) + len(resp.payload)
-        print(f"GRANTED token={token.hex()}")
-        print(f"phase_bytes pol_ap={total_pol} "
-              f"spectrum_query={tr2.total_payload} "
-              f"service_request={tr3.total_payload}")
-        return EXIT_OK
-    finally:
-        for srv, _ in servers:
-            srv.close()
-
-
-class _PsdProxy:
-    def __init__(self, dep, port):
-        self._port = port
-
-    def handle_spectrum_request(self, content: bytes, now_s: float) -> bytes:
-        reply = _socket_call(self._port, wire.build_message("spectrum_request",
-                                                            content))
+    def _call(self, content: bytes, *args):
+        self._args = args
+        reply = _socket_call(self._srv.getsockname(),
+                             wire.build_message(self._request, content))
         return wire.message_content(reply)
 
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._srv.accept()
+            except OSError:
+                return
+            with conn:
+                content = wire.message_content(_recv_frame(conn))
+                try:
+                    reply = wire.build_message(self._response,
+                                               self._handle(content, *self._args))
+                except ProtocolReject as e:
+                    reply = wire.WireMessage(wire.MessageType.REJECT, bytes(
+                        [list(RejectReason).index(e.reason)]))
+                conn.sendall(reply.encode())
 
-class _ServerProxy:
-    def __init__(self, dep, port):
-        self._port = port
-
-    def handle_service_request(self, content: bytes, now_s: float) -> bytes:
-        reply = _socket_call(self._port, wire.build_message("service_request",
-                                                            content))
-        return wire.message_content(reply)
+    def close(self):
+        self._srv.shutdown(socket.SHUT_RDWR)
+        self._srv.close()
 
 
 # -- simulations -------------------------------------------------------------------

@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CryptoError, ParameterError
+from . import wire
+from .errors import CryptoError, ParameterError, SlapxError
 from .group import Group, GroupElement, SigningKey, group_setup, sgn_verify
 from .hashes import H_int, H_tagged
-from .modmath import random_prime
+from .modmath import random_prime, random_prime_pair
 from .rng import SeededRng
 
 CRED_WIRE_BYTES = 224
@@ -69,11 +70,18 @@ class Attribute:
         k = self.kind.encode()
         return bytes([len(k)]) + k + len(self.value).to_bytes(2, "big") + self.value
 
+    @classmethod
+    def read(cls, r: wire.Reader) -> "Attribute":
+        """Decode one `encode`d attribute from `r`."""
+        try:
+            kind = r.take(r.uint(1)).decode()
+        except UnicodeDecodeError as e:
+            raise SlapxError("attribute kind is not UTF-8") from e
+        return cls(kind, r.take(r.uint(2)))
+
     @staticmethod
     def location(l_x: float, l_y: float) -> "Attribute":
-        v = (int(round(l_x * 1000)).to_bytes(8, "big", signed=True)
-             + int(round(l_y * 1000)).to_bytes(8, "big", signed=True))
-        return Attribute("location", v)
+        return Attribute("location", wire.encode_point(l_x, l_y))
 
     @staticmethod
     def ts_window(idx: int) -> "Attribute":
@@ -159,11 +167,7 @@ def dac_setup(security_bits: int, t: int, eta: int,
     if t < 1:
         raise ParameterError("attribute bound must be at least 1")
     rng = rng or SeededRng()
-    half = modulus_bits // 2
-    p = random_prime(half, rng)
-    q = random_prime(modulus_bits - half, rng)
-    while q == p:
-        q = random_prime(modulus_bits - half, rng)
+    p, q = random_prime_pair(modulus_bits, rng)
     n = p * q
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
     exps, roots = [], []
@@ -325,6 +329,37 @@ class Presentation:
                 out += a.encode()
         return bytes(out)
 
+    @classmethod
+    def from_bytes(cls, data: bytes, params: DacParams) -> "Presentation":
+        """Strict inverse of to_bytes: raises SlapxError unless `data` is
+        exactly the encoding of the presentation it returns."""
+        nb = params.n_bytes
+        r = wire.Reader(data)
+        if r.uint(1) != 1:
+            raise SlapxError("bad presentation version")
+        level = r.uint(1)
+        nym = r.uint(nb)
+        sigma_r = r.uint(nb)
+        c = r.uint(16)
+        z_t = r.uint(nb)
+        z_u, z_o, z_r = (r.uint(Z_BYTES) for _ in range(3))
+        hidden = tuple((r.uint(1), r.uint(Z_BYTES)) for _ in range(r.uint(1)))
+        disclosed = tuple((r.uint(1), Attribute.read(r)) for _ in range(r.uint(1)))
+        ext = None
+        flag = r.uint(1)
+        if flag == 1:
+            ssz = 16 + params.cert_group.scalar_size()
+            ext = ExtShow(level=r.uint(1), nym_d=r.uint(nb), z_rd=r.uint(Z_BYTES),
+                          vk_bytes=r.take(params.cert_group.element_size()),
+                          cert=r.take(ssz), ext_sig=r.take(ssz),
+                          attrs=tuple(Attribute.read(r) for _ in range(r.uint(1))))
+        elif flag != 0:
+            raise SlapxError("bad extension flag")
+        r.end()
+        return cls(level=level, nym=nym, sigma_r=sigma_r, c=c, z_t=z_t,
+                   z_u=z_u, z_o=z_o, z_r=z_r, hidden=hidden,
+                   disclosed=disclosed, ext=ext)
+
 
 def _disclosed_enc(disclosed) -> bytes:
     return H_tagged("dac/disclosed",
@@ -435,7 +470,7 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
     T_ext = None
     if pres.ext is not None:
         ext = pres.ext
-        if not 2 <= ext.level <= params.eta:
+        if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
             return False
         try:
             vk = params.cert_group.from_bytes(ext.vk_bytes)
@@ -468,6 +503,18 @@ class DelegationRequest:
     c: int
     z_u: int
     z_r: int
+
+    def to_bytes(self, params: DacParams) -> bytes:
+        return (self.nym_d.to_bytes(params.n_bytes, "big") + self.c.to_bytes(16, "big")
+                + self.z_u.to_bytes(Z_BYTES, "big") + self.z_r.to_bytes(Z_BYTES, "big"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes, params: DacParams) -> "DelegationRequest":
+        r = wire.Reader(data)
+        request = cls(r.uint(params.n_bytes), r.uint(16), r.uint(Z_BYTES),
+                      r.uint(Z_BYTES))
+        r.end()
+        return request
 
 
 def dac_request_delegation(params: DacParams, sk: int,
@@ -505,6 +552,8 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
     if len(attrs) > params.t:
         raise ParameterError("attribute extension exceeds bound t")
     n = params.n
+    if not 0 < request.nym_d < n:
+        raise CryptoError("delegation pseudonym out of range")
     T = (pow(params.base_sk, request.z_u, n) * pow(params.base_S, request.z_r, n)
          * pow(request.nym_d, -request.c, n)) % n
     c = H_int("dac/delegate", params.fingerprint(),

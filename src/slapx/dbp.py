@@ -120,12 +120,3 @@ def run_honest_session(cfg: DbpConfig, ss: bytes, distance_m: float,
         out.append(RoundTranscript(c=c, r=dbp_respond(a, i, c), rtt_ns=rtt))
     return m, out
 
-
-def transcript_csv(transcripts: list[RoundTranscript], cfg: DbpConfig, a: bytes) -> str:
-    """Log format consumed by the spoofing simulator."""
-    lines = ["round,challenge,response,rtt_ns,pass"]
-    bound = cfg.rtt_bound_ns
-    for i, t in enumerate(transcripts, start=1):
-        ok = t.rtt_ns <= bound and t.r == dbp_respond(a, i, t.c)
-        lines.append(f"{i},{t.c},{t.r},{t.rtt_ns:.1f},{int(ok)}")
-    return "\n".join(lines) + "\n"

@@ -149,21 +149,26 @@ class RsaModulus:
 MIN_MODULUS_BITS = 64
 
 
+def random_prime_pair(bit_length: int, rng: SeededRng) -> tuple[int, int]:
+    """Distinct primes p, q of bit_length//2 and the remaining bits, so that
+    p*q has exactly bit_length bits."""
+    half = bit_length // 2
+    p = random_prime(half, rng)
+    q = random_prime(bit_length - half, rng)
+    for _ in range(64):
+        if q != p:
+            return p, q
+        q = random_prime(bit_length - half, rng)
+    raise ParameterError("could not find distinct prime factors")
+
+
 def rsa_setup(bit_length: int, rng: SeededRng, _allow_tiny: bool = False) -> RsaModulus:
     """Generate N = p*q. Moduli below 64 bits are only for brute-force
     oracle tests and must be requested explicitly via _allow_tiny."""
     floor = 8 if _allow_tiny else MIN_MODULUS_BITS
     if bit_length < floor:
         raise ParameterError(f"modulus must be at least {floor} bits, got {bit_length}")
-    half = bit_length // 2
-    p = random_prime(half, rng)
-    q = random_prime(bit_length - half, rng)
-    for _ in range(64):
-        if q != p:
-            break
-        q = random_prime(bit_length - half, rng)
-    else:
-        raise ParameterError("could not find distinct prime factors")
+    p, q = random_prime_pair(bit_length, rng)
     n = p * q
     del p, q  # factors never persisted
     return RsaModulus(n)

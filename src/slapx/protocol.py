@@ -16,8 +16,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf, wire
-from .errors import (CryptoError, ParameterError, ProtocolReject, RejectReason,
-                     SlapxError)
+from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
 from .group import Group, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .rng import SeededRng
@@ -110,36 +109,22 @@ class LocationProof:
         return rlrs.EventId(self.l_x, self.l_y, self.window, self.beacon_digest)
 
     def encode(self, params: rlrs.RlrsParams) -> bytes:
-        return wire.pack_fields(
-            self.m, rlrs.encode_signature(self.sig, params),
-            rlrs.EventId(self.l_x, self.l_y, self.window,
-                         self.beacon_digest).encode())
+        return wire.pack_fields(self.m, rlrs.encode_signature(self.sig, params),
+                                self.event().encode())
 
     @classmethod
     def decode(cls, data: bytes, params: rlrs.RlrsParams) -> "LocationProof":
-        m, sig_block, ev = wire.unpack_fields(data, 3)
-        l_x = int.from_bytes(ev[0:8], "big", signed=True) / 1000
-        l_y = int.from_bytes(ev[8:16], "big", signed=True) / 1000
-        window = int.from_bytes(ev[16:24], "big")
+        m, sig_block, ev_b = wire.unpack_fields(data, 3, exact=True)
+        ev = rlrs.EventId.decode(ev_b)
         return cls(m=m, sig=rlrs.decode_signature(sig_block, params),
-                   l_x=l_x, l_y=l_y, window=window, beacon_digest=ev[24:56])
-
-
-def _decode_proof(data: bytes, params: rlrs.RlrsParams) -> LocationProof:
-    """LocationProof.decode for a proof a client presents to a server: a
-    malformed one is a BAD_POL reject."""
-    try:
-        return LocationProof.decode(data, params)
-    except SlapxError as e:
-        raise ProtocolReject(RejectReason.BAD_POL, "proof undecodable") from e
+                   l_x=ev.l_x, l_y=ev.l_y, window=ev.ts,
+                   beacon_digest=ev.beacon_digest)
 
 
 def pol_message(beacon: Beacon, l_x: float, l_y: float, window: int,
                 binding: bytes) -> bytes:
     """m = D_TS || credential-presentation binding digest."""
-    d_ts = (beacon.encode()
-            + dac.Attribute.location(l_x, l_y).value
-            + window.to_bytes(8, "big"))
+    d_ts = beacon.encode() + wire.encode_point(l_x, l_y) + window.to_bytes(8, "big")
     return d_ts + binding[:32]
 
 
@@ -255,26 +240,15 @@ class AccessPoint:
         `measured` overrides the (rss_dbm, rtt_s) pair; by default both come
         from the radio model at the true distance.
         """
-        try:
-            beacon_enc, loc, win_b, pres_b = wire.unpack_fields(request, 4)
-        except SlapxError as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "malformed request") from e
-        window = int.from_bytes(win_b, "big")
-        if window != window_of(now_s) or beacon_enc != self.beacon(now_s).encode():
+        beacon_enc, loc, win_b, pres_b = _unpack(request, 4)
+        window = window_of(now_s)
+        if win_b != window.to_bytes(8, "big") or beacon_enc != self.beacon(now_s).encode():
             raise ProtocolReject(RejectReason.STALE_BEACON, "beacon not current")
-        l_x = int.from_bytes(loc[0:8], "big", signed=True) / 1000
-        l_y = int.from_bytes(loc[8:16], "big", signed=True) / 1000
-
-        try:
-            pres = decode_presentation(pres_b, self.view.dac_params)
-        except _DECODE_ERRORS as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "presentation undecodable") from e
-        ctx = presentation_context("pol-ap", window, self.ap_id)
-        payload = beacon_enc + loc + win_b
-        if not dac.dac_cred_verify(self.view.dac_params, pres, ctx, payload):
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
+        l_x, l_y = _point(loc)
+        pres = _read_presentation(pres_b, self.view.dac_params)
+        _check_presentation(self.view.dac_params, pres,
+                            presentation_context("pol-ap", window, self.ap_id),
+                            beacon_enc + loc + win_b)
 
         if measured is None:
             rss = self.env.rss_at(true_distance_m, self.rng)
@@ -304,67 +278,58 @@ def presentation_context(kind: str, window: int, verifier_id: str) -> bytes:
                     verifier_id.encode())
 
 
-# what decode_presentation raises on malformed bytes; ParameterError comes
-# from an attribute whose value has the wrong width for its kind
-_DECODE_ERRORS = (CryptoError, ParameterError, IndexError, UnicodeDecodeError)
+# -- request decoding and the checks the role handlers share --------------------
+
+def _or_reject(reason: RejectReason, detail: str, fn, *args):
+    """fn(*args), with any SlapxError it raises turned into a `reason` reject."""
+    try:
+        return fn(*args)
+    except SlapxError as e:
+        raise ProtocolReject(reason, detail) from e
 
 
-def decode_presentation(data: bytes, params: dac.DacParams) -> dac.Presentation:
-    """Inverse of Presentation.to_bytes."""
-    nb = params.n_bytes
-    off = 0
-    if data[off] != 1:
-        raise CryptoError("bad presentation version")
-    level = data[off + 1]
-    off += 2
-    nym = int.from_bytes(data[off:off + nb], "big"); off += nb
-    sigma_r = int.from_bytes(data[off:off + nb], "big"); off += nb
-    c = int.from_bytes(data[off:off + 16], "big"); off += 16
-    z_t = int.from_bytes(data[off:off + nb], "big"); off += nb
-    zs = []
-    for _ in range(3):
-        zs.append(int.from_bytes(data[off:off + dac.Z_BYTES], "big"))
-        off += dac.Z_BYTES
-    n_hidden = data[off]; off += 1
-    hidden = []
-    for _ in range(n_hidden):
-        idx = data[off]; off += 1
-        hidden.append((idx, int.from_bytes(data[off:off + dac.Z_BYTES], "big")))
-        off += dac.Z_BYTES
-    n_disc = data[off]; off += 1
-    disclosed = []
-    for _ in range(n_disc):
-        idx = data[off]; off += 1
-        klen = data[off]; off += 1
-        kind = data[off:off + klen].decode(); off += klen
-        vlen = int.from_bytes(data[off:off + 2], "big"); off += 2
-        value = data[off:off + vlen]; off += vlen
-        disclosed.append((idx, dac.Attribute(kind, value)))
-    ext = None
-    if data[off] == 1:
-        elevel = data[off + 1]; off += 2
-        nym_d = int.from_bytes(data[off:off + nb], "big"); off += nb
-        z_rd = int.from_bytes(data[off:off + dac.Z_BYTES], "big"); off += dac.Z_BYTES
-        esz = params.cert_group.element_size()
-        ssz = 16 + params.cert_group.scalar_size()
-        vk = data[off:off + esz]; off += esz
-        cert = data[off:off + ssz]; off += ssz
-        ext_sig = data[off:off + ssz]; off += ssz
-        n_attrs = data[off]; off += 1
-        attrs = []
-        for _ in range(n_attrs):
-            klen = data[off]; off += 1
-            kind = data[off:off + klen].decode(); off += klen
-            vlen = int.from_bytes(data[off:off + 2], "big"); off += 2
-            attrs.append(dac.Attribute(kind, data[off:off + vlen])); off += vlen
-        ext = dac.ExtShow(nym_d=nym_d, z_rd=z_rd, vk_bytes=vk, cert=cert,
-                          ext_sig=ext_sig, attrs=tuple(attrs), level=elevel)
-    else:
-        off += 1
-    return dac.Presentation(level=level, nym=nym, sigma_r=sigma_r, c=c,
-                            z_t=z_t, z_u=zs[0], z_o=zs[1], z_r=zs[2],
-                            hidden=tuple(hidden), disclosed=tuple(disclosed),
-                            ext=ext)
+def _unpack(request: bytes, count: int,
+            reason: RejectReason = RejectReason.BAD_CREDENTIAL) -> list[bytes]:
+    return _or_reject(reason, "malformed request", wire.unpack_fields,
+                      request, count, True)
+
+
+def _point(loc: bytes) -> tuple[float, float]:
+    return _or_reject(RejectReason.BAD_CREDENTIAL, "malformed coordinates",
+                      wire.decode_point, loc)
+
+
+def _read_presentation(pres_b: bytes, params: dac.DacParams) -> dac.Presentation:
+    return _or_reject(RejectReason.BAD_CREDENTIAL, "presentation undecodable",
+                      dac.Presentation.from_bytes, pres_b, params)
+
+
+def _check_presentation(params: dac.DacParams, pres: dac.Presentation,
+                        context: bytes, payload: bytes) -> None:
+    if not dac.dac_cred_verify(params, pres, context, payload):
+        raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
+
+
+def _check_proof(view: "PublicView", phi_b: bytes, window: int) -> LocationProof:
+    """A ring-signed proof of location for the current window."""
+    proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
+                       LocationProof.decode, phi_b, view.rlrs_params)
+    if proof.window != window:
+        raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+    if not rlrs.rlrs_verify(view.ring, proof.m, proof.event(), proof.sig,
+                            view.rlrs_params):
+        raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
+    return proof
+
+
+def _delegated(pres: dac.Presentation, kind: str) -> bytes | None:
+    """Value of the delegated attribute `kind`, None if absent."""
+    return next((a.value for a in pres.ext.attrs if a.kind == kind), None)
+
+
+def _check_delegated_window(pres: dac.Presentation, window: int) -> None:
+    if _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
+        raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
 
 
 # -- neighbor device ----------------------------------------------------------
@@ -386,46 +351,37 @@ class NeighborDevice:
                         true_distance_m: float) -> bytes:
         """Verify the requester, bound its distance, delegate the location."""
         params = self.view.dac_params
-        try:
-            loc, win_b, pres_b, peer_pk_b, dreq_b = wire.unpack_fields(request, 5)
-        except SlapxError as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "malformed request") from e
-        window = int.from_bytes(win_b, "big")
-        if window != window_of(now_s):
+        loc, win_b, pres_b, peer_pk_b, dreq_b = _unpack(request, 5)
+        window = window_of(now_s)
+        if win_b != window.to_bytes(8, "big"):
             raise ProtocolReject(RejectReason.EXPIRED, "window mismatch")
-        try:
-            pres = decode_presentation(pres_b, params)
-        except _DECODE_ERRORS as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "presentation undecodable") from e
-        ctx = presentation_context("pol-nd", window, "ND")
-        if not dac.dac_cred_verify(params, pres, ctx, loc + win_b):
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
+        l_x, l_y = _point(loc)
+        pres = _read_presentation(pres_b, params)
+        peer_pk = _or_reject(RejectReason.BAD_CREDENTIAL, "peer key undecodable",
+                             self.view.group.from_bytes, peer_pk_b)
+        dreq = _or_reject(RejectReason.BAD_CREDENTIAL,
+                          "delegation request undecodable",
+                          dac.DelegationRequest.from_bytes, dreq_b, params)
+        _check_presentation(params, pres, presentation_context("pol-nd", window, "ND"),
+                            loc + win_b)
 
         # authenticated key agreement, then the rapid bit exchange
-        peer_pk = self.view.group.from_bytes(peer_pk_b)
         nonce = H_tagged("dbp/nonce", win_b, peer_pk_b)
-        ss = dbp.dbp_aka(self.dbp_key, peer_pk, nonce, self.dbp_config.n)
+        ss = _or_reject(RejectReason.BAD_CREDENTIAL, "degenerate peer key",
+                        dbp.dbp_aka, self.dbp_key, peer_pk, nonce, self.dbp_config.n)
         m_bits, transcripts = dbp.run_honest_session(self.dbp_config, ss,
                                                      true_distance_m, self.rng)
         table = dbp.dbp_response_table(ss, m_bits)
         if not dbp.dbp_verify(self.dbp_config, table, transcripts):
             raise ProtocolReject(RejectReason.DBP_FAILED, "distance bound failed")
-        l_x = int.from_bytes(loc[0:8], "big", signed=True) / 1000
-        l_y = int.from_bytes(loc[8:16], "big", signed=True) / 1000
         if math.hypot(l_x, l_y) > self.dbp_config.th:
             raise ProtocolReject(RejectReason.NOT_PROXIMATE,
                                  "claimed coordinates beyond threshold")
 
-        dreq = dac.DelegationRequest(
-            nym_d=int.from_bytes(dreq_b[:params.n_bytes], "big"),
-            c=int.from_bytes(dreq_b[params.n_bytes:params.n_bytes + 16], "big"),
-            z_u=int.from_bytes(dreq_b[params.n_bytes + 16:params.n_bytes + 16 + dac.Z_BYTES], "big"),
-            z_r=int.from_bytes(dreq_b[params.n_bytes + 16 + dac.Z_BYTES:], "big"))
         a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
-        vk, cert, ext_sig = dac.dac_issue_cred(params, self.cred, dreq, a_l,
-                                               level=2, rng=self.rng)
+        vk, cert, ext_sig = _or_reject(
+            RejectReason.DELEGATION_DENIED, "delegation request proof invalid",
+            dac.dac_issue_cred, params, self.cred, dreq, a_l, 2, self.rng)
         return wire.pack_fields(vk, cert, ext_sig, loc, win_b)
 
 
@@ -440,11 +396,14 @@ class Puzzle:
     issued_s: float
     expires_s: float
 
+    @property
+    def modulus_bytes(self) -> int:
+        return (self.modulus_n.bit_length() + 7) // 8
+
     def encode(self) -> bytes:
         # tag byte || N || tau || seed, length-prefixed
-        nb = (self.modulus_n.bit_length() + 7) // 8
         return b"\x01" + wire.pack_fields(
-            self.puzzle_id, self.modulus_n.to_bytes(nb, "big"),
+            self.puzzle_id, self.modulus_n.to_bytes(self.modulus_bytes, "big"),
             self.tau.to_bytes(4, "big"), self.seed,
             int(self.issued_s * 1000).to_bytes(8, "big"),
             int(self.expires_s * 1000).to_bytes(8, "big"))
@@ -468,24 +427,19 @@ class Puzzle:
 
 
 class LinkRegistry:
-    """Per-window log of verified proof signatures; detects tag reuse."""
+    """Link tags of the verified proofs, per window; detects tag reuse."""
 
     def __init__(self):
-        self._by_window: dict[int, list[tuple[bytes, rlrs.RlrsSignature]]] = {}
+        self._by_window: dict[int, set[bytes]] = {}
         self._lock = threading.Lock()
 
     def linked(self, window: int, sig: rlrs.RlrsSignature) -> bool:
         with self._lock:
-            entries = self._by_window.get(window, [])
-            return any(prev.tau == sig.tau for _, prev in entries)
+            return sig.tau.to_bytes() in self._by_window.get(window, ())
 
-    def register(self, window: int, m: bytes, sig: rlrs.RlrsSignature) -> None:
+    def register(self, window: int, sig: rlrs.RlrsSignature) -> None:
         with self._lock:
-            self._by_window.setdefault(window, []).append((m, sig))
-
-    def entries(self, window: int):
-        with self._lock:
-            return list(self._by_window.get(window, []))
+            self._by_window.setdefault(window, set()).add(sig.tau.to_bytes())
 
 
 class Psd:
@@ -501,7 +455,7 @@ class Psd:
         self.sgn_key = SigningKey.generate(authority.group, rng)
         self.links = LinkRegistry()
         self.grants: dict[tuple[int, bytes], int] = {}
-        self.puzzles: dict[bytes, tuple[Puzzle, bytes]] = {}
+        self.puzzles: dict[bytes, Puzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
         self._view = view_factory(self)
         self._id_counter = itertools.count(1)
@@ -519,46 +473,28 @@ class Psd:
         return vdf.difficulty_for(DEVICE_CLASSES.get(device_class, "default"))
 
     def handle_spectrum_request(self, request: bytes, now_s: float) -> bytes:
-        try:
-            loc, ch_b, tv_b, pres_b, phi_b = wire.unpack_fields(request, 5)
-        except SlapxError as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "malformed request") from e
+        loc, ch_b, tv_b, pres_b, phi_b = _unpack(request, 5)
         window = window_of(now_s)
-        try:
-            pres = decode_presentation(pres_b, self.view.dac_params)
-        except _DECODE_ERRORS as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "presentation undecodable") from e
-        ctx = presentation_context("spectrum", window, "PSD")
-        payload = loc + ch_b + tv_b + H_tagged("phi", phi_b)
-        if not dac.dac_cred_verify(self.view.dac_params, pres, ctx, payload):
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
-        l_x = int.from_bytes(loc[0:8], "big", signed=True) / 1000
-        l_y = int.from_bytes(loc[8:16], "big", signed=True) / 1000
+        pres = _read_presentation(pres_b, self.view.dac_params)
+        _check_presentation(self.view.dac_params, pres,
+                            presentation_context("spectrum", window, "PSD"),
+                            loc + ch_b + tv_b + H_tagged("phi", phi_b))
+        l_x, l_y = _point(loc)
 
         if pres.ext is None:
             # AP path: verify the ring signature, then scan the window
-            proof = _decode_proof(phi_b, self.view.rlrs_params)
-            if proof.window != window:
-                raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+            proof = _check_proof(self.view, phi_b, window)
             if (proof.l_x, proof.l_y) != (l_x, l_y):
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the proof")
-            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event(),
-                                    proof.sig, self.view.rlrs_params):
-                raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
             with self._lock:
                 if self.links.linked(window, proof.sig):
                     raise ProtocolReject(RejectReason.LINKED, "tag already seen")
-                self.links.register(window, proof.m, proof.sig)
+                self.links.register(window, proof.sig)
         else:
             # ND path: the delegated attributes carry the proof of location
-            ts_attr = next((a for a in pres.ext.attrs if a.kind == "ts_window"), None)
-            if ts_attr is None or int.from_bytes(ts_attr.value, "big") != window:
-                raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
-            loc_attr = next((a for a in pres.ext.attrs if a.kind == "location"), None)
-            if loc_attr is None or loc_attr.value != loc:
+            _check_delegated_window(pres, window)
+            if _delegated(pres, "location") != loc:
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the "
                                      "delegated location")
@@ -579,12 +515,16 @@ class Psd:
                         expires_s=now_s + WINDOW_S)
         sig = self.sgn_key.sign(puzzle.encode(), self.rng)
         with self._lock:
-            self.puzzles[puzzle.puzzle_id] = (puzzle, sig)
+            self.puzzles[puzzle.puzzle_id] = puzzle
         return wire.pack_fields(record.encode(), puzzle.encode(), sig)
 
 
 class ServiceServer:
-    """Grants service after credential, puzzle-signature, VDF, and proof checks."""
+    """Grants service after puzzle, credential, VDF and proof checks.
+
+    The puzzle is checked one way: it is looked up in the PSD's own table,
+    never taken from the request, so its signature needs no second check
+    here (the client checks it on receipt)."""
 
     def __init__(self, psd: Psd, rng: SeededRng):
         self.psd = psd
@@ -592,55 +532,27 @@ class ServiceServer:
         self.rng = rng
 
     def handle_service_request(self, request: bytes, now_s: float) -> bytes:
-        try:
-            m, pid, sol_b, pres_b, phi_b = wire.unpack_fields(request, 5)
-        except SlapxError as e:
-            raise ProtocolReject(RejectReason.BAD_SOLUTION,
-                                 "malformed request") from e
+        m, pid, sol_b, pres_b, phi_b = _unpack(request, 5, RejectReason.BAD_SOLUTION)
         window = window_of(now_s)
-        try:
-            pres = decode_presentation(pres_b, self.view.dac_params)
-        except _DECODE_ERRORS as e:
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL,
-                                 "presentation undecodable") from e
-        ctx = presentation_context("service", window, "SERVER")
-        payload = m + pid + H_tagged("phi", phi_b)
-        if not dac.dac_cred_verify(self.view.dac_params, pres, ctx, payload):
-            raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
-
+        pres = _read_presentation(pres_b, self.view.dac_params)
         with self.psd._lock:
-            entry = self.psd.puzzles.get(pid)
-        if entry is None:
+            puzzle = self.psd.puzzles.get(pid)
+        if puzzle is None:
             raise ProtocolReject(RejectReason.BAD_PUZZLE, "unknown puzzle")
-        puzzle, sig = entry
-        if not sgn_verify(self.view.group, self.psd.sgn_key.pk,
-                          puzzle.encode(), sig):
-            raise ProtocolReject(RejectReason.BAD_PUZZLE, "issuer signature invalid")
         if now_s > puzzle.expires_s:
             raise ProtocolReject(RejectReason.EXPIRED, "puzzle expired")
+        _check_presentation(self.view.dac_params, pres,
+                            presentation_context("service", window, "SERVER"),
+                            m + pid + H_tagged("phi", phi_b))
 
-        try:
-            ell_b, pi_b, y_b = wire.unpack_fields(sol_b, 3)
-        except SlapxError as e:
-            raise ProtocolReject(RejectReason.BAD_SOLUTION,
-                                 "solution missing or malformed") from e
-        sol = vdf.VdfSolution(ell=int.from_bytes(ell_b, "big"),
-                              pi=int.from_bytes(pi_b, "big"),
-                              y=int.from_bytes(y_b, "big"))
+        sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
+                         vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
         if not vdf.vdf_verify(puzzle.params(), puzzle.challenge_for(m), sol):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
-
         if pres.ext is None:
-            proof = _decode_proof(phi_b, self.view.rlrs_params)
-            if proof.window != window:
-                raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event(),
-                                    proof.sig, self.view.rlrs_params):
-                raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
+            _check_proof(self.view, phi_b, window)
         else:
-            ts_attr = next((a for a in pres.ext.attrs if a.kind == "ts_window"), None)
-            if ts_attr is None or int.from_bytes(ts_attr.value, "big") != window:
-                raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
+            _check_delegated_window(pres, window)
 
         # a puzzle buys one grant: a resent request finds it spent
         with self.psd._lock:
@@ -672,7 +584,7 @@ def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
     window = window_of(now_s)
     beacon = ap.beacon(now_s)
     nym, aux = client.fresh_nym()
-    loc = dac.Attribute.location(l_x, l_y).value
+    loc = wire.encode_point(l_x, l_y)
     win_b = window.to_bytes(8, "big")
     ctx = presentation_context("pol-ap", window, ap.ap_id)
     pres = dac.dac_cred_prove(client.view.dac_params, client.sk, nym, aux,
@@ -707,19 +619,15 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
     params = client.view.dac_params
     window = window_of(now_s)
     nym, aux = client.fresh_nym()
-    loc = dac.Attribute.location(l_x, l_y).value
+    loc = wire.encode_point(l_x, l_y)
     win_b = window.to_bytes(8, "big")
     ctx = presentation_context("pol-nd", window, "ND")
     pres = dac.dac_cred_prove(params, client.sk, nym, aux, client.cred,
                               disclose=(), context=ctx, rng=client.rng,
                               payload=loc + win_b)
     dreq, r_d = dac.dac_request_delegation(params, client.sk, client.rng)
-    dreq_b = (dreq.nym_d.to_bytes(params.n_bytes, "big")
-              + dreq.c.to_bytes(16, "big")
-              + dreq.z_u.to_bytes(dac.Z_BYTES, "big")
-              + dreq.z_r.to_bytes(dac.Z_BYTES, "big"))
     content = wire.pack_fields(loc, win_b, pres.to_bytes(params),
-                               client.dbp_key.pk.to_bytes(), dreq_b)
+                               client.dbp_key.pk.to_bytes(), dreq.to_bytes(params))
     req = wire.build_message("pol_nd_request", content)
 
     resp_content = nd.issue_delegated(wire.message_content(req), now_s,
@@ -745,7 +653,7 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     params = client.view.dac_params
     window = window_of(now_s)
     nym, aux = client.fresh_nym()
-    loc = dac.Attribute.location(l_x, l_y).value
+    loc = wire.encode_point(l_x, l_y)
     ch_b = channels.to_bytes(2, "big")
     tv_b = (int(now_s).to_bytes(8, "big") + int(now_s + WINDOW_S).to_bytes(8, "big"))
     phi_b = proof.encode(client.view.rlrs_params) if proof else b""
@@ -783,10 +691,7 @@ def run_service_request(client: Client, server: ServiceServer, message: bytes,
     window = window_of(now_s)
     if solution is None:
         solution = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(message))
-    sol_b = wire.pack_fields(
-        solution.ell.to_bytes((solution.ell.bit_length() + 7) // 8, "big"),
-        solution.pi.to_bytes((puzzle.modulus_n.bit_length() + 7) // 8, "big"),
-        solution.y.to_bytes((puzzle.modulus_n.bit_length() + 7) // 8, "big"))
+    sol_b = solution.to_bytes(puzzle.modulus_bytes)
     nym, aux = client.fresh_nym()
     phi_b = proof.encode(client.view.rlrs_params) if proof else b""
     ctx = presentation_context("service", window, "SERVER")

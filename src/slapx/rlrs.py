@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from . import wire
 from .errors import CryptoError, ParameterError
 from .group import Group, GroupElement, group_setup
 from .hashes import H_tagged
@@ -34,10 +35,17 @@ class EventId:
 
     def encode(self) -> bytes:
         # fixed-width l_x || l_y || ts || hash(beacon); millimeter fixed point
-        return (int(round(self.l_x * 1000)).to_bytes(8, "big", signed=True)
-                + int(round(self.l_y * 1000)).to_bytes(8, "big", signed=True)
+        return (wire.encode_point(self.l_x, self.l_y)
                 + self.ts.to_bytes(8, "big")
                 + self.beacon_digest[:32].ljust(32, b"\x00"))
+
+    @classmethod
+    def decode(cls, data: bytes) -> "EventId":
+        r = wire.Reader(data)
+        l_x, l_y = wire.decode_point(r.take(16))
+        event = cls(l_x, l_y, r.uint(8), r.take(32))
+        r.end()
+        return event
 
 
 @dataclass(frozen=True)

@@ -444,39 +444,6 @@ def precompute_limit(kappa: int, validity_s: float,
 
 # -- distance fraud ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FraudRound:
-    informed: bool     # response sent after seeing the challenge
-    rtt_ns: float
-    correct: bool
-
-
-def fraud_session(rounds: int, distance_m: float, threshold_m: float,
-                  guess_prob: float, tolerance: float,
-                  rng: random.Random) -> tuple[bool, list[FraudRound]]:
-    """One distance-fraud session with per-round provenance.
-
-    The clock model pins informed responses to the true round trip (the
-    attacker cannot undercut light speed); pre-sent guesses arrive in time
-    but are only correct with probability g + (1-g)/2.
-    """
-    floor_ns = 2.0 * distance_m / C_LIGHT * 1e9
-    bound_ns = 2.0 * threshold_m / C_LIGHT * 1e9
-    q = guess_prob + (1.0 - guess_prob) / 2.0
-    allowed = int(tolerance * rounds)
-    failures = 0
-    transcript = []
-    for _ in range(rounds):
-        if floor_ns <= bound_ns:
-            transcript.append(FraudRound(True, floor_ns, True))
-            continue
-        correct = rng.random() < q
-        transcript.append(FraudRound(False, bound_ns * 0.9, correct))
-        if not correct:
-            failures += 1
-    return failures <= allowed, transcript
-
-
 def run_fraud(rounds: int, tolerance: float, guess_prob: float, trials: int,
               seed: int = 1) -> float:
     """Monte Carlo acceptance rate for an early-responding prover beyond the

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import wire
 from .errors import ProtocolReject, RejectReason, SlapxError
 from .hashes import H_int
 
 RECORD_BYTES = 560
-_CHANNEL_BYTES = 10  # freq_hz u64 + max_eirp deci-dBm i16
 _MAX_CHANNELS = 52
 
 
@@ -37,9 +37,7 @@ class SpectrumRecord:
     def encode(self) -> bytes:
         if len(self.channels) > _MAX_CHANNELS:
             raise SlapxError("too many channels for fixed record")
-        out = bytearray()
-        out += int(round(self.cell_x * 1000)).to_bytes(8, "big", signed=True)
-        out += int(round(self.cell_y * 1000)).to_bytes(8, "big", signed=True)
+        out = bytearray(wire.encode_point(self.cell_x, self.cell_y))
         out += self.valid_from.to_bytes(8, "big")
         out += self.valid_until.to_bytes(8, "big")
         out += self.max_devices.to_bytes(2, "big")
@@ -54,22 +52,17 @@ class SpectrumRecord:
     def decode(cls, data: bytes) -> "SpectrumRecord":
         if len(data) != RECORD_BYTES:
             raise SlapxError("bad record length")
-        cell_x = int.from_bytes(data[0:8], "big", signed=True) / 1000
-        cell_y = int.from_bytes(data[8:16], "big", signed=True) / 1000
-        valid_from = int.from_bytes(data[16:24], "big")
-        valid_until = int.from_bytes(data[24:32], "big")
-        max_devices = int.from_bytes(data[32:34], "big")
-        device_mask = data[34]
-        count = int.from_bytes(data[35:37], "big")
-        channels = []
-        off = 37
-        for _ in range(count):
-            freq = int.from_bytes(data[off:off + 8], "big")
-            eirp = int.from_bytes(data[off + 8:off + 10], "big", signed=True) / 10
-            channels.append(Channel(freq, eirp))
-            off += _CHANNEL_BYTES
+        r = wire.Reader(data)
+        cell_x, cell_y = wire.decode_point(r.take(16))
+        valid_from = r.uint(8)
+        valid_until = r.uint(8)
+        max_devices = r.uint(2)
+        device_mask = r.uint(1)
+        channels = tuple(
+            Channel(r.uint(8), int.from_bytes(r.take(2), "big", signed=True) / 10)
+            for _ in range(r.uint(2)))
         return cls(cell_x, cell_y, valid_from, valid_until,
-                   max_devices, device_mask, tuple(channels))
+                   max_devices, device_mask, channels)
 
 
 class SpectrumDatabase:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from . import wire
+from .errors import ParameterError, SlapxError
 from .hashes import H_tagged, hash_to_prime, int_sum_to_bytes
 # is_probable_prime is re-exported: perfbench/test_perfbench.py reads it here
 from .modmath import RsaModulus, is_probable_prime, rsa_setup  # noqa: F401
@@ -66,6 +67,21 @@ class VdfSolution:
     pi: int
     y: int
     squarings: int = field(compare=False, default=0)  # telemetry, not wire
+
+    def to_bytes(self, modulus_bytes: int) -> bytes:
+        return wire.pack_fields(self.ell.to_bytes((self.ell.bit_length() + 7) // 8, "big"),
+                                self.pi.to_bytes(modulus_bytes, "big"),
+                                self.y.to_bytes(modulus_bytes, "big"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes, modulus_bytes: int) -> "VdfSolution":
+        """Strict inverse of to_bytes: ell without leading zero bytes, pi and
+        y exactly modulus-width, nothing after."""
+        ell_b, pi_b, y_b = wire.unpack_fields(data, 3, exact=True)
+        if (ell_b[:1] == b"\x00" or len(pi_b) != modulus_bytes
+                or len(y_b) != modulus_bytes):
+            raise SlapxError("non-canonical VDF solution")
+        return cls(*(int.from_bytes(b, "big") for b in (ell_b, pi_b, y_b)))
 
 
 def vdf_setup(security_bits: int, kappa: int, rng: SeededRng,

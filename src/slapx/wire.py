@@ -32,6 +32,7 @@ class MessageType(enum.IntEnum):
     SPECTRUM_RESPONSE = 4
     SERVICE_REQUEST = 5
     SERVICE_RESPONSE = 6
+    REJECT = 7      # payload: index of the RejectReason (socket transport)
 
 
 # catalogue name -> (type tag, fixed payload bytes)
@@ -92,7 +93,35 @@ def decode_message(data: bytes) -> tuple[WireMessage, bytes]:
     return WireMessage(mtype, data[5:5 + plen]), data[5 + plen:]
 
 
-# -- field packing helpers -------------------------------------------------
+# -- field packing and the bounds-checked reader ------------------------------
+
+class Reader:
+    """Cursor over bytes for strict decoders: reading past the end raises
+    SlapxError, and so does `end()` while any byte is left unread."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._off = 0
+
+    def take(self, n: int) -> bytes:
+        end = self._off + n
+        if end > len(self._data):
+            raise SlapxError("truncated field")
+        out = self._data[self._off:end]
+        self._off = end
+        return out
+
+    def uint(self, n: int) -> int:
+        return int.from_bytes(self.take(n), "big")
+
+    def field(self) -> bytes:
+        """One 2-byte length-prefixed field."""
+        return self.take(self.uint(2))
+
+    def end(self) -> None:
+        if self._off != len(self._data):
+            raise SlapxError(f"{len(self._data) - self._off} trailing bytes")
+
 
 def pack_fields(*fields: bytes) -> bytes:
     out = bytearray()
@@ -101,19 +130,30 @@ def pack_fields(*fields: bytes) -> bytes:
     return bytes(out)
 
 
-def unpack_fields(data: bytes, count: int) -> list[bytes]:
-    out = []
-    off = 0
-    for _ in range(count):
-        if off + 2 > len(data):
-            raise SlapxError("truncated field")
-        ln = int.from_bytes(data[off:off + 2], "big")
-        off += 2
-        if off + ln > len(data):
-            raise SlapxError("truncated field")
-        out.append(data[off:off + ln])
-        off += ln
+def unpack_fields(data: bytes, count: int, exact: bool = False) -> list[bytes]:
+    """The first `count` fields of `data`; with `exact`, nothing may follow."""
+    r = Reader(data)
+    out = [r.field() for _ in range(count)]
+    if exact:
+        r.end()
     return out
+
+
+def encode_point(l_x: float, l_y: float) -> bytes:
+    """A point in metres as two signed 8-byte millimetre counts."""
+    return b"".join(int(round(v * 1000)).to_bytes(8, "big", signed=True)
+                    for v in (l_x, l_y))
+
+
+def decode_point(data: bytes) -> tuple[float, float]:
+    """Inverse of encode_point; raises SlapxError on any bytes that
+    encode_point does not produce."""
+    r = Reader(data)
+    l_x, l_y = (int.from_bytes(r.take(8), "big", signed=True) / 1000
+                for _ in range(2))
+    if encode_point(l_x, l_y) != data:  # trailing bytes, or a count no float carries
+        raise SlapxError("not a canonical point")
+    return l_x, l_y
 
 
 # -- fragmentation accounting -----------------------------------------------

@@ -1,13 +1,19 @@
 """Cross-object splicing, transplants, and malformed-input handling:
 attacks that reuse valid pieces in the wrong place must fail cleanly."""
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
                           RejectReason, SlapxError)
+from slapx.group import SigningKey
+from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
-                            Puzzle, decode_presentation, presentation_context,
-                            run_pol_ap, run_service_request,
+                            NeighborDevice, Puzzle, presentation_context,
+                            run_pol_ap, run_pol_nd, run_service_request,
                             run_spectrum_query, window_of)
 from slapx.rng import SeededRng
 
@@ -147,6 +153,24 @@ class TestDacSplicing:
             dac.dac_receive_cred(params, cred_b, sk_b, r_d, req.nym_d, a_l, 2,
                                  rogue.pk.to_bytes(), bad_cert, ext_sig)
 
+    def test_delegated_pseudonym_out_of_range_fails_cleanly(self, cred_env):
+        # a delegator that signs an extension for nym_d = 0 must not make
+        # issuance or verification raise (0 has no inverse mod n)
+        params, rng, (pk_a, sk_a, cred_a), (pk_b, sk_b, cred_b) = cred_env
+        req, r_d = dac.dac_request_delegation(params, sk_b, rng)
+        a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
+        with pytest.raises(CryptoError):
+            dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, nym_d=0),
+                               a_l, 2, rng)
+        vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, 2, rng)
+        ext_sig = SigningKey(params.cert_group, cred_a.dk.secret).sign(
+            H_tagged("dac/ext", bytes(params.n_bytes), dac.attrs_digest(a_l),
+                     bytes([2]), b"\x01"), rng)
+        dcred = dac.DelegatedCredential(2, a_l, 0, r_d, vk, cert, ext_sig, cred_b)
+        nym_b, aux_b = dac.dac_nymgen(params, pk_b, rng)
+        pres = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, dcred, (0,), b"c", rng)
+        assert not dac.dac_cred_verify(params, pres, b"c")
+
 
 class TestVdfTransplants:
     def test_solution_for_other_modulus_rejected(self):
@@ -194,8 +218,8 @@ class TestMalformedWire:
             # a mutation may leave padding/ignored bytes untouched; if it
             # verified, it must decode to the identical presentation
             assert bytes(mutated) == content or \
-                decode_presentation(wire.unpack_fields(bytes(mutated), 4)[3],
-                                    client.view.dac_params) == pres
+                dac.Presentation.from_bytes(wire.unpack_fields(bytes(mutated), 4)[3],
+                                            client.view.dac_params) == pres
 
     def test_truncated_frames_reject(self):
         msg = wire.build_message("pol_ap_request", b"x" * 64)
@@ -290,7 +314,7 @@ class TestHandlersRejectCleanly:
         bad = pres_b.replace(enc, widened)
         assert bad != pres_b
         with pytest.raises(ParameterError):
-            decode_presentation(bad, params)
+            dac.Presentation.from_bytes(bad, params)
         handlers = [
             (deployment.psd.handle_spectrum_request,
              wire.pack_fields(b"l" * 16, b"c", b"v", bad, b"phi")),
@@ -320,3 +344,116 @@ class TestHandlersRejectCleanly:
                 deployment.server.handle_service_request(request, later)
             assert e.value.reason == RejectReason.BAD_PUZZLE
         assert puzzle.puzzle_id not in deployment.psd.puzzles
+
+
+class _Captured(Exception):
+    def __init__(self, request: bytes):
+        super().__init__("captured")
+        self.request = request
+
+
+class _Capture:
+    """Stands in for the PSD or the server: keeps the request, sends nothing."""
+
+    def handle_spectrum_request(self, request: bytes, now_s: float):
+        raise _Captured(request)
+
+    handle_service_request = handle_spectrum_request
+
+
+def _captured(driver, *args, **kwargs) -> bytes:
+    with pytest.raises(_Captured) as c:
+        driver(*args, **kwargs)
+    return c.value.request
+
+
+# role -> (number of request fields, index of the presentation field)
+ROLE_FIELDS = {"ap": (4, 3), "nd": (5, 2), "psd": (5, 3), "server": (5, 3)}
+
+
+@pytest.fixture(scope="module")
+def valid_requests(deployment):
+    """role -> (handler, a valid request that no handler has seen)."""
+    t = 7000.0
+    c = deployment.new_client(DeviceProfile(b"FUZ-0001", 30.0, 0), seed=7201)
+    _, nd_sk, nd_cred = deployment.authority.enroll(DeviceProfile(b"FUZ-ND01", 30.0, 0))
+    nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(7202))
+    proof, pol_ap = run_pol_ap(c, deployment.ap, 5.0, 5.0, t)
+    _, pol_nd = run_pol_nd(c, nd, 5.0, 5.0, t, 10.0)
+    query = _captured(run_spectrum_query, c, _Capture(), 5.0, 5.0, t, proof=proof)
+    # the service request redeems a live puzzle bought with a second proof
+    proof2, _ = run_pol_ap(c, deployment.ap, 6.0, 5.0, t)
+    _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 6.0, 5.0, t, proof=proof2)
+    service = _captured(run_service_request, c, _Capture(), b"m", puzzle, t,
+                        proof=proof2)
+    return {
+        "ap": (lambda r: deployment.ap.issue_pol(r, t, 5.0),
+               wire.message_content(pol_ap.request)),
+        "nd": (lambda r: nd.issue_delegated(r, t, 10.0),
+               wire.message_content(pol_nd.request)),
+        "psd": (lambda r: deployment.psd.handle_spectrum_request(r, t), query),
+        "server": (lambda r: deployment.server.handle_service_request(r, t), service),
+    }
+
+
+class TestMutatedRequestsRejectCleanly:
+    """Outside bytes reach a handler's decision only through its strict
+    decoders: whatever one field of a valid request is changed to, the
+    handler answers or raises ProtocolReject, and nothing else."""
+
+    @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_field_flipped_cut_or_extended(self, valid_requests, role, data):
+        handle, request = valid_requests[role]
+        fields = wire.unpack_fields(request, ROLE_FIELDS[role][0])
+        i = data.draw(st.integers(0, len(fields) - 1))
+        f = fields[i]
+        edit = data.draw(st.sampled_from(["flip", "cut", "extend"]))
+        if edit == "flip":
+            bit = data.draw(st.integers(0, 8 * len(f) - 1))
+            fields[i] = (int.from_bytes(f, "big") ^ (1 << bit)).to_bytes(len(f), "big")
+        elif edit == "cut":
+            fields[i] = f[:data.draw(st.integers(0, len(f) - 1))]
+        else:
+            fields[i] = f + data.draw(st.binary(min_size=1, max_size=40))
+        try:
+            handle(wire.pack_fields(*fields))
+        except ProtocolReject:
+            pass
+
+    @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
+    def test_presentation_with_trailing_bytes_is_bad_credential(self, valid_requests,
+                                                                role):
+        handle, request = valid_requests[role]
+        count, pres_at = ROLE_FIELDS[role]
+        fields = wire.unpack_fields(request, count)
+        fields[pres_at] += b"\x00"
+        with pytest.raises(ProtocolReject) as e:
+            handle(wire.pack_fields(*fields))
+        assert e.value.reason == RejectReason.BAD_CREDENTIAL
+
+    def test_neighbor_device_peer_key_and_delegation_request(self, valid_requests):
+        handle, request = valid_requests["nd"]
+        loc, win_b, pres_b, peer_b, dreq_b = wire.unpack_fields(request, 5)
+        tampered = dreq_b[:-1] + bytes([dreq_b[-1] ^ 1])
+        cases = [((b"\x02" + b"\xff" * 32, dreq_b), RejectReason.BAD_CREDENTIAL),
+                 ((bytes(33), dreq_b), RejectReason.BAD_CREDENTIAL),  # identity
+                 ((peer_b, dreq_b[:-1]), RejectReason.BAD_CREDENTIAL),
+                 ((peer_b, tampered), RejectReason.DELEGATION_DENIED)]
+        for (peer, dreq), reason in cases:
+            with pytest.raises(ProtocolReject) as e:
+                handle(wire.pack_fields(loc, win_b, pres_b, peer, dreq))
+            assert e.value.reason == reason
+
+    def test_unknown_puzzle_rejected_before_credential_check(self, valid_requests,
+                                                            monkeypatch):
+        def no_credential_check(*args):
+            raise AssertionError("credential verified before the puzzle lookup")
+
+        handle, request = valid_requests["server"]
+        m, _, sol_b, pres_b, phi_b = wire.unpack_fields(request, 5)
+        monkeypatch.setattr(dac, "dac_cred_verify", no_credential_check)
+        with pytest.raises(ProtocolReject) as e:
+            handle(wire.pack_fields(m, b"\xff" * 8, sol_b, pres_b, phi_b))
+        assert e.value.reason == RejectReason.BAD_PUZZLE

@@ -62,6 +62,17 @@ class TestProtocolCommand:
         assert code == 0
         assert "GRANTED" in out
         assert "pol_ap=2456" in out and "service_request=2712" in out
+        _, in_process, _ = run_cli(capsys, "protocol", "--seed", "3",
+                                   "--modulus-bits", "512")
+        assert out == in_process
+
+    def test_socket_reject_exits_with_its_reason(self, capsys):
+        code, out, err = run_cli(capsys, "protocol", "--seed", "3",
+                                 "--transport", "socket",
+                                 "--modulus-bits", "512",
+                                 "-x", "70", "-y", "70")
+        assert code == EXIT_CODES[RejectReason.NOT_PROXIMATE]
+        assert out == "" and "REJECTED NOT_PROXIMATE" in err
 
 
 class TestSimulateOutputs:

@@ -1,0 +1,118 @@
+"""Strict wire decoders: each one inverts its encoder exactly, and any other
+input raises SlapxError (never a bare ValueError or UnicodeDecodeError)."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slapx import dac, vdf, wire
+from slapx.errors import SlapxError
+from slapx.rng import SeededRng
+
+ATTRS = (dac.Attribute("device_id", b"DEV-0042"),
+         dac.Attribute("tx_power", (300).to_bytes(2, "big")),
+         dac.Attribute("device_type", b"\x01"),
+         dac.Attribute("validity", bytes(16)))
+
+
+@pytest.fixture(scope="module")
+def codecs(dac_env):
+    """name -> (an honest value, decode(bytes), encode(value))."""
+    params, root, rng = dac_env
+    pk, sk = dac.dac_keygen(params, rng)
+    cred = dac.issue_credential(root, sk, ATTRS, 2, rng)
+    pk_r, sk_r = dac.dac_keygen(params, rng)
+    recipient = dac.issue_credential(root, sk_r, ATTRS, 1, rng)
+    req, r_d = dac.dac_request_delegation(params, sk_r, rng)
+    a_l = (dac.Attribute.location(12.0, -3.5), dac.Attribute.ts_window(42))
+    vk, cert, ext_sig = dac.dac_issue_cred(params, cred, req, a_l, 2, rng)
+    dcred = dac.dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
+                                 2, vk, cert, ext_sig)
+    nym, aux = dac.dac_nymgen(params, pk, rng)
+    base = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"c", rng)
+    nym_r, aux_r = dac.dac_nymgen(params, pk_r, rng)
+    delegated = dac.dac_cred_prove(params, sk_r, nym_r, aux_r, dcred, (1, 2),
+                                   b"c", rng)
+    vparams = vdf.vdf_setup(256, 10, SeededRng(41))
+    nb = (vparams.modulus.n.bit_length() + 7) // 8
+    sol = vdf.vdf_eval(vparams, vdf.VdfChallenge(b"m", 50))
+
+    def presentation(value):
+        return (value, lambda b: dac.Presentation.from_bytes(b, params),
+                lambda p: p.to_bytes(params))
+
+    return {
+        "presentation": presentation(base),
+        "delegated_presentation": presentation(delegated),
+        "delegation_request": (req,
+                               lambda b: dac.DelegationRequest.from_bytes(b, params),
+                               lambda r: r.to_bytes(params)),
+        "vdf_solution": (sol, lambda b: vdf.VdfSolution.from_bytes(b, nb),
+                         lambda s: s.to_bytes(nb)),
+    }
+
+
+NAMES = ["presentation", "delegated_presentation", "delegation_request",
+         "vdf_solution"]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_honest_value_round_trips(codecs, name):
+    value, decode, encode = codecs[name]
+    assert decode(encode(value)) == value
+
+
+@pytest.mark.parametrize("name", NAMES)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_decoded_value_reencodes_to_input(codecs, name, data):
+    """Edit one spot of an honest encoding: the decoder either raises
+    SlapxError or returns a value whose encoding is the edited bytes."""
+    value, decode, encode = codecs[name]
+    valid = encode(value)
+    edit = data.draw(st.sampled_from(["flip", "cut", "insert"]))
+    if edit == "flip":
+        pos = data.draw(st.integers(0, len(valid) - 1))
+        flipped = valid[pos] ^ (1 << data.draw(st.integers(0, 7)))
+        edited = valid[:pos] + bytes([flipped]) + valid[pos + 1:]
+    elif edit == "cut":
+        edited = valid[:data.draw(st.integers(0, len(valid) - 1))]
+    else:
+        pos = data.draw(st.integers(0, len(valid)))
+        edited = valid[:pos] + data.draw(st.binary(min_size=1, max_size=8)) + valid[pos:]
+    try:
+        decoded = decode(edited)
+    except SlapxError:
+        return
+    assert encode(decoded) == edited
+
+
+class TestNonCanonicalInputRejected:
+    def test_trailing_byte(self, codecs):
+        for name in NAMES:
+            value, decode, encode = codecs[name]
+            with pytest.raises(SlapxError):
+                decode(encode(value) + b"\x00")
+
+    def test_extension_flag_other_than_0_or_1(self, codecs):
+        value, decode, encode = codecs["presentation"]
+        encoded = encode(value)
+        assert value.ext is None and encoded[-1] == 0
+        with pytest.raises(SlapxError, match="extension flag"):
+            decode(encoded[:-1] + b"\x02")
+
+    def test_attribute_kind_not_utf8(self, codecs):
+        value, decode, encode = codecs["presentation"]
+        encoded = encode(value)
+        kind = value.disclosed[0][1].kind.encode()
+        bad = encoded.replace(kind, b"\xff" + kind[1:], 1)
+        with pytest.raises(SlapxError, match="UTF-8"):
+            decode(bad)
+
+    def test_solution_field_widths(self, codecs):
+        sol, decode, encode = codecs["vdf_solution"]
+        ell_b, pi_b, y_b = wire.unpack_fields(encode(sol), 3)
+        for fields in ((b"\x00" + ell_b, pi_b, y_b),    # ell with a leading zero
+                       (ell_b, pi_b[1:], y_b),           # pi short of the width
+                       (ell_b, pi_b, b"\x00" + y_b)):   # y beyond the width
+            with pytest.raises(SlapxError):
+                decode(wire.pack_fields(*fields))

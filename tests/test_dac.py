@@ -36,6 +36,12 @@ class TestSetup:
         assert params.eta == 2 and params.t == 8
         assert len(root.roots) == 2
 
+    def test_seeded_parameters_pinned(self, deployment):
+        # the fixture is Deployment.create(seed=3); its DAC parameters do not
+        # depend on the PSD modulus size. Pins the primes dac_setup draws.
+        assert deployment.view.dac_params.fingerprint().hex() == (
+            "23db402674cdfb54ca903ccbb53731234d3248bdcb9dcc4cfe919cd50516f2cf")
+
 
 class TestKeysAndNyms:
     def test_fresh_nyms_distinct_and_provable(self, env):

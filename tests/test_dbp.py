@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from slapx.dbp import (SPEED_OF_LIGHT_M_S, DbpConfig, DbpKeyPair,
                        RoundTranscript, dbp_aka, dbp_respond,
-                       dbp_response_table, dbp_verify, run_honest_session,
-                       transcript_csv)
+                       dbp_response_table, dbp_verify, run_honest_session)
 from slapx.errors import CryptoError, ParameterError
 from slapx.group import group_setup
 from slapx.rng import SeededRng
@@ -153,15 +152,3 @@ class TestVerify:
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) < 3 * sigma + 1e-9
 
-
-class TestTranscriptLog:
-    def test_csv_shape(self):
-        cfg = DbpConfig(n=5, th=50.0)
-        rng = SeededRng(10)
-        ss = bytes(rng.randint_bits(1) for _ in range(10))
-        m, transcripts = run_honest_session(cfg, ss, 5.0, rng)
-        text = transcript_csv(transcripts, cfg, dbp_response_table(ss, m))
-        lines = text.strip().split("\n")
-        assert lines[0] == "round,challenge,response,rtt_ns,pass"
-        assert len(lines) == 6
-        assert all(line.endswith(",1") for line in lines[1:])

@@ -7,9 +7,8 @@ import pytest
 
 from slapx.errors import ParameterError
 from slapx.protocol import RadioEnv
-from slapx.simnet import (DEFAULT_CALIBRATION, Calibration, FraudRound,
-                          ScenarioConfig, SimClock, SimMetrics, fraud_session,
-                          hijack_threshold_indicator, precompute_limit,
+from slapx.simnet import (DEFAULT_CALIBRATION, Calibration, ScenarioConfig,
+                          SimClock, SimMetrics, hijack_threshold_indicator, precompute_limit,
                           run_dos, run_fraud, run_hijack, run_hijack_cell)
 
 
@@ -133,30 +132,6 @@ class TestFraud:
             run_fraud(10, 0.0, 1.5, 10)
         with pytest.raises(ParameterError):
             run_fraud(10, 1.0, 0.5, 10)
-
-    def test_session_level_agrees_with_fast_loop(self):
-        rng = random.Random(4)
-        trials = 4000
-        hits = sum(fraud_session(20, 80.0, 50.0, 0.5, 0.0, rng)[0]
-                   for _ in range(trials))
-        p = fraud_oracle(20, 0.0, 0.5)
-        sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) <= 4 * sigma + 1e-9
-
-    def test_rtt_floor_never_undercut_by_informed_rounds(self):
-        rng = random.Random(5)
-        for distance in (10.0, 49.0, 80.0, 200.0):
-            floor_ns = 2.0 * distance / 299_792_458.0 * 1e9
-            _, transcript = fraud_session(50, distance, 50.0, 0.6, 0.1, rng)
-            for r in transcript:
-                if r.informed:
-                    assert r.rtt_ns >= floor_ns - 1e-9
-
-    def test_near_prover_all_informed(self):
-        rng = random.Random(6)
-        accepted, transcript = fraud_session(30, 10.0, 50.0, 0.0, 0.0, rng)
-        assert accepted
-        assert all(r.informed and r.correct for r in transcript)
 
 
 class TestHijack:

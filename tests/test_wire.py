@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slapx.errors import ParameterError, SlapxError
-from slapx.wire import (HEADER_LEN, MESSAGE_CATALOG, PHASE_MESSAGES,
-                        build_message, decode_message, fragmentation_report,
+from slapx.wire import (HEADER_LEN, MESSAGE_CATALOG, PHASE_MESSAGES, Reader,
+                        build_message, decode_message, decode_point,
+                        encode_point, fragmentation_report,
                         fragmentation_sweep, message_content, pack_fields,
                         packet_count, phase_total, unpack_fields)
 
@@ -51,6 +52,49 @@ class TestFields:
     def test_truncated_field(self):
         with pytest.raises(SlapxError):
             unpack_fields(b"\x00\x05ab", 1)
+
+    def test_exact_rejects_trailing_bytes(self):
+        packed = pack_fields(b"ab", b"c") + b"x"
+        assert unpack_fields(packed, 2) == [b"ab", b"c"]
+        with pytest.raises(SlapxError, match="trailing"):
+            unpack_fields(packed, 2, exact=True)
+
+
+class TestReader:
+    def test_bounds(self):
+        r = Reader(pack_fields(b"ab") + b"c")
+        assert r.field() == b"ab"
+        with pytest.raises(SlapxError):
+            r.end()
+        assert r.uint(1) == ord("c")
+        r.end()
+        with pytest.raises(SlapxError):
+            r.take(1)
+
+
+class TestPoint:
+    @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+    @settings(max_examples=100, deadline=None)
+    def test_millimetres_round_trip(self, x_mm, y_mm):
+        data = x_mm.to_bytes(8, "big", signed=True) + y_mm.to_bytes(8, "big", signed=True)
+        assert decode_point(data) == (x_mm / 1000, y_mm / 1000)
+        assert encode_point(*decode_point(data)) == data
+
+    @given(st.binary(max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_decoded_bytes_reencode_or_raise(self, data):
+        try:
+            point = decode_point(data)
+        except SlapxError:
+            return
+        assert encode_point(*point) == data
+
+    def test_rounds_to_the_millimetre(self):
+        assert encode_point(12.3454, -7.5) == (
+            (12345).to_bytes(8, "big", signed=True)
+            + (-7500).to_bytes(8, "big", signed=True))
+        with pytest.raises(SlapxError):
+            decode_point((2 ** 62 + 1).to_bytes(8, "big") + bytes(8))
 
 
 class TestFragmentation:
