@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import dac, dbp, rlrs, vdf
 from .errors import ParameterError
 from .group import SigningKey, sgn_verify
+from .hashes import hash_to_prime
 from .rng import SeededRng
 from .simnet import Calibration
 
@@ -125,6 +126,18 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     sig2 = rlrs.rlrs_sign(rkeys["AP-0"], b"m2", ring, event, rparams, rng)
     psig = sgn_key.sign(b"puzzle", rng)
     vparams = vdf.vdf_setup(vdf_modulus_bits, 1000, rng.spawn("fix"))
+    # R_sk, S and four attribute bases raised to 336-bit exponents (the
+    # width of an honest response), through the fixed-base tables and
+    # through one pow per base
+    bases = {dac.BASE_SK: params.base_sk, dac.BASE_S: params.base_S,
+             **dict(enumerate(params.bases[:4]))}
+    terms = [(key, rng.randint_bits(336)) for key in bases]
+
+    def pow_product():
+        out = 1
+        for key, e in terms:
+            out = out * pow(bases[key], e, params.n) % params.n
+        return out
 
     ops = {
         "cred_prove": (lambda: dac.dac_cred_prove(
@@ -142,6 +155,9 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
                        iterations),
         "vdf_setup": (lambda: vdf.vdf_setup(vdf_modulus_bits, 1000,
                                             rng.spawn("b")), heavy),
+        "hash_to_prime": (lambda: hash_to_prime(b"bench"), iterations),
+        "dac_multiexp": (lambda: params.multiexp(*terms), iterations),
+        "pow_product": (pow_product, iterations),
     }
     for kappa in kappa_grid:
         ch = vdf.VdfChallenge(b"bench-input", kappa)
@@ -167,14 +183,15 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
             "server": m("cred_verify") + m("aka") + m("cred_prove"),
         },
         "spectrum_query": {
-            "client": m("cred_prove"),
+            # the client checks the puzzle signature on receipt
+            "client": m("cred_prove") + m("sgn_verify"),
             "server": (m("cred_verify") + m("rlrs_verify") + m("rlrs_link")
                        + m("sgn_sign")),
         },
         "service_request": {
             "client": m("cred_prove") + m(f"vdf_eval_k{kappa_grid[0]}"),
-            "server": (m("cred_verify") + m("sgn_verify")
-                       + m(f"vdf_verify_k{kappa_grid[0]}") + m("rlrs_verify")),
+            "server": (m("cred_verify") + m(f"vdf_verify_k{kappa_grid[0]}")
+                       + m("rlrs_verify")),
         },
     }
     return report

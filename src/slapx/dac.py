@@ -34,7 +34,8 @@ from . import wire
 from .errors import CryptoError, ParameterError, SlapxError
 from .group import Group, GroupElement, SigningKey, group_setup, sgn_verify
 from .hashes import H_int, H_tagged
-from .modmath import random_prime, random_prime_pair
+from .modmath import (FixedBase, fixed_base_multiexp, random_prime,
+                      random_prime_pair)
 from .rng import SeededRng
 
 CRED_WIRE_BYTES = 224
@@ -45,6 +46,11 @@ _SECRET_BITS = 128   # user secrets and openings
 _CHAL_BITS = 128
 _SLACK_BITS = 80     # statistical hiding margin on integer responses
 Z_BYTES = (_SECRET_BITS + _CHAL_BITS + _SLACK_BITS + 7) // 8 + 6  # 48
+# fixed-base tables cover every exponent a response field can carry
+_TABLE_BITS = 8 * Z_BYTES
+
+# DacParams.multiexp keys of R_sk and S; a key i >= 0 is attribute base R_i
+BASE_SK, BASE_S = -2, -1
 
 
 # -- attributes ---------------------------------------------------------
@@ -106,11 +112,29 @@ class DacParams:
         self.base_S = self._derive_base("S", 0)
         self.base_sk = self._derive_base("R_sk", 0)
         self.bases = tuple(self._derive_base("R", i) for i in range(t))
+        # indexed by multiexp key: R_0 .. R_{t-1}, then R_sk (-2) and S (-1)
+        self._public_bases = self.bases + (self.base_sk, self.base_S)
+        self._tables: list[FixedBase | None] = [None] * (t + 2)
 
     def _derive_base(self, tag: str, i: int) -> int:
         x = H_int("dac/base", tag.encode(), i.to_bytes(2, "big"),
                   self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")) % self.n
         return pow(x, 2, self.n)  # square => quadratic residue
+
+    def multiexp(self, *terms: tuple[int, int]) -> int:
+        """prod base^e mod n over (key, e) terms, key BASE_SK for R_sk,
+        BASE_S for S and i for R_i. Each base's fixed-base table is built on
+        its first use (~16 KB at 1024 bits); threads racing on that first
+        use build equal tables, and either one may be kept."""
+        tables = self._tables
+        pairs = []
+        for key, e in terms:
+            table = tables[key]
+            if table is None:
+                table = tables[key] = FixedBase(self._public_bases[key],
+                                                self.n, _TABLE_BITS)
+            pairs.append((table, e))
+        return fixed_base_multiexp(pairs, self.n)
 
     def fingerprint(self) -> bytes:
         return H_tagged("dac/pp", self.n.to_bytes(256, "big").lstrip(b"\x00"),
@@ -186,13 +210,13 @@ def dac_setup(security_bits: int, t: int, eta: int,
 def dac_keygen(params: DacParams, rng: SeededRng) -> tuple[int, int]:
     """(pk, sk); pk = R_sk^sk serves as the initial pseudonym."""
     u = rng.randint_bits(_SECRET_BITS) | 1
-    return pow(params.base_sk, u, params.n), u
+    return params.multiexp((BASE_SK, u)), u
 
 
 def dac_nymgen(params: DacParams, pk: int, rng: SeededRng) -> tuple[int, int]:
     """Fresh pseudonym nym = pk * S^aux and its auxiliary randomness."""
     aux = rng.randint_bits(_SECRET_BITS) | 1
-    return (pk * pow(params.base_S, aux, params.n)) % params.n, aux
+    return (pk * params.multiexp((BASE_S, aux))) % params.n, aux
 
 
 # -- issuance -------------------------------------------------------------
@@ -207,12 +231,11 @@ class IssuanceRequest:
 
 def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[IssuanceRequest, int]:
     """User side of GetCred: blind the secret key, prove the opening."""
-    n = params.n
     o_u = rng.randint_bits(_SECRET_BITS)
-    blinded = (pow(params.base_sk, sk, n) * pow(params.base_S, o_u, n)) % n
+    blinded = params.multiexp((BASE_SK, sk), (BASE_S, o_u))
     k_u = rng.randint_bits(_SECRET_BITS + _CHAL_BITS + _SLACK_BITS)
     k_o = rng.randint_bits(_SECRET_BITS + _CHAL_BITS + _SLACK_BITS)
-    T = (pow(params.base_sk, k_u, n) * pow(params.base_S, k_o, n)) % n
+    T = params.multiexp((BASE_SK, k_u), (BASE_S, k_o))
     c = H_int("dac/getcred", params.fingerprint(),
               blinded.to_bytes(params.n_bytes, "big"),
               T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
@@ -230,7 +253,7 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     if not 1 <= max_delegation_level <= params.eta:
         raise ParameterError("delegation level out of range")
     # check the requester's opening proof
-    T = (pow(params.base_sk, request.z_u, n) * pow(params.base_S, request.z_o, n)
+    T = (params.multiexp((BASE_SK, request.z_u), (BASE_S, request.z_o))
          * pow(request.blinded, -request.c, n)) % n
     c = H_int("dac/getcred", params.fingerprint(),
               request.blinded.to_bytes(params.n_bytes, "big"),
@@ -238,9 +261,8 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     if c != request.c:
         raise CryptoError("issuance request proof invalid")
     o_i = rng.randint_bits(_SECRET_BITS)
-    body = (request.blinded * pow(params.base_S, o_i, n)) % n
-    for i, a in enumerate(attrs):
-        body = (body * pow(params.bases[i], a.digest(), n)) % n
+    body = (request.blinded * params.multiexp(
+        (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
     sigma = pow(body, root.roots[0], n)
     dk = None
     if max_delegation_level >= 2:
@@ -256,11 +278,9 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
 def dac_get_cred(params: DacParams, sk: int, o_u: int, sigma: int, o_i: int,
                  attrs: tuple[Attribute, ...], dk: DelegationKey | None) -> Credential:
     """User side completion: verify the root signature, assemble the credential."""
-    n = params.n
-    body = (pow(params.base_sk, sk, n) * pow(params.base_S, o_u + o_i, n)) % n
-    for i, a in enumerate(attrs):
-        body = (body * pow(params.bases[i], a.digest(), n)) % n
-    if pow(sigma, params.exponents[0], n) != body:
+    body = params.multiexp((BASE_SK, sk), (BASE_S, o_u + o_i),
+                           *((i, a.digest()) for i, a in enumerate(attrs)))
+    if pow(sigma, params.exponents[0], params.n) != body:
         raise CryptoError("issued credential does not verify")
     return Credential(level=1, sigma=sigma, opening=o_u + o_i, attrs=attrs, dk=dk)
 
@@ -409,11 +429,10 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
     k_t = 2 + rng.randrange(n - 3)
     k_h = {i: rng.randint_bits(width) for i in hidden_idx}
 
-    T_V = (pow(params.base_sk, k_u, n) * pow(params.base_S, k_o, n)
+    sk_k = params.multiexp((BASE_SK, k_u))     # shared by T_V, T_nym, T_ext
+    T_V = (sk_k * params.multiexp((BASE_S, k_o), *k_h.items())
            * pow(k_t, e, n)) % n
-    for i in hidden_idx:
-        T_V = (T_V * pow(params.bases[i], k_h[i], n)) % n
-    T_nym = (pow(params.base_sk, k_u, n) * pow(params.base_S, k_r, n)) % n
+    T_nym = (sk_k * params.multiexp((BASE_S, k_r))) % n
 
     ext_part = b""
     T_ext = None
@@ -424,7 +443,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
                             ext_cred.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext_cred.attrs), bytes([ext_cred.level]))
         k_rd = rng.randint_bits(width)
-        T_ext = (pow(params.base_sk, k_u, n) * pow(params.base_S, k_rd, n)) % n
+        T_ext = (sk_k * params.multiexp((BASE_S, k_rd))) % n
 
     c = _show_challenge(params, base.level, nym, sigma_r, disclosed,
                         context, payload, T_V, T_nym, ext_part, T_ext)
@@ -454,17 +473,18 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
             i >= params.t for i in slots):
         return False
 
-    # V = sigma_r^e / prod(disclosed bases^digest)
-    V = pow(pres.sigma_r, e, n)
-    for i, a in pres.disclosed:
-        V = (V * pow(params.bases[i], -a.digest(), n)) % n
-
-    T_V = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, pres.z_o, n)
-           * pow(pres.z_t, e, n) * pow(V, -pres.c, n)) % n
-    for i, z in pres.hidden:
-        T_V = (T_V * pow(params.bases[i], z, n)) % n
-    T_nym = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, pres.z_r, n)
-             * pow(pres.nym, -pres.c, n)) % n
+    c = pres.c
+    # T_V = R_sk^z_u * S^z_o * z_t^e * prod(hidden R_i^z_i) * V^-c, where
+    # V = sigma_r^e / prod(disclosed R_i^digest_i); V^-c is expanded so the
+    # disclosed bases join the fixed-base product and sigma_r^-c shares z_t's
+    # e-th power
+    sk_z = params.multiexp((BASE_SK, pres.z_u))   # shared by T_V, T_nym, T_ext
+    T_V = (sk_z * params.multiexp(
+        (BASE_S, pres.z_o), *pres.hidden,
+        *((i, c * a.digest()) for i, a in pres.disclosed))
+        * pow(pres.z_t * pow(pres.sigma_r, -c, n), e, n)) % n
+    T_nym = (sk_z * params.multiexp((BASE_S, pres.z_r))
+             * pow(pres.nym, -c, n)) % n
 
     ext_part = b""
     T_ext = None
@@ -486,13 +506,12 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
         ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                             ext.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext.attrs), bytes([ext.level]))
-        T_ext = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, ext.z_rd, n)
-                 * pow(ext.nym_d, -pres.c, n)) % n
+        T_ext = (sk_z * params.multiexp((BASE_S, ext.z_rd))
+                 * pow(ext.nym_d, -c, n)) % n
 
-    c = _show_challenge(params, pres.level, pres.nym, pres.sigma_r,
-                        pres.disclosed, context, payload, T_V, T_nym,
-                        ext_part, T_ext)
-    return c == pres.c
+    return _show_challenge(params, pres.level, pres.nym, pres.sigma_r,
+                           pres.disclosed, context, payload, T_V, T_nym,
+                           ext_part, T_ext) == c
 
 
 # -- delegation ------------------------------------------------------------
@@ -520,12 +539,11 @@ class DelegationRequest:
 def dac_request_delegation(params: DacParams, sk: int,
                            rng: SeededRng) -> tuple[DelegationRequest, int]:
     """Recipient side: one-time pseudonym nym_d plus opening proof."""
-    n = params.n
     r_d = rng.randint_bits(_SECRET_BITS) | 1
-    nym_d = (pow(params.base_sk, sk, n) * pow(params.base_S, r_d, n)) % n
+    nym_d = params.multiexp((BASE_SK, sk), (BASE_S, r_d))
     width = _SECRET_BITS + _CHAL_BITS + _SLACK_BITS
     k_u, k_r = rng.randint_bits(width), rng.randint_bits(width)
-    T = (pow(params.base_sk, k_u, n) * pow(params.base_S, k_r, n)) % n
+    T = params.multiexp((BASE_SK, k_u), (BASE_S, k_r))
     c = H_int("dac/delegate", params.fingerprint(),
               nym_d.to_bytes(params.n_bytes, "big"),
               T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
@@ -554,7 +572,7 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
     n = params.n
     if not 0 < request.nym_d < n:
         raise CryptoError("delegation pseudonym out of range")
-    T = (pow(params.base_sk, request.z_u, n) * pow(params.base_S, request.z_r, n)
+    T = (params.multiexp((BASE_SK, request.z_u), (BASE_S, request.z_r))
          * pow(request.nym_d, -request.c, n)) % n
     c = H_int("dac/delegate", params.fingerprint(),
               request.nym_d.to_bytes(params.n_bytes, "big"),

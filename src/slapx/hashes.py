@@ -35,9 +35,14 @@ def H_expand(tag: str, seed: bytes, n_bytes: int) -> bytes:
     return bytes(out[:n_bytes])
 
 
+def hash_to_prime_floor(m: bytes) -> int:
+    """H(m) as an integer: `hash_to_prime(m)` is the least prime >= it."""
+    return int.from_bytes(hashlib.sha256(m).digest(), "big")
+
+
 def hash_to_prime(m: bytes) -> int:
     """next-prime(H(m)): deterministic, always >= the digest value."""
-    return next_prime(int.from_bytes(hashlib.sha256(m).digest(), "big"))
+    return next_prime(hash_to_prime_floor(m))
 
 
 def int_sum_to_bytes(value: int) -> bytes:

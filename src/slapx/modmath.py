@@ -26,6 +26,14 @@ with the odd primes below 2^14 (one gcd with their product). The filter
 removes composites only, at widths where every candidate exceeds the largest
 sieve prime, so the candidates stay uniform, the primes returned have the
 same distribution, and the bound above still holds.
+
+Fixed-base exponentiation. `FixedBase` holds the powers g^(2^(w*i)) mod n
+of one public base, and `fixed_base_multiexp` computes a product of tabled
+bases raised to non-negative exponents by the bucket method of Brickell,
+Gordon, McCurley and Wilson (EUROCRYPT '92, "Fast exponentiation with
+precomputation", after Yao): it needs no squaring at all, one
+multiplication per non-zero w-bit digit of every exponent, and at most
+2(2^w - 1) more for the whole product. Like `pow`, it is not constant-time.
 """
 from __future__ import annotations
 
@@ -35,6 +43,7 @@ from .errors import ParameterError
 from .rng import SeededRng
 
 MR_ROUNDS = 64
+FIXED_BASE_WINDOW = 4          # digit width w of the fixed-base tables
 SIEVE_BOUND = 1 << 14
 # p(k, t) target for random candidates: 2^-128, halved because random_prime
 # also forces the second-highest bit
@@ -172,3 +181,50 @@ def rsa_setup(bit_length: int, rng: SeededRng, _allow_tiny: bool = False) -> Rsa
     n = p * q
     del p, q  # factors never persisted
     return RsaModulus(n)
+
+
+class FixedBase:
+    """The table g^(2^(w*i)) mod n, for i < ceil(max_bits / w), of one base
+    g (w = FIXED_BASE_WINDOW). It is never mutated once built, so threads
+    that race to build the same table build equal ones."""
+
+    __slots__ = ("powers",)
+
+    def __init__(self, g: int, n: int, max_bits: int):
+        powers = [g % n]
+        for _ in range(-(-max_bits // FIXED_BASE_WINDOW) - 1):
+            powers.append(pow(powers[-1], 1 << FIXED_BASE_WINDOW, n))
+        self.powers = tuple(powers)
+
+
+def fixed_base_multiexp(terms, n: int) -> int:
+    """prod g^e mod n over the (FixedBase, e) pairs in `terms`; equal to the
+    product of `pow(g, e, n)`. An exponent that is negative or wider than
+    its table is raised by `pow`."""
+    w = FIXED_BASE_WINDOW
+    mask = (1 << w) - 1
+    # bucket d collects the table entries whose exponent digit is d
+    buckets: list[int | None] = [None] * (mask + 1)
+    out = 1
+    for table, e in terms:
+        powers = table.powers
+        if e < 0 or e.bit_length() > w * len(powers):
+            out = out * pow(powers[0], e, n) % n
+            continue
+        i = 0
+        while e:
+            d = e & mask
+            if d:
+                b = buckets[d]
+                buckets[d] = powers[i] if b is None else b * powers[i] % n
+            e >>= w
+            i += 1
+    # prod_d bucket_d^d = prod over d of (prod of the buckets >= d)
+    acc = None
+    for d in range(mask, 0, -1):
+        b = buckets[d]
+        if b is not None:
+            acc = b if acc is None else acc * b % n
+        if acc is not None:
+            out = out * acc % n
+    return out

@@ -43,7 +43,7 @@ class Calibration:
     """Per-request service times and client-side costs, in seconds."""
     baseline_service_s: float = 0.024     # unprotected request handling
     query_verify_s: float = 0.0743        # credential + proof + record + puzzle
-    service_verify_s: float = 0.0777      # credential + puzzle sig + VDF verify
+    service_verify_s: float = 0.0777      # credential + VDF + proof verify
     reject_service_s: float = 0.006       # malformed request, fast reject
     link_reject_s: float = 0.048          # verified then refused via tag link
     client_crypto_s: float = 0.105        # client-side proofs per full run

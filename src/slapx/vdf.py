@@ -7,11 +7,12 @@ produces a succinct proof:
     ell = next-prime(H(x + y))         (integer sum, big-endian bytes)
     pi  = x^floor(2^tau / ell) mod N
 
-Verification first recomputes ell from x + y and rejects any other value,
-then checks y == pi^ell * x^r with r = 2^tau mod ell, so its cost is
-O(log tau) modular exponentiations regardless of tau. The recomputed ell
-already passed next_prime's 64-round primality test, so a submitted ell is
-never tested on its own. Every puzzle is issued on a fresh modulus, which
+Verification first rejects an ell below H(x + y), which next-prime cannot
+return, then recomputes ell from x + y and rejects any other value, then
+checks y == pi^ell * x^r with r = 2^tau mod ell, so its cost is O(log tau)
+modular exponentiations regardless of tau. The recomputed ell already
+passed next_prime's 64-round primality test, so a submitted ell is never
+tested on its own. Every puzzle is issued on a fresh modulus, which
 `ModulusPool.get` generates when it is asked for one.
 """
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .errors import ParameterError, SlapxError
-from .hashes import H_tagged, hash_to_prime, int_sum_to_bytes
+from .hashes import (H_tagged, hash_to_prime, hash_to_prime_floor,
+                     int_sum_to_bytes)
 # is_probable_prime is re-exported: perfbench/test_perfbench.py reads it here
 from .modmath import RsaModulus, is_probable_prime, rsa_setup  # noqa: F401
 from .rng import SeededRng
@@ -121,7 +123,10 @@ def vdf_verify(params: VdfParams, challenge: VdfChallenge, sol: VdfSolution) -> 
     if not (0 <= sol.pi < n and 0 <= sol.y < n):
         return False
     x = challenge_base(params, challenge.m)
-    if sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
+    xy = int_sum_to_bytes(x + sol.y)
+    # hash_to_prime(xy) >= hash_to_prime_floor(xy): a smaller ell is wrong
+    # without the prime search
+    if sol.ell < hash_to_prime_floor(xy) or sol.ell != hash_to_prime(xy):
         return False
     r = pow(2, challenge.tau, sol.ell)
     return (pow(sol.pi, sol.ell, n) * pow(x, r, n)) % n == sol.y

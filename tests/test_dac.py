@@ -1,13 +1,21 @@
 """Credential issuance, selective disclosure, delegation, and the
 unforgeability / unlinkability shape checks."""
+import dataclasses
+import hashlib
+import sys
+import threading
+
 import pytest
 
-from slapx.dac import (CRED_WIRE_BYTES, Attribute, Presentation,
+from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, Attribute, DacParams,
+                       Presentation, _show_challenge, attrs_digest,
                        dac_cred_prove, dac_cred_verify, dac_issue_cred,
                        dac_keygen, dac_nymgen, dac_receive_cred,
                        dac_request_delegation, dac_setup, encode_credential,
                        issue_credential)
 from slapx.errors import CryptoError, ParameterError
+from slapx.group import sgn_verify
+from slapx.hashes import H_tagged
 from slapx.rng import SeededRng
 
 ATTRS = (Attribute("device_id", b"DEV-0007"),
@@ -247,3 +255,194 @@ class TestAttributes:
         a = Attribute("device_id", b"AAAAAAAA")
         b = Attribute("pol", b"AAAAAAAA".ljust(32, b"\x00"))
         assert a.digest() != b.digest()
+
+
+def reference_verify(params, pres, context, payload=b""):
+    """dac_cred_verify as it was before the fixed-base tables: one pow per
+    base and exponent. dac_cred_verify must return what this returns."""
+    n = params.n
+    if pres.level != 1 or not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
+        return False
+    e = params.exponents[0]
+    slots = {i for i, _ in pres.hidden} | {i for i, _ in pres.disclosed}
+    if len(slots) != len(pres.hidden) + len(pres.disclosed) or any(
+            i >= params.t for i in slots):
+        return False
+    V = pow(pres.sigma_r, e, n)
+    for i, a in pres.disclosed:
+        V = (V * pow(params.bases[i], -a.digest(), n)) % n
+    T_V = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, pres.z_o, n)
+           * pow(pres.z_t, e, n) * pow(V, -pres.c, n)) % n
+    for i, z in pres.hidden:
+        T_V = (T_V * pow(params.bases[i], z, n)) % n
+    T_nym = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, pres.z_r, n)
+             * pow(pres.nym, -pres.c, n)) % n
+    ext_part = b""
+    T_ext = None
+    if pres.ext is not None:
+        ext = pres.ext
+        if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
+            return False
+        try:
+            vk = params.cert_group.from_bytes(ext.vk_bytes)
+        except CryptoError:
+            return False
+        cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
+        if not sgn_verify(params.cert_group, params.cert_pk, cert_body, ext.cert):
+            return False
+        ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
+                            attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
+        if not sgn_verify(params.cert_group, vk, ext_body, ext.ext_sig):
+            return False
+        ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
+                            ext.nym_d.to_bytes(params.n_bytes, "big"),
+                            attrs_digest(ext.attrs), bytes([ext.level]))
+        T_ext = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, ext.z_rd, n)
+                 * pow(ext.nym_d, -pres.c, n)) % n
+    c = _show_challenge(params, pres.level, pres.nym, pres.sigma_r,
+                        pres.disclosed, context, payload, T_V, T_nym,
+                        ext_part, T_ext)
+    return c == pres.c
+
+
+def variants(pres, params, rng):
+    """Tampered and randomized copies of `pres`, one field at a time."""
+    n = params.n
+    rep = dataclasses.replace
+    out = [rep(pres, sigma_r=(pres.sigma_r * 2) % n),
+           rep(pres, sigma_r=2 + rng.randrange(n - 2)),
+           rep(pres, sigma_r=n - 1), rep(pres, nym=(pres.nym + 1) % n),
+           rep(pres, c=pres.c ^ 1), rep(pres, c=rng.randint_bits(128)),
+           rep(pres, c=0), rep(pres, z_t=(pres.z_t + 1) % n),
+           rep(pres, z_t=2 + rng.randrange(n - 2)), rep(pres, z_t=n + 5),
+           rep(pres, z_u=pres.z_u + 1), rep(pres, z_u=rng.randint_bits(384)),
+           rep(pres, z_u=(1 << 384) + pres.z_u),     # wider than any table
+           rep(pres, z_u=0), rep(pres, z_o=pres.z_o ^ (1 << 200)),
+           rep(pres, z_r=pres.z_r + 1), rep(pres, level=2),
+           rep(pres, disclosed=pres.disclosed + pres.disclosed)]
+    if pres.hidden:
+        (i, z), *rest = pres.hidden
+        out += [rep(pres, hidden=((i, z + 1), *rest)),
+                rep(pres, hidden=((i, 0), *rest)),
+                rep(pres, hidden=((7, z), *rest)),
+                rep(pres, hidden=((8, z), *rest)),
+                rep(pres, hidden=pres.hidden[1:])]
+    if pres.disclosed:
+        (i, a), *rest = pres.disclosed
+        out += [rep(pres, disclosed=((i, Attribute("device_type", b"\x07")), *rest)),
+                rep(pres, disclosed=((i + 4, a), *rest)),
+                rep(pres, disclosed=pres.disclosed[1:])]
+    if pres.ext is not None:
+        ext = pres.ext
+        out += [rep(pres, ext=rep(ext, z_rd=ext.z_rd + 1)),
+                rep(pres, ext=rep(ext, nym_d=(ext.nym_d * 3) % n)),
+                rep(pres, ext=rep(ext, attrs=ext.attrs[:1])),
+                rep(pres, ext=rep(ext, level=3)),
+                rep(pres, ext=rep(ext, ext_sig=bytes(len(ext.ext_sig)))),
+                rep(pres, ext=None)]
+    return out
+
+
+class TestVerifyMatchesReference:
+    @pytest.fixture(scope="class")
+    def shows(self, env):
+        """Presentations of a base and of a delegated credential, with the
+        device disclose set (1, 2) and with nothing disclosed."""
+        params, root, rng, pk, sk, cred = env
+        pk_r, sk_r = dac_keygen(params, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
+        req, r_d = dac_request_delegation(params, sk_r, rng)
+        a_l = (Attribute.location(3.0, 4.0), Attribute.ts_window(9))
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
+        dcred = dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
+                                 2, vk, cert, ext)
+        out = []
+        for holder_pk, holder_sk, c in ((pk, sk, cred), (pk_r, sk_r, dcred)):
+            for disclose in ((1, 2), ()):
+                nym, aux = dac_nymgen(params, holder_pk, rng)
+                out.append(dac_cred_prove(params, holder_sk, nym, aux, c,
+                                          disclose, b"ctx", rng, payload=b"pl"))
+        return out
+
+    def test_same_decision_on_every_variant(self, env, shows):
+        params, rng = env[0], SeededRng(91)
+        checked = 0
+        for pres in shows:
+            assert dac_cred_verify(params, pres, b"ctx", b"pl")
+            assert reference_verify(params, pres, b"ctx", b"pl")
+            cases = [(pres, b"ctx", b"pl"), (pres, b"other", b"pl"),
+                     (pres, b"ctx", b"")]
+            cases += [(v, b"ctx", b"pl") for v in variants(pres, params, rng)]
+            for cand, context, payload in cases:
+                assert dac_cred_verify(params, cand, context, payload) == \
+                    reference_verify(params, cand, context, payload), cand
+                checked += 1
+        assert checked > 100
+
+
+class TestFixedBaseTables:
+    def test_multiexp_equals_pow_product(self, dac_env):
+        params = dac_env[0]
+        n = params.n
+        bases = {BASE_SK: params.base_sk, BASE_S: params.base_S,
+                 **dict(enumerate(params.bases))}
+        rng = SeededRng(92)
+        for width in (0, 1, 128, 336, 384, 385, 600):
+            terms = [(key, rng.randint_bits(width) if width else 0)
+                     for key in bases]
+            want = 1
+            for key, e in terms:
+                want = want * pow(bases[key], e, n) % n
+            assert params.multiexp(*terms) == want, width
+        assert params.multiexp() == 1
+
+    def test_threads_racing_on_first_build(self, dac_env):
+        p = dac_env[0]
+        fresh = DacParams(p.n, p.exponents, p.t, p.cert_group, p.cert_pk)
+        terms = [(BASE_SK, 3 ** 200), (BASE_S, 5 ** 150), (0, 7 ** 100)]
+        want = p.multiexp(*terms)
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: results.append(fresh.multiexp(*terms)))
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [want] * 8
+
+
+class TestSeededBytesPinned:
+    def test_issuance_and_presentations_unchanged(self, dac_env):
+        # dac_env's parameters come from dac_setup on SeededRng(11) alone;
+        # the digest was taken from the one-pow-per-base implementation
+        params, root, _ = dac_env
+        rng = SeededRng(71)
+        pk, sk = dac_keygen(params, rng)
+        cred = issue_credential(root, sk, ATTRS, 2, rng)
+        pk_r, sk_r = dac_keygen(params, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
+        req, r_d = dac_request_delegation(params, sk_r, rng)
+        a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
+        dcred = dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
+                                 2, vk, cert, ext)
+        nb = params.n_bytes
+        h = hashlib.sha256()
+        h.update(pk.to_bytes(nb, "big") + encode_credential(cred, params)
+                 + cred.opening.to_bytes(nb, "big"))
+        h.update(req.to_bytes(params) + encode_credential(dcred, params))
+        for holder_pk, holder_sk, c, disclose in (
+                (pk, sk, cred, (1, 2)), (pk, sk, cred, ()),
+                (pk_r, sk_r, dcred, (1, 2))):
+            nym, aux = dac_nymgen(params, holder_pk, rng)
+            h.update(dac_cred_prove(params, holder_sk, nym, aux, c, disclose,
+                                    b"ctx", rng, payload=b"pl").to_bytes(params))
+        assert h.hexdigest() == (
+            "bbfe69a92a67709ce2908f83abf53c8e753bfe2ed099fd918ee551e8e4aac7ae")

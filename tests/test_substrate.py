@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from slapx.errors import CryptoError, ParameterError
 from slapx.group import group_setup
 from slapx.hashes import H, H_expand, hash_to_prime
-from slapx.modmath import (MR_ROUNDS, SIEVE_BOUND, SIEVE_PRODUCT,
+from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
+                           SIEVE_PRODUCT, FixedBase, fixed_base_multiexp,
                            is_probable_prime, next_prime, random_prime,
                            random_prime_rounds, rsa_setup)
 from slapx.rng import SeededRng
@@ -183,6 +184,39 @@ class TestRandomPrimeFastPath:
             "9f77436a9b2d4f5ec8dea777cfc916bcd0ef765a8917b1b6c747ee1e3b18c3fb", 16)
         assert hash_to_prime(bytes(range(64))) == int(
             "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d915113f", 16)
+
+
+MULTIEXP_N = rsa_setup(512, SeededRng(93)).n
+MULTIEXP_BASES = [pow(3 + i, 2, MULTIEXP_N) for i in range(4)]
+# 384 bits: the widest credential response (Z_BYTES); 10 bits is not a
+# multiple of the window, so that table covers 12
+MULTIEXP_TABLES = [FixedBase(g, MULTIEXP_N, bits)
+                   for g in MULTIEXP_BASES for bits in (384, 10)]
+MULTIEXP_EDGES = [0, 1, (1 << FIXED_BASE_WINDOW) - 1, 1 << FIXED_BASE_WINDOW,
+                  (1 << 12) - 1, 1 << 12, (1 << 384) - 1, 1 << 384, -1]
+
+
+class TestFixedBaseMultiexp:
+    @given(st.lists(st.tuples(
+        st.integers(0, len(MULTIEXP_TABLES) - 1),
+        st.one_of(st.sampled_from(MULTIEXP_EDGES), st.integers(0, 1 << 400),
+                  st.integers(-(1 << 64), -1))), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_pow_product(self, terms):
+        n = MULTIEXP_N
+        want = 1
+        for j, e in terms:
+            want = want * pow(MULTIEXP_BASES[j // 2], e, n) % n
+        got = fixed_base_multiexp([(MULTIEXP_TABLES[j], e) for j, e in terms], n)
+        assert got == want
+
+    def test_table_width(self):
+        wide, narrow = MULTIEXP_TABLES[:2]
+        w = FIXED_BASE_WINDOW
+        assert len(wide.powers) == -(-384 // w)
+        assert len(narrow.powers) == -(-10 // w)
+        for i, power in enumerate(narrow.powers):
+            assert power == pow(MULTIEXP_BASES[0], 1 << (w * i), MULTIEXP_N)
 
 
 class TestRsaSetup:

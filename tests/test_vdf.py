@@ -5,8 +5,10 @@ import math
 import pytest
 
 from slapx.errors import ParameterError
-from slapx.hashes import hash_to_prime, int_sum_to_bytes
-from slapx.modmath import RsaModulus, is_probable_prime, random_prime
+from slapx import vdf
+from slapx.hashes import hash_to_prime, hash_to_prime_floor, int_sum_to_bytes
+from slapx.modmath import (RsaModulus, is_probable_prime, next_prime,
+                           random_prime)
 from slapx.rng import SeededRng
 from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge, VdfParams,
                        VdfSolution, challenge_base, difficulty_for,
@@ -158,7 +160,17 @@ def tampered_solutions(params, ch, sol, big_prime):
         # comparison with the recomputed ell can reject it
         return VdfSolution(e, pow(x, (1 << ch.tau) // e, n), y)
 
+    # ell = next_prime(h): exponents below, at and just above h
+    h = hash_to_prime_floor(int_sum_to_bytes(x + y))
+    around_h = {
+        "forged for prime below H(x+y)": next_prime(h // 2),
+        "forged for H(x+y) - 1": h - 1,
+        "forged for H(x+y)": h,
+        "forged for H(x+y) + 1": h + 1,
+        "forged for ell - 1": ell - 1,
+    }
     return {
+        **{name: forged(e) for name, e in around_h.items() if e != ell},
         "forged for ell+2": forged(ell + 2),
         "forged for small prime": forged(3),
         "forged for composite": forged(ell * 3),
@@ -198,3 +210,18 @@ class TestVerifyMatchesReference:
             for name, bad in tampered_solutions(params, ch, sol, big_prime).items():
                 assert not reference_verify(params, ch, bad), name
                 assert not vdf_verify(params, ch, bad), name
+
+    def test_ell_below_digest_rejected_without_prime_search(self, monkeypatch):
+        params = vdf_setup(256, kappa=64, rng=SeededRng(62))
+        ch = VdfChallenge(b"m", 40)
+        sol = vdf_eval(params, ch)
+        h = hash_to_prime_floor(int_sum_to_bytes(
+            challenge_base(params, ch.m) + sol.y))
+
+        def no_search(_):
+            raise AssertionError("hash_to_prime called")
+
+        monkeypatch.setattr(vdf, "hash_to_prime", no_search)
+        assert not vdf_verify(params, ch, VdfSolution(h - 1, sol.pi, sol.y))
+        with pytest.raises(AssertionError):
+            vdf_verify(params, ch, sol)
