@@ -183,7 +183,7 @@ class DelegatedCredential:
     dk: DelegationKey | None = None  # terminal when None
 
 
-def dac_setup(security_bits: int, t: int, eta: int,
+def dac_setup(t: int, eta: int,
               rng: SeededRng | None = None,
               modulus_bits: int = DEFAULT_MODULUS_BITS) -> tuple[DacParams, RootIssuerKey]:
     if eta < 2:
@@ -201,7 +201,7 @@ def dac_setup(security_bits: int, t: int, eta: int,
             exps.append(e)
             roots.append(pow(e, -1, lam))
     del p, q, lam
-    cert_group, _ = group_setup(security_bits)
+    cert_group, _ = group_setup()
     cert_key = SigningKey.generate(cert_group, rng)
     params = DacParams(n, tuple(exps), t, cert_group, cert_key.pk)
     return params, RootIssuerKey(params, tuple(roots), cert_key)

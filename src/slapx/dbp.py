@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CryptoError, ParameterError
-from .group import Group, GroupElement
+from .group import GroupElement, SigningKey
 from .hashes import H_expand, H_tagged
 from .rng import SeededRng
 
@@ -47,18 +47,7 @@ class RoundTranscript:
     rtt_ns: float
 
 
-class DbpKeyPair:
-    def __init__(self, group: Group, sk: int):
-        self.group = group
-        self.sk = sk
-        self.pk = group.mul(group.generator, sk)
-
-    @classmethod
-    def generate(cls, group: Group, rng: SeededRng) -> "DbpKeyPair":
-        return cls(group, group.random_scalar(rng))
-
-
-def dbp_aka(own: DbpKeyPair, peer_pk: GroupElement, nonce: bytes, n_rounds: int) -> bytes:
+def dbp_aka(own: SigningKey, peer_pk: GroupElement, nonce: bytes, n_rounds: int) -> bytes:
     """Diffie-Hellman session secret expanded to 2n bits (one byte per bit).
     Symmetric in roles: both sides derive the identical string."""
     if peer_pk.is_identity:

@@ -1,25 +1,26 @@
-"""Prime-order group abstraction over standard elliptic curves.
+"""The prime-order group secp256k1, the one curve the stack uses.
 
 Scalars are plain ints in [0, order); points are immutable GroupElement
 values with a fixed-width compressed serialization (1 + field bytes; the
 identity encodes as all zeros). Scalar multiplication uses Jacobian
-coordinates. Cofactor is 1 for every supported curve, so all curve points
-lie in the prime-order group.
+coordinates and the a = 0 doubling formula. The cofactor is 1, so every
+curve point lies in the prime-order group.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import CryptoError, ParameterError
+from .errors import CryptoError
 from .hashes import H_int, H_tagged
 from .rng import SeededRng
 
 
 @dataclass(frozen=True)
 class CurveSpec:
+    """Short Weierstrass curve y^2 = x^3 + b over F_p (a = 0)."""
     name: str
     p: int          # field prime
-    a: int
     b: int
     order: int      # group order
     gx: int
@@ -33,34 +34,11 @@ class CurveSpec:
 _SECP256K1 = CurveSpec(
     name="secp256k1",
     p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
-    a=0,
     b=7,
     order=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
 )
-
-_SECP384R1 = CurveSpec(
-    name="secp384r1",
-    p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFFFF0000000000000000FFFFFFFF,
-    a=-3,
-    b=0xB3312FA7E23EE7E4988E056BE3F82D19181D9C6EFE8141120314088F5013875AC656398D8A2ED19D2A85C8EDD3EC2AEF,
-    order=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFC7634D81F4372DDF581A0DB248B0A77AECEC196ACCC52973,
-    gx=0xAA87CA22BE8B05378EB1C71EF320AD746E1D3B628BA79B9859F741E082542A385502F25DBF55296C3A545E3872760AB7,
-    gy=0x3617DE4A96262C6F5D9E98BF9292DC29F8F41DBD289A147CE9DA3113B5F0B8C00A60B1CE1D7E819D7A431D7C90EA0E5F,
-)
-
-_SECP521R1 = CurveSpec(
-    name="secp521r1",
-    p=(1 << 521) - 1,
-    a=-3,
-    b=0x0051953EB9618E1C9A1F929A21A0B68540EEA2DA725B99B315F3B8B489918EF109E156193951EC7E937B1652C0BD3BB1BF073573DF883D2C34F1EF451FD46B503F00,
-    order=0x01FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409,
-    gx=0x00C6858E06B70404E9CD9E3ECB662395B4429C648139053FB521F828AF606B4D3DBAA14B5E77EFE75928FE1DC127A2FFA8DE3348B3C1856A429BF97E7E31C2E5BD66,
-    gy=0x011839296A789A3BC0045C8A5FB42C7D1BD998F54449579B446817AFBD17273E662C97EE72995EF42640C550B9013FAD0761353C7086A272C24088BE94769FD16650,
-)
-
-_CURVES = {128: _SECP256K1, 192: _SECP384R1, 256: _SECP521R1}
 
 
 class GroupElement:
@@ -119,16 +97,15 @@ class Group:
     # -- affine/Jacobian arithmetic ------------------------------------
 
     def _jac_double(self, P):
+        # EFD dbl-2009-l (a = 0). No point has order two, so Y1 = 0 only
+        # at the identity, where Z3 = 2 Y1 Z1 stays 0.
         X1, Y1, Z1 = P
         p = self.spec.p
-        if Y1 == 0:
-            return (0, 1, 0)
         A = (X1 * X1) % p
         B = (Y1 * Y1) % p
         C = (B * B) % p
         D = (2 * ((X1 + B) * (X1 + B) - A - C)) % p
-        Zsq = (Z1 * Z1) % p
-        E = (3 * A + self.spec.a * Zsq % p * Zsq) % p
+        E = (3 * A) % p
         X3 = (E * E - 2 * D) % p
         Y3 = (E * (D - X3) - 8 * C) % p
         Z3 = (2 * Y1 * Z1) % p
@@ -178,46 +155,29 @@ class Group:
         return GroupElement(self, (X * zinv2) % p, (Y * zinv2 * zinv) % p)
 
     def add(self, P: GroupElement, Q: GroupElement) -> GroupElement:
-        if P.is_identity:
-            return Q
-        if Q.is_identity:
-            return P
         return self._from_jac(self._jac_add(self._to_jac(P), self._to_jac(Q)))
 
-    def mul(self, P: GroupElement, k: int) -> GroupElement:
-        k %= self.order
-        if k == 0 or P.is_identity:
-            return self.identity
-        acc = (0, 1, 0)
-        base = self._to_jac(P)
-        for bit in bin(k)[2:]:
-            acc = self._jac_double(acc)
-            if bit == "1":
-                acc = self._jac_add(acc, base)
-        return self._from_jac(acc)
-
-    def muladd(self, a: int, P: GroupElement, b: int, Q: GroupElement) -> GroupElement:
-        """a*P + b*Q via interleaved (Shamir) ladder."""
+    def _ladder(self, a: int, P: GroupElement, b: int, Q: GroupElement) -> GroupElement:
+        """a*P + b*Q by one interleaved (Shamir) double-and-add pass."""
         a %= self.order
         b %= self.order
-        if a == 0:
-            return self.mul(Q, b)
-        if b == 0:
-            return self.mul(P, a)
         jp, jq = self._to_jac(P), self._to_jac(Q)
-        jpq = self._jac_add(jp, jq)
+        # bit pair (a_i, b_i) -> the addend for that step
+        table = {"10": jp, "01": jq, "11": self._jac_add(jp, jq)}
+        width = max(a.bit_length(), b.bit_length())
         acc = (0, 1, 0)
-        for i in range(max(a.bit_length(), b.bit_length()) - 1, -1, -1):
+        for bits in map("".join, zip(f"{a:0{width}b}", f"{b:0{width}b}")):
             acc = self._jac_double(acc)
-            ab = (a >> i) & 1
-            bb = (b >> i) & 1
-            if ab and bb:
-                acc = self._jac_add(acc, jpq)
-            elif ab:
-                acc = self._jac_add(acc, jp)
-            elif bb:
-                acc = self._jac_add(acc, jq)
+            if bits != "00":
+                acc = self._jac_add(acc, table[bits])
         return self._from_jac(acc)
+
+    def mul(self, P: GroupElement, k: int) -> GroupElement:
+        return self._ladder(k, P, 0, self.identity)
+
+    def muladd(self, a: int, P: GroupElement, b: int, Q: GroupElement) -> GroupElement:
+        """a*P + b*Q."""
+        return self._ladder(a, P, b, Q)
 
     # -- encoding ------------------------------------------------------
 
@@ -236,22 +196,21 @@ class Group:
         if prefix not in (2, 3):
             raise CryptoError("bad element prefix")
         x = int.from_bytes(xb, "big")
-        p = self.spec.p
-        if x >= p:
+        if x >= self.spec.p:
             raise CryptoError("x out of range")
-        y2 = (pow(x, 3, p) + self.spec.a * x + self.spec.b) % p
-        y = pow(y2, (p + 1) // 4, p)  # all supported primes are 3 mod 4
-        if (y * y) % p != y2:
+        point = self._lift_x(x, prefix & 1)
+        if point is None:
             raise CryptoError("point not on curve")
-        if (y & 1) != (prefix & 1):
-            y = p - y
-        return GroupElement(self, x, y)
+        return point
 
-    def is_on_curve(self, P: GroupElement) -> bool:
-        if P.is_identity:
-            return True
+    def _lift_x(self, x: int, odd: int) -> GroupElement | None:
+        """The point (x, y) with y of this parity; None if x^3 + b is not a square."""
         p = self.spec.p
-        return (P.y * P.y - (pow(P.x, 3, p) + self.spec.a * P.x + self.spec.b)) % p == 0
+        y2 = (pow(x, 3, p) + self.spec.b) % p
+        y = pow(y2, (p + 1) // 4, p)  # p is 3 mod 4
+        if (y * y) % p != y2:
+            return None
+        return GroupElement(self, x, y if (y & 1) == odd else p - y)
 
     def random_scalar(self, rng: SeededRng) -> int:
         while True:
@@ -274,32 +233,20 @@ class Group:
 
     def hash_to_point(self, tag: str, msg: bytes) -> GroupElement:
         """Deterministic try-and-increment mapping onto the curve."""
-        p = self.spec.p
-        ctr = 0
-        while True:
+        for ctr in itertools.count():
             digest = H_tagged("h2p/" + tag, msg, ctr.to_bytes(4, "big"))
-            x = int.from_bytes(digest, "big")
-            x = x % p if x >= p else x
-            y2 = (pow(x, 3, p) + self.spec.a * x + self.spec.b) % p
-            y = pow(y2, (p + 1) // 4, p)
-            if (y * y) % p == y2:
-                if (y & 1) != (digest[0] & 1):
-                    y = p - y
-                pt = GroupElement(self, x, y)
-                if not pt.is_identity:
-                    return pt
-            ctr += 1
+            point = self._lift_x(int.from_bytes(digest, "big") % self.spec.p,
+                                 digest[0] & 1)
+            if point is not None:
+                return point
 
     def hash_to_scalar(self, tag: str, *parts: bytes) -> int:
         return H_int(tag, *parts) % self.order
 
 
-def group_setup(security_bits: int) -> tuple[Group, GroupElement]:
-    """Standard curve for the nominal security level; returns (group, generator)."""
-    spec = _CURVES.get(security_bits)
-    if spec is None:
-        raise ParameterError(f"unsupported security level: {security_bits}")
-    g = Group(spec)
+def group_setup() -> tuple[Group, GroupElement]:
+    """secp256k1; returns (group, generator)."""
+    g = Group(_SECP256K1)
     return g, g.generator
 
 
@@ -339,6 +286,3 @@ def sgn_verify(group: Group, pk: GroupElement, msg: bytes, sig: bytes) -> bool:
     R = group.muladd(s, group.generator, (-c) % group.order, pk)
     return c == H_int("sgn", R.to_bytes(), pk.to_bytes(), msg) >> 128
 
-
-def sgn_signature_size(group: Group) -> int:
-    return 16 + group.scalar_size()

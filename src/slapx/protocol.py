@@ -156,9 +156,9 @@ class Authority:
 
     def __init__(self, rng: SeededRng, ring_cap: int = 16, attr_bound: int = 8):
         self.rng = rng
-        self.dac_params, self.root_key = dac.dac_setup(128, t=attr_bound,
-                                                       eta=2, rng=rng)
-        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(128, ring_cap, rng)
+        self.dac_params, self.root_key = dac.dac_setup(t=attr_bound, eta=2,
+                                                       rng=rng)
+        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(ring_cap, rng)
         self.group: Group = self.rlrs_params.group
         self.ring: list[str] = []
 
@@ -193,7 +193,7 @@ class Client:
         self.cred = cred
         self.profile = profile
         self.rng = rng
-        self.dbp_key = dbp.DbpKeyPair.generate(authority_view.group, rng)
+        self.dbp_key = SigningKey.generate(authority_view.group, rng)
 
     def fresh_nym(self) -> tuple[int, int]:
         return dac.dac_nymgen(self.view.dac_params, self.pk, self.rng)
@@ -343,7 +343,7 @@ class NeighborDevice:
         self.sk = sk
         self.cred = cred
         self.rng = rng
-        self.dbp_key = dbp.DbpKeyPair.generate(view.group, rng)
+        self.dbp_key = SigningKey.generate(view.group, rng)
         self.dbp_config = dbp_config or dbp.DbpConfig(
             n=100, th=PROX_THRESHOLD_M, tolerance=0.2)
 
@@ -387,6 +387,16 @@ class NeighborDevice:
 
 # -- PSD and service server ----------------------------------------------------
 
+def _seconds_from_ms(data: bytes) -> float:
+    """The float s whose int(s * 1000) is this 8-byte millisecond count."""
+    ms = int.from_bytes(data, "big")
+    # ms / 1000 can round to just below the count; the next float up cannot
+    for s in (ms / 1000, math.nextafter(ms / 1000, math.inf)):
+        if len(data) == 8 and int(s * 1000) == ms:
+            return s
+    raise SlapxError("time field is not 8 bytes or beyond float precision")
+
+
 @dataclass
 class Puzzle:
     puzzle_id: bytes
@@ -410,13 +420,17 @@ class Puzzle:
 
     @classmethod
     def decode(cls, data: bytes) -> "Puzzle":
-        if data[:1] != b"\x01":
+        """Inverse of encode; raises SlapxError on any other bytes."""
+        r = wire.Reader(data)
+        if r.take(1) != b"\x01":
             raise SlapxError("bad puzzle tag")
-        pid, n_b, tau_b, seed, iss, exp = wire.unpack_fields(data[1:], 6)
+        pid, n_b, tau_b, seed, iss, exp = (r.field() for _ in range(6))
+        r.end()
+        if n_b[:1] == b"\x00" or len(tau_b) != 4:
+            raise SlapxError("non-canonical puzzle field")
         return cls(puzzle_id=pid, modulus_n=int.from_bytes(n_b, "big"),
                    tau=int.from_bytes(tau_b, "big"), seed=seed,
-                   issued_s=int.from_bytes(iss, "big") / 1000,
-                   expires_s=int.from_bytes(exp, "big") / 1000)
+                   issued_s=_seconds_from_ms(iss), expires_s=_seconds_from_ms(exp))
 
     def challenge_for(self, message: bytes) -> vdf.VdfChallenge:
         return vdf.VdfChallenge(self.seed + H_tagged("svc", message), self.tau)
@@ -451,10 +465,9 @@ class Psd:
                  modulus_bits: int = vdf.DEFAULT_MODULUS_BITS):
         self.rng = rng
         self.db = db or SpectrumDatabase(seed=7)
-        self.authority = authority
         self.sgn_key = SigningKey.generate(authority.group, rng)
         self.links = LinkRegistry()
-        self.grants: dict[tuple[int, bytes], int] = {}
+        self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
         self.puzzles: dict[bytes, Puzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
         self._view = view_factory(self)
@@ -501,10 +514,10 @@ class Psd:
             key = (window, H_tagged("nymd", pres.ext.nym_d.to_bytes(
                 self.view.dac_params.n_bytes, "big")))
             with self._lock:
-                if self.grants.get(key, 0) >= 1:
+                if key in self.grants:
                     raise ProtocolReject(RejectReason.LINKED,
                                          "delegated proof already used")
-                self.grants[key] = self.grants.get(key, 0) + 1
+                self.grants.add(key)
 
         record = self.db.lookup(l_x, l_y)
         kappa = self._kappa_for(pres)
@@ -526,10 +539,9 @@ class ServiceServer:
     never taken from the request, so its signature needs no second check
     here (the client checks it on receipt)."""
 
-    def __init__(self, psd: Psd, rng: SeededRng):
+    def __init__(self, psd: Psd):
         self.psd = psd
         self.view = psd.view
-        self.rng = rng
 
     def handle_service_request(self, request: bytes, now_s: float) -> bytes:
         m, pid, sol_b, pres_b, phi_b = _unpack(request, 5, RejectReason.BAD_SOLUTION)
@@ -745,7 +757,7 @@ class Deployment:
                   modulus_bits=psd_modulus_bits)
         ap = AccessPoint(ap_ids[0], ap_keys[ap_ids[0]], psd.view,
                          rng.spawn("ap"))
-        server = ServiceServer(psd, rng.spawn("server"))
+        server = ServiceServer(psd)
         return cls(authority=authority, view=psd.view, ap=ap, psd=psd,
                    server=server)
 

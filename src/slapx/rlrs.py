@@ -84,11 +84,11 @@ def _max_ring_for_encoding(group: Group) -> int:
     return (SIGNATURE_BYTES - esz - 1 - ssz) // ssz
 
 
-def rlrs_setup(security_bits: int, t_max: int,
+def rlrs_setup(t_max: int,
                rng: SeededRng | None = None) -> tuple[bytes, RlrsParams]:
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
-    group, _ = group_setup(security_bits)
+    group, _ = group_setup()
     cap = _max_ring_for_encoding(group)
     if t_max > cap:
         raise ParameterError(f"t_max {t_max} exceeds encoding capacity {cap}")
@@ -102,11 +102,13 @@ def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
     if not identity:
         raise ParameterError("identity must be nonempty")
     g = params.group
-    s = g.hash_to_scalar("rlrs/extract", msk, identity.encode())
-    if s == 0:
-        s = 1
+    s = _member_secret(msk, identity, g)
     params.register(identity, g.mul(g.generator, s))
     return s
+
+
+def _member_secret(msk: bytes, identity: str, g: Group) -> int:
+    return g.hash_to_scalar("rlrs/extract", msk, identity.encode()) or 1
 
 
 def _ring_digest(params: RlrsParams, ring: list[str]) -> bytes:
@@ -227,8 +229,7 @@ def rlrs_revoke(msk: bytes, event: EventId,
     for identity in ring_a:
         if identity not in ring_b:
             continue
-        s = g.hash_to_scalar("rlrs/extract", msk, identity.encode()) or 1
-        if g.mul(u0, s) == tau:
+        if g.mul(u0, _member_secret(msk, identity, g)) == tau:
             return identity
     return None
 
@@ -249,19 +250,16 @@ def encode_signature(sig: RlrsSignature, params: RlrsParams) -> bytes:
 
 
 def decode_signature(block: bytes, params: RlrsParams) -> RlrsSignature:
+    """Inverse of encode_signature; raises SlapxError on any other block."""
     if len(block) != SIGNATURE_BYTES:
         raise CryptoError("bad signature block length")
     g = params.group
-    esz, ssz = g.element_size(), g.scalar_size()
-    tau = g.from_bytes(block[:esz])
-    n = block[esz]
-    off = esz + 1
-    c1 = g.scalar_from_bytes(block[off:off + ssz])
-    off += ssz
-    responses = []
-    for _ in range(n):
-        responses.append(g.scalar_from_bytes(block[off:off + ssz]))
-        off += ssz
-    if any(block[off:]):
+    ssz = g.scalar_size()
+    r = wire.Reader(block)
+    tau = g.from_bytes(r.take(g.element_size()))
+    n = r.uint(1)
+    c1 = g.scalar_from_bytes(r.take(ssz))
+    responses = tuple(g.scalar_from_bytes(r.take(ssz)) for _ in range(n))
+    if any(r.rest()):
         raise CryptoError("nonzero padding")
-    return RlrsSignature(c1=c1, responses=tuple(responses), tau=tau)
+    return RlrsSignature(c1=c1, responses=responses, tau=tau)

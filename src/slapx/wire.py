@@ -114,6 +114,10 @@ class Reader:
     def uint(self, n: int) -> int:
         return int.from_bytes(self.take(n), "big")
 
+    def rest(self) -> bytes:
+        """Every byte not read yet."""
+        return self.take(len(self._data) - self._off)
+
     def field(self) -> bytes:
         """One 2-byte length-prefixed field."""
         return self.take(self.uint(2))

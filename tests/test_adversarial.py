@@ -23,7 +23,7 @@ EVENT = rlrs.EventId(1.0, 2.0, 3, b"b" * 32)
 @pytest.fixture(scope="module")
 def ring_env():
     rng = SeededRng(71)
-    msk, pp = rlrs.rlrs_setup(128, 8, rng)
+    msk, pp = rlrs.rlrs_setup(8, rng)
     ring = [f"R-{i}" for i in range(4)]
     keys = {i: rlrs.rlrs_extract(msk, i, pp) for i in ring}
     return pp, ring, keys, rng
@@ -32,7 +32,7 @@ def ring_env():
 @pytest.fixture(scope="module")
 def cred_env():
     rng = SeededRng(72)
-    params, root = dac.dac_setup(128, t=4, eta=2, rng=rng, modulus_bits=512)
+    params, root = dac.dac_setup(t=4, eta=2, rng=rng, modulus_bits=512)
     attrs_a = (dac.Attribute("device_id", b"AAAAAAAA"),)
     attrs_b = (dac.Attribute("device_id", b"BBBBBBBB"),)
     pk_a, sk_a = dac.dac_keygen(params, rng)

@@ -12,7 +12,7 @@ def report():
     # small puzzle modulus and light kappa grid keep this test quick;
     # the acceptance suite measures the real grid
     return bench_all(iterations=30, kappa_grid=(1000, 8000, 32000),
-                     heavy_iterations=3, vdf_modulus_bits=256, seed=2)
+                     vdf_modulus_bits=256, seed=2)
 
 
 class TestBenchAll:
@@ -62,6 +62,13 @@ class TestCalibrate:
         slope = eval_slope(report, (1000, 8000, 32000))
         assert 0 < slope < 1e-2
 
+    def test_fast_reject_costs_the_presentation_decode(self, report):
+        # a server refuses an unknown puzzle after decoding the presentation
+        # and before any signature or credential check
+        cal = calibrate(report, (1000, 8000, 32000))
+        assert cal.reject_service_s == report.median("presentation_decode")
+        assert cal.reject_service_s < report.median("sgn_verify")
+
     def test_calibration_file_feeds_simulator(self, report, tmp_path):
         cal = calibrate(report, (1000, 8000, 32000))
         path = str(tmp_path / "cal.json")
@@ -88,10 +95,10 @@ class TestEvalScaling:
 
 class TestStability:
     def test_two_runs_same_host_within_tolerance(self):
-        a = bench_all(iterations=30, kappa_grid=(200,), heavy_iterations=3,
-                      vdf_modulus_bits=256, seed=3)
-        b = bench_all(iterations=30, kappa_grid=(200,), heavy_iterations=3,
-                      vdf_modulus_bits=256, seed=3)
+        a = bench_all(iterations=30, kappa_grid=(200,), vdf_modulus_bits=256,
+                      seed=3)
+        b = bench_all(iterations=30, kappa_grid=(200,), vdf_modulus_bits=256,
+                      seed=3)
         for phase, sides in a.phases.items():
             for side, total in sides.items():
                 other = b.phases[phase][side]

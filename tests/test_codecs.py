@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slapx import dac, vdf, wire
+from slapx import dac, rlrs, vdf, wire
 from slapx.errors import SlapxError
+from slapx.protocol import Puzzle
 from slapx.rng import SeededRng
 
 ATTRS = (dac.Attribute("device_id", b"DEV-0042"),
@@ -15,7 +16,7 @@ ATTRS = (dac.Attribute("device_id", b"DEV-0042"),
 
 
 @pytest.fixture(scope="module")
-def codecs(dac_env):
+def codecs(dac_env, rlrs_env):
     """name -> (an honest value, decode(bytes), encode(value))."""
     params, root, rng = dac_env
     pk, sk = dac.dac_keygen(params, rng)
@@ -35,6 +36,13 @@ def codecs(dac_env):
     vparams = vdf.vdf_setup(256, 10, SeededRng(41))
     nb = (vparams.modulus.n.bit_length() + 7) // 8
     sol = vdf.vdf_eval(vparams, vdf.VdfChallenge(b"m", 50))
+    _, rparams, ring, keys, _ = rlrs_env
+    event = rlrs.EventId(12.0, -3.5, 42, bytes(range(32)))
+    ring_sig = rlrs.rlrs_sign(keys[ring[0]], b"m", ring, event, rparams,
+                              SeededRng(43))
+    puzzle = Puzzle(puzzle_id=(7).to_bytes(8, "big"), modulus_n=vparams.modulus.n,
+                    tau=1000, seed=bytes(range(32)), issued_s=121.5,
+                    expires_s=181.5)
 
     def presentation(value):
         return (value, lambda b: dac.Presentation.from_bytes(b, params),
@@ -48,11 +56,15 @@ def codecs(dac_env):
                                lambda r: r.to_bytes(params)),
         "vdf_solution": (sol, lambda b: vdf.VdfSolution.from_bytes(b, nb),
                          lambda s: s.to_bytes(nb)),
+        "ring_signature": (ring_sig,
+                           lambda b: rlrs.decode_signature(b, rparams),
+                           lambda s: rlrs.encode_signature(s, rparams)),
+        "puzzle": (puzzle, Puzzle.decode, Puzzle.encode),
     }
 
 
 NAMES = ["presentation", "delegated_presentation", "delegation_request",
-         "vdf_solution"]
+         "vdf_solution", "ring_signature", "puzzle"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -116,3 +128,31 @@ class TestNonCanonicalInputRejected:
                        (ell_b, pi_b, b"\x00" + y_b)):   # y beyond the width
             with pytest.raises(SlapxError):
                 decode(wire.pack_fields(*fields))
+
+    def test_puzzle_field_widths(self, codecs):
+        puzzle, decode, encode = codecs["puzzle"]
+        tag, body = encode(puzzle)[:1], encode(puzzle)[1:]
+        pid, n_b, tau_b, seed, iss, exp = wire.unpack_fields(body, 6)
+        for fields in ((pid, b"\x00" + n_b, tau_b, seed, iss, exp),
+                       (pid, n_b, tau_b[1:], seed, iss, exp),
+                       (pid, n_b, tau_b, seed, iss[1:], exp),
+                       (pid, n_b, tau_b, seed, iss, b"\x00" + exp)):
+            with pytest.raises(SlapxError):
+                decode(tag + wire.pack_fields(*fields))
+
+    def test_puzzle_time_beyond_float_precision(self, codecs):
+        puzzle, decode, encode = codecs["puzzle"]
+        body = encode(puzzle)
+        far = (2 ** 63 - 1).to_bytes(8, "big")
+        with pytest.raises(SlapxError, match="precision"):
+            decode(body[:-8] + far)
+
+
+@pytest.mark.parametrize("ms", [0, 1, 999, 1001, 1003, 121_500, 1_001_501,
+                                1_760_000_000_123])
+def test_puzzle_time_round_trips_every_millisecond_count(codecs, ms):
+    # ms / 1000 * 1000 falls just below ms for some counts (1001 among them);
+    # the decoder must still return a time that encodes to the same count
+    puzzle, decode, encode = codecs["puzzle"]
+    data = encode(puzzle)[:-8] + ms.to_bytes(8, "big")
+    assert encode(decode(data)) == data

@@ -35,9 +35,9 @@ def env(dac_env):
 class TestSetup:
     def test_parameter_floors(self):
         with pytest.raises(ParameterError):
-            dac_setup(128, t=8, eta=1, rng=SeededRng(1))
+            dac_setup(t=8, eta=1, rng=SeededRng(1))
         with pytest.raises(ParameterError):
-            dac_setup(128, t=0, eta=2, rng=SeededRng(1))
+            dac_setup(t=0, eta=2, rng=SeededRng(1))
 
     def test_valid_setup(self, dac_env):
         params, root, _ = dac_env
@@ -139,7 +139,7 @@ class TestUnforgeabilityShape:
         # small modulus keeps 10^4 verification attempts affordable; the
         # soundness argument is parameter-independent
         rng = SeededRng(31)
-        params, root = dac_setup(128, t=2, eta=2, rng=rng, modulus_bits=384)
+        params, root = dac_setup(t=2, eta=2, rng=rng, modulus_bits=384)
         pk, sk = dac_keygen(params, rng)
         cred = issue_credential(root, sk, ATTRS[:2], 1, rng)
         nym, aux = dac_nymgen(params, pk, rng)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slapx.dbp import (SPEED_OF_LIGHT_M_S, DbpConfig, DbpKeyPair,
-                       RoundTranscript, dbp_aka, dbp_respond,
-                       dbp_response_table, dbp_verify, run_honest_session)
+from slapx.dbp import (SPEED_OF_LIGHT_M_S, DbpConfig, RoundTranscript,
+                       dbp_aka, dbp_respond, dbp_response_table, dbp_verify,
+                       run_honest_session)
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import group_setup
+from slapx.group import SigningKey, group_setup
 from slapx.rng import SeededRng
 
-GROUP, _ = group_setup(128)
+GROUP, _ = group_setup()
 
 
 def bits(s: str) -> bytes:
@@ -23,24 +23,24 @@ def bits(s: str) -> bytes:
 class TestAka:
     def test_symmetry(self):
         rng = SeededRng(1)
-        a = DbpKeyPair.generate(GROUP, rng)
-        b = DbpKeyPair.generate(GROUP, rng)
+        a = SigningKey.generate(GROUP, rng)
+        b = SigningKey.generate(GROUP, rng)
         assert dbp_aka(a, b.pk, b"v", 50) == dbp_aka(b, a.pk, b"v", 50)
 
     def test_nonce_separates(self):
         rng = SeededRng(2)
-        a = DbpKeyPair.generate(GROUP, rng)
-        b = DbpKeyPair.generate(GROUP, rng)
+        a = SigningKey.generate(GROUP, rng)
+        b = SigningKey.generate(GROUP, rng)
         assert dbp_aka(a, b.pk, b"v1", 50) != dbp_aka(a, b.pk, b"v2", 50)
 
     def test_identity_peer_rejected(self):
-        a = DbpKeyPair.generate(GROUP, SeededRng(3))
+        a = SigningKey.generate(GROUP, SeededRng(3))
         with pytest.raises(CryptoError):
             dbp_aka(a, GROUP.identity, b"v", 10)
 
     def test_length_is_2n_bits(self):
-        a = DbpKeyPair.generate(GROUP, SeededRng(4))
-        b = DbpKeyPair.generate(GROUP, SeededRng(5))
+        a = SigningKey.generate(GROUP, SeededRng(4))
+        b = SigningKey.generate(GROUP, SeededRng(5))
         ss = dbp_aka(a, b.pk, b"v", 100)
         assert len(ss) == 200 and set(ss) <= {0, 1}
 

@@ -14,21 +14,21 @@ EVENT2 = EventId(10.0, 20.0, 8, b"beacon-digest-0123456789abcdef..")
 
 class TestSetupExtract:
     def test_ring_cap_passthrough(self):
-        _, pp = rlrs_setup(128, 16, SeededRng(1))
+        _, pp = rlrs_setup(16, SeededRng(1))
         assert pp.t_max == 16
 
     def test_deterministic_setup(self):
-        msk_a, _ = rlrs_setup(128, 8, SeededRng(5))
-        msk_b, _ = rlrs_setup(128, 8, SeededRng(5))
+        msk_a, _ = rlrs_setup(8, SeededRng(5))
+        msk_b, _ = rlrs_setup(8, SeededRng(5))
         assert msk_a == msk_b
 
     def test_degenerate_cap(self):
         with pytest.raises(ParameterError):
-            rlrs_setup(128, 0, SeededRng(1))
+            rlrs_setup(0, SeededRng(1))
 
     def test_cap_bounded_by_encoding(self):
         with pytest.raises(ParameterError):
-            rlrs_setup(128, 64, SeededRng(1))
+            rlrs_setup(64, SeededRng(1))
 
     def test_extract_deterministic(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
@@ -36,7 +36,7 @@ class TestSetupExtract:
 
     def test_extract_key_separation(self, rlrs_env):
         msk, pp, *_ = rlrs_env
-        other_msk, other_pp = rlrs_setup(128, 16, SeededRng(99))
+        other_msk, other_pp = rlrs_setup(16, SeededRng(99))
         assert rlrs_extract(msk, "X", pp) != rlrs_extract(other_msk, "X", other_pp)
 
     def test_empty_identity(self, rlrs_env):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import group_setup
+from slapx.group import Group, group_setup
 from slapx.hashes import H, H_expand, hash_to_prime
 from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            SIEVE_PRODUCT, FixedBase, fixed_base_multiexp,
@@ -15,19 +15,14 @@ from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            random_prime_rounds, rsa_setup)
 from slapx.rng import SeededRng
 
-GROUP, GEN = group_setup(128)
+GROUP, GEN = group_setup()
 
 
 class TestGroup:
     def test_supported_levels(self):
-        for bits in (128, 192, 256):
-            g, gen = group_setup(bits)
-            assert g.order.bit_length() >= 2 * bits
-            assert gen.mul(g.order).is_identity
-
-    def test_unsupported_level(self):
-        with pytest.raises(ParameterError):
-            group_setup(100)
+        g, gen = group_setup()
+        assert g.order.bit_length() >= 2 * 128
+        assert gen.mul(g.order).is_identity
 
     def test_zero_and_order_annihilation(self):
         assert GEN.mul(0).is_identity
@@ -81,12 +76,105 @@ class TestGroup:
         p2 = GROUP.hash_to_point("t", b"hello")
         p3 = GROUP.hash_to_point("t", b"other")
         assert p1 == p2 != p3
-        assert GROUP.is_on_curve(p1)
+        assert GROUP.from_bytes(p1.to_bytes()) == p1
 
     def test_scalar_encoding_bounds(self):
         with pytest.raises(CryptoError):
             GROUP.scalar_to_bytes(GROUP.order)
         assert GROUP.scalar_from_bytes(GROUP.scalar_to_bytes(12345)) == 12345
+
+
+class ReferenceGroup(Group):
+    """The double-and-add arithmetic the single ladder replaced: a general-a
+    doubling and separate mul and muladd loops."""
+
+    A = 0   # secp256k1
+
+    def _jac_double(self, P):
+        X1, Y1, Z1 = P
+        p = self.spec.p
+        if Y1 == 0:
+            return (0, 1, 0)
+        A = (X1 * X1) % p
+        B = (Y1 * Y1) % p
+        C = (B * B) % p
+        D = (2 * ((X1 + B) * (X1 + B) - A - C)) % p
+        Zsq = (Z1 * Z1) % p
+        E = (3 * A + self.A * Zsq % p * Zsq) % p
+        X3 = (E * E - 2 * D) % p
+        Y3 = (E * (D - X3) - 8 * C) % p
+        Z3 = (2 * Y1 * Z1) % p
+        return (X3, Y3, Z3)
+
+    def mul(self, P, k):
+        k %= self.order
+        if k == 0 or P.is_identity:
+            return self.identity
+        acc = (0, 1, 0)
+        base = self._to_jac(P)
+        for bit in bin(k)[2:]:
+            acc = self._jac_double(acc)
+            if bit == "1":
+                acc = self._jac_add(acc, base)
+        return self._from_jac(acc)
+
+    def muladd(self, a, P, b, Q):
+        a %= self.order
+        b %= self.order
+        if a == 0:
+            return self.mul(Q, b)
+        if b == 0:
+            return self.mul(P, a)
+        jp, jq = self._to_jac(P), self._to_jac(Q)
+        jpq = self._jac_add(jp, jq)
+        acc = (0, 1, 0)
+        for i in range(max(a.bit_length(), b.bit_length()) - 1, -1, -1):
+            acc = self._jac_double(acc)
+            ab = (a >> i) & 1
+            bb = (b >> i) & 1
+            if ab and bb:
+                acc = self._jac_add(acc, jpq)
+            elif ab:
+                acc = self._jac_add(acc, jp)
+            elif bb:
+                acc = self._jac_add(acc, jq)
+        return self._from_jac(acc)
+
+
+REF = ReferenceGroup(GROUP.spec)
+N = GROUP.order
+SCALARS = st.one_of(st.sampled_from([0, 1, N - 1, N, N + 1]),
+                    st.integers(0, 2 ** 256 - 1),
+                    st.integers(-(2 ** 256), -1))     # reduced mod N first
+
+
+@st.composite
+def operands(draw):
+    """(P, Q) with P random or the identity and Q random, P, -P or the
+    identity; points built by the reference arithmetic."""
+    def point():
+        if draw(st.booleans()):
+            return REF.identity
+        return REF.mul(REF.generator, draw(st.integers(1, N - 1)))
+    P = point()
+    Q = draw(st.sampled_from(["random", "same", "negated", "identity"]))
+    Q = {"random": point, "same": lambda: P, "negated": P.neg,
+         "identity": lambda: REF.identity}[Q]()
+    return P, Q
+
+
+class TestLadderMatchesReference:
+    @given(SCALARS, operands())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, k, points):
+        P, _ = points
+        assert GROUP.mul(P, k) == REF.mul(P, k)
+
+    @given(SCALARS, SCALARS, operands())
+    @settings(max_examples=120, deadline=None)
+    def test_muladd(self, a, b, points):
+        P, Q = points
+        assert GROUP.muladd(a, P, b, Q) == REF.muladd(a, P, b, Q)
 
 
 class TestPrimes:
