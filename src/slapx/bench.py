@@ -200,8 +200,16 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     return report
 
 
+def check_slope_grid(kappa_grid) -> None:
+    """A least-squares slope needs at least two distinct kappa values."""
+    if len(set(kappa_grid)) < 2:
+        raise ParameterError("the eval slope needs at least two distinct "
+                             "kappa values")
+
+
 def eval_slope(report: BenchReport, kappa_grid=KAPPA_GRID) -> float:
     """Least-squares seconds-per-squaring from the eval timings."""
+    check_slope_grid(kappa_grid)
     xs = list(kappa_grid)
     ys = [report.median(f"vdf_eval_k{k}") for k in xs]
     n = len(xs)

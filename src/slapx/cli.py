@@ -17,7 +17,7 @@ import threading
 
 from . import bench as bench_mod
 from . import simnet, wire
-from .errors import ProtocolReject, RejectReason
+from .errors import ParameterError, ProtocolReject, RejectReason
 from .protocol import (Deployment, DeviceProfile, NeighborDevice, SeededRng,
                        run_pol_ap, run_pol_nd, run_service_request,
                        run_spectrum_query)
@@ -307,6 +307,9 @@ def _emit(args, csv_text: str, summary: dict) -> None:
 
 
 def cmd_bench(args) -> int:
+    if args.calibrate:
+        # refuse before timing anything, not after the whole bench has run
+        bench_mod.check_slope_grid(args.kappa)
     report = bench_mod.bench_all(iterations=args.iterations,
                                  kappa_grid=tuple(args.kappa),
                                  vdf_modulus_bits=args.modulus_bits)
@@ -438,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolReject as e:
         print(f"REJECTED {e.reason.name}: {e.detail}", file=sys.stderr)
         return EXIT_CODES[e.reason]
+    except ParameterError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ from . import dac, dbp, rlrs, vdf, wire
 from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
 from .group import Group, SigningKey, sgn_verify
 from .hashes import H_tagged
+from .modmath import RsaModulus
 from .rng import SeededRng
 from .spectrumdb import SpectrumDatabase, SpectrumRecord
 
 WINDOW_S = 60.0            # TS window length; equals the proof validity bound
+MODULUS_EPOCH_WINDOWS = 60  # windows per puzzle modulus (1 h); README weighs it
 PROX_THRESHOLD_M = 50.0    # FCC-style proximity threshold
 SPEED_OF_LIGHT = dbp.SPEED_OF_LIGHT_M_S
 
@@ -61,9 +63,6 @@ class ProxEstimate:
     d_rtt: float
     weight: float
     ci_m: float
-
-    def contains(self, distance_m: float) -> bool:
-        return distance_m <= self.d_hat + self.ci_m
 
 
 def prox_verify(rss_dbm: float, rtt_s: float, env: RadioEnv,
@@ -433,10 +432,11 @@ class Puzzle:
                    issued_s=_seconds_from_ms(iss), expires_s=_seconds_from_ms(exp))
 
     def challenge_for(self, message: bytes) -> vdf.VdfChallenge:
+        # the seed is this puzzle's own, drawn at issue, so no input on an
+        # epoch's shared modulus is known before the puzzle is issued
         return vdf.VdfChallenge(self.seed + H_tagged("svc", message), self.tau)
 
     def params(self) -> vdf.VdfParams:
-        from .modmath import RsaModulus
         return vdf.VdfParams(RsaModulus(self.modulus_n), max(1, self.tau))
 
 
@@ -470,6 +470,8 @@ class Psd:
         self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
         self.puzzles: dict[bytes, Puzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
+        self._modulus: tuple[int, RsaModulus] | None = None   # (epoch, N)
+        self._modulus_lock = threading.Lock()
         self._view = view_factory(self)
         self._id_counter = itertools.count(1)
         self._lock = threading.Lock()
@@ -484,6 +486,18 @@ class Psd:
             if attr.kind == "device_type":
                 device_class = attr.value[0]
         return vdf.difficulty_for(DEVICE_CLASSES.get(device_class, "default"))
+
+    def _epoch_modulus(self, now_s: float) -> RsaModulus:
+        """The puzzle modulus of now_s's epoch, drawn for its first puzzle.
+
+        The draw holds its own lock, never `_lock`: threads that race on a
+        new epoch wait for one shared draw, and puzzle lookups do not wait
+        on a prime search."""
+        epoch = window_of(now_s) // MODULUS_EPOCH_WINDOWS
+        with self._modulus_lock:
+            if self._modulus is None or self._modulus[0] != epoch:
+                self._modulus = (epoch, self.pool.get())
+            return self._modulus[1]
 
     def handle_spectrum_request(self, request: bytes, now_s: float) -> bytes:
         loc, ch_b, tv_b, pres_b, phi_b = _unpack(request, 5)
@@ -521,7 +535,7 @@ class Psd:
 
         record = self.db.lookup(l_x, l_y)
         kappa = self._kappa_for(pres)
-        modulus = self.pool.get()
+        modulus = self._epoch_modulus(now_s)
         puzzle = Puzzle(puzzle_id=next(self._id_counter).to_bytes(8, "big"),
                         modulus_n=modulus.n, tau=kappa,
                         seed=self.rng.bytes(32), issued_s=now_s,

@@ -12,8 +12,11 @@ return, then recomputes ell from x + y and rejects any other value, then
 checks y == pi^ell * x^r with r = 2^tau mod ell, so its cost is O(log tau)
 modular exponentiations regardless of tau. The recomputed ell already
 passed next_prime's 64-round primality test, so a submitted ell is never
-tested on its own. Every puzzle is issued on a fresh modulus, which
-`ModulusPool.get` generates when it is asked for one.
+tested on its own. As in the single-group VDFs of Boneh, Bonneau, Bunz
+and Fisch (2018) and of Wesolowski (2019), one modulus serves many inputs:
+the issuer draws it from `ModulusPool.get` once per epoch
+(`protocol.MODULUS_EPOCH_WINDOWS`), keeps p and q to itself, and every
+puzzle's input x = H(seed || m) carries that puzzle's own fresh seed.
 """
 from __future__ import annotations
 
@@ -133,7 +136,9 @@ def vdf_verify(params: VdfParams, challenge: VdfChallenge, sol: VdfSolution) -> 
 
 
 class ModulusPool:
-    """Source of the fresh RSA modulus each puzzle is issued on."""
+    """Source of the issuer's puzzle moduli: `get` draws a fresh one, which
+    the PSD asks for on the first puzzle of each epoch and then reuses for
+    every puzzle of that epoch."""
 
     def __init__(self, bits: int = DEFAULT_MODULUS_BITS,
                  rng: SeededRng | None = None):

@@ -62,6 +62,12 @@ class TestCalibrate:
         slope = eval_slope(report, (1000, 8000, 32000))
         assert 0 < slope < 1e-2
 
+    @pytest.mark.parametrize("grid", [(1000,), (1000, 1000), ()])
+    def test_slope_refuses_fewer_than_two_kappas(self, grid):
+        # no timing is read: the grid is refused before the report
+        with pytest.raises(ParameterError):
+            eval_slope(BenchReport(host="-"), grid)
+
     def test_fast_reject_costs_the_presentation_decode(self, report):
         # a server refuses an unknown puzzle after decoding the presentation
         # and before any signature or credential check

@@ -180,3 +180,26 @@ class TestKeygenEnroll:
         code, out, _ = run_cli(capsys, "enroll", "--seed", "2",
                                "--modulus-bits", "512")
         assert json.loads(out)["credential_bytes"] == 224
+
+
+class TestBench:
+    def test_calibrate_with_one_kappa_refused_before_timing(
+            self, capsys, monkeypatch, tmp_path):
+        from slapx import bench
+
+        def no_bench(*args, **kwargs):
+            raise AssertionError("bench_all ran before the refusal")
+
+        monkeypatch.setattr(bench, "bench_all", no_bench)
+        out_file = tmp_path / "cal.json"
+        for kappas in (["1000"], ["1000", "1000"]):
+            code, _, err = run_cli(capsys, "bench", "--kappa", *kappas,
+                                   "--calibrate", str(out_file))
+            assert code == EXIT_USAGE
+            assert "two distinct kappa" in err
+        assert not out_file.exists()
+
+    def test_too_few_iterations_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--iterations", "10")
+        assert code == EXIT_USAGE
+        assert "at least 30 iterations" in err

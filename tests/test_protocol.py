@@ -1,12 +1,16 @@
 """Role state machines: proximity gating, proof life cycle, rate limiting,
 delegation path, and the anonymity shape of full runs."""
 import math
+import sys
+import threading
+import time
 
 import pytest
 
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import ProtocolReject, RejectReason, SlapxError
-from slapx.protocol import (DISCLOSE_DEVICE, AccessPoint, DeviceProfile,
+from slapx.protocol import (DISCLOSE_DEVICE, MODULUS_EPOCH_WINDOWS, WINDOW_S,
+                            AccessPoint, Deployment, DeviceProfile,
                             LocationProof, NeighborDevice, RadioEnv,
                             SeededRng, Puzzle, prox_verify, run_pol_ap,
                             run_pol_nd, run_service_request,
@@ -339,6 +343,136 @@ class TestWireObjects:
         assert b1 == b2
         assert b1.encode() != b3.encode()
         assert len(b1.encode()) == 32
+
+
+EPOCH_S = MODULUS_EPOCH_WINDOWS * WINDOW_S
+
+
+@pytest.fixture(scope="module")
+def epoch_dep():
+    """A deployment of its own: each test below queries in its own epoch."""
+    dep = Deployment.create(seed=17, psd_modulus_bits=512)
+    return dep, dep.new_client(DeviceProfile(b"DEV-EPCH", 30.0, 0), seed=1701)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts the puzzle-modulus draws (rsa_setup calls through the pool)."""
+    calls = []
+    real = vdf.rsa_setup
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vdf, "rsa_setup", counting)
+    return calls
+
+
+def _query(dep, client, t, x=10.0, y=20.0):
+    proof, _ = run_pol_ap(client, dep.ap, x, y, t)
+    _, puzzle, _, _ = run_spectrum_query(client, dep.psd, x, y, t, proof=proof)
+    return proof, puzzle
+
+
+class _Captured(Exception):
+    pass
+
+
+class _Capture:
+    """Stands in for the PSD so the client driver builds a request only."""
+
+    def handle_spectrum_request(self, request, now_s):
+        raise _Captured(request)
+
+
+class TestEpochModulus:
+    def test_building_a_psd_draws_nothing(self, draws):
+        Deployment.create(seed=23, psd_modulus_bits=512)
+        assert draws == []
+
+    def test_one_epoch_shares_n_not_seed_or_challenge(self, epoch_dep):
+        dep, client = epoch_dep
+        t = 40 * EPOCH_S + 10.0
+        proof_a, a = _query(dep, client, t)
+        proof_b, b = _query(dep, client, t + WINDOW_S)    # next window
+        assert a.modulus_n == b.modulus_n
+        assert a.modulus_n.bit_length() in (511, 512)
+        assert a.seed != b.seed and a.puzzle_id != b.puzzle_id
+        assert a.challenge_for(b"m") != b.challenge_for(b"m")
+
+        # a's solution, sent on b, is refused; on a it is granted
+        sol = vdf.vdf_eval(a.params(), a.challenge_for(b"m"))
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(client, dep.server, b"m", b, t + WINDOW_S,
+                                proof=proof_b, solution=sol)
+        assert e.value.reason == RejectReason.BAD_SOLUTION
+        token, _, _ = run_service_request(client, dep.server, b"m", a, t,
+                                          proof=proof_a, solution=sol)
+        assert len(token) == 16
+
+    def test_next_epoch_draws_a_new_n(self, epoch_dep, draws, monkeypatch):
+        dep, client = epoch_dep
+        t = 42 * EPOCH_S + 10.0
+        _, first = _query(dep, client, t)
+        assert len(draws) == 1
+        _, later = _query(dep, client, t + (MODULUS_EPOCH_WINDOWS - 1) * WINDOW_S)
+        assert len(draws) == 1 and later.modulus_n == first.modulus_n
+
+        # the draw for the next epoch runs outside the lock of puzzle lookups
+        real_get, lock_held = dep.psd.pool.get, []
+
+        def get():
+            lock_held.append(dep.psd._lock.locked())
+            return real_get()
+
+        monkeypatch.setattr(dep.psd.pool, "get", get)
+        _, nxt = _query(dep, client, t + EPOCH_S)
+        assert len(draws) == 2 and lock_held == [False]
+        assert nxt.modulus_n != first.modulus_n
+
+    def test_racing_first_puzzles_share_one_draw(self, epoch_dep, draws,
+                                                 monkeypatch):
+        dep, client = epoch_dep
+        t = 44 * EPOCH_S + 10.0
+        requests = []
+        for i in range(6):        # more threads than cores
+            proof, _ = run_pol_ap(client, dep.ap, 10.0 + i, 20.0, t)
+            with pytest.raises(_Captured) as c:
+                run_spectrum_query(client, _Capture(), 10.0 + i, 20.0, t,
+                                   proof=proof)
+            requests.append(c.value.args[0])
+
+        real_get = dep.psd.pool.get
+
+        def slow_get():
+            time.sleep(0.5)       # hold the draw open while the others arrive
+            return real_get()
+
+        monkeypatch.setattr(dep.psd.pool, "get", slow_get)
+        start = threading.Barrier(len(requests))
+        responses = [None] * len(requests)
+
+        def issue(i):
+            start.wait(timeout=10)
+            responses[i] = dep.psd.handle_spectrum_request(requests[i], t)
+
+        threads = [threading.Thread(target=issue, args=(i,))
+                   for i in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(draws) == 1
+        puzzles = [Puzzle.decode(wire.unpack_fields(r, 3)[1]) for r in responses]
+        assert len({p.modulus_n for p in puzzles}) == 1
+        assert len({p.seed for p in puzzles}) == len(puzzles)
 
 
 class TestRadioModel:
