@@ -50,17 +50,15 @@ def _load_config(path: str | None) -> dict:
 # -- deployment reconstruction ------------------------------------------------
 
 def _deployment(args) -> Deployment:
-    seed = _seed_from_env(getattr(args, "seed", 1))
-    return Deployment.create(seed=seed,
-                             psd_modulus_bits=getattr(args, "modulus_bits", 2048))
+    return Deployment.create(seed=_seed_from_env(args.seed),
+                             psd_modulus_bits=args.modulus_bits)
 
 
 def _client_for(dep: Deployment, args):
     profile = DeviceProfile(
-        device_id=getattr(args, "device_id", "DEV-0001").encode()[:8].ljust(8, b"\x00"),
-        tx_power_dbm=30.0,
-        device_class=getattr(args, "device_class", 0))
-    return dep.new_client(profile, seed=_seed_from_env(getattr(args, "seed", 1)) + 1000)
+        device_id=args.device_id.encode()[:8].ljust(8, b"\x00"),
+        tx_power_dbm=30.0, device_class=args.device_class)
+    return dep.new_client(profile, seed=_seed_from_env(args.seed) + 1000)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -346,40 +344,48 @@ def build_parser() -> argparse.ArgumentParser:
                                             "sharing protocol toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # each role subcommand takes the options it reads: the deployment's,
+    # then the device's, then the device's position
+    def deployment(sp):
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--modulus-bits", type=int, default=2048,
                         dest="modulus_bits")
+
+    def device(sp):
+        deployment(sp)
         sp.add_argument("--device-id", default="DEV-0001")
         sp.add_argument("--device-class", type=int, default=0)
+
+    def positioned(sp):
+        device(sp)
         sp.add_argument("-x", type=float, default=10.0)
         sp.add_argument("-y", type=float, default=20.0)
-        sp.add_argument("--distance", type=float, default=0.0)
 
     sp = sub.add_parser("keygen", help="provision authority, ring, and PSD keys")
-    common(sp)
+    deployment(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_keygen)
 
     sp = sub.add_parser("enroll", help="issue a device credential")
-    common(sp)
+    device(sp)
     sp.set_defaults(fn=cmd_enroll)
 
     sp = sub.add_parser("pol", help="acquire a proof of location")
-    common(sp)
+    positioned(sp)
+    sp.add_argument("--distance", type=float, default=0.0)
     sp.add_argument("--via", choices=["ap", "nd"], default="ap")
     sp.set_defaults(fn=cmd_pol)
 
     sp = sub.add_parser("query", help="run PoL + spectrum query")
-    common(sp)
+    positioned(sp)
     sp.set_defaults(fn=cmd_query)
 
     sp = sub.add_parser("service", help="run the full pipeline once")
-    common(sp)
+    positioned(sp)
     sp.set_defaults(fn=cmd_service)
 
     sp = sub.add_parser("protocol", help="end-to-end demo with byte accounting")
-    common(sp)
+    positioned(sp)
     sp.add_argument("--transport", choices=["in-process", "socket"],
                     default="in-process")
     sp.add_argument("--replay", action="store_true",

@@ -16,7 +16,7 @@ disclosed subset, a caller context string, and an arbitrary payload.
 Forging a presentation without a credential reduces to extracting e-th
 roots mod n.
 
-Delegation (level 2, terminal in the shipped configuration): the root
+Delegation (level 2, terminal): the root
 certifies a delegation verification key; the delegator signs an extension
 binding the recipient's one-time pseudonym nym_d and the added attribute
 set. Compound presentations prove the base credential and the extension
@@ -552,8 +552,7 @@ def dac_request_delegation(params: DacParams, sk: int,
 
 def dac_issue_cred(params: DacParams, delegator: Credential,
                    request: DelegationRequest, attrs: tuple[Attribute, ...],
-                   level: int, rng: SeededRng,
-                   terminal: bool = True) -> tuple[bytes, bytes, bytes]:
+                   level: int, rng: SeededRng) -> tuple[bytes, bytes, bytes]:
     """Delegator side of IssueCred: sign the extension for the recipient.
 
     Returns (vk, cert, ext_sig); raises if the delegator's key is missing
@@ -565,8 +564,6 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
         raise CryptoError("delegation beyond authorized level")
     if level != delegator.level + 1 or level > params.eta:
         raise CryptoError("invalid delegation level")
-    if not terminal:
-        raise CryptoError("non-terminal re-delegation is not supported")
     if len(attrs) > params.t:
         raise ParameterError("attribute extension exceeds bound t")
     n = params.n

@@ -26,7 +26,9 @@ from .spectrumdb import SpectrumDatabase, SpectrumRecord
 WINDOW_S = 60.0            # TS window length; equals the proof validity bound
 MODULUS_EPOCH_WINDOWS = 60  # windows per puzzle modulus (1 h); README weighs it
 PROX_THRESHOLD_M = 50.0    # FCC-style proximity threshold
-SPEED_OF_LIGHT = dbp.SPEED_OF_LIGHT_M_S
+RTT_WEIGHT = 0.5           # w in the AP's distance estimate w*d_rtt + (1-w)*d_rss
+# the neighbor device's rapid bit exchange: 100 rounds, 20 % may fail
+DBP_CONFIG = dbp.DbpConfig(n=100, th=PROX_THRESHOLD_M, tolerance=0.2)
 
 
 def window_of(now_s: float) -> int:
@@ -56,29 +58,15 @@ class RadioEnv:
         return 10.0 ** exponent
 
 
-@dataclass(frozen=True)
-class ProxEstimate:
-    d_hat: float
-    d_rss: float
-    d_rtt: float
-    weight: float
-    ci_m: float
-
-
 def prox_verify(rss_dbm: float, rtt_s: float, env: RadioEnv,
-                weight: float) -> ProxEstimate:
+                weight: float) -> float:
     """Weighted RTT/RSS distance estimate: d = w*d_rtt + (1-w)*d_rss."""
     if not 0.0 <= weight <= 1.0:
         raise SlapxError("weight must be in [0, 1]")
     if rtt_s < 0:
         raise SlapxError("negative RTT")
-    d_rtt = SPEED_OF_LIGHT * rtt_s / 2.0
-    d_rss = env.distance_from_rss(rss_dbm)
-    d_hat = weight * d_rtt + (1.0 - weight) * d_rss
-    # rough confidence width from the shadowing spread on the RSS leg
-    spread = env.distance_from_rss(rss_dbm - env.shadowing_sigma_db) - d_rss
-    return ProxEstimate(d_hat=d_hat, d_rss=d_rss, d_rtt=d_rtt,
-                        weight=weight, ci_m=(1.0 - weight) * spread)
+    d_rtt = dbp.SPEED_OF_LIGHT_M_S * rtt_s / 2.0
+    return weight * d_rtt + (1.0 - weight) * env.distance_from_rss(rss_dbm)
 
 
 # -- beacons and location proofs ---------------------------------------------
@@ -153,11 +141,11 @@ DISCLOSE_DEVICE = (1, 2)
 class Authority:
     """Root issuer: device credentials, AP ring keys, puzzle-signer identity."""
 
-    def __init__(self, rng: SeededRng, ring_cap: int = 16, attr_bound: int = 8):
+    def __init__(self, rng: SeededRng):
         self.rng = rng
-        self.dac_params, self.root_key = dac.dac_setup(t=attr_bound, eta=2,
-                                                       rng=rng)
-        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(ring_cap, rng)
+        # at most 8 attributes per credential, 16 access points in the ring
+        self.dac_params, self.root_key = dac.dac_setup(t=8, eta=2, rng=rng)
+        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(16, rng)
         self.group: Group = self.rlrs_params.group
         self.ring: list[str] = []
 
@@ -185,12 +173,11 @@ class Authority:
 
 class Client:
     def __init__(self, authority_view: "PublicView", sk: int, pk: int,
-                 cred: dac.Credential, profile: DeviceProfile, rng: SeededRng):
+                 cred: dac.Credential, rng: SeededRng):
         self.view = authority_view
         self.sk = sk
         self.pk = pk
         self.cred = cred
-        self.profile = profile
         self.rng = rng
         self.dbp_key = SigningKey.generate(authority_view.group, rng)
 
@@ -211,17 +198,12 @@ class PublicView:
 # -- access point -------------------------------------------------------------
 
 class AccessPoint:
-    def __init__(self, ap_id: str, sk: int, view: PublicView, rng: SeededRng,
-                 env: RadioEnv | None = None,
-                 prox_threshold_m: float = PROX_THRESHOLD_M,
-                 rtt_weight: float = 0.5):
+    def __init__(self, ap_id: str, sk: int, view: PublicView, rng: SeededRng):
         self.ap_id = ap_id
         self.sk = sk
         self.view = view
         self.rng = rng
-        self.env = env or RadioEnv()
-        self.prox_threshold_m = prox_threshold_m
-        self.rtt_weight = rtt_weight
+        self.env = RadioEnv()
         self._beacons: dict[int, Beacon] = {}
 
     def beacon(self, now_s: float) -> Beacon:
@@ -251,15 +233,15 @@ class AccessPoint:
 
         if measured is None:
             rss = self.env.rss_at(true_distance_m, self.rng)
-            rtt = 2.0 * true_distance_m / SPEED_OF_LIGHT
+            rtt = 2.0 * true_distance_m / dbp.SPEED_OF_LIGHT_M_S
         else:
             rss, rtt = measured
-        est = prox_verify(rss, rtt, self.env, self.rtt_weight)
+        d_hat = prox_verify(rss, rtt, self.env, RTT_WEIGHT)
         claimed_d = math.hypot(l_x, l_y)  # AP at the local origin
-        if claimed_d > self.prox_threshold_m or est.d_hat > self.prox_threshold_m:
+        if claimed_d > PROX_THRESHOLD_M or d_hat > PROX_THRESHOLD_M:
             raise ProtocolReject(
                 RejectReason.NOT_PROXIMATE,
-                f"claimed {claimed_d:.0f} m, estimated {est.d_hat:.0f} m")
+                f"claimed {claimed_d:.0f} m, estimated {d_hat:.0f} m")
 
         binding = H_tagged("pol/bind", pres_b)
         m = pol_message(self.beacon(now_s), l_x, l_y, window, binding)
@@ -335,7 +317,7 @@ def _check_delegated_window(pres: dac.Presentation, window: int) -> None:
 
 class NeighborDevice:
     def __init__(self, view: PublicView, sk: int, cred: dac.Credential,
-                 rng: SeededRng, dbp_config: dbp.DbpConfig | None = None):
+                 rng: SeededRng):
         if cred.dk is None:
             raise CryptoError("neighbor device needs a delegable credential")
         self.view = view
@@ -343,8 +325,6 @@ class NeighborDevice:
         self.cred = cred
         self.rng = rng
         self.dbp_key = SigningKey.generate(view.group, rng)
-        self.dbp_config = dbp_config or dbp.DbpConfig(
-            n=100, th=PROX_THRESHOLD_M, tolerance=0.2)
 
     def issue_delegated(self, request: bytes, now_s: float,
                         true_distance_m: float) -> bytes:
@@ -367,13 +347,13 @@ class NeighborDevice:
         # authenticated key agreement, then the rapid bit exchange
         nonce = H_tagged("dbp/nonce", win_b, peer_pk_b)
         ss = _or_reject(RejectReason.BAD_CREDENTIAL, "degenerate peer key",
-                        dbp.dbp_aka, self.dbp_key, peer_pk, nonce, self.dbp_config.n)
-        m_bits, transcripts = dbp.run_honest_session(self.dbp_config, ss,
+                        dbp.dbp_aka, self.dbp_key, peer_pk, nonce, DBP_CONFIG.n)
+        m_bits, transcripts = dbp.run_honest_session(DBP_CONFIG, ss,
                                                      true_distance_m, self.rng)
         table = dbp.dbp_response_table(ss, m_bits)
-        if not dbp.dbp_verify(self.dbp_config, table, transcripts):
+        if not dbp.dbp_verify(DBP_CONFIG, table, transcripts):
             raise ProtocolReject(RejectReason.DBP_FAILED, "distance bound failed")
-        if math.hypot(l_x, l_y) > self.dbp_config.th:
+        if math.hypot(l_x, l_y) > DBP_CONFIG.th:
             raise ProtocolReject(RejectReason.NOT_PROXIMATE,
                                  "claimed coordinates beyond threshold")
 
@@ -460,25 +440,20 @@ class Psd:
     """Private spectrum database front end: verifies proofs, rate limits via
     link tags, issues signed device-specific puzzles."""
 
-    def __init__(self, view_factory, authority: Authority, rng: SeededRng,
-                 db: SpectrumDatabase | None = None,
-                 modulus_bits: int = vdf.DEFAULT_MODULUS_BITS):
+    def __init__(self, view: PublicView, sgn_key: SigningKey, rng: SeededRng,
+                 modulus_bits: int):
+        self.view = view
+        self.sgn_key = sgn_key
         self.rng = rng
-        self.db = db or SpectrumDatabase(seed=7)
-        self.sgn_key = SigningKey.generate(authority.group, rng)
+        self.db = SpectrumDatabase()
         self.links = LinkRegistry()
         self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
         self.puzzles: dict[bytes, Puzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
         self._modulus: tuple[int, RsaModulus] | None = None   # (epoch, N)
         self._modulus_lock = threading.Lock()
-        self._view = view_factory(self)
         self._id_counter = itertools.count(1)
         self._lock = threading.Lock()
-
-    @property
-    def view(self) -> PublicView:
-        return self._view
 
     def _kappa_for(self, pres: dac.Presentation) -> int:
         device_class = 0
@@ -671,8 +646,7 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
 def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
                        now_s: float,
                        proof: LocationProof | None = None,
-                       dcred: dac.DelegatedCredential | None = None,
-                       channels: int = 1
+                       dcred: dac.DelegatedCredential | None = None
                        ) -> tuple[SpectrumRecord, Puzzle, bytes, PhaseTrace]:
     if (proof is None) == (dcred is None):
         raise SlapxError("exactly one of proof or delegated credential required")
@@ -680,7 +654,7 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     window = window_of(now_s)
     nym, aux = client.fresh_nym()
     loc = wire.encode_point(l_x, l_y)
-    ch_b = channels.to_bytes(2, "big")
+    ch_b = (1).to_bytes(2, "big")  # one channel requested
     tv_b = (int(now_s).to_bytes(8, "big") + int(now_s + WINDOW_S).to_bytes(8, "big"))
     phi_b = proof.encode(client.view.rlrs_params) if proof else b""
     ctx = presentation_context("spectrum", window, "PSD")
@@ -753,30 +727,26 @@ class Deployment:
     server: ServiceServer
 
     @classmethod
-    def create(cls, seed: int = 1, n_aps: int = 4,
+    def create(cls, seed: int = 1,
                psd_modulus_bits: int = vdf.DEFAULT_MODULUS_BITS) -> "Deployment":
         rng = SeededRng(seed)
         authority = Authority(rng.spawn("authority"))
-        ap_ids = [f"AP-{i}" for i in range(n_aps)]
+        ap_ids = [f"AP-{i}" for i in range(4)]
         ap_keys = {a: authority.provision_ap(a) for a in ap_ids}
-
-        def view_factory(psd: Psd) -> PublicView:
-            return PublicView(dac_params=authority.dac_params,
-                              rlrs_params=authority.rlrs_params,
-                              ring=list(authority.ring),
-                              group=authority.group,
-                              psd_pk=psd.sgn_key.pk)
-
-        psd = Psd(view_factory, authority, rng.spawn("psd"),
-                  modulus_bits=psd_modulus_bits)
-        ap = AccessPoint(ap_ids[0], ap_keys[ap_ids[0]], psd.view,
-                         rng.spawn("ap"))
-        server = ServiceServer(psd)
-        return cls(authority=authority, view=psd.view, ap=ap, psd=psd,
-                   server=server)
+        psd_rng = rng.spawn("psd")
+        # the PSD's key is the first draw on its stream (seeded tests pin it)
+        sgn_key = SigningKey.generate(authority.group, psd_rng)
+        view = PublicView(dac_params=authority.dac_params,
+                          rlrs_params=authority.rlrs_params,
+                          ring=list(authority.ring), group=authority.group,
+                          psd_pk=sgn_key.pk)
+        psd = Psd(view, sgn_key, psd_rng, psd_modulus_bits)
+        ap = AccessPoint(ap_ids[0], ap_keys[ap_ids[0]], view, rng.spawn("ap"))
+        return cls(authority=authority, view=view, ap=ap, psd=psd,
+                   server=ServiceServer(psd))
 
     def new_client(self, profile: DeviceProfile | None = None,
                    seed: int = 1000) -> Client:
         profile = profile or DeviceProfile(b"DEV-0001", 30.0, 0)
         pk, sk, cred = self.authority.enroll(profile)
-        return Client(self.view, sk, pk, cred, profile, SeededRng(seed))
+        return Client(self.view, sk, pk, cred, SeededRng(seed))

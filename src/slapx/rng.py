@@ -31,17 +31,11 @@ class SeededRng:
     def random(self) -> float:
         return self._r.random()
 
-    def expovariate(self, rate: float) -> float:
-        return self._r.expovariate(rate)
-
     def uniform(self, a: float, b: float) -> float:
         return self._r.uniform(a, b)
 
     def gauss(self, mu: float, sigma: float) -> float:
         return self._r.gauss(mu, sigma)
-
-    def shuffle(self, seq: list) -> None:
-        self._r.shuffle(seq)
 
     def spawn(self, label: str) -> "SeededRng":
         """Derive an independent child stream; deterministic per (seed, label)."""

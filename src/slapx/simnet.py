@@ -28,12 +28,23 @@ import json
 import random
 from dataclasses import dataclass
 
+from .dbp import SPEED_OF_LIGHT_M_S
 from .errors import ParameterError
-from .protocol import RadioEnv, prox_verify
-
-C_LIGHT = 299_792_458.0
+from .protocol import PROX_THRESHOLD_M, RadioEnv, prox_verify
 
 DOS_SCENARIOS = ("baseline", "full_protocol", "bypass", "precompute")
+
+# the sweep grids behind the plots: DoS over UE count and malicious share,
+# fraud over rounds, tolerance and guess probability, hijacking over the
+# honest relay's distance, the attacker's distance and the RTT weight
+DOS_N_UE_GRID = (50, 100, 150, 200, 250)
+DOS_R_MAL_GRID = (0.2, 0.3, 0.4)
+FRAUD_ROUNDS_GRID = (20, 50, 100)
+FRAUD_TOLERANCE_GRID = (0.0, 0.1, 0.2)
+FRAUD_GUESS_GRID = (0.5, 0.7, 0.9)
+HIJACK_HONEST_GRID = tuple(range(0, 51, 10))
+HIJACK_MAL_GRID = tuple(range(50, 101, 10))
+HIJACK_WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 # -- calibration --------------------------------------------------------------
@@ -469,13 +480,11 @@ def run_fraud(rounds: int, tolerance: float, guess_prob: float, trials: int,
     return successes / trials
 
 
-def run_fraud_grid(rounds_grid=(20, 50, 100), tol_grid=(0.0, 0.1, 0.2),
-                   guess_grid=(0.5, 0.7, 0.9), trials: int = 10 ** 5,
-                   seed: int = 1) -> list[dict]:
+def run_fraud_grid(trials: int = 10 ** 5, seed: int = 1) -> list[dict]:
     out = []
-    for n in rounds_grid:
-        for tol in tol_grid:
-            for g in guess_grid:
+    for n in FRAUD_ROUNDS_GRID:
+        for tol in FRAUD_TOLERANCE_GRID:
+            for g in FRAUD_GUESS_GRID:
                 rate = run_fraud(n, tol, g, trials,
                                  seed=seed ^ (n << 16) ^ int(tol * 100) << 8
                                      ^ int(g * 100))
@@ -490,67 +499,54 @@ _TIE_EPS_M = 1e-6  # float guard at exact-threshold grid points
 
 
 def run_hijack_cell(honest_d: float, mal_d: float, weight: float,
-                    trials: int, rng: random.Random,
-                    env: RadioEnv, threshold_m: float = 50.0,
-                    noiseless: bool = False,
-                    shadowing_db: list[float] | None = None) -> float:
+                    env: RadioEnv, shadowing_db: list[float]) -> float:
     """Relay attack: RSS observed from the honest relay's distance, RTT from
-    the full relayed path (the clock model cannot be undercut). Shadowing
-    draws may be supplied so sweeps pair trials across cells."""
+    the full relayed path (the clock model cannot be undercut). One trial
+    per shadowing draw (zeros model a noiseless channel); sweeps share the
+    draws so trials pair across cells."""
     successes = 0
-    rtt_s = 2.0 * mal_d / C_LIGHT
-    for t in range(trials):
-        rss = env.rss_at(honest_d)
-        if not noiseless:
-            rss += (shadowing_db[t] if shadowing_db is not None
-                    else rng.gauss(0.0, env.shadowing_sigma_db))
-        est = prox_verify(rss, rtt_s, env, weight)
-        if est.d_hat <= threshold_m + _TIE_EPS_M:
+    rtt_s = 2.0 * mal_d / SPEED_OF_LIGHT_M_S
+    rss = env.rss_at(honest_d)
+    for shadowing in shadowing_db:
+        d_hat = prox_verify(rss + shadowing, rtt_s, env, weight)
+        if d_hat <= PROX_THRESHOLD_M + _TIE_EPS_M:
             successes += 1
-    return successes / trials
+    return successes / len(shadowing_db)
 
 
-def run_hijack(honest_grid=tuple(range(0, 51, 10)),
-               mal_grid=tuple(range(50, 101, 10)),
-               weight_grid=tuple(round(0.1 * i, 1) for i in range(1, 10)),
-               trials: int = 100, seed: int = 1,
-               noiseless: bool = False,
-               env: RadioEnv | None = None) -> list[dict]:
+def run_hijack(trials: int = 100, seed: int = 1,
+               noiseless: bool = False) -> list[dict]:
     """Success-rate sweep with one shadowing draw per trial index, shared
     across the whole grid (paired design: monotonicity in the sweep axes is
     not washed out by per-cell sampling noise)."""
-    env = env or RadioEnv(shadowing_sigma_db=0.0 if noiseless else 3.0)
+    env = RadioEnv(shadowing_sigma_db=0.0 if noiseless else 3.0)
     rng = random.Random(seed)
     draws = [rng.gauss(0.0, env.shadowing_sigma_db) for _ in range(trials)]
     out = []
-    for hd in honest_grid:
-        for md in mal_grid:
-            for w in weight_grid:
-                rate = run_hijack_cell(float(hd), float(md), w, trials, rng,
-                                       env, noiseless=noiseless,
-                                       shadowing_db=draws)
+    for hd in HIJACK_HONEST_GRID:
+        for md in HIJACK_MAL_GRID:
+            for w in HIJACK_WEIGHT_GRID:
+                rate = run_hijack_cell(float(hd), float(md), w, env, draws)
                 out.append({"honest_d": hd, "mal_d": md, "weight": w,
                             "trials": trials, "success_rate": rate})
     return out
 
 
-def hijack_threshold_indicator(honest_d: float, mal_d: float, weight: float,
-                               threshold_m: float = 50.0) -> int:
+def hijack_threshold_indicator(honest_d: float, mal_d: float,
+                               weight: float) -> int:
     """Closed-form noiseless success: w*d_path + (1-w)*honest_d <= threshold."""
     return int(weight * mal_d + (1.0 - weight) * honest_d
-               <= threshold_m + _TIE_EPS_M)
+               <= PROX_THRESHOLD_M + _TIE_EPS_M)
 
 
 # -- sweep helper ---------------------------------------------------------------------
 
-def dos_grid(scenario: str, n_ue_grid=(50, 100, 150, 200, 250),
-             r_mal_grid=(0.2, 0.3, 0.4), seed: int = 1,
-             calibration: Calibration = DEFAULT_CALIBRATION,
-             **overrides) -> list[SimMetrics]:
+def dos_grid(scenario: str, seed: int = 1,
+             calibration: Calibration = DEFAULT_CALIBRATION) -> list[SimMetrics]:
     out = []
-    for n_ue in n_ue_grid:
-        for r_mal in r_mal_grid:
+    for n_ue in DOS_N_UE_GRID:
+        for r_mal in DOS_R_MAL_GRID:
             cfg = ScenarioConfig(scenario=scenario, n_ue=n_ue, r_mal=r_mal,
-                                 seed=seed, **overrides)
+                                 seed=seed)
             out.append(run_dos(cfg, calibration))
     return out

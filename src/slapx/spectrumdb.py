@@ -1,13 +1,11 @@
 """Spectrum geolocation database: grid-indexed availability records.
 
 Records are indexed by cell coordinates quantized to the grid resolution
-and encode to exactly 560 bytes. The database persists as a 4-byte
-length-prefixed JSON header (origin, resolution, area) followed by the
-fixed-size records in row-major cell order.
+and encode to exactly 560 bytes. Each cell's record is synthesized from the
+database seed on its first lookup and then kept in memory.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import wire
@@ -16,6 +14,9 @@ from .hashes import H_int
 
 RECORD_BYTES = 560
 _MAX_CHANNELS = 52
+CELL_M = 50.0        # grid resolution: the edge of one square cell
+AREA_M = 10_000.0    # the service area is [0, AREA_M) on both axes
+SEED = 7             # the seed every cell's record is synthesized from
 
 
 @dataclass(frozen=True)
@@ -68,27 +69,14 @@ class SpectrumRecord:
 class SpectrumDatabase:
     """Service-area grid; records synthesized deterministically per cell."""
 
-    def __init__(self, origin: tuple[float, float] = (0.0, 0.0),
-                 resolution_m: float = 50.0,
-                 width_m: float = 10_000.0, height_m: float = 10_000.0,
-                 seed: int = 0):
-        if resolution_m <= 0 or width_m <= 0 or height_m <= 0:
-            raise SlapxError("degenerate service area")
-        self.origin = origin
-        self.resolution_m = resolution_m
-        self.width_m = width_m
-        self.height_m = height_m
-        self.seed = seed
+    def __init__(self):
         self._records: dict[tuple[int, int], SpectrumRecord] = {}
 
     def cell_of(self, l_x: float, l_y: float) -> tuple[float, float]:
-        x0, y0 = self.origin
-        if not (x0 <= l_x < x0 + self.width_m and y0 <= l_y < y0 + self.height_m):
+        if not (0.0 <= l_x < AREA_M and 0.0 <= l_y < AREA_M):
             raise ProtocolReject(RejectReason.OUT_OF_AREA,
                                  f"({l_x}, {l_y}) outside service area")
-        res = self.resolution_m
-        return (x0 + int((l_x - x0) // res) * res,
-                y0 + int((l_y - y0) // res) * res)
+        return int(l_x // CELL_M) * CELL_M, int(l_y // CELL_M) * CELL_M
 
     def lookup(self, l_x: float, l_y: float) -> SpectrumRecord:
         cx, cy = self.cell_of(l_x, l_y)
@@ -100,7 +88,7 @@ class SpectrumDatabase:
         return rec
 
     def _synthesize(self, cx: float, cy: float) -> SpectrumRecord:
-        h = H_int("spectrumdb", self.seed.to_bytes(8, "big"),
+        h = H_int("spectrumdb", SEED.to_bytes(8, "big"),
                   int(cx * 1000).to_bytes(8, "big", signed=True),
                   int(cy * 1000).to_bytes(8, "big", signed=True))
         n_ch = 4 + (h % 8)
@@ -114,30 +102,3 @@ class SpectrumDatabase:
                               valid_from=0, valid_until=2 ** 48,
                               max_devices=64, device_mask=0xFF,
                               channels=tuple(channels))
-
-    # -- persistence ------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        header = {"origin": list(self.origin), "resolution_m": self.resolution_m,
-                  "width_m": self.width_m, "height_m": self.height_m,
-                  "seed": self.seed, "records": len(self._records)}
-        blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(len(blob).to_bytes(4, "big"))
-            f.write(blob)
-            for key in sorted(self._records):
-                f.write(self._records[key].encode())
-
-    @classmethod
-    def load(cls, path: str) -> "SpectrumDatabase":
-        with open(path, "rb") as f:
-            hlen = int.from_bytes(f.read(4), "big")
-            header = json.loads(f.read(hlen).decode())
-            db = cls(origin=tuple(header["origin"]),
-                     resolution_m=header["resolution_m"],
-                     width_m=header["width_m"], height_m=header["height_m"],
-                     seed=header["seed"])
-            for _ in range(header["records"]):
-                rec = SpectrumRecord.decode(f.read(RECORD_BYTES))
-                db._records[(int(rec.cell_x * 1000), int(rec.cell_y * 1000))] = rec
-        return db

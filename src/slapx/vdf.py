@@ -37,7 +37,6 @@ DEFAULT_MODULUS_BITS = 2048
 DIFFICULTY_TABLE = {
     "default": 10 ** 3,
     "high_power": 10 ** 4,
-    "precompute_floor": 2 * 10 ** 4,
     "flagged": 8 * 10 ** 4,
 }
 

@@ -27,6 +27,16 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["not-a-command"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("query", "--distance", "70"), ("service", "--distance", "70"),
+        ("protocol", "--distance", "70"), ("enroll", "--distance", "70"),
+        ("enroll", "-x", "5"), ("keygen", "-y", "5"),
+        ("keygen", "--device-class", "2")])
+    def test_option_the_subcommand_ignores_is_refused(self, capsys, argv):
+        # query would otherwise print QUERY_OK for a device 70 m out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+
 
 class TestProtocolCommand:
     def test_grant_prints_phase_totals(self, capsys):

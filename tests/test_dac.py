@@ -9,8 +9,9 @@ import pytest
 
 from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, Attribute, DacParams,
                        Presentation, _show_challenge, attrs_digest,
-                       dac_cred_prove, dac_cred_verify, dac_issue_cred,
-                       dac_keygen, dac_nymgen, dac_receive_cred,
+                       dac_create_cred, dac_cred_prove, dac_cred_verify,
+                       dac_get_cred, dac_issue_cred, dac_keygen, dac_nymgen,
+                       dac_receive_cred, dac_request_cred,
                        dac_request_delegation, dac_setup, encode_credential,
                        issue_credential)
 from slapx.errors import CryptoError, ParameterError
@@ -118,6 +119,25 @@ class TestIssuanceAndShowing:
     def test_credential_wire_is_224_bytes(self, env):
         params, root, rng, pk, sk, cred = env
         assert len(encode_credential(cred, params)) == CRED_WIRE_BYTES
+
+    @pytest.mark.parametrize("field", ["blinded", "c", "z_u", "z_o"])
+    def test_issuer_refuses_a_perturbed_opening_proof(self, env, field):
+        params, root, _, _, sk, _ = env
+        rng = SeededRng(81)
+        request, _ = dac_request_cred(params, sk, rng)
+        dac_create_cred(root, request, ATTRS, 1, rng)   # the honest one passes
+        bad = dataclasses.replace(request, **{field: getattr(request, field) + 1})
+        with pytest.raises(CryptoError):
+            dac_create_cred(root, bad, ATTRS, 1, rng)
+
+    def test_holder_refuses_a_wrong_sigma(self, env):
+        params, root, _, _, sk, _ = env
+        rng = SeededRng(82)
+        request, o_u = dac_request_cred(params, sk, rng)
+        sigma, o_i, dk = dac_create_cred(root, request, ATTRS, 1, rng)
+        assert dac_get_cred(params, sk, o_u, sigma, o_i, ATTRS, dk).sigma == sigma
+        with pytest.raises(CryptoError):
+            dac_get_cred(params, sk, o_u, sigma + 1, o_i, ATTRS, dk)
 
 
 class TestUnlinkabilityShape:

@@ -1,7 +1,6 @@
 """Simulator invariants: determinism, conservation, queue behavior, and the
 spoofing Monte Carlos against closed-form oracles."""
 import math
-import random
 
 import pytest
 
@@ -166,12 +165,10 @@ class TestHijack:
 
     def test_rtt_dominant_weight_resists(self):
         env = RadioEnv(shadowing_sigma_db=0.0)
-        rate = run_hijack_cell(0.0, 100.0, 0.9, 50, random.Random(1), env,
-                               noiseless=True)
+        rate = run_hijack_cell(0.0, 100.0, 0.9, env, [0.0] * 50)
         assert rate == 0.0
 
     def test_rss_dominant_weight_spoofed(self):
         env = RadioEnv(shadowing_sigma_db=0.0)
-        rate = run_hijack_cell(0.0, 60.0, 0.1, 50, random.Random(1), env,
-                               noiseless=True)
+        rate = run_hijack_cell(0.0, 60.0, 0.1, env, [0.0] * 50)
         assert rate == 1.0

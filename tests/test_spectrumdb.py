@@ -1,4 +1,4 @@
-"""Grid quantization, record encoding, and database persistence."""
+"""Grid quantization and record encoding."""
 import pytest
 
 from slapx.errors import ProtocolReject, RejectReason
@@ -8,8 +8,7 @@ from slapx.spectrumdb import (RECORD_BYTES, Channel, SpectrumDatabase,
 
 @pytest.fixture()
 def db():
-    return SpectrumDatabase(resolution_m=50.0, width_m=10_000, height_m=10_000,
-                            seed=7)
+    return SpectrumDatabase()
 
 
 class TestQuantization:
@@ -53,14 +52,3 @@ class TestRecordEncoding:
         assert back.channels[0].max_eirp_dbm == 23.5
         assert back.device_mask == 0x0F
 
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, db, tmp_path):
-        for x, y in ((10, 10), (60, 10), (110, 210)):
-            db.lookup(float(x), float(y))
-        path = str(tmp_path / "spectrum.db")
-        db.save(path)
-        loaded = SpectrumDatabase.load(path)
-        assert loaded.resolution_m == db.resolution_m
-        assert loaded.lookup(10.0, 10.0) == db.lookup(10.0, 10.0)
-        assert len(loaded._records) >= 3
