@@ -115,10 +115,9 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     rkeys = {i: rlrs.rlrs_extract(msk, i, rparams) for i in ring}
     event = rlrs.EventId(10.0, 20.0, 1, bytes(32))
 
-    group = rparams.group
-    sgn_key = SigningKey.generate(group, rng)
-    dbp_a = SigningKey.generate(group, rng)
-    dbp_b = SigningKey.generate(group, rng)
+    sgn_key = SigningKey.generate(rng)
+    dbp_a = SigningKey.generate(rng)
+    dbp_b = SigningKey.generate(rng)
 
     pres = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"bench", rng)
     pres_b = pres.to_bytes(params)
@@ -154,7 +153,7 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
         "rlrs_link": (lambda: sig.tau == sig2.tau, iterations),
         "aka": (lambda: dbp.dbp_aka(dbp_a, dbp_b.pk, b"nonce", 100), iterations),
         "sgn_sign": (lambda: sgn_key.sign(b"puzzle", rng), iterations),
-        "sgn_verify": (lambda: sgn_verify(group, sgn_key.pk, b"puzzle", psig),
+        "sgn_verify": (lambda: sgn_verify(sgn_key.pk, b"puzzle", psig),
                        iterations),
         "vdf_setup": (lambda: vdf.vdf_setup(vdf_modulus_bits, 1000,
                                             rng.spawn("b")), heavy),

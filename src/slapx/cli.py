@@ -32,10 +32,12 @@ def _seed_from_env(default: int) -> int:
     return int(env) if env else default
 
 
-def _load_config(path: str | None) -> dict:
+# the scenario-file keys that are read, with their types
+_CONFIG_TYPES = {"seed": int, "scenario": str, "n_ue": int, "r_mal": float}
+
+
+def _load_config(path: str) -> dict:
     """Flat key = value scenario file; '#' starts a comment."""
-    if not path:
-        return {}
     out = {}
     with open(path) as f:
         for line in f:
@@ -43,8 +45,17 @@ def _load_config(path: str | None) -> dict:
             if not line:
                 continue
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            out[key] = _CONFIG_TYPES.get(key, str)(value.strip())
     return out
+
+
+def _read_input(path: str, parse):
+    """parse(path), with an unreadable or malformed file a usage error."""
+    try:
+        return parse(path)
+    except (OSError, ValueError) as e:
+        raise ParameterError(f"cannot read {path}: {e}") from None
 
 
 # -- deployment reconstruction ------------------------------------------------
@@ -250,22 +261,22 @@ _SCENARIO_ALIASES = {"full": "full_protocol", "full_protocol": "full_protocol",
 
 
 def cmd_simulate(args) -> int:
-    conf = _load_config(args.config)
-    seed = _seed_from_env(int(conf.get("seed", args.seed)))
+    conf = _read_input(args.config, _load_config) if args.config else {}
+    seed = _seed_from_env(conf.get("seed", args.seed))
     if args.what == "dos":
         scen = _SCENARIO_ALIASES.get(conf.get("scenario", args.scenario))
         if scen is None:
             print(f"unknown scenario: {args.scenario}", file=sys.stderr)
             return EXIT_USAGE
-        cal = (simnet.Calibration.from_file(args.calibration)
+        cal = (_read_input(args.calibration, simnet.Calibration.from_file)
                if args.calibration else simnet.DEFAULT_CALIBRATION)
         rows = []
         if args.sweep:
             rows = simnet.dos_grid(scen, seed=seed, calibration=cal)
         else:
             cfg = simnet.ScenarioConfig(
-                scenario=scen, n_ue=int(conf.get("n_ue", args.n_ue)),
-                r_mal=float(conf.get("r_mal", args.r_mal)), seed=seed)
+                scenario=scen, n_ue=conf.get("n_ue", args.n_ue),
+                r_mal=conf.get("r_mal", args.r_mal), seed=seed)
             rows = [simnet.run_dos(cfg, cal)]
         out = [simnet.SimMetrics.CSV_HEADER] + [m.csv_row() for m in rows]
         _emit(args, "\n".join(out) + "\n",
@@ -322,15 +333,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fragmentation(args) -> int:
-    if args.mtu:
-        mtus = [args.mtu]
-    else:
-        mtus = sorted({args.mtu_min, 1500, 3000, 6000, args.mtu_max}
-                      | set(range(args.mtu_min, args.mtu_max + 1, args.step)))
-        mtus = [m for m in mtus if args.mtu_min <= m <= args.mtu_max]
+    lo, hi = ((args.mtu, args.mtu) if args.mtu is not None
+              else (args.mtu_min, args.mtu_max))
+    sweep = wire.fragmentation_sweep(lo, hi, args.header_bytes, args.step)
     print("mtu,message,payload_bytes,header_bytes,packets,overhead_ratio")
-    for mtu in mtus:
-        for e in wire.fragmentation_report(mtu, args.header_bytes):
+    for mtu, entries in sweep.items():
+        for e in entries:
             print(f"{mtu},{e.message},{e.payload_bytes},{e.header_bytes},"
                   f"{e.packets},{e.overhead_ratio:.6f}")
     return EXIT_OK

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 from . import wire
 from .errors import CryptoError, ParameterError, SlapxError
-from .group import Group, GroupElement, SigningKey, group_setup, sgn_verify
+from .group import (CURVE, ELEMENT_BYTES, SCALAR_BYTES, GroupElement,
+                    SigningKey, sgn_verify)
 from .hashes import H_int, H_tagged
 from .modmath import (FixedBase, fixed_base_multiexp, random_prime,
                       random_prime_pair)
@@ -102,12 +103,11 @@ def attrs_digest(attrs: tuple[Attribute, ...]) -> bytes:
 
 class DacParams:
     def __init__(self, n: int, exponents: tuple[int, ...], t: int,
-                 cert_group: Group, cert_pk: GroupElement):
+                 cert_pk: GroupElement):
         self.n = n
         self.exponents = exponents    # one signing exponent per level
         self.t = t
         self.eta = len(exponents)
-        self.cert_group = cert_group
         self.cert_pk = cert_pk
         self.base_S = self._derive_base("S", 0)
         self.base_sk = self._derive_base("R_sk", 0)
@@ -201,9 +201,8 @@ def dac_setup(t: int, eta: int,
             exps.append(e)
             roots.append(pow(e, -1, lam))
     del p, q, lam
-    cert_group, _ = group_setup()
-    cert_key = SigningKey.generate(cert_group, rng)
-    params = DacParams(n, tuple(exps), t, cert_group, cert_key.pk)
+    cert_key = SigningKey.generate(rng)
+    params = DacParams(n, tuple(exps), t, cert_key.pk)
     return params, RootIssuerKey(params, tuple(roots), cert_key)
 
 
@@ -266,7 +265,7 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     sigma = pow(body, root.roots[0], n)
     dk = None
     if max_delegation_level >= 2:
-        dk_key = SigningKey.generate(params.cert_group, rng)
+        dk_key = SigningKey.generate(rng)
         cert = root.cert_key.sign(
             H_tagged("dac/dkcert", dk_key.pk.to_bytes(),
                      bytes([max_delegation_level])), rng)
@@ -368,9 +367,9 @@ class Presentation:
         ext = None
         flag = r.uint(1)
         if flag == 1:
-            ssz = 16 + params.cert_group.scalar_size()
+            ssz = 16 + SCALAR_BYTES
             ext = ExtShow(level=r.uint(1), nym_d=r.uint(nb), z_rd=r.uint(Z_BYTES),
-                          vk_bytes=r.take(params.cert_group.element_size()),
+                          vk_bytes=r.take(ELEMENT_BYTES),
                           cert=r.take(ssz), ext_sig=r.take(ssz),
                           attrs=tuple(Attribute.read(r) for _ in range(r.uint(1))))
         elif flag != 0:
@@ -493,15 +492,15 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
         if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
             return False
         try:
-            vk = params.cert_group.from_bytes(ext.vk_bytes)
+            vk = CURVE.from_bytes(ext.vk_bytes)
         except CryptoError:
             return False
         cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
-        if not sgn_verify(params.cert_group, params.cert_pk, cert_body, ext.cert):
+        if not sgn_verify(params.cert_pk, cert_body, ext.cert):
             return False
         ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
-        if not sgn_verify(params.cert_group, vk, ext_body, ext.ext_sig):
+        if not sgn_verify(vk, ext_body, ext.ext_sig):
             return False
         ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                             ext.nym_d.to_bytes(params.n_bytes, "big"),
@@ -576,8 +575,7 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
               T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
     if c != request.c:
         raise CryptoError("delegation request proof invalid")
-    dk_key = SigningKey(params.cert_group,
-                        delegator.dk.secret)
+    dk_key = SigningKey(delegator.dk.secret)
     ext_body = H_tagged("dac/ext", request.nym_d.to_bytes(params.n_bytes, "big"),
                         attrs_digest(attrs), bytes([level]), b"\x01")
     ext_sig = dk_key.sign(ext_body, rng)
@@ -589,13 +587,13 @@ def dac_receive_cred(params: DacParams, recipient: Credential, sk: int,
                      level: int, vk_bytes: bytes, cert: bytes,
                      ext_sig: bytes) -> DelegatedCredential:
     """Recipient side: check the chain root -> vk -> extension, keep dk = None."""
-    vk = params.cert_group.from_bytes(vk_bytes)
+    vk = CURVE.from_bytes(vk_bytes)
     cert_body = H_tagged("dac/dkcert", vk_bytes, bytes([level]))
-    if not sgn_verify(params.cert_group, params.cert_pk, cert_body, cert):
+    if not sgn_verify(params.cert_pk, cert_body, cert):
         raise CryptoError("delegation key certificate invalid")
     ext_body = H_tagged("dac/ext", nym_d.to_bytes(params.n_bytes, "big"),
                         attrs_digest(attrs), bytes([level]), b"\x01")
-    if not sgn_verify(params.cert_group, vk, ext_body, ext_sig):
+    if not sgn_verify(vk, ext_body, ext_sig):
         raise CryptoError("extension signature invalid")
     return DelegatedCredential(level=level, attrs=attrs, nym_d=nym_d, r_d=r_d,
                                vk_bytes=vk_bytes, cert=cert, ext_sig=ext_sig,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CryptoError, ParameterError
-from .group import GroupElement, SigningKey
+from .group import CURVE, GroupElement, SigningKey
 from .hashes import H_expand, H_tagged
 from .rng import SeededRng
 
@@ -52,7 +52,7 @@ def dbp_aka(own: SigningKey, peer_pk: GroupElement, nonce: bytes, n_rounds: int)
     Symmetric in roles: both sides derive the identical string."""
     if peer_pk.is_identity:
         raise CryptoError("degenerate peer key")
-    shared = own.group.mul(peer_pk, own.sk)
+    shared = CURVE.mul(peer_pk, own.sk)
     seed = H_tagged("dbp/aka", shared.to_bytes(), nonce)
     raw = H_expand("dbp/ss", seed, (2 * n_rounds + 7) // 8)
     bits = bytearray()

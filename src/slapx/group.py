@@ -1,10 +1,12 @@
 """The prime-order group secp256k1, the one curve the stack uses.
 
-Scalars are plain ints in [0, order); points are immutable GroupElement
-values with a fixed-width compressed serialization (1 + field bytes; the
-identity encodes as all zeros). Scalar multiplication uses Jacobian
-coordinates and the a = 0 doubling formula. The cofactor is 1, so every
-curve point lies in the prime-order group.
+The curve is a property of this module: its parameters and byte widths are
+module constants and `CURVE` is the only `Group` object, so no caller
+passes a group around. Scalars are plain ints in [0, ORDER); points are
+immutable GroupElement values with a fixed-width compressed serialization
+(1 + field bytes; the identity encodes as all zeros). Scalar
+multiplication uses Jacobian coordinates and the a = 0 doubling formula.
+The cofactor is 1, so every curve point lies in the prime-order group.
 """
 from __future__ import annotations
 
@@ -16,83 +18,54 @@ from .hashes import H_int, H_tagged
 from .rng import SeededRng
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Short Weierstrass curve y^2 = x^3 + b over F_p (a = 0)."""
-    name: str
-    p: int          # field prime
-    b: int
-    order: int      # group order
-    gx: int
-    gy: int
-
-    @property
-    def fe_bytes(self) -> int:
-        return (self.p.bit_length() + 7) // 8
+# y^2 = x^3 + CURVE_B mod FIELD_P, a group of prime order ORDER
+FIELD_P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
+CURVE_B = 7
+ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+FE_BYTES = 32
+ELEMENT_BYTES = 1 + FE_BYTES    # compressed point
+SCALAR_BYTES = 32
 
 
-_SECP256K1 = CurveSpec(
-    name="secp256k1",
-    p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
-    b=7,
-    order=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
-    gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
-    gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
-)
-
-
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """Immutable curve point; None coordinates represent the identity."""
-
-    __slots__ = ("group", "x", "y")
-
-    def __init__(self, group: "Group", x: int | None, y: int | None):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupElement is immutable")
+    x: int | None
+    y: int | None
 
     @property
     def is_identity(self) -> bool:
         return self.x is None
 
     def add(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, other)
+        return CURVE.add(self, other)
 
     def mul(self, k: int) -> "GroupElement":
-        return self.group.mul(self, k)
+        return CURVE.mul(self, k)
 
     def neg(self) -> "GroupElement":
         if self.is_identity:
             return self
-        return GroupElement(self.group, self.x, (-self.y) % self.group.spec.p)
+        return GroupElement(self.x, (-self.y) % FIELD_P)
 
     def to_bytes(self) -> bytes:
-        g = self.group
         if self.is_identity:
-            return b"\x00" * (1 + g.spec.fe_bytes)
+            return b"\x00" * ELEMENT_BYTES
         prefix = 0x02 | (self.y & 1)
-        return bytes([prefix]) + self.x.to_bytes(g.spec.fe_bytes, "big")
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.x == other.x
-                and self.y == other.y and self.group.spec.name == other.group.spec.name)
-
-    def __hash__(self):
-        return hash((self.group.spec.name, self.x, self.y))
+        return bytes([prefix]) + self.x.to_bytes(FE_BYTES, "big")
 
     def __repr__(self):
         return f"GroupElement({'identity' if self.is_identity else hex(self.x)[:12]}...)"
 
 
 class Group:
-    def __init__(self, spec: CurveSpec):
-        self.spec = spec
-        self.order = spec.order
-        self.generator = GroupElement(self, spec.gx, spec.gy)
-        self.identity = GroupElement(self, None, None)
+    """The curve's arithmetic; `CURVE` below is its one instance."""
+
+    order = ORDER
+    generator = GroupElement(
+        0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+        0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8)
+    identity = GroupElement(None, None)
 
     # -- affine/Jacobian arithmetic ------------------------------------
 
@@ -100,7 +73,7 @@ class Group:
         # EFD dbl-2009-l (a = 0). No point has order two, so Y1 = 0 only
         # at the identity, where Z3 = 2 Y1 Z1 stays 0.
         X1, Y1, Z1 = P
-        p = self.spec.p
+        p = FIELD_P
         A = (X1 * X1) % p
         B = (Y1 * Y1) % p
         C = (B * B) % p
@@ -112,7 +85,7 @@ class Group:
         return (X3, Y3, Z3)
 
     def _jac_add(self, P, Q):
-        p = self.spec.p
+        p = FIELD_P
         X1, Y1, Z1 = P
         X2, Y2, Z2 = Q
         if Z1 == 0:
@@ -149,10 +122,10 @@ class Group:
         X, Y, Z = P
         if Z == 0:
             return self.identity
-        p = self.spec.p
+        p = FIELD_P
         zinv = pow(Z, p - 2, p)
         zinv2 = (zinv * zinv) % p
-        return GroupElement(self, (X * zinv2) % p, (Y * zinv2 * zinv) % p)
+        return GroupElement((X * zinv2) % p, (Y * zinv2 * zinv) % p)
 
     def add(self, P: GroupElement, Q: GroupElement) -> GroupElement:
         return self._from_jac(self._jac_add(self._to_jac(P), self._to_jac(Q)))
@@ -181,14 +154,8 @@ class Group:
 
     # -- encoding ------------------------------------------------------
 
-    def element_size(self) -> int:
-        return 1 + self.spec.fe_bytes
-
-    def scalar_size(self) -> int:
-        return (self.order.bit_length() + 7) // 8
-
     def from_bytes(self, data: bytes) -> GroupElement:
-        if len(data) != self.element_size():
+        if len(data) != ELEMENT_BYTES:
             raise CryptoError("bad element length")
         if data == b"\x00" * len(data):
             return self.identity
@@ -196,7 +163,7 @@ class Group:
         if prefix not in (2, 3):
             raise CryptoError("bad element prefix")
         x = int.from_bytes(xb, "big")
-        if x >= self.spec.p:
+        if x >= FIELD_P:
             raise CryptoError("x out of range")
         point = self._lift_x(x, prefix & 1)
         if point is None:
@@ -205,12 +172,12 @@ class Group:
 
     def _lift_x(self, x: int, odd: int) -> GroupElement | None:
         """The point (x, y) with y of this parity; None if x^3 + b is not a square."""
-        p = self.spec.p
-        y2 = (pow(x, 3, p) + self.spec.b) % p
+        p = FIELD_P
+        y2 = (pow(x, 3, p) + CURVE_B) % p
         y = pow(y2, (p + 1) // 4, p)  # p is 3 mod 4
         if (y * y) % p != y2:
             return None
-        return GroupElement(self, x, y if (y & 1) == odd else p - y)
+        return GroupElement(x, y if (y & 1) == odd else p - y)
 
     def random_scalar(self, rng: SeededRng) -> int:
         while True:
@@ -221,10 +188,10 @@ class Group:
     def scalar_to_bytes(self, k: int) -> bytes:
         if not 0 <= k < self.order:
             raise CryptoError("scalar out of range")
-        return k.to_bytes(self.scalar_size(), "big")
+        return k.to_bytes(SCALAR_BYTES, "big")
 
     def scalar_from_bytes(self, data: bytes) -> int:
-        if len(data) != self.scalar_size():
+        if len(data) != SCALAR_BYTES:
             raise CryptoError("bad scalar length")
         k = int.from_bytes(data, "big")
         if k >= self.order:
@@ -235,7 +202,7 @@ class Group:
         """Deterministic try-and-increment mapping onto the curve."""
         for ctr in itertools.count():
             digest = H_tagged("h2p/" + tag, msg, ctr.to_bytes(4, "big"))
-            point = self._lift_x(int.from_bytes(digest, "big") % self.spec.p,
+            point = self._lift_x(int.from_bytes(digest, "big") % FIELD_P,
                                  digest[0] & 1)
             if point is not None:
                 return point
@@ -244,45 +211,38 @@ class Group:
         return H_int(tag, *parts) % self.order
 
 
-def group_setup() -> tuple[Group, GroupElement]:
-    """secp256k1; returns (group, generator)."""
-    g = Group(_SECP256K1)
-    return g, g.generator
+CURVE = Group()
 
 
 # -- plain discrete-log signatures (used for puzzle issuance and
 #    delegation-key certificates) -------------------------------------
 
 class SigningKey:
-    def __init__(self, group: Group, sk: int):
-        self.group = group
+    def __init__(self, sk: int):
         self.sk = sk
-        self.pk = group.mul(group.generator, sk)
+        self.pk = CURVE.mul(CURVE.generator, sk)
 
     @classmethod
-    def generate(cls, group: Group, rng: SeededRng) -> "SigningKey":
-        return cls(group, group.random_scalar(rng))
+    def generate(cls, rng: SeededRng) -> "SigningKey":
+        return cls(CURVE.random_scalar(rng))
 
     def sign(self, msg: bytes, rng: SeededRng) -> bytes:
         """Compact challenge-form signature: c (16 bytes) || s (scalar)."""
-        g = self.group
-        k = g.random_scalar(rng)
-        R = g.mul(g.generator, k)
+        k = CURVE.random_scalar(rng)
+        R = CURVE.mul(CURVE.generator, k)
         c = H_int("sgn", R.to_bytes(), self.pk.to_bytes(), msg) >> 128
-        s = (k + c * self.sk) % g.order
-        return c.to_bytes(16, "big") + g.scalar_to_bytes(s)
+        s = (k + c * self.sk) % ORDER
+        return c.to_bytes(16, "big") + CURVE.scalar_to_bytes(s)
 
 
-def sgn_verify(group: Group, pk: GroupElement, msg: bytes, sig: bytes) -> bool:
-    ssz = group.scalar_size()
-    if len(sig) != 16 + ssz:
+def sgn_verify(pk: GroupElement, msg: bytes, sig: bytes) -> bool:
+    if len(sig) != 16 + SCALAR_BYTES:
         return False
     c = int.from_bytes(sig[:16], "big")
     try:
-        s = group.scalar_from_bytes(sig[16:])
+        s = CURVE.scalar_from_bytes(sig[16:])
     except CryptoError:
         return False
     # R = g^s * pk^-c, then the challenge must recompute
-    R = group.muladd(s, group.generator, (-c) % group.order, pk)
+    R = CURVE.muladd(s, CURVE.generator, (-c) % ORDER, pk)
     return c == H_int("sgn", R.to_bytes(), pk.to_bytes(), msg) >> 128
-

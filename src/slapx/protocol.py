@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf, wire
 from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
-from .group import Group, SigningKey, sgn_verify
+from .group import CURVE, GroupElement, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .modmath import RsaModulus
 from .rng import SeededRng
@@ -37,36 +37,35 @@ def window_of(now_s: float) -> int:
 
 # -- radio propagation and proximity estimation ------------------------------
 
-@dataclass(frozen=True)
-class RadioEnv:
-    """Log-distance path-loss environment."""
-    tx_power_dbm: float = 30.0
-    ref_loss_db: float = 40.0      # loss at 1 m
-    path_loss_exp: float = 2.7
-    shadowing_sigma_db: float = 3.0
-
-    def rss_at(self, distance_m: float, rng: SeededRng | None = None) -> float:
-        d = max(distance_m, 1e-9)
-        loss = self.ref_loss_db + 10.0 * self.path_loss_exp * math.log10(d)
-        if rng is not None and self.shadowing_sigma_db > 0:
-            loss += rng.gauss(0.0, self.shadowing_sigma_db)
-        return self.tx_power_dbm - loss
-
-    def distance_from_rss(self, rss_dbm: float) -> float:
-        exponent = (self.tx_power_dbm - rss_dbm - self.ref_loss_db) \
-            / (10.0 * self.path_loss_exp)
-        return 10.0 ** exponent
+# log-distance path loss
+TX_POWER_DBM = 30.0
+REF_LOSS_DB = 40.0          # loss at 1 m
+PATH_LOSS_EXP = 2.7
+SHADOWING_SIGMA_DB = 3.0
 
 
-def prox_verify(rss_dbm: float, rtt_s: float, env: RadioEnv,
-                weight: float) -> float:
+def rss_at(distance_m: float, rng: SeededRng | None = None) -> float:
+    """Received power at distance_m, with a shadowing draw from rng if given."""
+    d = max(distance_m, 1e-9)
+    loss = REF_LOSS_DB + 10.0 * PATH_LOSS_EXP * math.log10(d)
+    if rng is not None:
+        loss += rng.gauss(0.0, SHADOWING_SIGMA_DB)
+    return TX_POWER_DBM - loss
+
+
+def distance_from_rss(rss_dbm: float) -> float:
+    exponent = (TX_POWER_DBM - rss_dbm - REF_LOSS_DB) / (10.0 * PATH_LOSS_EXP)
+    return 10.0 ** exponent
+
+
+def prox_verify(rss_dbm: float, rtt_s: float, weight: float) -> float:
     """Weighted RTT/RSS distance estimate: d = w*d_rtt + (1-w)*d_rss."""
     if not 0.0 <= weight <= 1.0:
         raise SlapxError("weight must be in [0, 1]")
     if rtt_s < 0:
         raise SlapxError("negative RTT")
     d_rtt = dbp.SPEED_OF_LIGHT_M_S * rtt_s / 2.0
-    return weight * d_rtt + (1.0 - weight) * env.distance_from_rss(rss_dbm)
+    return weight * d_rtt + (1.0 - weight) * distance_from_rss(rss_dbm)
 
 
 # -- beacons and location proofs ---------------------------------------------
@@ -146,7 +145,6 @@ class Authority:
         # at most 8 attributes per credential, 16 access points in the ring
         self.dac_params, self.root_key = dac.dac_setup(t=8, eta=2, rng=rng)
         self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(16, rng)
-        self.group: Group = self.rlrs_params.group
         self.ring: list[str] = []
 
     def provision_ap(self, ap_id: str) -> int:
@@ -179,7 +177,7 @@ class Client:
         self.pk = pk
         self.cred = cred
         self.rng = rng
-        self.dbp_key = SigningKey.generate(authority_view.group, rng)
+        self.dbp_key = SigningKey.generate(rng)
 
     def fresh_nym(self) -> tuple[int, int]:
         return dac.dac_nymgen(self.view.dac_params, self.pk, self.rng)
@@ -191,8 +189,7 @@ class PublicView:
     dac_params: dac.DacParams
     rlrs_params: rlrs.RlrsParams
     ring: list[str]
-    group: Group
-    psd_pk: object  # GroupElement of the puzzle signer
+    psd_pk: GroupElement  # the puzzle signer's key
 
 
 # -- access point -------------------------------------------------------------
@@ -203,7 +200,6 @@ class AccessPoint:
         self.sk = sk
         self.view = view
         self.rng = rng
-        self.env = RadioEnv()
         self._beacons: dict[int, Beacon] = {}
 
     def beacon(self, now_s: float) -> Beacon:
@@ -232,11 +228,11 @@ class AccessPoint:
                             beacon_enc + loc + win_b)
 
         if measured is None:
-            rss = self.env.rss_at(true_distance_m, self.rng)
+            rss = rss_at(true_distance_m, self.rng)
             rtt = 2.0 * true_distance_m / dbp.SPEED_OF_LIGHT_M_S
         else:
             rss, rtt = measured
-        d_hat = prox_verify(rss, rtt, self.env, RTT_WEIGHT)
+        d_hat = prox_verify(rss, rtt, RTT_WEIGHT)
         claimed_d = math.hypot(l_x, l_y)  # AP at the local origin
         if claimed_d > PROX_THRESHOLD_M or d_hat > PROX_THRESHOLD_M:
             raise ProtocolReject(
@@ -324,7 +320,7 @@ class NeighborDevice:
         self.sk = sk
         self.cred = cred
         self.rng = rng
-        self.dbp_key = SigningKey.generate(view.group, rng)
+        self.dbp_key = SigningKey.generate(rng)
 
     def issue_delegated(self, request: bytes, now_s: float,
                         true_distance_m: float) -> bytes:
@@ -337,7 +333,7 @@ class NeighborDevice:
         l_x, l_y = _point(loc)
         pres = _read_presentation(pres_b, params)
         peer_pk = _or_reject(RejectReason.BAD_CREDENTIAL, "peer key undecodable",
-                             self.view.group.from_bytes, peer_pk_b)
+                             CURVE.from_bytes, peer_pk_b)
         dreq = _or_reject(RejectReason.BAD_CREDENTIAL,
                           "delegation request undecodable",
                           dac.DelegationRequest.from_bytes, dreq_b, params)
@@ -482,6 +478,9 @@ class Psd:
                             presentation_context("spectrum", window, "PSD"),
                             loc + ch_b + tv_b + H_tagged("phi", phi_b))
         l_x, l_y = _point(loc)
+        # refuse an out-of-area query before the proof costs a check or
+        # leaves a tag or grant behind
+        record = self.db.lookup(l_x, l_y)
 
         if pres.ext is None:
             # AP path: verify the ring signature, then scan the window
@@ -508,7 +507,6 @@ class Psd:
                                          "delegated proof already used")
                 self.grants.add(key)
 
-        record = self.db.lookup(l_x, l_y)
         kappa = self._kappa_for(pres)
         modulus = self._epoch_modulus(now_s)
         puzzle = Puzzle(puzzle_id=next(self._id_counter).to_bytes(8, "big"),
@@ -673,7 +671,7 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     rec_b, puz_b, sig = wire.unpack_fields(resp_content, 3)
     record = SpectrumRecord.decode(rec_b)
     puzzle = Puzzle.decode(puz_b)
-    if not sgn_verify(client.view.group, client.view.psd_pk, puz_b, sig):
+    if not sgn_verify(client.view.psd_pk, puz_b, sig):
         raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle signature invalid")
     trace = PhaseTrace("spectrum_query", req, resp,
                        fields={"presentation": pres_b, "phi": phi_b,
@@ -735,11 +733,10 @@ class Deployment:
         ap_keys = {a: authority.provision_ap(a) for a in ap_ids}
         psd_rng = rng.spawn("psd")
         # the PSD's key is the first draw on its stream (seeded tests pin it)
-        sgn_key = SigningKey.generate(authority.group, psd_rng)
+        sgn_key = SigningKey.generate(psd_rng)
         view = PublicView(dac_params=authority.dac_params,
                           rlrs_params=authority.rlrs_params,
-                          ring=list(authority.ring), group=authority.group,
-                          psd_pk=sgn_key.pk)
+                          ring=list(authority.ring), psd_pk=sgn_key.pk)
         psd = Psd(view, sgn_key, psd_rng, psd_modulus_bits)
         ap = AccessPoint(ap_ids[0], ap_keys[ap_ids[0]], view, rng.spawn("ap"))
         return cls(authority=authority, view=view, ap=ap, psd=psd,

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 from . import wire
 from .errors import CryptoError, ParameterError
-from .group import Group, GroupElement, group_setup
+from .group import CURVE, ELEMENT_BYTES, ORDER, SCALAR_BYTES, GroupElement
 from .hashes import H_tagged
 from .rng import SeededRng
 
 SIGNATURE_BYTES = 640
+# tau || u8 n || c1 || n scalars must fit the fixed block
+MAX_RING = (SIGNATURE_BYTES - ELEMENT_BYTES - 1 - SCALAR_BYTES) // SCALAR_BYTES
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,7 @@ class RlrsSignature:
 
 
 class RlrsParams:
-    def __init__(self, group: Group, t_max: int):
-        self.group = group
+    def __init__(self, t_max: int):
         self.t_max = t_max
         self._directory: dict[str, GroupElement] = {}
         self._lock = threading.Lock()
@@ -74,41 +75,32 @@ class RlrsParams:
         return pk
 
     def fingerprint(self) -> bytes:
-        return H_tagged("rlrs/pp", self.group.spec.name.encode(),
+        return H_tagged("rlrs/pp", b"secp256k1",
                         self.t_max.to_bytes(2, "big"))
-
-
-def _max_ring_for_encoding(group: Group) -> int:
-    # tau || u8 n || c1 || n scalars must fit the fixed block
-    esz, ssz = group.element_size(), group.scalar_size()
-    return (SIGNATURE_BYTES - esz - 1 - ssz) // ssz
 
 
 def rlrs_setup(t_max: int,
                rng: SeededRng | None = None) -> tuple[bytes, RlrsParams]:
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
-    group, _ = group_setup()
-    cap = _max_ring_for_encoding(group)
-    if t_max > cap:
-        raise ParameterError(f"t_max {t_max} exceeds encoding capacity {cap}")
+    if t_max > MAX_RING:
+        raise ParameterError(f"t_max {t_max} exceeds encoding capacity {MAX_RING}")
     rng = rng or SeededRng()
     msk = rng.bytes(32)
-    return msk, RlrsParams(group, t_max)
+    return msk, RlrsParams(t_max)
 
 
 def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
     """Deterministic per (msk, identity); registers the public key."""
     if not identity:
         raise ParameterError("identity must be nonempty")
-    g = params.group
-    s = _member_secret(msk, identity, g)
-    params.register(identity, g.mul(g.generator, s))
+    s = _member_secret(msk, identity)
+    params.register(identity, CURVE.mul(CURVE.generator, s))
     return s
 
 
-def _member_secret(msk: bytes, identity: str, g: Group) -> int:
-    return g.hash_to_scalar("rlrs/extract", msk, identity.encode()) or 1
+def _member_secret(msk: bytes, identity: str) -> int:
+    return CURVE.hash_to_scalar("rlrs/extract", msk, identity.encode()) or 1
 
 
 def _ring_digest(params: RlrsParams, ring: list[str]) -> bytes:
@@ -118,17 +110,13 @@ def _ring_digest(params: RlrsParams, ring: list[str]) -> bytes:
 def _chain_challenge(params: RlrsParams, ring_digest: bytes, m: bytes,
                      event_enc: bytes, tau: GroupElement,
                      L: GroupElement, R: GroupElement) -> int:
-    return params.group.hash_to_scalar(
+    return CURVE.hash_to_scalar(
         "rlrs/chain", params.fingerprint(), ring_digest, m, event_enc,
         tau.to_bytes(), L.to_bytes(), R.to_bytes())
 
 
 def event_base(params: RlrsParams, event: EventId) -> GroupElement:
-    return params.group.hash_to_point("rlrs/event", event.encode())
-
-
-def link_tag(params: RlrsParams, sk: int, event: EventId) -> GroupElement:
-    return params.group.mul(event_base(params, event), sk)
+    return CURVE.hash_to_point("rlrs/event", event.encode())
 
 
 def _validate_ring(params: RlrsParams, ring: list[str]) -> None:
@@ -143,8 +131,7 @@ def _validate_ring(params: RlrsParams, ring: list[str]) -> None:
 def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
               params: RlrsParams, rng: SeededRng) -> RlrsSignature:
     _validate_ring(params, ring)
-    g = params.group
-    own_pk = g.mul(g.generator, sk)
+    own_pk = CURVE.mul(CURVE.generator, sk)
     pks = [params.public_key(i) for i in ring]
     try:
         signer = pks.index(own_pk)
@@ -153,24 +140,24 @@ def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
 
     n = len(ring)
     u0 = event_base(params, event)
-    tau = g.mul(u0, sk)
+    tau = CURVE.mul(u0, sk)
     rd = _ring_digest(params, ring)
     ev = event.encode()
 
     c = [0] * n
     s_vals = [0] * n
-    alpha = g.random_scalar(rng)
-    L = g.mul(g.generator, alpha)
-    R = g.mul(u0, alpha)
+    alpha = CURVE.random_scalar(rng)
+    L = CURVE.mul(CURVE.generator, alpha)
+    R = CURVE.mul(u0, alpha)
     c[(signer + 1) % n] = _chain_challenge(params, rd, m, ev, tau, L, R)
     idx = (signer + 1) % n
     while idx != signer:
-        s_vals[idx] = g.random_scalar(rng)
-        L = g.muladd(s_vals[idx], g.generator, c[idx], pks[idx])
-        R = g.muladd(s_vals[idx], u0, c[idx], tau)
+        s_vals[idx] = CURVE.random_scalar(rng)
+        L = CURVE.muladd(s_vals[idx], CURVE.generator, c[idx], pks[idx])
+        R = CURVE.muladd(s_vals[idx], u0, c[idx], tau)
         c[(idx + 1) % n] = _chain_challenge(params, rd, m, ev, tau, L, R)
         idx = (idx + 1) % n
-    s_vals[signer] = (alpha - c[signer] * sk) % g.order
+    s_vals[signer] = (alpha - c[signer] * sk) % ORDER
     return RlrsSignature(c1=c[0], responses=tuple(s_vals), tau=tau)
 
 
@@ -183,14 +170,13 @@ def rlrs_verify(ring: list[str], m: bytes, event: EventId,
         return False
     if len(sig.responses) != len(ring) or sig.tau.is_identity:
         return False
-    g = params.group
     u0 = event_base(params, event)
     rd = _ring_digest(params, ring)
     ev = event.encode()
     c_i = sig.c1
     for i in range(len(ring)):
-        L = g.muladd(sig.responses[i], g.generator, c_i, pks[i])
-        R = g.muladd(sig.responses[i], u0, c_i, sig.tau)
+        L = CURVE.muladd(sig.responses[i], CURVE.generator, c_i, pks[i])
+        R = CURVE.muladd(sig.responses[i], u0, c_i, sig.tau)
         c_i = _chain_challenge(params, rd, m, ev, sig.tau, L, R)
     return c_i == sig.c1
 
@@ -224,12 +210,11 @@ def rlrs_revoke(msk: bytes, event: EventId,
     if not linked:
         return None
     tau = signed_a[1].tau
-    g = params.group
     u0 = event_base(params, event)
     for identity in ring_a:
         if identity not in ring_b:
             continue
-        if g.mul(u0, _member_secret(msk, identity, g)) == tau:
+        if CURVE.mul(u0, _member_secret(msk, identity)) == tau:
             return identity
     return None
 
@@ -237,13 +222,12 @@ def rlrs_revoke(msk: bytes, event: EventId,
 # -- fixed-size wire block ---------------------------------------------
 
 def encode_signature(sig: RlrsSignature, params: RlrsParams) -> bytes:
-    g = params.group
     out = bytearray()
     out += sig.tau.to_bytes()
     out += len(sig.responses).to_bytes(1, "big")
-    out += g.scalar_to_bytes(sig.c1)
+    out += CURVE.scalar_to_bytes(sig.c1)
     for s in sig.responses:
-        out += g.scalar_to_bytes(s)
+        out += CURVE.scalar_to_bytes(s)
     if len(out) > SIGNATURE_BYTES:
         raise CryptoError("ring too large for fixed signature block")
     return bytes(out) + b"\x00" * (SIGNATURE_BYTES - len(out))
@@ -253,13 +237,12 @@ def decode_signature(block: bytes, params: RlrsParams) -> RlrsSignature:
     """Inverse of encode_signature; raises SlapxError on any other block."""
     if len(block) != SIGNATURE_BYTES:
         raise CryptoError("bad signature block length")
-    g = params.group
-    ssz = g.scalar_size()
     r = wire.Reader(block)
-    tau = g.from_bytes(r.take(g.element_size()))
+    tau = CURVE.from_bytes(r.take(ELEMENT_BYTES))
     n = r.uint(1)
-    c1 = g.scalar_from_bytes(r.take(ssz))
-    responses = tuple(g.scalar_from_bytes(r.take(ssz)) for _ in range(n))
+    c1 = CURVE.scalar_from_bytes(r.take(SCALAR_BYTES))
+    responses = tuple(CURVE.scalar_from_bytes(r.take(SCALAR_BYTES))
+                      for _ in range(n))
     if any(r.rest()):
         raise CryptoError("nonzero padding")
     return RlrsSignature(c1=c1, responses=responses, tau=tau)

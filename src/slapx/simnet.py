@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 from .dbp import SPEED_OF_LIGHT_M_S
 from .errors import ParameterError
-from .protocol import PROX_THRESHOLD_M, RadioEnv, prox_verify
+from .protocol import (PROX_THRESHOLD_M, SHADOWING_SIGMA_DB, prox_verify,
+                       rss_at)
 
 DOS_SCENARIOS = ("baseline", "full_protocol", "bypass", "precompute")
 
@@ -68,7 +69,11 @@ class Calibration:
     def from_file(cls, path: str) -> "Calibration":
         with open(path) as f:
             data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("calibration is not a JSON object")
         known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
+        if not all(isinstance(v, (int, float)) for v in known.values()):
+            raise ValueError("calibration times must be numbers")
         return cls(**known)
 
     def to_file(self, path: str) -> None:
@@ -464,6 +469,8 @@ def run_fraud(rounds: int, tolerance: float, guess_prob: float, trials: int,
         raise ParameterError("guess probability must be in [0, 1]")
     if not 0.0 <= tolerance < 1.0:
         raise ParameterError("tolerance must be in [0, 1)")
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     allowed = int(tolerance * rounds)
     q = guess_prob + (1.0 - guess_prob) / 2.0
     rnd = random.Random(seed).random
@@ -499,16 +506,16 @@ _TIE_EPS_M = 1e-6  # float guard at exact-threshold grid points
 
 
 def run_hijack_cell(honest_d: float, mal_d: float, weight: float,
-                    env: RadioEnv, shadowing_db: list[float]) -> float:
+                    shadowing_db: list[float]) -> float:
     """Relay attack: RSS observed from the honest relay's distance, RTT from
     the full relayed path (the clock model cannot be undercut). One trial
     per shadowing draw (zeros model a noiseless channel); sweeps share the
     draws so trials pair across cells."""
     successes = 0
     rtt_s = 2.0 * mal_d / SPEED_OF_LIGHT_M_S
-    rss = env.rss_at(honest_d)
+    rss = rss_at(honest_d)
     for shadowing in shadowing_db:
-        d_hat = prox_verify(rss + shadowing, rtt_s, env, weight)
+        d_hat = prox_verify(rss + shadowing, rtt_s, weight)
         if d_hat <= PROX_THRESHOLD_M + _TIE_EPS_M:
             successes += 1
     return successes / len(shadowing_db)
@@ -519,14 +526,16 @@ def run_hijack(trials: int = 100, seed: int = 1,
     """Success-rate sweep with one shadowing draw per trial index, shared
     across the whole grid (paired design: monotonicity in the sweep axes is
     not washed out by per-cell sampling noise)."""
-    env = RadioEnv(shadowing_sigma_db=0.0 if noiseless else 3.0)
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     rng = random.Random(seed)
-    draws = [rng.gauss(0.0, env.shadowing_sigma_db) for _ in range(trials)]
+    draws = ([0.0] * trials if noiseless else
+             [rng.gauss(0.0, SHADOWING_SIGMA_DB) for _ in range(trials)])
     out = []
     for hd in HIJACK_HONEST_GRID:
         for md in HIJACK_MAL_GRID:
             for w in HIJACK_WEIGHT_GRID:
-                rate = run_hijack_cell(float(hd), float(md), w, env, draws)
+                rate = run_hijack_cell(float(hd), float(md), w, draws)
                 out.append({"honest_d": hd, "mal_d": md, "weight": w,
                             "trials": trials, "success_rate": rate})
     return out

@@ -187,12 +187,24 @@ def fragmentation_report(mtu: int, header_bytes: int = 40) -> list[FragEntry]:
     return out
 
 
+# link MTUs a sweep reports whenever its range holds them
+ANCHOR_MTUS = (1500, 3000, 6000)
+
+
 def fragmentation_sweep(mtu_min: int = 576, mtu_max: int = 9000,
                         header_bytes: int = 40,
                         step: int = 1) -> dict[int, list[FragEntry]]:
+    """Reports every `step` from mtu_min, at mtu_max and at the anchor MTUs
+    in range, in increasing MTU order."""
+    if header_bytes < 0:
+        raise ParameterError("header size must not be negative")
+    if step < 1:
+        raise ParameterError("MTU step must be at least 1")
     if mtu_min <= header_bytes:
         raise ParameterError("MTU floor must exceed header size")
     if mtu_max < mtu_min:
         raise ParameterError("invalid MTU range")
+    mtus = {mtu_max, *range(mtu_min, mtu_max + 1, step),
+            *(m for m in ANCHOR_MTUS if mtu_min <= m <= mtu_max)}
     return {mtu: fragmentation_report(mtu, header_bytes)
-            for mtu in range(mtu_min, mtu_max + 1, step)}
+            for mtu in sorted(mtus)}

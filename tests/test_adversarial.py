@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
                           RejectReason, SlapxError)
-from slapx.group import SigningKey
+from slapx.group import CURVE, SigningKey
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
                             NeighborDevice, Puzzle, presentation_context,
@@ -46,7 +46,7 @@ class TestRlrsSplicing:
 
     def test_random_signature_rejected(self, ring_env):
         pp, ring, keys, rng = ring_env
-        g = pp.group
+        g = CURVE
         fake = rlrs.RlrsSignature(
             c1=g.random_scalar(rng),
             responses=tuple(g.random_scalar(rng) for _ in ring),
@@ -139,7 +139,7 @@ class TestDacSplicing:
     def test_forged_delegation_cert_fails(self, cred_env):
         params, rng, (pk_a, sk_a, cred_a), (pk_b, sk_b, cred_b) = cred_env
         from slapx.group import SigningKey
-        rogue = SigningKey.generate(params.cert_group, rng)
+        rogue = SigningKey.generate(rng)
         req, r_d = dac.dac_request_delegation(params, sk_b, rng)
         a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
         from slapx.hashes import H_tagged
@@ -163,7 +163,7 @@ class TestDacSplicing:
             dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, nym_d=0),
                                a_l, 2, rng)
         vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, 2, rng)
-        ext_sig = SigningKey(params.cert_group, cred_a.dk.secret).sign(
+        ext_sig = SigningKey(cred_a.dk.secret).sign(
             H_tagged("dac/ext", bytes(params.n_bytes), dac.attrs_digest(a_l),
                      bytes([2]), b"\x01"), rng)
         dcred = dac.DelegatedCredential(2, a_l, 0, r_d, vk, cert, ext_sig, cred_b)

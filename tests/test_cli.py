@@ -37,6 +37,34 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "spoof", "--attack", "fraud", "--trials", "0"),
+        ("simulate", "spoof", "--attack", "hijack", "--trials", "0"),
+        ("simulate", "spoof", "--attack", "fraud", "--trials", "-3"),
+        ("simulate", "dos", "--config", "{missing}"),
+        ("simulate", "dos", "--calibration", "{missing}"),
+        ("simulate", "dos", "--config", "{bad_config}"),
+        ("simulate", "dos", "--calibration", "{bad_calibration}"),
+        ("simulate", "dos", "--calibration", "{calibration_list}"),
+        ("simulate", "dos", "--calibration", "{calibration_text}"),
+        ("fragmentation", "--step", "0"),
+        ("fragmentation", "--mtu-min", "2000", "--mtu-max", "1000"),
+        ("fragmentation", "--mtu", "0"),
+        ("fragmentation", "--header-bytes", "-1", "--mtu", "100")])
+    def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv):
+        files = {"missing": tmp_path / "absent",
+                 "bad_config": tmp_path / "bad.cfg",
+                 "bad_calibration": tmp_path / "bad.json",
+                 "calibration_list": tmp_path / "list.json",
+                 "calibration_text": tmp_path / "text.json"}
+        files["bad_config"].write_text("n_ue = many\n")
+        files["bad_calibration"].write_text("{not json")
+        files["calibration_list"].write_text("[0.1]")
+        files["calibration_text"].write_text('{"query_verify_s": "slow"}')
+        code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+
 
 class TestProtocolCommand:
     def test_grant_prints_phase_totals(self, capsys):

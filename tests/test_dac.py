@@ -15,7 +15,7 @@ from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, Attribute, DacParams,
                        dac_request_delegation, dac_setup, encode_credential,
                        issue_credential)
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import sgn_verify
+from slapx.group import CURVE, sgn_verify
 from slapx.hashes import H_tagged
 from slapx.rng import SeededRng
 
@@ -304,15 +304,15 @@ def reference_verify(params, pres, context, payload=b""):
         if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
             return False
         try:
-            vk = params.cert_group.from_bytes(ext.vk_bytes)
+            vk = CURVE.from_bytes(ext.vk_bytes)
         except CryptoError:
             return False
         cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
-        if not sgn_verify(params.cert_group, params.cert_pk, cert_body, ext.cert):
+        if not sgn_verify(params.cert_pk, cert_body, ext.cert):
             return False
         ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
-        if not sgn_verify(params.cert_group, vk, ext_body, ext.ext_sig):
+        if not sgn_verify(vk, ext_body, ext.ext_sig):
             return False
         ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                             ext.nym_d.to_bytes(params.n_bytes, "big"),
@@ -418,7 +418,7 @@ class TestFixedBaseTables:
 
     def test_threads_racing_on_first_build(self, dac_env):
         p = dac_env[0]
-        fresh = DacParams(p.n, p.exponents, p.t, p.cert_group, p.cert_pk)
+        fresh = DacParams(p.n, p.exponents, p.t, p.cert_pk)
         terms = [(BASE_SK, 3 ** 200), (BASE_S, 5 ** 150), (0, 7 ** 100)]
         want = p.multiexp(*terms)
         results = []

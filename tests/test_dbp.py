@@ -10,10 +10,8 @@ from slapx.dbp import (SPEED_OF_LIGHT_M_S, DbpConfig, RoundTranscript,
                        dbp_aka, dbp_respond, dbp_response_table, dbp_verify,
                        run_honest_session)
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import SigningKey, group_setup
+from slapx.group import CURVE, SigningKey
 from slapx.rng import SeededRng
-
-GROUP, _ = group_setup()
 
 
 def bits(s: str) -> bytes:
@@ -23,24 +21,24 @@ def bits(s: str) -> bytes:
 class TestAka:
     def test_symmetry(self):
         rng = SeededRng(1)
-        a = SigningKey.generate(GROUP, rng)
-        b = SigningKey.generate(GROUP, rng)
+        a = SigningKey.generate(rng)
+        b = SigningKey.generate(rng)
         assert dbp_aka(a, b.pk, b"v", 50) == dbp_aka(b, a.pk, b"v", 50)
 
     def test_nonce_separates(self):
         rng = SeededRng(2)
-        a = SigningKey.generate(GROUP, rng)
-        b = SigningKey.generate(GROUP, rng)
+        a = SigningKey.generate(rng)
+        b = SigningKey.generate(rng)
         assert dbp_aka(a, b.pk, b"v1", 50) != dbp_aka(a, b.pk, b"v2", 50)
 
     def test_identity_peer_rejected(self):
-        a = SigningKey.generate(GROUP, SeededRng(3))
+        a = SigningKey.generate(SeededRng(3))
         with pytest.raises(CryptoError):
-            dbp_aka(a, GROUP.identity, b"v", 10)
+            dbp_aka(a, CURVE.identity, b"v", 10)
 
     def test_length_is_2n_bits(self):
-        a = SigningKey.generate(GROUP, SeededRng(4))
-        b = SigningKey.generate(GROUP, SeededRng(5))
+        a = SigningKey.generate(SeededRng(4))
+        b = SigningKey.generate(SeededRng(5))
         ss = dbp_aka(a, b.pk, b"v", 100)
         assert len(ss) == 200 and set(ss) <= {0, 1}
 

@@ -12,45 +12,43 @@ from slapx import dac, rlrs, vdf, wire
 from slapx.errors import ProtocolReject, RejectReason, SlapxError
 from slapx.protocol import (DISCLOSE_DEVICE, MODULUS_EPOCH_WINDOWS, WINDOW_S,
                             AccessPoint, Deployment, DeviceProfile,
-                            LocationProof, NeighborDevice, RadioEnv,
-                            SeededRng, Puzzle, prox_verify, run_pol_ap,
-                            run_pol_nd, run_service_request,
+                            LocationProof, NeighborDevice, SeededRng, Puzzle,
+                            distance_from_rss, prox_verify, rss_at,
+                            run_pol_ap, run_pol_nd, run_service_request,
                             run_spectrum_query, window_of)
 
 NOW = 120.0
 
 
 class TestProxVerify:
-    ENV = RadioEnv(shadowing_sigma_db=0.0)
-
     def d_for(self, meters):
-        rss = self.ENV.rss_at(meters)
+        rss = rss_at(meters)
         rtt = 2.0 * meters / 299_792_458.0
         return rss, rtt
 
     def test_consistent_inputs_any_weight(self):
         rss, rtt = self.d_for(30.0)
         for w in (0.0, 0.3, 0.9, 1.0):
-            est = prox_verify(rss, rtt, self.ENV, w)
+            est = prox_verify(rss, rtt, w)
             assert est == pytest.approx(30.0, abs=0.01)
 
     def test_relay_high_rtt_weight_rejects(self):
         rss, _ = self.d_for(10.0)      # honest relay close to verifier
         _, rtt = self.d_for(70.0)      # true path of the distant attacker
-        est = prox_verify(rss, rtt, self.ENV, 0.9)
+        est = prox_verify(rss, rtt, 0.9)
         assert est == pytest.approx(64.0, abs=0.01)
         assert est > 50.0
 
     def test_relay_low_rtt_weight_spoofed(self):
         rss, _ = self.d_for(10.0)
         _, rtt = self.d_for(70.0)
-        est = prox_verify(rss, rtt, self.ENV, 0.1)
+        est = prox_verify(rss, rtt, 0.1)
         assert est == pytest.approx(16.0, abs=0.01)
         assert est <= 50.0
 
     def test_invalid_weight(self):
         with pytest.raises(SlapxError):
-            prox_verify(-60, 1e-7, self.ENV, 1.5)
+            prox_verify(-60, 1e-7, 1.5)
 
 
 class TestPolAp:
@@ -152,14 +150,28 @@ class TestSpectrumAndService:
             run_spectrum_query(c, deployment.psd, 25.0, 5.0, t, dcred=dcred)
         assert e.value.reason == RejectReason.BAD_POL
 
-    def test_out_of_area_query(self, deployment, client):
-        t = 540.0
-        proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
-        # proof binds the coordinates; out-of-area coords hit the database gate
-        from slapx.spectrumdb import SpectrumDatabase
-        with pytest.raises(ProtocolReject) as e:
-            deployment.psd.db.lookup(20_000.0, 0.0)
-        assert e.value.reason == RejectReason.OUT_OF_AREA
+    def test_out_of_area_query(self, deployment, client, monkeypatch):
+        # (-10, 5) is 11 m from the AP, which signs it, but outside the
+        # database's area; the PSD refuses it before it checks or records
+        # the proof, so a retry is refused the same way
+        t, x, y = 540.0, -10.0, 5.0
+        proof, _ = run_pol_ap(client, deployment.ap, x, y, t)
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"ND-AREA0", 30.0, 0), delegable=True)
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(79))
+        c = deployment.new_client(seed=2006)
+        dcred, _ = run_pol_nd(c, nd, x, y, t, true_distance_m=11.0)
+        verified = []
+        real_verify = rlrs.rlrs_verify
+        monkeypatch.setattr(rlrs, "rlrs_verify",
+                            lambda *a: verified.append(a) or real_verify(*a))
+        for querier, path in ((client, {"proof": proof}),
+                              (c, {"dcred": dcred})):
+            for _ in range(2):
+                with pytest.raises(ProtocolReject) as e:
+                    run_spectrum_query(querier, deployment.psd, x, y, t, **path)
+                assert e.value.reason == RejectReason.OUT_OF_AREA
+        assert verified == []
 
     def test_wrong_message_solution_rejected(self, deployment, client):
         t = 600.0
@@ -504,17 +516,13 @@ class TestEpochModulus:
 
 class TestRadioModel:
     def test_rss_monotone_decreasing_in_distance(self):
-        env = RadioEnv(shadowing_sigma_db=0.0)
-        samples = [env.rss_at(d) for d in (1, 5, 20, 50, 100, 400)]
+        samples = [rss_at(d) for d in (1, 5, 20, 50, 100, 400)]
         assert samples == sorted(samples, reverse=True)
 
     def test_rss_inversion_is_consistent(self):
-        env = RadioEnv(shadowing_sigma_db=0.0)
         for d in (0.5, 3.0, 42.0, 180.0):
-            assert env.distance_from_rss(env.rss_at(d)) == pytest.approx(d)
+            assert distance_from_rss(rss_at(d)) == pytest.approx(d)
 
     def test_rtt_leg_is_light_speed(self):
-        env = RadioEnv(shadowing_sigma_db=0.0)
-        est = prox_verify(env.rss_at(10.0), 2.0 * 75.0 / 299_792_458.0,
-                          env, 1.0)
+        est = prox_verify(rss_at(10.0), 2.0 * 75.0 / 299_792_458.0, 1.0)
         assert est == pytest.approx(75.0)

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from slapx.errors import ParameterError
-from slapx.protocol import RadioEnv
 from slapx.simnet import (DEFAULT_CALIBRATION, Calibration, ScenarioConfig,
                           SimClock, SimMetrics, hijack_threshold_indicator, precompute_limit,
                           run_dos, run_fraud, run_hijack, run_hijack_cell)
@@ -164,11 +163,9 @@ class TestHijack:
                 assert s2 <= s1 + 0.05, (cell, d1, d2)
 
     def test_rtt_dominant_weight_resists(self):
-        env = RadioEnv(shadowing_sigma_db=0.0)
-        rate = run_hijack_cell(0.0, 100.0, 0.9, env, [0.0] * 50)
+        rate = run_hijack_cell(0.0, 100.0, 0.9, [0.0] * 50)
         assert rate == 0.0
 
     def test_rss_dominant_weight_spoofed(self):
-        env = RadioEnv(shadowing_sigma_db=0.0)
-        rate = run_hijack_cell(0.0, 60.0, 0.1, env, [0.0] * 50)
+        rate = run_hijack_cell(0.0, 60.0, 0.1, [0.0] * 50)
         assert rate == 1.0

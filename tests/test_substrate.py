@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import Group, group_setup
+from slapx.group import CURVE, ELEMENT_BYTES, FIELD_P, Group
 from slapx.hashes import H, H_expand, hash_to_prime
 from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            SIEVE_PRODUCT, FixedBase, fixed_base_multiexp,
@@ -15,14 +15,13 @@ from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            random_prime_rounds, rsa_setup)
 from slapx.rng import SeededRng
 
-GROUP, GEN = group_setup()
+GROUP, GEN = CURVE, CURVE.generator
 
 
 class TestGroup:
     def test_supported_levels(self):
-        g, gen = group_setup()
-        assert g.order.bit_length() >= 2 * 128
-        assert gen.mul(g.order).is_identity
+        assert GROUP.order.bit_length() >= 2 * 128
+        assert GEN.mul(GROUP.order).is_identity
 
     def test_zero_and_order_annihilation(self):
         assert GEN.mul(0).is_identity
@@ -50,11 +49,11 @@ class TestGroup:
     def test_serialization_roundtrip(self, k):
         p = GEN.mul(k)
         assert GROUP.from_bytes(p.to_bytes()) == p
-        assert len(p.to_bytes()) == GROUP.element_size()
+        assert len(p.to_bytes()) == ELEMENT_BYTES
 
     def test_identity_serialization(self):
         raw = GROUP.identity.to_bytes()
-        assert raw == b"\x00" * GROUP.element_size()
+        assert raw == b"\x00" * ELEMENT_BYTES
         assert GROUP.from_bytes(raw).is_identity
 
     @given(st.integers(min_value=1, max_value=2 ** 32),
@@ -67,7 +66,7 @@ class TestGroup:
 
     def test_bad_encodings_rejected(self):
         with pytest.raises(CryptoError):
-            GROUP.from_bytes(b"\x05" * GROUP.element_size())
+            GROUP.from_bytes(b"\x05" * ELEMENT_BYTES)
         with pytest.raises(CryptoError):
             GROUP.from_bytes(b"\x02")
 
@@ -92,7 +91,7 @@ class ReferenceGroup(Group):
 
     def _jac_double(self, P):
         X1, Y1, Z1 = P
-        p = self.spec.p
+        p = FIELD_P
         if Y1 == 0:
             return (0, 1, 0)
         A = (X1 * X1) % p
@@ -141,7 +140,7 @@ class ReferenceGroup(Group):
         return self._from_jac(acc)
 
 
-REF = ReferenceGroup(GROUP.spec)
+REF = ReferenceGroup()
 N = GROUP.order
 SCALARS = st.one_of(st.sampled_from([0, 1, N - 1, N, N + 1]),
                     st.integers(0, 2 ** 256 - 1),
