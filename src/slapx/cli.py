@@ -29,7 +29,12 @@ EXIT_CODES = {reason: 64 + i for i, reason in enumerate(RejectReason)}
 
 def _seed_from_env(default: int) -> int:
     env = os.environ.get("SLAPX_SEED")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"SLAPX_SEED is not an integer: {env!r}") from None
 
 
 # the scenario-file keys that are read, with their types
@@ -264,10 +269,10 @@ def cmd_simulate(args) -> int:
     conf = _read_input(args.config, _load_config) if args.config else {}
     seed = _seed_from_env(conf.get("seed", args.seed))
     if args.what == "dos":
-        scen = _SCENARIO_ALIASES.get(conf.get("scenario", args.scenario))
+        name = conf.get("scenario", args.scenario)
+        scen = _SCENARIO_ALIASES.get(name)
         if scen is None:
-            print(f"unknown scenario: {args.scenario}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParameterError(f"unknown scenario: {name}")
         cal = (_read_input(args.calibration, simnet.Calibration.from_file)
                if args.calibration else simnet.DEFAULT_CALIBRATION)
         rows = []

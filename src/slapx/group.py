@@ -4,9 +4,18 @@ The curve is a property of this module: its parameters and byte widths are
 module constants and `CURVE` is the only `Group` object, so no caller
 passes a group around. Scalars are plain ints in [0, ORDER); points are
 immutable GroupElement values with a fixed-width compressed serialization
-(1 + field bytes; the identity encodes as all zeros). Scalar
-multiplication uses Jacobian coordinates and the a = 0 doubling formula.
-The cofactor is 1, so every curve point lies in the prime-order group.
+(1 + field bytes; the identity encodes as all zeros). The cofactor is 1, so
+every curve point lies in the prime-order group.
+
+`mul` and `muladd` share one kernel, after libsecp256k1's `ecmult`. Each
+scalar is split by the GLV endomorphism (Gallant, Lambert and Vanstone,
+CRYPTO 2001) into two ~128-bit halves, each half is recoded in width-w NAF,
+and one interleaved (Straus) loop of Jacobian doublings adds affine table
+entries by mixed addition. A base's `PointTable` holds its odd multiples
+and their endomorphism images: 64 + 64 points for the generator, built at
+import, and 8 + 8 for any other base. A caller that multiplies one base
+several times builds its table once with `Group.table`; `mul` and `muladd`
+accept a table wherever they accept a point. The kernel is variable-time.
 """
 from __future__ import annotations
 
@@ -26,6 +35,19 @@ FE_BYTES = 32
 ELEMENT_BYTES = 1 + FE_BYTES    # compressed point
 SCALAR_BYTES = 32
 
+# The endomorphism (x, y) -> (BETA*x, y) multiplies each point by LAMBDA;
+# both are cube roots of unity (mod FIELD_P and mod ORDER).
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# a short basis (A1, B1), (A2, B2) of {(u, v) : u + LAMBDA*v = 0 mod ORDER}
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+G_WINDOW = 8    # wNAF width of the generator's table: 64 + 64 points
+WINDOW = 5      # wNAF width of any other base's table: 8 + 8 points
+
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
@@ -36,9 +58,6 @@ class GroupElement:
     @property
     def is_identity(self) -> bool:
         return self.x is None
-
-    def add(self, other: "GroupElement") -> "GroupElement":
-        return CURVE.add(self, other)
 
     def mul(self, k: int) -> "GroupElement":
         return CURVE.mul(self, k)
@@ -58,6 +77,18 @@ class GroupElement:
         return f"GroupElement({'identity' if self.is_identity else hex(self.x)[:12]}...)"
 
 
+@dataclass(frozen=True, slots=True)
+class PointTable:
+    """The affine odd multiples d*P, 0 < d < 2^(width-1), of one base P (in
+    `odd`) and their endomorphism images d*LAMBDA*P (in `lam`), indexed by
+    signed digit: entry d is d*P and entry -d its negation. Never mutated
+    once built, so threads may share one."""
+    point: GroupElement
+    width: int
+    odd: tuple
+    lam: tuple
+
+
 class Group:
     """The curve's arithmetic; `CURVE` below is its one instance."""
 
@@ -67,90 +98,47 @@ class Group:
         0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8)
     identity = GroupElement(None, None)
 
-    # -- affine/Jacobian arithmetic ------------------------------------
+    def table(self, P: GroupElement) -> PointTable:
+        """P's table for `mul` and `muladd`. The generator's is built once,
+        at import; any other base's is built here, for the caller to keep
+        for as long as it multiplies that base."""
+        if P == self.generator:
+            return _G_TABLE
+        return _build_table(P, WINDOW)
 
-    def _jac_double(self, P):
-        # EFD dbl-2009-l (a = 0). No point has order two, so Y1 = 0 only
-        # at the identity, where Z3 = 2 Y1 Z1 stays 0.
-        X1, Y1, Z1 = P
-        p = FIELD_P
-        A = (X1 * X1) % p
-        B = (Y1 * Y1) % p
-        C = (B * B) % p
-        D = (2 * ((X1 + B) * (X1 + B) - A - C)) % p
-        E = (3 * A) % p
-        X3 = (E * E - 2 * D) % p
-        Y3 = (E * (D - X3) - 8 * C) % p
-        Z3 = (2 * Y1 * Z1) % p
-        return (X3, Y3, Z3)
+    def mul(self, P: GroupElement | PointTable, k: int) -> GroupElement:
+        return self._straus(((k, P),))
 
-    def _jac_add(self, P, Q):
-        p = FIELD_P
-        X1, Y1, Z1 = P
-        X2, Y2, Z2 = Q
-        if Z1 == 0:
-            return Q
-        if Z2 == 0:
-            return P
-        Z1s = (Z1 * Z1) % p
-        Z2s = (Z2 * Z2) % p
-        U1 = (X1 * Z2s) % p
-        U2 = (X2 * Z1s) % p
-        S1 = (Y1 * Z2s * Z2) % p
-        S2 = (Y2 * Z1s * Z1) % p
-        if U1 == U2:
-            if S1 != S2:
-                return (0, 1, 0)
-            return self._jac_double(P)
-        Hh = (U2 - U1) % p
-        I = (4 * Hh * Hh) % p
-        J = (Hh * I) % p
-        r = (2 * (S2 - S1)) % p
-        V = (U1 * I) % p
-        X3 = (r * r - J - 2 * V) % p
-        Y3 = (r * (V - X3) - 2 * S1 * J) % p
-        Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1s - Z2s) % p
-        Z3 = (Z3 * Hh) % p
-        return (X3, Y3, Z3)
-
-    def _to_jac(self, P: GroupElement):
-        if P.is_identity:
-            return (0, 1, 0)
-        return (P.x, P.y, 1)
-
-    def _from_jac(self, P) -> GroupElement:
-        X, Y, Z = P
-        if Z == 0:
-            return self.identity
-        p = FIELD_P
-        zinv = pow(Z, p - 2, p)
-        zinv2 = (zinv * zinv) % p
-        return GroupElement((X * zinv2) % p, (Y * zinv2 * zinv) % p)
-
-    def add(self, P: GroupElement, Q: GroupElement) -> GroupElement:
-        return self._from_jac(self._jac_add(self._to_jac(P), self._to_jac(Q)))
-
-    def _ladder(self, a: int, P: GroupElement, b: int, Q: GroupElement) -> GroupElement:
-        """a*P + b*Q by one interleaved (Shamir) double-and-add pass."""
-        a %= self.order
-        b %= self.order
-        jp, jq = self._to_jac(P), self._to_jac(Q)
-        # bit pair (a_i, b_i) -> the addend for that step
-        table = {"10": jp, "01": jq, "11": self._jac_add(jp, jq)}
-        width = max(a.bit_length(), b.bit_length())
-        acc = (0, 1, 0)
-        for bits in map("".join, zip(f"{a:0{width}b}", f"{b:0{width}b}")):
-            acc = self._jac_double(acc)
-            if bits != "00":
-                acc = self._jac_add(acc, table[bits])
-        return self._from_jac(acc)
-
-    def mul(self, P: GroupElement, k: int) -> GroupElement:
-        return self._ladder(k, P, 0, self.identity)
-
-    def muladd(self, a: int, P: GroupElement, b: int, Q: GroupElement) -> GroupElement:
+    def muladd(self, a: int, P: GroupElement | PointTable,
+               b: int, Q: GroupElement | PointTable) -> GroupElement:
         """a*P + b*Q."""
-        return self._ladder(a, P, b, Q)
+        return self._straus(((a, P), (b, Q)))
+
+    def _straus(self, terms) -> GroupElement:
+        """The sum of k*P over the (k, P) terms. Each scalar is split into
+        two GLV halves and each half is recoded in width-w NAF; one
+        interleaved loop of ~128 doublings adds the digits' table entries."""
+        steps: dict[int, list] = {}
+        for k, base in terms:
+            k %= ORDER
+            if not k:
+                continue
+            table = base if isinstance(base, PointTable) else self.table(base)
+            if not table.point.is_identity:
+                k1, k2 = _split(k)
+                _schedule(k1, table.odd, table.width, steps)
+                _schedule(k2, table.lam, table.width, steps)
+        X, Y, Z = 0, 1, 0
+        for i in range(max(steps, default=-1), -1, -1):
+            if Z:
+                X, Y, Z = _double(X, Y, Z)
+            for x2, y2 in steps.get(i, ()):
+                X, Y, Z = _madd(X, Y, Z, x2, y2)
+        if not Z:
+            return self.identity
+        zinv = pow(Z, -1, FIELD_P)
+        zinv2 = zinv * zinv % FIELD_P
+        return GroupElement(X * zinv2 % FIELD_P, Y * zinv2 * zinv % FIELD_P)
 
     # -- encoding ------------------------------------------------------
 
@@ -212,6 +200,97 @@ class Group:
 
 
 CURVE = Group()
+
+
+# -- the kernel's parts ---------------------------------------------------
+
+def _split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k = k1 + LAMBDA*k2 (mod ORDER) and |k1|, |k2| < 2^129,
+    by rounding k's coordinates in the basis (A1, B1), (A2, B2)."""
+    c1 = (_B2 * k + ORDER // 2) // ORDER
+    c2 = (-_B1 * k + ORDER // 2) // ORDER
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _schedule(k: int, entries: tuple, width: int,
+              steps: dict[int, list]) -> None:
+    """Append to steps[i] the entry of each nonzero digit d_i of k's
+    width-w NAF; k may be negative."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    i = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        d = k & mask
+        if d >= half:
+            d -= mask + 1
+        steps.setdefault(i, []).append(entries[d])
+        k = (k - d) >> width    # k - d ends in `width` zero bits
+        i += width
+
+
+def _double(X1: int, Y1: int, Z1: int) -> tuple[int, int, int]:
+    # Jacobian doubling for a = 0. No point has order two, so Y1 = 0 only
+    # at the identity, where Z3 = 2 Y1 Z1 stays 0.
+    p = FIELD_P
+    B = Y1 * Y1 % p
+    D = 4 * X1 * B % p
+    E = 3 * X1 * X1 % p
+    X3 = (E * E - 2 * D) % p
+    return X3, (E * (D - X3) - 8 * B * B) % p, 2 * Y1 * Z1 % p
+
+
+def _madd(X1: int, Y1: int, Z1: int, x2: int, y2: int) -> tuple[int, int, int]:
+    """(X1:Y1:Z1) + (x2, y2): EFD madd-2007-bl, with Z3 = 2 Z1 H."""
+    p = FIELD_P
+    if not Z1:
+        return x2, y2, 1
+    Z1Z1 = Z1 * Z1 % p
+    H = (x2 * Z1Z1 - X1) % p
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % p
+    if not H:   # equal x: the points are equal or opposite
+        return _double(X1, Y1, Z1) if not r else (0, 1, 0)
+    I = 4 * H * H % p
+    J = H * I % p
+    V = X1 * I % p
+    X3 = (r * r - J - 2 * V) % p
+    return X3, (r * (V - X3) - 2 * Y1 * J) % p, 2 * Z1 * H % p
+
+
+def _build_table(P: GroupElement, width: int) -> PointTable:
+    """P, 3P, ..., by mixed additions of 2P, made affine with one batched
+    inversion (Montgomery's trick)."""
+    if P.is_identity:
+        return PointTable(P, width, (), ())
+    p = FIELD_P
+    x, y = P.x, P.y
+    s = 3 * x * x * pow(2 * y, -1, p) % p      # the tangent's slope at P
+    x2 = (s * s - 2 * x) % p
+    y2 = (s * (x - x2) - y) % p
+    jac = [(x, y, 1)]
+    for _ in range((1 << (width - 2)) - 1):
+        jac.append(_madd(*jac[-1], x2, y2))
+    prefix = [1]
+    for _, _, Z in jac:
+        prefix.append(prefix[-1] * Z % p)
+    inv = pow(prefix[-1], -1, p)
+    odd = [None] * (1 << width)
+    lam = [None] * (1 << width)
+    for j in range(len(jac) - 1, -1, -1):
+        X, Y, Z = jac[j]
+        zinv = inv * prefix[j] % p
+        inv = inv * Z % p
+        zinv2 = zinv * zinv % p
+        ax, ay = X * zinv2 % p, Y * zinv2 * zinv % p
+        bx = BETA * ax % p
+        d = 2 * j + 1
+        odd[d], odd[-d] = (ax, ay), (ax, p - ay)
+        lam[d], lam[-d] = (bx, ay), (bx, p - ay)
+    return PointTable(P, width, tuple(odd), tuple(lam))
+
+
+_G_TABLE = _build_table(Group.generator, G_WINDOW)
 
 
 # -- plain discrete-log signatures (used for puzzle issuance and

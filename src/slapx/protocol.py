@@ -94,15 +94,17 @@ class LocationProof:
     def event(self) -> rlrs.EventId:
         return rlrs.EventId(self.l_x, self.l_y, self.window, self.beacon_digest)
 
+    # `params` is unread by encode and decode; perfbench calls
+    # `proof.encode(params)`, so both keep it.
     def encode(self, params: rlrs.RlrsParams) -> bytes:
-        return wire.pack_fields(self.m, rlrs.encode_signature(self.sig, params),
+        return wire.pack_fields(self.m, rlrs.encode_signature(self.sig),
                                 self.event().encode())
 
     @classmethod
     def decode(cls, data: bytes, params: rlrs.RlrsParams) -> "LocationProof":
         m, sig_block, ev_b = wire.unpack_fields(data, 3, exact=True)
         ev = rlrs.EventId.decode(ev_b)
-        return cls(m=m, sig=rlrs.decode_signature(sig_block, params),
+        return cls(m=m, sig=rlrs.decode_signature(sig_block),
                    l_x=ev.l_x, l_y=ev.l_y, window=ev.ts,
                    beacon_digest=ev.beacon_digest)
 
@@ -607,8 +609,7 @@ def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
     trace = PhaseTrace("pol_ap", req, resp,
                        fields={"nym": pres_b[2:2 + client.view.dac_params.n_bytes],
                                "presentation": pres_b,
-                               "pol_sig": rlrs.encode_signature(
-                                   proof.sig, client.view.rlrs_params)})
+                               "pol_sig": rlrs.encode_signature(proof.sig)})
     return proof, trace
 
 

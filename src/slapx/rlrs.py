@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from . import wire
 from .errors import CryptoError, ParameterError
-from .group import CURVE, ELEMENT_BYTES, ORDER, SCALAR_BYTES, GroupElement
+from .group import (CURVE, ELEMENT_BYTES, ORDER, SCALAR_BYTES, GroupElement,
+                    PointTable)
 from .hashes import H_tagged
 from .rng import SeededRng
 
@@ -61,6 +62,7 @@ class RlrsParams:
     def __init__(self, t_max: int):
         self.t_max = t_max
         self._directory: dict[str, GroupElement] = {}
+        self._tables: dict[GroupElement, PointTable] = {}
         self._lock = threading.Lock()
 
     def register(self, identity: str, pk: GroupElement) -> None:
@@ -73,6 +75,16 @@ class RlrsParams:
         if pk is None:
             raise CryptoError(f"unknown identity: {identity}")
         return pk
+
+    def key_table(self, identity: str) -> PointTable:
+        """The registered key's `PointTable`, built on its first use. Tables
+        are never mutated, so threads racing on that first use build equal
+        tables, and either one may be kept."""
+        pk = self.public_key(identity)
+        table = self._tables.get(pk)
+        if table is None:
+            table = self._tables[pk] = CURVE.table(pk)
+        return table
 
     def fingerprint(self) -> bytes:
         return H_tagged("rlrs/pp", b"secp256k1",
@@ -103,7 +115,7 @@ def _member_secret(msk: bytes, identity: str) -> int:
     return CURVE.hash_to_scalar("rlrs/extract", msk, identity.encode()) or 1
 
 
-def _ring_digest(params: RlrsParams, ring: list[str]) -> bytes:
+def _ring_digest(ring: list[str]) -> bytes:
     return H_tagged("rlrs/ring", *[i.encode() for i in ring])
 
 
@@ -115,7 +127,7 @@ def _chain_challenge(params: RlrsParams, ring_digest: bytes, m: bytes,
         tau.to_bytes(), L.to_bytes(), R.to_bytes())
 
 
-def event_base(params: RlrsParams, event: EventId) -> GroupElement:
+def event_base(event: EventId) -> GroupElement:
     return CURVE.hash_to_point("rlrs/event", event.encode())
 
 
@@ -132,16 +144,17 @@ def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
               params: RlrsParams, rng: SeededRng) -> RlrsSignature:
     _validate_ring(params, ring)
     own_pk = CURVE.mul(CURVE.generator, sk)
-    pks = [params.public_key(i) for i in ring]
+    keys = [params.key_table(i) for i in ring]
     try:
-        signer = pks.index(own_pk)
+        signer = [key.point for key in keys].index(own_pk)
     except ValueError:
         raise CryptoError("signer not in ring") from None
 
     n = len(ring)
-    u0 = event_base(params, event)
+    u0 = CURVE.table(event_base(event))
     tau = CURVE.mul(u0, sk)
-    rd = _ring_digest(params, ring)
+    tau_table = CURVE.table(tau)
+    rd = _ring_digest(ring)
     ev = event.encode()
 
     c = [0] * n
@@ -153,8 +166,8 @@ def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
     idx = (signer + 1) % n
     while idx != signer:
         s_vals[idx] = CURVE.random_scalar(rng)
-        L = CURVE.muladd(s_vals[idx], CURVE.generator, c[idx], pks[idx])
-        R = CURVE.muladd(s_vals[idx], u0, c[idx], tau)
+        L = CURVE.muladd(s_vals[idx], CURVE.generator, c[idx], keys[idx])
+        R = CURVE.muladd(s_vals[idx], u0, c[idx], tau_table)
         c[(idx + 1) % n] = _chain_challenge(params, rd, m, ev, tau, L, R)
         idx = (idx + 1) % n
     s_vals[signer] = (alpha - c[signer] * sk) % ORDER
@@ -165,18 +178,20 @@ def rlrs_verify(ring: list[str], m: bytes, event: EventId,
                 sig: RlrsSignature, params: RlrsParams) -> bool:
     try:
         _validate_ring(params, ring)
-        pks = [params.public_key(i) for i in ring]
+        keys = [params.key_table(i) for i in ring]
     except CryptoError:
         return False
     if len(sig.responses) != len(ring) or sig.tau.is_identity:
         return False
-    u0 = event_base(params, event)
-    rd = _ring_digest(params, ring)
+    # the tables of u0 and of the wire's tau live for this one verify
+    u0 = CURVE.table(event_base(event))
+    tau = CURVE.table(sig.tau)
+    rd = _ring_digest(ring)
     ev = event.encode()
     c_i = sig.c1
     for i in range(len(ring)):
-        L = CURVE.muladd(sig.responses[i], CURVE.generator, c_i, pks[i])
-        R = CURVE.muladd(sig.responses[i], u0, c_i, sig.tau)
+        L = CURVE.muladd(sig.responses[i], CURVE.generator, c_i, keys[i])
+        R = CURVE.muladd(sig.responses[i], u0, c_i, tau)
         c_i = _chain_challenge(params, rd, m, ev, sig.tau, L, R)
     return c_i == sig.c1
 
@@ -210,7 +225,7 @@ def rlrs_revoke(msk: bytes, event: EventId,
     if not linked:
         return None
     tau = signed_a[1].tau
-    u0 = event_base(params, event)
+    u0 = CURVE.table(event_base(event))
     for identity in ring_a:
         if identity not in ring_b:
             continue
@@ -221,7 +236,7 @@ def rlrs_revoke(msk: bytes, event: EventId,
 
 # -- fixed-size wire block ---------------------------------------------
 
-def encode_signature(sig: RlrsSignature, params: RlrsParams) -> bytes:
+def encode_signature(sig: RlrsSignature) -> bytes:
     out = bytearray()
     out += sig.tau.to_bytes()
     out += len(sig.responses).to_bytes(1, "big")
@@ -233,7 +248,7 @@ def encode_signature(sig: RlrsSignature, params: RlrsParams) -> bytes:
     return bytes(out) + b"\x00" * (SIGNATURE_BYTES - len(out))
 
 
-def decode_signature(block: bytes, params: RlrsParams) -> RlrsSignature:
+def decode_signature(block: bytes) -> RlrsSignature:
     """Inverse of encode_signature; raises SlapxError on any other block."""
     if len(block) != SIGNATURE_BYTES:
         raise CryptoError("bad signature block length")

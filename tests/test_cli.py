@@ -50,20 +50,38 @@ class TestExitCodes:
         ("fragmentation", "--step", "0"),
         ("fragmentation", "--mtu-min", "2000", "--mtu-max", "1000"),
         ("fragmentation", "--mtu", "0"),
-        ("fragmentation", "--header-bytes", "-1", "--mtu", "100")])
-    def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv):
+        ("fragmentation", "--header-bytes", "-1", "--mtu", "100"),
+        ("SLAPX_SEED=abc", "simulate", "spoof", "--trials", "10"),
+        ("simulate", "dos", "--config", "{bogus_scenario}")])
+    def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                        argv):
+        if argv[0].startswith("SLAPX_SEED="):
+            monkeypatch.setenv("SLAPX_SEED", argv[0].partition("=")[2])
+            argv = argv[1:]
         files = {"missing": tmp_path / "absent",
                  "bad_config": tmp_path / "bad.cfg",
+                 "bogus_scenario": tmp_path / "bogus.cfg",
                  "bad_calibration": tmp_path / "bad.json",
                  "calibration_list": tmp_path / "list.json",
                  "calibration_text": tmp_path / "text.json"}
         files["bad_config"].write_text("n_ue = many\n")
+        files["bogus_scenario"].write_text("scenario = bogus\n")
         files["bad_calibration"].write_text("{not json")
         files["calibration_list"].write_text("[0.1]")
         files["calibration_text"].write_text('{"query_verify_s": "slow"}')
         code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+    def test_usage_error_names_the_bad_value(self, capsys, monkeypatch,
+                                             tmp_path):
+        config = tmp_path / "bogus.cfg"
+        config.write_text("scenario = bogus\n")
+        _, _, err = run_cli(capsys, "simulate", "dos", "--config", str(config))
+        assert "usage error: unknown scenario: bogus" in err
+        monkeypatch.setenv("SLAPX_SEED", "abc")
+        _, _, err = run_cli(capsys, "simulate", "spoof", "--trials", "10")
+        assert "usage error" in err and "'abc'" in err
 
 
 class TestProtocolCommand:

@@ -56,9 +56,8 @@ def codecs(dac_env, rlrs_env):
                                lambda r: r.to_bytes(params)),
         "vdf_solution": (sol, lambda b: vdf.VdfSolution.from_bytes(b, nb),
                          lambda s: s.to_bytes(nb)),
-        "ring_signature": (ring_sig,
-                           lambda b: rlrs.decode_signature(b, rparams),
-                           lambda s: rlrs.encode_signature(s, rparams)),
+        "ring_signature": (ring_sig, rlrs.decode_signature,
+                           rlrs.encode_signature),
         "puzzle": (puzzle, Puzzle.decode, Puzzle.encode),
     }
 

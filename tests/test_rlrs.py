@@ -1,5 +1,8 @@
 """Ring signature life cycle: signing, linking, revocation, tag algebra,
 and the fixed-size wire block."""
+import sys
+import threading
+
 import pytest
 
 from slapx.errors import CryptoError, ParameterError
@@ -84,7 +87,7 @@ class TestTagAlgebra:
         msk, pp, ring, keys, rng = rlrs_env
         s1 = rlrs_sign(keys["AP-1"], b"a", ring, EVENT, pp, rng)
         s2 = rlrs_sign(keys["AP-1"], b"b", ring[:3], EVENT, pp, rng)
-        assert s1.tau == s2.tau == CURVE.mul(event_base(pp, EVENT), keys["AP-1"])
+        assert s1.tau == s2.tau == CURVE.mul(event_base(EVENT), keys["AP-1"])
 
     def test_event_scoping(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
@@ -104,10 +107,34 @@ class TestTagAlgebra:
         for i in range(0, 10_000, 500):
             assert rlrs_extract(msk, f"ID-{i}", pp) == \
                 derive("rlrs/extract", msk, f"ID-{i}".encode())
-        u0 = event_base(pp, EVENT)
+        u0 = event_base(EVENT)
         tags = {CURVE.mul(u0, rlrs_extract(msk, f"ID-{i}", pp)).to_bytes()
                 for i in range(200)}
         assert len(tags) == 200
+
+    def test_threads_racing_on_first_key_table_build(self, rlrs_env):
+        msk, _, ring, keys, rng = rlrs_env
+        fresh = rlrs_setup(16, SeededRng(12))[1]
+        for identity in ring:
+            rlrs_extract(msk, identity, fresh)
+        want = CURVE.table(CURVE.mul(CURVE.generator, keys["AP-3"]))
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: results.append(fresh.key_table("AP-3")))
+                for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [want] * 6
+        sig = rlrs_sign(keys["AP-0"], b"m", ring, EVENT, fresh, rng)
+        assert rlrs_verify(ring, b"m", EVENT, sig, fresh)
 
     def test_event_encoding_injective_fields(self):
         a = EventId(1.0, 2.0, 3, b"x" * 32)
@@ -180,15 +207,15 @@ class TestWireBlock:
             r = [f"SZ-{n}-{i}" for i in range(n)]
             sks = [rlrs_extract(msk, i, pp) for i in r]
             sig = rlrs_sign(sks[0], b"x", r, EVENT, pp, rng)
-            blk = encode_signature(sig, pp)
+            blk = encode_signature(sig)
             sizes.add(len(blk))
-            assert decode_signature(blk, pp) == sig
+            assert decode_signature(blk) == sig
         assert sizes == {SIGNATURE_BYTES}
 
     def test_nonzero_padding_rejected(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
         sig = rlrs_sign(keys["AP-0"], b"x", ring, EVENT, pp, rng)
-        blk = bytearray(encode_signature(sig, pp))
+        blk = bytearray(encode_signature(sig))
         blk[-1] = 1
         with pytest.raises(CryptoError):
-            decode_signature(bytes(blk), pp)
+            decode_signature(bytes(blk))

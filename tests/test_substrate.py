@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import CURVE, ELEMENT_BYTES, FIELD_P, Group
+from slapx.group import (BETA, CURVE, ELEMENT_BYTES, FIELD_P, LAMBDA, Group,
+                         GroupElement, _split)
 from slapx.hashes import H, H_expand, hash_to_prime
 from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            SIEVE_PRODUCT, FixedBase, fixed_base_multiexp,
@@ -16,6 +17,10 @@ from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
 from slapx.rng import SeededRng
 
 GROUP, GEN = CURVE, CURVE.generator
+
+
+def add(a, b):
+    return GROUP.muladd(1, a, 1, b)
 
 
 class TestGroup:
@@ -34,15 +39,15 @@ class TestGroup:
             a = pts[i % 30]
             b = pts[(i * 7 + 1) % 30]
             c = pts[(i * 13 + 2) % 30]
-            assert a.add(b).add(c) == a.add(b.add(c))
-            assert a.add(GROUP.identity) == a
-            assert a.add(a.neg()).is_identity
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert add(a, GROUP.identity) == a
+            assert add(a, a.neg()).is_identity
 
     def test_commutativity(self):
         rng = SeededRng(5)
         a = GEN.mul(GROUP.random_scalar(rng))
         b = GEN.mul(GROUP.random_scalar(rng))
-        assert a.add(b) == b.add(a)
+        assert add(a, b) == add(b, a)
 
     @given(st.integers(min_value=1, max_value=2 ** 64))
     @settings(max_examples=50, deadline=None)
@@ -62,7 +67,7 @@ class TestGroup:
     def test_muladd_matches_separate(self, a, b):
         P = GEN.mul(3)
         Q = GEN.mul(11)
-        assert GROUP.muladd(a, P, b, Q) == P.mul(a).add(Q.mul(b))
+        assert GROUP.muladd(a, P, b, Q) == add(P.mul(a), Q.mul(b))
 
     def test_bad_encodings_rejected(self):
         with pytest.raises(CryptoError):
@@ -84,10 +89,54 @@ class TestGroup:
 
 
 class ReferenceGroup(Group):
-    """The double-and-add arithmetic the single ladder replaced: a general-a
-    doubling and separate mul and muladd loops."""
+    """Bit-by-bit double-and-add in Jacobian coordinates, with a general-a
+    doubling, a general addition and separate mul and muladd loops: the
+    reference the GLV/wNAF kernel is checked against."""
 
     A = 0   # secp256k1
+
+    def _to_jac(self, P):
+        if P.is_identity:
+            return (0, 1, 0)
+        return (P.x, P.y, 1)
+
+    def _from_jac(self, P):
+        X, Y, Z = P
+        if Z == 0:
+            return self.identity
+        p = FIELD_P
+        zinv = pow(Z, p - 2, p)
+        zinv2 = (zinv * zinv) % p
+        return GroupElement((X * zinv2) % p, (Y * zinv2 * zinv) % p)
+
+    def _jac_add(self, P, Q):
+        p = FIELD_P
+        X1, Y1, Z1 = P
+        X2, Y2, Z2 = Q
+        if Z1 == 0:
+            return Q
+        if Z2 == 0:
+            return P
+        Z1s = (Z1 * Z1) % p
+        Z2s = (Z2 * Z2) % p
+        U1 = (X1 * Z2s) % p
+        U2 = (X2 * Z1s) % p
+        S1 = (Y1 * Z2s * Z2) % p
+        S2 = (Y2 * Z1s * Z1) % p
+        if U1 == U2:
+            if S1 != S2:
+                return (0, 1, 0)
+            return self._jac_double(P)
+        Hh = (U2 - U1) % p
+        I = (4 * Hh * Hh) % p
+        J = (Hh * I) % p
+        r = (2 * (S2 - S1)) % p
+        V = (U1 * I) % p
+        X3 = (r * r - J - 2 * V) % p
+        Y3 = (r * (V - X3) - 2 * S1 * J) % p
+        Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1s - Z2s) % p
+        Z3 = (Z3 * Hh) % p
+        return (X3, Y3, Z3)
 
     def _jac_double(self, P):
         X1, Y1, Z1 = P
@@ -142,38 +191,75 @@ class ReferenceGroup(Group):
 
 REF = ReferenceGroup()
 N = GROUP.order
-SCALARS = st.one_of(st.sampled_from([0, 1, N - 1, N, N + 1]),
+# edge scalars: a GLV half of k is zero for small k, LAMBDA and N - LAMBDA,
+# and negative for N - LAMBDA and N - 1
+SCALARS = st.one_of(st.sampled_from([0, 1, 2, 3, N - 1, N, N + 1, LAMBDA,
+                                     N - LAMBDA, LAMBDA + 1, N - LAMBDA - 1]),
+                    st.integers(0, 2 ** 16),
                     st.integers(0, 2 ** 256 - 1),
                     st.integers(-(2 ** 256), -1))     # reduced mod N first
 
 
 @st.composite
 def operands(draw):
-    """(P, Q) with P random or the identity and Q random, P, -P or the
-    identity; points built by the reference arithmetic."""
+    """(P, Q, P', Q') with P random, the generator or the identity and Q
+    random, the generator, P, -P or the identity; points built by the
+    reference arithmetic. P' and Q' are what the kernel is given: the point,
+    or its `Group.table`. The generator is an equal but distinct
+    GroupElement."""
     def point():
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["random", "generator", "identity"]))
+        if kind == "identity":
             return REF.identity
+        if kind == "generator":
+            return GroupElement(REF.generator.x, REF.generator.y)
         return REF.mul(REF.generator, draw(st.integers(1, N - 1)))
     P = point()
     Q = draw(st.sampled_from(["random", "same", "negated", "identity"]))
     Q = {"random": point, "same": lambda: P, "negated": P.neg,
          "identity": lambda: REF.identity}[Q]()
-    return P, Q
+    P_arg, Q_arg = (GROUP.table(X) if draw(st.booleans()) else X
+                    for X in (P, Q))
+    return P, Q, P_arg, Q_arg
 
 
 class TestLadderMatchesReference:
     @given(SCALARS, operands())
     @settings(max_examples=60, deadline=None)
     def test_mul(self, k, points):
-        P, _ = points
-        assert GROUP.mul(P, k) == REF.mul(P, k)
+        P, _, P_arg, _ = points
+        assert GROUP.mul(P_arg, k) == REF.mul(P, k)
 
     @given(SCALARS, SCALARS, operands())
     @settings(max_examples=120, deadline=None)
     def test_muladd(self, a, b, points):
-        P, Q = points
-        assert GROUP.muladd(a, P, b, Q) == REF.muladd(a, P, b, Q)
+        P, Q, P_arg, Q_arg = points
+        assert GROUP.muladd(a, P_arg, b, Q_arg) == REF.muladd(a, P, b, Q)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 16, 2 ** 64 + 1, LAMBDA])
+    @pytest.mark.parametrize("base", ["generator", "random"])
+    def test_equal_and_opposite_addends(self, a, base):
+        # a*P + a*P and a*P + a*(-P) add each digit's entry twice at one
+        # step: the mixed addition's equal-points and opposite-points cases
+        P = GEN if base == "generator" else REF.mul(REF.generator, 0xC0FFEE)
+        for P_arg in (P, GROUP.table(P)):
+            assert GROUP.muladd(a, P_arg, a, P_arg) == REF.mul(P, 2 * a)
+            assert GROUP.muladd(a, P_arg, a, P.neg()).is_identity
+            assert GROUP.muladd(a + 1, P_arg, a, P.neg()) == P
+
+    def test_endomorphism(self):
+        assert GROUP.mul(GEN, LAMBDA) == GroupElement(BETA * GEN.x % FIELD_P,
+                                                      GEN.y)
+        assert REF.mul(GEN, LAMBDA) == GroupElement(BETA * GEN.x % FIELD_P,
+                                                    GEN.y)
+
+    @given(st.one_of(st.sampled_from([0, 1, N - 1, LAMBDA, N - LAMBDA]),
+                     st.integers(0, N - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_split(self, k):
+        k1, k2 = _split(k)
+        assert (k1 + LAMBDA * k2 - k) % N == 0
+        assert abs(k1) < 2 ** 129 and abs(k2) < 2 ** 129
 
 
 class TestPrimes:
