@@ -59,14 +59,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.x is None
 
-    def mul(self, k: int) -> "GroupElement":
-        return CURVE.mul(self, k)
-
-    def neg(self) -> "GroupElement":
-        if self.is_identity:
-            return self
-        return GroupElement(self.x, (-self.y) % FIELD_P)
-
     def to_bytes(self) -> bytes:
         if self.is_identity:
             return b"\x00" * ELEMENT_BYTES

@@ -289,18 +289,6 @@ def _check_presentation(params: dac.DacParams, pres: dac.Presentation,
         raise ProtocolReject(RejectReason.BAD_CREDENTIAL, "presentation invalid")
 
 
-def _check_proof(view: "PublicView", phi_b: bytes, window: int) -> LocationProof:
-    """A ring-signed proof of location for the current window."""
-    proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
-                       LocationProof.decode, phi_b, view.rlrs_params)
-    if proof.window != window:
-        raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-    if not rlrs.rlrs_verify(view.ring, proof.m, proof.event(), proof.sig,
-                            view.rlrs_params):
-        raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
-    return proof
-
-
 def _delegated(pres: dac.Presentation, kind: str) -> bytes | None:
     """Value of the delegated attribute `kind`, None if absent."""
     return next((a.value for a in pres.ext.attrs if a.kind == kind), None)
@@ -418,6 +406,15 @@ class Puzzle:
         return vdf.VdfParams(RsaModulus(self.modulus_n), max(1, self.tau))
 
 
+@dataclass(frozen=True)
+class IssuedPuzzle:
+    """A live puzzle in `Psd.puzzles`, with H_tagged("phi", Phi) of the
+    proof the PSD verified for it on the AP path (a proof of the window the
+    puzzle was issued in) and no digest on the ND path."""
+    puzzle: Puzzle
+    phi_digest: bytes | None
+
+
 class LinkRegistry:
     """Link tags of the verified proofs, per window; detects tag reuse."""
 
@@ -446,7 +443,7 @@ class Psd:
         self.db = SpectrumDatabase()
         self.links = LinkRegistry()
         self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
-        self.puzzles: dict[bytes, Puzzle] = {}
+        self.puzzles: dict[bytes, IssuedPuzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
         self._modulus: tuple[int, RsaModulus] | None = None   # (epoch, N)
         self._modulus_lock = threading.Lock()
@@ -475,18 +472,26 @@ class Psd:
     def handle_spectrum_request(self, request: bytes, now_s: float) -> bytes:
         loc, ch_b, tv_b, pres_b, phi_b = _unpack(request, 5)
         window = window_of(now_s)
+        phi_digest = H_tagged("phi", phi_b)
         pres = _read_presentation(pres_b, self.view.dac_params)
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("spectrum", window, "PSD"),
-                            loc + ch_b + tv_b + H_tagged("phi", phi_b))
+                            loc + ch_b + tv_b + phi_digest)
         l_x, l_y = _point(loc)
         # refuse an out-of-area query before the proof costs a check or
         # leaves a tag or grant behind
         record = self.db.lookup(l_x, l_y)
 
         if pres.ext is None:
-            # AP path: verify the ring signature, then scan the window
-            proof = _check_proof(self.view, phi_b, window)
+            # AP path: verify the ring-signed proof of location for this
+            # window, then scan the window
+            proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
+                               LocationProof.decode, phi_b, self.view.rlrs_params)
+            if proof.window != window:
+                raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event(),
+                                    proof.sig, self.view.rlrs_params):
+                raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
             if (proof.l_x, proof.l_y) != (l_x, l_y):
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the proof")
@@ -517,16 +522,21 @@ class Psd:
                         expires_s=now_s + WINDOW_S)
         sig = self.sgn_key.sign(puzzle.encode(), self.rng)
         with self._lock:
-            self.puzzles[puzzle.puzzle_id] = puzzle
+            self.puzzles[puzzle.puzzle_id] = IssuedPuzzle(
+                puzzle, phi_digest if pres.ext is None else None)
         return wire.pack_fields(record.encode(), puzzle.encode(), sig)
 
 
 class ServiceServer:
-    """Grants service after puzzle, credential, VDF and proof checks.
+    """Grants service after puzzle, solution, proof and credential checks,
+    cheapest refusal first.
 
     The puzzle is checked one way: it is looked up in the PSD's own table,
     never taken from the request, so its signature needs no second check
-    here (the client checks it on receipt)."""
+    here (the client checks it on receipt). The proof is checked the same
+    way: the PSD verified Phi in full when it issued the puzzle and kept its
+    digest, so the server compares digests and does not verify the ring
+    signature again."""
 
     def __init__(self, psd: Psd):
         self.psd = psd
@@ -537,23 +547,33 @@ class ServiceServer:
         window = window_of(now_s)
         pres = _read_presentation(pres_b, self.view.dac_params)
         with self.psd._lock:
-            puzzle = self.psd.puzzles.get(pid)
-        if puzzle is None:
+            issued = self.psd.puzzles.get(pid)
+        if issued is None:
             raise ProtocolReject(RejectReason.BAD_PUZZLE, "unknown puzzle")
+        puzzle = issued.puzzle
         if now_s > puzzle.expires_s:
             raise ProtocolReject(RejectReason.EXPIRED, "puzzle expired")
-        _check_presentation(self.view.dac_params, pres,
-                            presentation_context("service", window, "SERVER"),
-                            m + pid + H_tagged("phi", phi_b))
 
         sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                          vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
-        if not vdf.vdf_verify(puzzle.params(), puzzle.challenge_for(m), sol):
+        params, challenge = puzzle.params(), puzzle.challenge_for(m)
+        if not vdf.ell_passes_floor(params, challenge, sol):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
+        phi_digest = H_tagged("phi", phi_b)
         if pres.ext is None:
-            _check_proof(self.view, phi_b, window)
+            # an ND-path puzzle has no digest, so an AP-path request fails
+            if phi_digest != issued.phi_digest:
+                raise ProtocolReject(RejectReason.BAD_POL,
+                                     "proof differs from the one queried with")
+            if window_of(puzzle.issued_s) != window:
+                raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
         else:
             _check_delegated_window(pres, window)
+        _check_presentation(self.view.dac_params, pres,
+                            presentation_context("service", window, "SERVER"),
+                            m + pid + phi_digest)
+        if not vdf.vdf_verify(params, challenge, sol):
+            raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
 
         # a puzzle buys one grant: a resent request finds it spent
         with self.psd._lock:

@@ -8,11 +8,12 @@ produces a succinct proof:
     pi  = x^floor(2^tau / ell) mod N
 
 Verification first rejects an ell below H(x + y), which next-prime cannot
-return, then recomputes ell from x + y and rejects any other value, then
-checks y == pi^ell * x^r with r = 2^tau mod ell, so its cost is O(log tau)
-modular exponentiations regardless of tau. The recomputed ell already
-passed next_prime's 64-round primality test, so a submitted ell is never
-tested on its own. As in the single-group VDFs of Boneh, Bonneau, Bunz
+return (`ell_passes_floor`, which the service server also runs ahead of
+its costlier checks), then recomputes ell from x + y and rejects any other
+value, then checks y == pi^ell * x^r with r = 2^tau mod ell, so its cost is
+O(log tau) modular exponentiations regardless of tau. The recomputed ell
+already passed next_prime's 64-round primality test, so a submitted ell is
+never tested on its own. As in the single-group VDFs of Boneh, Bonneau, Bunz
 and Fisch (2018) and of Wesolowski (2019), one modulus serves many inputs:
 the issuer draws it from `ModulusPool.get` once per epoch
 (`protocol.MODULUS_EPOCH_WINDOWS`), keeps p and q to itself, and every
@@ -120,15 +121,25 @@ def vdf_eval(params: VdfParams, challenge: VdfChallenge) -> VdfSolution:
     return VdfSolution(ell=ell, pi=pi, y=y, squarings=count)
 
 
-def vdf_verify(params: VdfParams, challenge: VdfChallenge, sol: VdfSolution) -> bool:
+def ell_passes_floor(params: VdfParams, challenge: VdfChallenge,
+                     sol: VdfSolution) -> bool:
+    """The checks of `vdf_verify` that need no prime search and no
+    exponentiation: pi and y are residues mod N, and ell is not below
+    H(x + y). hash_to_prime(xy) >= hash_to_prime_floor(xy), so a smaller
+    ell is wrong without the prime search."""
     n = params.modulus.n
     if not (0 <= sol.pi < n and 0 <= sol.y < n):
         return False
     x = challenge_base(params, challenge.m)
-    xy = int_sum_to_bytes(x + sol.y)
-    # hash_to_prime(xy) >= hash_to_prime_floor(xy): a smaller ell is wrong
-    # without the prime search
-    if sol.ell < hash_to_prime_floor(xy) or sol.ell != hash_to_prime(xy):
+    return sol.ell >= hash_to_prime_floor(int_sum_to_bytes(x + sol.y))
+
+
+def vdf_verify(params: VdfParams, challenge: VdfChallenge, sol: VdfSolution) -> bool:
+    if not ell_passes_floor(params, challenge, sol):
+        return False
+    n = params.modulus.n
+    x = challenge_base(params, challenge.m)
+    if sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
         return False
     r = pow(2, challenge.tau, sol.ell)
     return (pow(sol.pi, sol.ell, n) * pow(x, r, n)) % n == sol.y

@@ -1,6 +1,9 @@
 """Cross-object splicing, transplants, and malformed-input handling:
 attacks that reuse valid pieces in the wrong place must fail cleanly."""
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,15 @@ from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
 from slapx.group import CURVE, SigningKey
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
-                            NeighborDevice, Puzzle, presentation_context,
-                            run_pol_ap, run_pol_nd, run_service_request,
-                            run_spectrum_query, window_of)
+                            NeighborDevice, Puzzle, _check_delegated_window,
+                            _check_presentation, _or_reject, _read_presentation,
+                            _unpack, presentation_context, run_pol_ap,
+                            run_pol_nd, run_service_request, run_spectrum_query,
+                            window_of)
 from slapx.rng import SeededRng
 
 EVENT = rlrs.EventId(1.0, 2.0, 3, b"b" * 32)
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +377,23 @@ def _captured(driver, *args, **kwargs) -> bytes:
 ROLE_FIELDS = {"ap": (4, 3), "nd": (5, 2), "psd": (5, 3), "server": (5, 3)}
 
 
+def _one_field_mutated(data, request: bytes, count: int) -> bytes:
+    """request with one of its `count` fields flipped in one bit, cut short
+    or extended, as hypothesis draws it."""
+    fields = wire.unpack_fields(request, count)
+    i = data.draw(st.integers(0, len(fields) - 1))
+    f = fields[i]
+    edit = data.draw(st.sampled_from(["flip", "cut", "extend"]))
+    if edit == "flip":
+        bit = data.draw(st.integers(0, 8 * len(f) - 1))
+        fields[i] = (int.from_bytes(f, "big") ^ (1 << bit)).to_bytes(len(f), "big")
+    elif edit == "cut":
+        fields[i] = f[:data.draw(st.integers(0, len(f) - 1))]
+    else:
+        fields[i] = f + data.draw(st.binary(min_size=1, max_size=40))
+    return wire.pack_fields(*fields)
+
+
 @pytest.fixture(scope="module")
 def valid_requests(deployment):
     """role -> (handler, a valid request that no handler has seen)."""
@@ -406,19 +429,8 @@ class TestMutatedRequestsRejectCleanly:
     @settings(max_examples=30, deadline=None)
     def test_one_field_flipped_cut_or_extended(self, valid_requests, role, data):
         handle, request = valid_requests[role]
-        fields = wire.unpack_fields(request, ROLE_FIELDS[role][0])
-        i = data.draw(st.integers(0, len(fields) - 1))
-        f = fields[i]
-        edit = data.draw(st.sampled_from(["flip", "cut", "extend"]))
-        if edit == "flip":
-            bit = data.draw(st.integers(0, 8 * len(f) - 1))
-            fields[i] = (int.from_bytes(f, "big") ^ (1 << bit)).to_bytes(len(f), "big")
-        elif edit == "cut":
-            fields[i] = f[:data.draw(st.integers(0, len(f) - 1))]
-        else:
-            fields[i] = f + data.draw(st.binary(min_size=1, max_size=40))
         try:
-            handle(wire.pack_fields(*fields))
+            handle(_one_field_mutated(data, request, ROLE_FIELDS[role][0]))
         except ProtocolReject:
             pass
 
@@ -457,3 +469,234 @@ class TestMutatedRequestsRejectCleanly:
         with pytest.raises(ProtocolReject) as e:
             handle(wire.pack_fields(m, b"\xff" * 8, sol_b, pres_b, phi_b))
         assert e.value.reason == RejectReason.BAD_PUZZLE
+
+
+# -- the server's check order against the order it replaced -------------------
+
+def _earlier_order(server, request: bytes, now_s: float) -> bytes:
+    """The service server's checks in the order they ran before the server
+    trusted the PSD's record of Phi: the credential before the solution,
+    and Phi decoded and its ring signature verified last."""
+    m, pid, sol_b, pres_b, phi_b = _unpack(request, 5, RejectReason.BAD_SOLUTION)
+    window = window_of(now_s)
+    pres = _read_presentation(pres_b, server.view.dac_params)
+    issued = server.psd.puzzles.get(pid)
+    if issued is None:
+        raise ProtocolReject(RejectReason.BAD_PUZZLE, "unknown puzzle")
+    puzzle = issued.puzzle
+    if now_s > puzzle.expires_s:
+        raise ProtocolReject(RejectReason.EXPIRED, "puzzle expired")
+    _check_presentation(server.view.dac_params, pres,
+                        presentation_context("service", window, "SERVER"),
+                        m + pid + H_tagged("phi", phi_b))
+    sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
+                     vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
+    if not vdf.vdf_verify(puzzle.params(), puzzle.challenge_for(m), sol):
+        raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
+    if pres.ext is None:
+        proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
+                           LocationProof.decode, phi_b, server.view.rlrs_params)
+        if proof.window != window:
+            raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+        if not rlrs.rlrs_verify(server.view.ring, proof.m, proof.event(),
+                                proof.sig, server.view.rlrs_params):
+            raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
+    else:
+        _check_delegated_window(pres, window)
+    if server.psd.puzzles.pop(pid, None) is None:
+        raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle already redeemed")
+    return wire.pack_fields(b"\x01", H_tagged("grant", pid, m)[:16])
+
+
+def _decision(handle, request: bytes, now_s: float) -> str:
+    try:
+        handle(request, now_s)
+    except ProtocolReject as e:
+        return e.reason.name
+    return "GRANTED"
+
+
+def _listed_change(server, request: bytes, now_s: float, old: str, new: str) -> bool:
+    """Whether old -> new is one of the decision changes README lists, taken
+    in the server's order: (1) an undecodable or out-of-range solution, or
+    one with ell < H(x + y), now comes before the credential; (2) an
+    AP-path Phi other than the one the PSD verified at query time, an
+    AP-path request on an ND-path puzzle included, is BAD_POL whatever the
+    earlier order said; (3) a window fault now comes before the credential
+    and the full VDF check."""
+    if new == "GRANTED":
+        return False
+    params = server.view.dac_params
+    m, pid, sol_b, pres_b, phi_b = wire.unpack_fields(request, 5)
+    pres = dac.Presentation.from_bytes(pres_b, params)
+    issued = server.psd.puzzles[pid]
+    if new == "BAD_SOLUTION":
+        puzzle = issued.puzzle
+        try:
+            sol = vdf.VdfSolution.from_bytes(sol_b, puzzle.modulus_bytes)
+        except SlapxError:
+            return old == "BAD_CREDENTIAL"
+        return old == "BAD_CREDENTIAL" and not vdf.ell_passes_floor(
+            puzzle.params(), puzzle.challenge_for(m), sol)
+    if pres.ext is None and H_tagged("phi", phi_b) != issued.phi_digest:
+        return new == "BAD_POL"
+    return new == "EXPIRED" and old in ("BAD_CREDENTIAL", "BAD_SOLUTION")
+
+
+def _both_orders(server, request: bytes, now_s: float) -> tuple[str, str, bool]:
+    """(the earlier order's decision, the server's, whether a change is
+    listed), each order run on the same puzzle table; the table is left as
+    the server's run leaves it."""
+    puzzles = server.psd.puzzles
+    before = dict(puzzles)
+    old = _decision(lambda r, t: _earlier_order(server, r, t), request, now_s)
+    puzzles.clear()
+    puzzles.update(before)
+    new = _decision(server.handle_service_request, request, now_s)
+    return old, new, old != new and _listed_change(server, request, now_s, old, new)
+
+
+def _service_request(c, m: bytes, puzzle, sol_b: bytes, phi_b: bytes,
+                     now_s: float, dcred=None, good_cred: bool = True) -> bytes:
+    """A service request with the given parts; with good_cred False its
+    presentation signs another payload, so the credential check fails."""
+    params = c.view.dac_params
+    nym, aux = c.fresh_nym()
+    payload = m + puzzle.puzzle_id + H_tagged("phi", phi_b)
+    pres = dac.dac_cred_prove(
+        params, c.sk, nym, aux, dcred if dcred is not None else c.cred,
+        DISCLOSE_DEVICE, presentation_context("service", window_of(now_s), "SERVER"),
+        c.rng, payload=payload if good_cred else b"x" + payload)
+    return wire.pack_fields(m, puzzle.puzzle_id, sol_b, pres.to_bytes(params), phi_b)
+
+
+class TestServerCheckOrderReference:
+    """The server's cheapest-first order against the order it replaced: the
+    same decision on every request, apart from the changes README lists."""
+
+    def test_every_listed_case(self, deployment):
+        t = 11_150.0            # 10 s before the window ends
+        later = t + 15.0        # the next window, before any puzzle expires
+        c = deployment.new_client(DeviceProfile(b"ORD-0001", 30.0, 0), seed=7301)
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"ORD-ND01", 30.0, 0))
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(7302))
+        params = c.view.rlrs_params
+        proof, _ = run_pol_ap(c, deployment.ap, 5.0, 6.0, t)
+        other, _ = run_pol_ap(c, deployment.ap, 5.0, 6.0, t)
+        previous, _ = run_pol_ap(c, deployment.ap, 5.0, 6.0, t - 60.0)
+        _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 5.0, 6.0, t,
+                                             proof=proof)
+        dcred, _ = run_pol_nd(c, nd, 5.0, 6.0, t, 10.0)
+        _, nd_puzzle, _, _ = run_spectrum_query(c, deployment.psd, 5.0, 6.0, t,
+                                                dcred=dcred)
+        m = b"order"
+        n = puzzle.modulus_n
+        good = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(m))
+        nd_good = vdf.vdf_eval(nd_puzzle.params(), nd_puzzle.challenge_for(m))
+        sols = {
+            "good": good,
+            "low_ell": vdf.VdfSolution(2, good.pi, good.y),
+            "y_out_of_range": vdf.VdfSolution(good.ell, good.pi, n),
+            "wrong_pi": vdf.VdfSolution(good.ell, (good.pi + 1) % n, good.y),
+            "nd_good": nd_good,
+            "nd_low_ell": vdf.VdfSolution(2, nd_good.pi, nd_good.y),
+            "nd_wrong_pi": vdf.VdfSolution(nd_good.ell, (nd_good.pi + 1) % n,
+                                           nd_good.y),
+        }
+        sol_b = {k: s.to_bytes(puzzle.modulus_bytes) for k, s in sols.items()}
+        sol_b["undecodable"] = b""
+        phis = {"query": proof.encode(params), "other": other.encode(params),
+                "previous": previous.encode(params), "garbage": b"\x00" * 40,
+                "none": b""}
+        # (puzzle, solution, Phi, now, credential valid) -> (old, new)
+        cases = [
+            # one fault, or none
+            ((puzzle, "good", "query", t, True), ("GRANTED", "GRANTED")),
+            ((puzzle, "good", "other", t, True), ("GRANTED", "BAD_POL")),
+            ((puzzle, "good", "previous", t, True), ("EXPIRED", "BAD_POL")),
+            ((puzzle, "good", "garbage", t, True), ("BAD_POL", "BAD_POL")),
+            ((puzzle, "good", "query", later, True), ("EXPIRED", "EXPIRED")),
+            ((nd_puzzle, "nd_good", "query", t, True), ("GRANTED", "BAD_POL")),
+            ((puzzle, "good", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            ((puzzle, "low_ell", "query", t, True),
+             ("BAD_SOLUTION", "BAD_SOLUTION")),
+            ((puzzle, "wrong_pi", "query", t, True),
+             ("BAD_SOLUTION", "BAD_SOLUTION")),
+            # a bad credential and a cheaper solution fault
+            ((puzzle, "low_ell", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((puzzle, "y_out_of_range", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((puzzle, "undecodable", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((puzzle, "wrong_pi", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            # a Phi or window fault and a costlier fault
+            ((puzzle, "good", "other", t, False), ("BAD_CREDENTIAL", "BAD_POL")),
+            ((puzzle, "good", "query", later, False),
+             ("BAD_CREDENTIAL", "EXPIRED")),
+            ((puzzle, "wrong_pi", "other", t, True), ("BAD_SOLUTION", "BAD_POL")),
+            ((puzzle, "wrong_pi", "query", later, True),
+             ("BAD_SOLUTION", "EXPIRED")),
+            ((puzzle, "low_ell", "other", t, True),
+             ("BAD_SOLUTION", "BAD_SOLUTION")),
+        ]
+        nd_cases = [
+            ((nd_puzzle, "nd_good", "none", t, True), ("GRANTED", "GRANTED")),
+            ((nd_puzzle, "nd_good", "none", later, True), ("EXPIRED", "EXPIRED")),
+            ((nd_puzzle, "nd_low_ell", "none", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((nd_puzzle, "nd_good", "none", later, False),
+             ("BAD_CREDENTIAL", "EXPIRED")),
+            ((nd_puzzle, "nd_wrong_pi", "none", later, True),
+             ("BAD_SOLUTION", "EXPIRED")),
+        ]
+        for dc, table in ((None, cases), (dcred, nd_cases)):
+            for (pz, sol, phi, now, cred_ok), want in table:
+                request = _service_request(c, m, pz, sol_b[sol], phis[phi], now,
+                                           dcred=dc, good_cred=cred_ok)
+                saved = dict(deployment.psd.puzzles)
+                old, new, listed = _both_orders(deployment.server, request, now)
+                deployment.psd.puzzles.update(saved)    # a grant spent one
+                case = (sol, phi, now, cred_ok, dc is not None)
+                assert (old, new) == want, case
+                assert listed == (old != new), case
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_requests(self, deployment, valid_requests, data):
+        server, t = deployment.server, 7000.0
+        request = _one_field_mutated(data, valid_requests["server"][1], 5)
+        saved = dict(deployment.psd.puzzles)
+        old, new, listed = _both_orders(server, request, t)
+        deployment.psd.puzzles.update(saved)
+        assert old == new or listed, (old, new)
+
+    def test_flood_classes(self, monkeypatch):
+        # the requests perfbench's flood sends to the server, built by its
+        # own code
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        unit = workloads.FloodUnit(seed=1, u=0)
+        server, now = unit.dep.server, workloads.FLOOD_NOW
+        seen = {}
+        stream = unit.requests()
+        while len(seen) < 5 or sum(seen.values()) < 20:
+            kind, request = next(stream)
+            if kind in workloads.PSD_KINDS:
+                continue
+            old, new, _ = _both_orders(server, request, now)
+            assert old == new, (kind, old, new)
+            want = workloads.EXPECTED.get(kind)
+            if kind == "grant":
+                assert new == "GRANTED"
+            else:
+                assert new != "GRANTED" and (want is None or new == want.name)
+            seen[kind] = seen.get(kind, 0) + 1
+        assert set(seen) == {"grant", "bad_solution", "bad_puzzle",
+                             "service_replay", "malformed_server"}

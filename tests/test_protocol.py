@@ -236,6 +236,68 @@ class TestSpectrumAndService:
         assert puzzle.tau == vdf.difficulty_for("flagged")
 
 
+class TestServiceTrustsPsdRecord:
+    """The server checks Phi against the digest and window the PSD recorded
+    when it verified Phi and issued the puzzle; it verifies no ring
+    signature itself."""
+
+    def test_other_valid_phi_of_the_window_is_bad_pol(self, deployment, client):
+        t = 9000.0
+        proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
+        _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 10.0,
+                                             20.0, t, proof=proof)
+        other, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(client, deployment.server, b"m", puzzle, t,
+                                proof=other)
+        assert e.value.reason == RejectReason.BAD_POL
+        token, _, _ = run_service_request(client, deployment.server, b"m",
+                                          puzzle, t, proof=proof)
+        assert len(token) == 16
+
+    def test_ap_request_on_nd_puzzle_is_bad_pol(self, deployment):
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"ND-TRUST", 30.0, 0), delegable=True)
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(80))
+        c = deployment.new_client(seed=2007)
+        t = 9060.0
+        dcred, _ = run_pol_nd(c, nd, 5.0, 5.0, t, true_distance_m=10.0)
+        _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 5.0, 5.0, t,
+                                             dcred=dcred)
+        proof, _ = run_pol_ap(c, deployment.ap, 5.0, 5.0, t)
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(c, deployment.server, b"m", puzzle, t,
+                                proof=proof)
+        assert e.value.reason == RejectReason.BAD_POL
+
+    def test_query_redeemed_in_next_window_expired(self, deployment, client):
+        t = 9170.0              # 10 s before the window ends
+        proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
+        _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 10.0,
+                                             20.0, t, proof=proof)
+        later = t + 20.0
+        assert window_of(later) == window_of(t) + 1 and later <= puzzle.expires_s
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(client, deployment.server, b"m", puzzle,
+                                later, proof=proof)
+        assert e.value.reason == RejectReason.EXPIRED
+
+    def test_honest_ap_grant_verifies_ring_signature_twice(self, deployment,
+                                                           client, monkeypatch):
+        calls = []
+        real_verify = rlrs.rlrs_verify
+        monkeypatch.setattr(rlrs, "rlrs_verify",
+                            lambda *a: calls.append(a) or real_verify(*a))
+        t = 9240.0
+        proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
+        _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 10.0,
+                                             20.0, t, proof=proof)
+        token, _, _ = run_service_request(client, deployment.server, b"m",
+                                          puzzle, t, proof=proof)
+        assert len(token) == 16
+        assert len(calls) == 2      # the client's on receipt and the PSD's
+
+
 class TestNdPath:
     @pytest.fixture()
     def nd(self, deployment):

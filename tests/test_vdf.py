@@ -63,6 +63,21 @@ def setup():
     return params, ch, vdf_eval(params, ch)
 
 
+class TestPi:
+    """pi is x^floor(2^tau / ell), also for tau that are not a multiple of
+    four and for a quotient of 0: the reference any faster way of forming
+    pi must keep to."""
+
+    @pytest.mark.parametrize("tau", [0, 1, 3, 4, 5, 255, 256, 257, 1000, 1003])
+    def test_pi_equals_pow(self, setup, tau):
+        params = setup[0]
+        ch = VdfChallenge(b"pi", tau)
+        sol = vdf_eval(params, ch)
+        x = challenge_base(params, ch.m)
+        assert sol.pi == pow(x, (1 << tau) // sol.ell, params.modulus.n)
+        assert vdf_verify(params, ch, sol)
+
+
 class TestVerify:
 
     def test_roundtrip(self, setup):
