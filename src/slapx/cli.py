@@ -260,9 +260,7 @@ class _SocketRole:
 
 # -- simulations -------------------------------------------------------------------
 
-_SCENARIO_ALIASES = {"full": "full_protocol", "full_protocol": "full_protocol",
-                     "baseline": "baseline", "bypass": "bypass",
-                     "precompute": "precompute"}
+_SCENARIO_ALIASES = {"full": "full_protocol"}
 
 
 def cmd_simulate(args) -> int:
@@ -270,9 +268,7 @@ def cmd_simulate(args) -> int:
     seed = _seed_from_env(conf.get("seed", args.seed))
     if args.what == "dos":
         name = conf.get("scenario", args.scenario)
-        scen = _SCENARIO_ALIASES.get(name)
-        if scen is None:
-            raise ParameterError(f"unknown scenario: {name}")
+        scen = _SCENARIO_ALIASES.get(name, name)
         cal = (_read_input(args.calibration, simnet.Calibration.from_file)
                if args.calibration else simnet.DEFAULT_CALIBRATION)
         rows = []

@@ -294,9 +294,14 @@ def _delegated(pres: dac.Presentation, kind: str) -> bytes | None:
     return next((a.value for a in pres.ext.attrs if a.kind == kind), None)
 
 
-def _check_delegated_window(pres: dac.Presentation, window: int) -> None:
-    if _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
-        raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
+def _binding(params: dac.DacParams, pres: dac.Presentation,
+             phi_digest: bytes) -> bytes:
+    """What a puzzle is bought with: H_tagged("phi", Phi) on the AP path, the
+    delegated credential's one-time pseudonym H_tagged("nymd", nym_d) on the
+    ND path."""
+    if pres.ext is None:
+        return phi_digest
+    return H_tagged("nymd", pres.ext.nym_d.to_bytes(params.n_bytes, "big"))
 
 
 # -- neighbor device ----------------------------------------------------------
@@ -408,27 +413,10 @@ class Puzzle:
 
 @dataclass(frozen=True)
 class IssuedPuzzle:
-    """A live puzzle in `Psd.puzzles`, with H_tagged("phi", Phi) of the
-    proof the PSD verified for it on the AP path (a proof of the window the
-    puzzle was issued in) and no digest on the ND path."""
+    """A live puzzle in `Psd.puzzles`, with the `_binding` of the proof the
+    PSD verified for it: a proof of the window the puzzle was issued in."""
     puzzle: Puzzle
-    phi_digest: bytes | None
-
-
-class LinkRegistry:
-    """Link tags of the verified proofs, per window; detects tag reuse."""
-
-    def __init__(self):
-        self._by_window: dict[int, set[bytes]] = {}
-        self._lock = threading.Lock()
-
-    def linked(self, window: int, sig: rlrs.RlrsSignature) -> bool:
-        with self._lock:
-            return sig.tau.to_bytes() in self._by_window.get(window, ())
-
-    def register(self, window: int, sig: rlrs.RlrsSignature) -> None:
-        with self._lock:
-            self._by_window.setdefault(window, set()).add(sig.tau.to_bytes())
+    binding: bytes
 
 
 class Psd:
@@ -441,7 +429,7 @@ class Psd:
         self.sgn_key = sgn_key
         self.rng = rng
         self.db = SpectrumDatabase()
-        self.links = LinkRegistry()
+        self.links: set[tuple[int, bytes]] = set()    # (window, link tag)
         self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
         self.puzzles: dict[bytes, IssuedPuzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
@@ -456,6 +444,14 @@ class Psd:
             if attr.kind == "device_type":
                 device_class = attr.value[0]
         return vdf.difficulty_for(DEVICE_CLASSES.get(device_class, "default"))
+
+    def _use_once(self, seen: set[tuple[int, bytes]], key: tuple[int, bytes],
+                  detail: str) -> None:
+        """Record key in seen; a key already there is refused as LINKED."""
+        with self._lock:
+            if key in seen:
+                raise ProtocolReject(RejectReason.LINKED, detail)
+            seen.add(key)
 
     def _epoch_modulus(self, now_s: float) -> RsaModulus:
         """The puzzle modulus of now_s's epoch, drawn for its first puzzle.
@@ -477,6 +473,7 @@ class Psd:
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("spectrum", window, "PSD"),
                             loc + ch_b + tv_b + phi_digest)
+        binding = _binding(self.view.dac_params, pres, phi_digest)
         l_x, l_y = _point(loc)
         # refuse an out-of-area query before the proof costs a check or
         # leaves a tag or grant behind
@@ -495,24 +492,18 @@ class Psd:
             if (proof.l_x, proof.l_y) != (l_x, l_y):
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the proof")
-            with self._lock:
-                if self.links.linked(window, proof.sig):
-                    raise ProtocolReject(RejectReason.LINKED, "tag already seen")
-                self.links.register(window, proof.sig)
+            self._use_once(self.links, (window, proof.sig.tau.to_bytes()),
+                           "tag already seen")
         else:
             # ND path: the delegated attributes carry the proof of location
-            _check_delegated_window(pres, window)
+            if _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
+                raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
             if _delegated(pres, "location") != loc:
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the "
                                      "delegated location")
-            key = (window, H_tagged("nymd", pres.ext.nym_d.to_bytes(
-                self.view.dac_params.n_bytes, "big")))
-            with self._lock:
-                if key in self.grants:
-                    raise ProtocolReject(RejectReason.LINKED,
-                                         "delegated proof already used")
-                self.grants.add(key)
+            self._use_once(self.grants, (window, binding),
+                           "delegated proof already used")
 
         kappa = self._kappa_for(pres)
         modulus = self._epoch_modulus(now_s)
@@ -522,8 +513,7 @@ class Psd:
                         expires_s=now_s + WINDOW_S)
         sig = self.sgn_key.sign(puzzle.encode(), self.rng)
         with self._lock:
-            self.puzzles[puzzle.puzzle_id] = IssuedPuzzle(
-                puzzle, phi_digest if pres.ext is None else None)
+            self.puzzles[puzzle.puzzle_id] = IssuedPuzzle(puzzle, binding)
         return wire.pack_fields(record.encode(), puzzle.encode(), sig)
 
 
@@ -534,9 +524,9 @@ class ServiceServer:
     The puzzle is checked one way: it is looked up in the PSD's own table,
     never taken from the request, so its signature needs no second check
     here (the client checks it on receipt). The proof is checked the same
-    way: the PSD verified Phi in full when it issued the puzzle and kept its
-    digest, so the server compares digests and does not verify the ring
-    signature again."""
+    way on both paths: the PSD verified it in full when it issued the
+    puzzle and kept its `_binding`, so the server compares bindings and
+    verifies neither the ring signature nor the delegated window again."""
 
     def __init__(self, psd: Psd):
         self.psd = psd
@@ -559,16 +549,14 @@ class ServiceServer:
         params, challenge = puzzle.params(), puzzle.challenge_for(m)
         if not vdf.ell_passes_floor(params, challenge, sol):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
+        # the PSD recorded the binding after checking its proof for the
+        # puzzle's issue window; a binding of the other path never matches
         phi_digest = H_tagged("phi", phi_b)
-        if pres.ext is None:
-            # an ND-path puzzle has no digest, so an AP-path request fails
-            if phi_digest != issued.phi_digest:
-                raise ProtocolReject(RejectReason.BAD_POL,
-                                     "proof differs from the one queried with")
-            if window_of(puzzle.issued_s) != window:
-                raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-        else:
-            _check_delegated_window(pres, window)
+        if _binding(self.view.dac_params, pres, phi_digest) != issued.binding:
+            raise ProtocolReject(RejectReason.BAD_POL,
+                                 "proof differs from the one queried with")
+        if window_of(puzzle.issued_s) != window:
+            raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("service", window, "SERVER"),
                             m + pid + phi_digest)

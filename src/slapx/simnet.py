@@ -30,10 +30,25 @@ from dataclasses import dataclass
 
 from .dbp import SPEED_OF_LIGHT_M_S
 from .errors import ParameterError
-from .protocol import (PROX_THRESHOLD_M, SHADOWING_SIGMA_DB, prox_verify,
-                       rss_at)
+from .protocol import (PROX_THRESHOLD_M, SHADOWING_SIGMA_DB, WINDOW_S,
+                       prox_verify, rss_at)
 
 DOS_SCENARIOS = ("baseline", "full_protocol", "bypass", "precompute")
+
+# the DoS run: its length and attack window, the server's workers and queue,
+# the puzzle difficulties and the attackers' rates
+DURATION_S = 10.0
+ATTACK_START_S = 2.0
+ATTACK_END_S = 8.0
+WORKERS = 8
+QUEUE_CAPACITY = 100
+RETRY_BACKOFF_S = 0.08             # a benign request's transport backoff
+BENIGN_KAPPA = 10 ** 3
+ATTACKER_KAPPA = 3 * 10 ** 5       # escalated difficulty for repeat abusers
+BASELINE_ATTACK_RATE_HZ = 100.0
+BYPASS_RATE_HZ = 11.6
+PRECOMPUTE_KAPPA = 2 * 10 ** 4
+PRECOMPUTE_SUBMIT_HZ = 0.8
 
 # the sweep grids behind the plots: DoS over UE count and malicious share,
 # fraud over rounds, tolerance and guess probability, hijacking over the
@@ -94,28 +109,14 @@ class ScenarioConfig:
     scenario: str
     n_ue: int = 100
     r_mal: float = 0.2
-    duration_s: float = 10.0
-    attack_start_s: float = 2.0
-    attack_end_s: float = 8.0
     seed: int = 1
-    workers: int = 8
-    queue_capacity: int = 100
-    benign_kappa: int = 10 ** 3
-    attacker_kappa: int = 3 * 10 ** 5     # escalated difficulty for repeat abusers
-    baseline_attack_rate_hz: float = 100.0
-    bypass_rate_hz: float = 11.6
-    precompute_kappa: int = 2 * 10 ** 4
-    precompute_submit_hz: float = 0.8
-    validity_s: float = 60.0
 
     def __post_init__(self):
         if self.scenario not in DOS_SCENARIOS:
             raise ParameterError(f"unknown scenario: {self.scenario}")
         if not 0.0 <= self.r_mal <= 1.0:
             raise ParameterError("r_mal must be in [0, 1]")
-        if not (0 <= self.attack_start_s <= self.attack_end_s <= self.duration_s):
-            raise ParameterError("attack window must lie inside the run")
-        if self.n_ue < 1 or self.workers < 1 or self.queue_capacity < 1:
+        if self.n_ue < 1:
             raise ParameterError("degenerate scenario size")
 
     @property
@@ -196,13 +197,11 @@ class SimClock:
 
 @dataclass
 class Request:
-    ue_id: int
     malicious: bool
     service_s: float
     enqueued_ns: int = 0
     done_cb: object = None
     retries_left: int = 0      # benign requests ride a retrying transport
-    retry_backoff_s: float = 0.08
     granted: bool = True       # protocol-valid request (vs rejected on verify)
 
 
@@ -215,11 +214,8 @@ class ServerModel:
     Malicious flooders fire and forget; every rejected attempt is a drop.
     """
 
-    def __init__(self, clock: SimClock, workers: int, capacity: int,
-                 metrics: SimMetrics):
+    def __init__(self, clock: SimClock, metrics: SimMetrics):
         self.clock = clock
-        self.workers = workers
-        self.capacity = capacity
         self.metrics = metrics
         self.busy = 0
         self.queue: list[Request] = []
@@ -232,10 +228,10 @@ class ServerModel:
         self.metrics.n_generated += 1
         if req.malicious:
             self._mal_generated += 1
-        if self.busy < self.workers and not self.queue:
+        if self.busy < WORKERS and not self.queue:
             self.metrics.n_immediate += 1
             self._begin(req)
-        elif len(self.queue) < self.capacity:
+        elif len(self.queue) < QUEUE_CAPACITY:
             req.enqueued_ns = self.clock.now_ns
             self.queue.append(req)
             self.metrics.n_queued += 1
@@ -246,8 +242,7 @@ class ServerModel:
         elif req.retries_left > 0:
             self.metrics.n_rejected_arrival += 1
             req.retries_left -= 1
-            self.clock.schedule(req.retry_backoff_s,
-                                lambda r=req: self.offer(r))
+            self.clock.schedule(RETRY_BACKOFF_S, lambda r=req: self.offer(r))
         else:
             self.metrics.n_dropped_benign += 1
 
@@ -262,7 +257,7 @@ class ServerModel:
             self._mal_granted += 1
         if req.done_cb is not None:
             req.done_cb()
-        if self.queue and self.busy < self.workers:
+        if self.queue and self.busy < WORKERS:
             nxt = self.queue.pop(0)
             self._wait_sum_ns += self.clock.now_ns - nxt.enqueued_ns
             self._wait_count += 1
@@ -285,38 +280,29 @@ def run_dos(cfg: ScenarioConfig,
             calibration: Calibration = DEFAULT_CALIBRATION) -> SimMetrics:
     clock = SimClock()
     metrics = SimMetrics(cfg.scenario, cfg.n_ue, cfg.r_mal, cfg.seed)
-    server = ServerModel(clock, cfg.workers, cfg.queue_capacity, metrics)
+    server = ServerModel(clock, metrics)
     rng = random.Random(cfg.seed)
     cal = calibration
 
     # benign UEs: one full run each, starts stratified over the run with
     # seeded jitter so per-interval load is stable across the grid
     n_b = cfg.n_benign
-    usable = cfg.duration_s - 1.5
+    usable = DURATION_S - 1.5
     for i in range(n_b):
         spacing = usable / max(n_b, 1)
         start = 0.3 + i * spacing + rng.uniform(-0.2, 0.2) * spacing
         start = min(max(start, 0.05), usable)
-        clock.schedule(start, _benign_run(clock, server, cfg, cal, ue_id=i))
+        clock.schedule(start, _benign_run(clock, server, cfg, cal))
 
-    # attackers per scenario
-    if cfg.scenario == "baseline":
-        _spawn_baseline_attackers(clock, server, cfg, cal, rng)
-    elif cfg.scenario == "full_protocol":
-        _spawn_full_attackers(clock, server, cfg, cal, rng)
-    elif cfg.scenario == "bypass":
-        _spawn_bypass_attackers(clock, server, cfg, cal)
-    elif cfg.scenario == "precompute":
-        _spawn_precompute_attackers(clock, server, cfg, cal, metrics)
-
-    clock.run_until(cfg.duration_s)
+    _ATTACKERS[cfg.scenario](clock, server, cfg, cal, rng)
+    clock.run_until(DURATION_S)
     metrics.t_q_ms = server.mean_wait_ms()
     metrics.attack_success_rate = server.malicious_success_rate()
     return metrics
 
 
 def _benign_run(clock: SimClock, server: ServerModel, cfg: ScenarioConfig,
-                cal: Calibration, ue_id: int):
+                cal: Calibration):
     """Benign flow: spectrum query, local puzzle evaluation, service request."""
     protected = cfg.scenario != "baseline"
 
@@ -326,90 +312,86 @@ def _benign_run(clock: SimClock, server: ServerModel, cfg: ScenarioConfig,
 
     def send_query():
         svc = cal.query_verify_s if protected else cal.baseline_service_s
-        server.offer(Request(ue_id, False, svc, done_cb=query_done,
-                             retries_left=3))
+        server.offer(Request(False, svc, done_cb=query_done, retries_left=3))
 
     def query_done():
-        gap = (cal.vdf_eval_s(cfg.benign_kappa) + cal.backhaul_rtt_s
+        gap = (cal.vdf_eval_s(BENIGN_KAPPA) + cal.backhaul_rtt_s
                if protected else 0.01)
         clock.schedule(gap, send_service)
 
     def send_service():
         svc = cal.service_verify_s if protected else cal.baseline_service_s
-        server.offer(Request(ue_id, False, svc, retries_left=3))
+        server.offer(Request(False, svc, retries_left=3))
 
     return start
 
 
 def _spawn_baseline_attackers(clock, server, cfg, cal, rng):
-    period = 1.0 / cfg.baseline_attack_rate_hz
-    for i in range(cfg.n_malicious):
-        offset = rng.uniform(0, period)
+    period = 1.0 / BASELINE_ATTACK_RATE_HZ
 
-        def loop(i=i):
-            def fire():
-                if clock.now_s >= cfg.attack_end_s:
-                    return
-                server.offer(Request(10_000 + i, True, cal.baseline_service_s))
-                clock.schedule(period, fire)
-            return fire
-        clock.schedule(cfg.attack_start_s + offset - clock.now_s, loop())
+    def fire():
+        if clock.now_s >= ATTACK_END_S:
+            return
+        server.offer(Request(True, cal.baseline_service_s))
+        clock.schedule(period, fire)
+
+    for _ in range(cfg.n_malicious):
+        clock.schedule(ATTACK_START_S + rng.uniform(0, period), fire)
 
 
 def _spawn_full_attackers(clock, server, cfg, cal, rng):
     """Closed loop: every request is preceded by the full client-side cost
     including the sequential puzzle at the attacker's difficulty."""
-    cycle_gap = cal.client_crypto_s + cal.vdf_eval_s(cfg.attacker_kappa)
+    cycle_gap = cal.client_crypto_s + cal.vdf_eval_s(ATTACKER_KAPPA)
 
-    for i in range(cfg.n_malicious):
+    for _ in range(cfg.n_malicious):
         state = {"first": True}
 
-        def loop(i=i, state=state):
+        def loop(state=state):
             def compute_then_send():
-                if clock.now_s >= cfg.attack_end_s:
+                if clock.now_s >= ATTACK_END_S:
                     return
                 clock.schedule(cycle_gap + cal.backhaul_rtt_s, send)
 
             def send():
-                if clock.now_s >= cfg.attack_end_s:
+                if clock.now_s >= ATTACK_END_S:
                     return
                 # first request in the window verifies fully; repeats are
                 # refused after the tag-link scan
                 svc = cal.query_verify_s if state["first"] else cal.link_reject_s
-                server.offer(Request(20_000 + i, True, svc,
-                                     done_cb=compute_then_send,
+                server.offer(Request(True, svc, done_cb=compute_then_send,
                                      granted=state["first"]))
                 state["first"] = False
             return send
         # attackers are mid-protocol when the window opens: uniform phase
         phase = rng.uniform(0, cycle_gap)
-        clock.schedule(cfg.attack_start_s + phase, loop())
+        clock.schedule(ATTACK_START_S + phase, loop())
 
 
-def _spawn_bypass_attackers(clock, server, cfg, cal):
+def _spawn_bypass_attackers(clock, server, cfg, cal, rng):
     """Synchronized open-loop pulses of proof-less requests; the server
     rejects each after a cheap verification."""
-    period = 1.0 / cfg.bypass_rate_hz
+    period = 1.0 / BYPASS_RATE_HZ
     n = cfg.n_malicious
 
     def pulse():
-        if clock.now_s >= cfg.attack_end_s:
+        if clock.now_s >= ATTACK_END_S:
             return
-        for i in range(n):
-            server.offer(Request(30_000 + i, True, cal.reject_service_s,
-                                 granted=False))
+        for _ in range(n):
+            server.offer(Request(True, cal.reject_service_s, granted=False))
         clock.schedule(period, pulse)
 
-    clock.schedule(cfg.attack_start_s, pulse)
+    clock.schedule(ATTACK_START_S, pulse)
 
 
-def _spawn_precompute_attackers(clock, server, cfg, cal, metrics):
+def _spawn_precompute_attackers(clock, server, cfg, cal, rng):
     """Attackers solve puzzles continuously from t=0, banking unexpired
     solutions, and drain the bank at a fixed pace during the window."""
-    t_eval = cal.vdf_eval_s(cfg.precompute_kappa)
-    bank_bound = precompute_limit(cfg.precompute_kappa, cfg.validity_s,
+    metrics = server.metrics
+    t_eval = cal.vdf_eval_s(PRECOMPUTE_KAPPA)
+    bank_bound = precompute_limit(PRECOMPUTE_KAPPA, WINDOW_S,
                                   cal.vdf_s_per_squaring)
-    submit_period = 1.0 / cfg.precompute_submit_hz
+    submit_period = 1.0 / PRECOMPUTE_SUBMIT_HZ
 
     for i in range(cfg.n_malicious):
         state = {"bank": [], "first": True}  # bank holds expiry stamps
@@ -418,35 +400,41 @@ def _spawn_precompute_attackers(clock, server, cfg, cal, metrics):
             def solved():
                 now = clock.now_s
                 state["bank"] = [e for e in state["bank"] if e > now]
-                state["bank"].append(now + cfg.validity_s)
+                state["bank"].append(now + WINDOW_S)
                 if len(state["bank"]) > bank_bound:
                     raise AssertionError(
                         "precompute bank exceeded the validity bound")
                 metrics.max_precomputed_bank = max(metrics.max_precomputed_bank,
                                                    len(state["bank"]))
-                if now + t_eval < cfg.duration_s:
+                if now + t_eval < DURATION_S:
                     clock.schedule(t_eval, solved)
             return solved
 
-        def submitter(i=i, state=state):
+        def submitter(state=state):
             def submit():
                 now = clock.now_s
-                if now >= cfg.attack_end_s:
+                if now >= ATTACK_END_S:
                     return
                 state["bank"] = [e for e in state["bank"] if e > now]
                 if state["bank"]:
                     state["bank"].pop(0)
                     svc = (cal.service_verify_s if state["first"]
                            else cal.link_reject_s)
-                    server.offer(Request(40_000 + i, True, svc,
-                                         granted=state["first"]))
+                    server.offer(Request(True, svc, granted=state["first"]))
                     state["first"] = False
                 clock.schedule(submit_period, submit)
             return submit
 
         clock.schedule(t_eval, solver())
-        clock.schedule(cfg.attack_start_s + (i % 10) * submit_period / 10,
+        clock.schedule(ATTACK_START_S + (i % 10) * submit_period / 10,
                        submitter())
+
+
+# the attackers of each scenario, spawned after the benign UEs
+_ATTACKERS = {"baseline": _spawn_baseline_attackers,
+              "full_protocol": _spawn_full_attackers,
+              "bypass": _spawn_bypass_attackers,
+              "precompute": _spawn_precompute_attackers}
 
 
 def precompute_limit(kappa: int, validity_s: float,
@@ -541,13 +529,6 @@ def run_hijack(trials: int = 100, seed: int = 1,
                 out.append({"honest_d": hd, "mal_d": md, "weight": w,
                             "trials": trials, "success_rate": rate})
     return out
-
-
-def hijack_threshold_indicator(honest_d: float, mal_d: float,
-                               weight: float) -> int:
-    """Closed-form noiseless success: w*d_path + (1-w)*honest_d <= threshold."""
-    return int(weight * mal_d + (1.0 - weight) * honest_d
-               <= PROX_THRESHOLD_M + _TIE_EPS_M)
 
 
 # -- sweep helper ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from slapx import dac, rlrs  # noqa: E402
-from slapx.protocol import Deployment, DeviceProfile  # noqa: E402
+from slapx.protocol import PROX_THRESHOLD_M, Deployment, DeviceProfile  # noqa: E402
 from slapx.rng import SeededRng  # noqa: E402
 
 
@@ -14,6 +14,17 @@ from slapx.rng import SeededRng  # noqa: E402
 def deployment():
     # small puzzle modulus keeps module tests quick; acceptance uses full size
     return Deployment.create(seed=3, psd_modulus_bits=512)
+
+
+@pytest.fixture(scope="session")
+def hijack_oracle():
+    """Closed-form noiseless relay success, the oracle of the hijack sweep:
+    w*d_path + (1-w)*honest_d <= threshold, with the sweep's 1e-6 m guard
+    at exact-threshold grid points."""
+    def success(honest_d: float, mal_d: float, weight: float) -> int:
+        return int(weight * mal_d + (1.0 - weight) * honest_d
+                   <= PROX_THRESHOLD_M + 1e-6)
+    return success
 
 
 @pytest.fixture(scope="session")

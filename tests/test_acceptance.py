@@ -13,12 +13,12 @@ from slapx import vdf, wire
 from slapx.cli import EXIT_CODES, main
 from slapx.errors import ProtocolReject, RejectReason
 from slapx.modmath import RsaModulus, random_prime
-from slapx.protocol import Deployment, DeviceProfile, run_pol_ap, \
+from slapx.protocol import WINDOW_S, Deployment, DeviceProfile, run_pol_ap, \
     run_service_request, run_spectrum_query
 from slapx.rng import SeededRng
-from slapx.simnet import (DEFAULT_CALIBRATION, ScenarioConfig, dos_grid,
-                          hijack_threshold_indicator, precompute_limit,
-                          run_dos, run_fraud, run_hijack)
+from slapx.simnet import (DEFAULT_CALIBRATION, PRECOMPUTE_KAPPA, ScenarioConfig,
+                          dos_grid, precompute_limit, run_dos, run_fraud,
+                          run_hijack)
 
 
 @contextlib.contextmanager
@@ -151,13 +151,13 @@ def test_criterion_2_distance_fraud():
 
 # -- criterion 3: distance hijacking grid ------------------------------------
 
-def test_criterion_3_distance_hijacking():
+def test_criterion_3_distance_hijacking(hijack_oracle):
     with criterion(3, "hijack grid: monotone and equal to the closed form",
                    300):
         noiseless = run_hijack(trials=100, seed=3001, noiseless=True)
         for row in noiseless:
-            expected = float(hijack_threshold_indicator(
-                row["honest_d"], row["mal_d"], row["weight"]))
+            expected = float(hijack_oracle(row["honest_d"], row["mal_d"],
+                                           row["weight"]))
             assert row["success_rate"] == expected, row
 
         noisy = run_hijack(trials=100, seed=3002, noiseless=False)
@@ -214,9 +214,9 @@ def test_criterion_5_precompute_limit():
     with criterion(5, "puzzle banking bounded by the validity window", 120):
         # calibration anchor: easiest issued difficulty evaluates in ~0.24 s
         cfg = ScenarioConfig("precompute", n_ue=250, r_mal=0.4, seed=1)
-        t_eval = DEFAULT_CALIBRATION.vdf_eval_s(cfg.precompute_kappa)
+        t_eval = DEFAULT_CALIBRATION.vdf_eval_s(PRECOMPUTE_KAPPA)
         assert abs(t_eval - 0.24) < 0.01
-        bound = precompute_limit(cfg.precompute_kappa, cfg.validity_s,
+        bound = precompute_limit(PRECOMPUTE_KAPPA, WINDOW_S,
                                  DEFAULT_CALIBRATION.vdf_s_per_squaring)
         assert bound <= 250
         assert precompute_limit(20_000, 60.0, 0.24 / 20_000) == 250

@@ -15,8 +15,8 @@ from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
 from slapx.group import CURVE, SigningKey
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
-                            NeighborDevice, Puzzle, _check_delegated_window,
-                            _check_presentation, _or_reject, _read_presentation,
+                            NeighborDevice, Puzzle, _binding, _check_presentation,
+                            _delegated, _or_reject, _read_presentation,
                             _unpack, presentation_context, run_pol_ap,
                             run_pol_nd, run_service_request, run_spectrum_query,
                             window_of)
@@ -501,8 +501,8 @@ def _earlier_order(server, request: bytes, now_s: float) -> bytes:
         if not rlrs.rlrs_verify(server.view.ring, proof.m, proof.event(),
                                 proof.sig, server.view.rlrs_params):
             raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
-    else:
-        _check_delegated_window(pres, window)
+    elif _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
+        raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
     if server.psd.puzzles.pop(pid, None) is None:
         raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle already redeemed")
     return wire.pack_fields(b"\x01", H_tagged("grant", pid, m)[:16])
@@ -516,20 +516,28 @@ def _decision(handle, request: bytes, now_s: float) -> str:
     return "GRANTED"
 
 
-def _listed_change(server, request: bytes, now_s: float, old: str, new: str) -> bool:
-    """Whether old -> new is one of the decision changes README lists, taken
-    in the server's order: (1) an undecodable or out-of-range solution, or
-    one with ell < H(x + y), now comes before the credential; (2) an
-    AP-path Phi other than the one the PSD verified at query time, an
-    AP-path request on an ND-path puzzle included, is BAD_POL whatever the
-    earlier order said; (3) a window fault now comes before the credential
-    and the full VDF check."""
-    if new == "GRANTED":
-        return False
+def _listed_change(server, puzzles: dict, request: bytes, now_s: float,
+                   old: str, new: str) -> bool:
+    """Whether old -> new is one of the decision changes README lists, for
+    the puzzle table `puzzles` both orders ran on, taken in the server's
+    order: (1) an undecodable or out-of-range solution, or one with
+    ell < H(x + y), now comes before the credential; (2) a binding other
+    than the puzzle's record, on either path, is BAD_POL whatever the
+    earlier order said: on the AP path a Phi other than the one the PSD
+    verified at query time, and a request of one path on a puzzle bought
+    on the other; (3) a window fault now comes before the credential and
+    the full VDF check; (4) an ND presentation with the puzzle's nym_d
+    under a second extension for another window, EXPIRED in the earlier
+    order, is decided by the puzzle's issue window."""
     params = server.view.dac_params
     m, pid, sol_b, pres_b, phi_b = wire.unpack_fields(request, 5)
     pres = dac.Presentation.from_bytes(pres_b, params)
-    issued = server.psd.puzzles[pid]
+    issued = puzzles[pid]
+    same_binding = _binding(params, pres, H_tagged("phi", phi_b)) == issued.binding
+    if new == "GRANTED":
+        return (old == "EXPIRED" and pres.ext is not None and same_binding
+                and _delegated(pres, "ts_window")
+                != window_of(now_s).to_bytes(8, "big"))
     if new == "BAD_SOLUTION":
         puzzle = issued.puzzle
         try:
@@ -538,7 +546,7 @@ def _listed_change(server, request: bytes, now_s: float, old: str, new: str) -> 
             return old == "BAD_CREDENTIAL"
         return old == "BAD_CREDENTIAL" and not vdf.ell_passes_floor(
             puzzle.params(), puzzle.challenge_for(m), sol)
-    if pres.ext is None and H_tagged("phi", phi_b) != issued.phi_digest:
+    if not same_binding:
         return new == "BAD_POL"
     return new == "EXPIRED" and old in ("BAD_CREDENTIAL", "BAD_SOLUTION")
 
@@ -553,7 +561,8 @@ def _both_orders(server, request: bytes, now_s: float) -> tuple[str, str, bool]:
     puzzles.clear()
     puzzles.update(before)
     new = _decision(server.handle_service_request, request, now_s)
-    return old, new, old != new and _listed_change(server, request, now_s, old, new)
+    return old, new, old != new and _listed_change(server, before, request, now_s,
+                                                   old, new)
 
 
 def _service_request(c, m: bytes, puzzle, sol_b: bytes, phi_b: bytes,
@@ -574,7 +583,7 @@ class TestServerCheckOrderReference:
     """The server's cheapest-first order against the order it replaced: the
     same decision on every request, apart from the changes README lists."""
 
-    def test_every_listed_case(self, deployment):
+    def test_every_listed_case(self, deployment, monkeypatch):
         t = 11_150.0            # 10 s before the window ends
         later = t + 15.0        # the next window, before any puzzle expires
         c = deployment.new_client(DeviceProfile(b"ORD-0001", 30.0, 0), seed=7301)
@@ -587,7 +596,13 @@ class TestServerCheckOrderReference:
         previous, _ = run_pol_ap(c, deployment.ap, 5.0, 6.0, t - 60.0)
         _, puzzle, _, _ = run_spectrum_query(c, deployment.psd, 5.0, 6.0, t,
                                              proof=proof)
-        dcred, _ = run_pol_nd(c, nd, 5.0, 6.0, t, 10.0)
+        # a delegator that signs twice for one nym_d: a second extension of
+        # dcred's delegation request, for the previous window
+        dreq = dac.dac_request_delegation(c.view.dac_params, c.sk, c.rng)
+        with monkeypatch.context() as mp:
+            mp.setattr(dac, "dac_request_delegation", lambda *args: dreq)
+            dcred, _ = run_pol_nd(c, nd, 5.0, 6.0, t, 10.0)
+            dcred_again, _ = run_pol_nd(c, nd, 5.0, 6.0, t - 60.0, 10.0)
         _, nd_puzzle, _, _ = run_spectrum_query(c, deployment.psd, 5.0, 6.0, t,
                                                 dcred=dcred)
         m = b"order"
@@ -652,8 +667,13 @@ class TestServerCheckOrderReference:
              ("BAD_CREDENTIAL", "EXPIRED")),
             ((nd_puzzle, "nd_wrong_pi", "none", later, True),
              ("BAD_SOLUTION", "EXPIRED")),
+            ((puzzle, "good", "none", t, True), ("GRANTED", "BAD_POL")),
         ]
-        for dc, table in ((None, cases), (dcred, nd_cases)):
+        second_extension_cases = [
+            ((nd_puzzle, "nd_good", "none", t, True), ("EXPIRED", "GRANTED")),
+        ]
+        for dc, table in ((None, cases), (dcred, nd_cases),
+                          (dcred_again, second_extension_cases)):
             for (pz, sol, phi, now, cred_ok), want in table:
                 request = _service_request(c, m, pz, sol_b[sol], phis[phi], now,
                                            dcred=dc, good_cred=cred_ok)

@@ -22,3 +22,12 @@ def test_every_tracer_target_resolves():
         if not callable(getattr(owner, "__dict__", {}).get(attr)):
             missing.append(f"{name}: {modname}.{path}")
     assert missing == []
+
+
+def test_psd_state_perfbench_reads(deployment):
+    # perfbench swaps `psd.pool` for its flood and reports the sizes of the
+    # PSD's tables as gauges
+    psd = deployment.psd
+    assert callable(psd.pool.get)
+    for name in ("puzzles", "grants", "links"):
+        assert isinstance(len(getattr(psd, name)), int), name

@@ -237,9 +237,9 @@ class TestSpectrumAndService:
 
 
 class TestServiceTrustsPsdRecord:
-    """The server checks Phi against the digest and window the PSD recorded
-    when it verified Phi and issued the puzzle; it verifies no ring
-    signature itself."""
+    """The server checks the proof against the binding and window the PSD
+    recorded when it verified the proof and issued the puzzle; it verifies
+    no ring signature and no delegated window itself."""
 
     def test_other_valid_phi_of_the_window_is_bad_pol(self, deployment, client):
         t = 9000.0
@@ -269,6 +269,26 @@ class TestServiceTrustsPsdRecord:
             run_service_request(c, deployment.server, b"m", puzzle, t,
                                 proof=proof)
         assert e.value.reason == RejectReason.BAD_POL
+
+    def test_nd_request_on_ap_puzzle_is_bad_pol(self, deployment, client):
+        # a device holding only a delegated credential, which never queried
+        # the PSD, solves another device's AP-path puzzle
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"ND-TRST2", 30.0, 0), delegable=True)
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(81))
+        t = 9120.0
+        proof, _ = run_pol_ap(client, deployment.ap, 5.0, 5.0, t)
+        _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 5.0, 5.0,
+                                             t, proof=proof)
+        thief = deployment.new_client(seed=2008)
+        dcred, _ = run_pol_nd(thief, nd, 5.0, 5.0, t, true_distance_m=10.0)
+        with pytest.raises(ProtocolReject) as e:
+            run_service_request(thief, deployment.server, b"m", puzzle, t,
+                                dcred=dcred)
+        assert e.value.reason == RejectReason.BAD_POL
+        token, _, _ = run_service_request(client, deployment.server, b"m",
+                                          puzzle, t, proof=proof)
+        assert len(token) == 16
 
     def test_query_redeemed_in_next_window_expired(self, deployment, client):
         t = 9170.0              # 10 s before the window ends
@@ -588,3 +608,43 @@ class TestRadioModel:
     def test_rtt_leg_is_light_speed(self):
         est = prox_verify(rss_at(10.0), 2.0 * 75.0 / 299_792_458.0, 1.0)
         assert est == pytest.approx(75.0)
+
+
+class TestRacingCopies:
+    """Copies of one spectrum request that arrive together: one is served
+    and every other is LINKED, on both paths."""
+
+    def test_one_copy_served(self, epoch_dep):
+        dep, client = epoch_dep
+        t = 46 * EPOCH_S + 10.0
+        _, nd_sk, nd_cred = dep.authority.enroll(DeviceProfile(b"ND-RACE1", 30.0, 0))
+        nd = NeighborDevice(dep.view, nd_sk, nd_cred, SeededRng(1702))
+        proof, _ = run_pol_ap(client, dep.ap, 10.0, 20.0, t)
+        dcred, _ = run_pol_nd(client, nd, 10.0, 20.0, t, 10.0)
+        for creds in ({"proof": proof}, {"dcred": dcred}):
+            with pytest.raises(_Captured) as c:
+                run_spectrum_query(client, _Capture(), 10.0, 20.0, t, **creds)
+            request = c.value.args[0]
+            start = threading.Barrier(6)     # more threads than cores
+            outcomes = []
+
+            def send():
+                start.wait(timeout=10)
+                try:
+                    dep.psd.handle_spectrum_request(request, t)
+                    outcomes.append("served")
+                except ProtocolReject as e:
+                    outcomes.append(e.reason.name)
+
+            threads = [threading.Thread(target=send) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert sorted(outcomes) == ["LINKED"] * 5 + ["served"], creds

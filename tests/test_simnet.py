@@ -5,8 +5,9 @@ import math
 import pytest
 
 from slapx.errors import ParameterError
-from slapx.simnet import (DEFAULT_CALIBRATION, Calibration, ScenarioConfig,
-                          SimClock, SimMetrics, hijack_threshold_indicator, precompute_limit,
+from slapx.protocol import WINDOW_S
+from slapx.simnet import (DEFAULT_CALIBRATION, PRECOMPUTE_KAPPA, Calibration,
+                          ScenarioConfig, SimClock, SimMetrics, precompute_limit,
                           run_dos, run_fraud, run_hijack, run_hijack_cell)
 
 
@@ -39,8 +40,6 @@ class TestScenarioConfig:
             ScenarioConfig("nonsense")
         with pytest.raises(ParameterError):
             ScenarioConfig("baseline", r_mal=1.5)
-        with pytest.raises(ParameterError):
-            ScenarioConfig("baseline", attack_start_s=9, attack_end_s=8)
 
     def test_population_split(self):
         cfg = ScenarioConfig("baseline", n_ue=250, r_mal=0.4)
@@ -79,7 +78,7 @@ class TestDosRuns:
     def test_precompute_bank_bounded(self):
         cfg = ScenarioConfig("precompute", n_ue=100, r_mal=0.4, seed=2)
         m = run_dos(cfg)
-        bound = precompute_limit(cfg.precompute_kappa, cfg.validity_s,
+        bound = precompute_limit(PRECOMPUTE_KAPPA, WINDOW_S,
                                  DEFAULT_CALIBRATION.vdf_s_per_squaring)
         assert 0 < m.max_precomputed_bank <= bound
 
@@ -133,11 +132,10 @@ class TestFraud:
 
 
 class TestHijack:
-    def test_noiseless_equals_indicator(self):
+    def test_noiseless_equals_indicator(self, hijack_oracle):
         rows = run_hijack(trials=20, seed=3, noiseless=True)
         for r in rows:
-            expected = hijack_threshold_indicator(r["honest_d"], r["mal_d"],
-                                                  r["weight"])
+            expected = hijack_oracle(r["honest_d"], r["mal_d"], r["weight"])
             assert r["success_rate"] == float(expected), r
 
     def test_monotone_in_weight(self):
