@@ -109,6 +109,7 @@ class DacParams:
         self.t = t
         self.eta = len(exponents)
         self.cert_pk = cert_pk
+        self.cert_table = CURVE.table(cert_pk)    # for every certificate check
         self.base_S = self._derive_base("S", 0)
         self.base_sk = self._derive_base("R_sk", 0)
         self.bases = tuple(self._derive_base("R", i) for i in range(t))
@@ -496,7 +497,7 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
         except CryptoError:
             return False
         cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
-        if not sgn_verify(params.cert_pk, cert_body, ext.cert):
+        if not sgn_verify(params.cert_table, cert_body, ext.cert):
             return False
         ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
@@ -589,7 +590,7 @@ def dac_receive_cred(params: DacParams, recipient: Credential, sk: int,
     """Recipient side: check the chain root -> vk -> extension, keep dk = None."""
     vk = CURVE.from_bytes(vk_bytes)
     cert_body = H_tagged("dac/dkcert", vk_bytes, bytes([level]))
-    if not sgn_verify(params.cert_pk, cert_body, cert):
+    if not sgn_verify(params.cert_table, cert_body, cert):
         raise CryptoError("delegation key certificate invalid")
     ext_body = H_tagged("dac/ext", nym_d.to_bytes(params.n_bytes, "big"),
                         attrs_digest(attrs), bytes([level]), b"\x01")

@@ -306,7 +306,9 @@ class SigningKey:
         return c.to_bytes(16, "big") + CURVE.scalar_to_bytes(s)
 
 
-def sgn_verify(pk: GroupElement, msg: bytes, sig: bytes) -> bool:
+def sgn_verify(pk: GroupElement | PointTable, msg: bytes, sig: bytes) -> bool:
+    """Check sig on msg under pk. A verifier of one fixed key passes the
+    key's `PointTable`, built once, instead of the bare point."""
     if len(sig) != 16 + SCALAR_BYTES:
         return False
     c = int.from_bytes(sig[:16], "big")
@@ -314,6 +316,7 @@ def sgn_verify(pk: GroupElement, msg: bytes, sig: bytes) -> bool:
         s = CURVE.scalar_from_bytes(sig[16:])
     except CryptoError:
         return False
+    point = pk.point if isinstance(pk, PointTable) else pk
     # R = g^s * pk^-c, then the challenge must recompute
     R = CURVE.muladd(s, CURVE.generator, (-c) % ORDER, pk)
-    return c == H_int("sgn", R.to_bytes(), pk.to_bytes(), msg) >> 128
+    return c == H_int("sgn", R.to_bytes(), point.to_bytes(), msg) >> 128

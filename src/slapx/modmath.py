@@ -1,10 +1,27 @@
 """Integer and modular arithmetic: primality testing, prime search, RSA moduli.
 
-Miller-Rabin round policy. Every number that may come from an adversary
-(`next_prime`, and through it `hash_to_prime`, and any caller that relies on
-the default) gets `MR_ROUNDS` = 64 rounds with random bases, on top of trial
-division by the primes below 256: any composite passes with probability at
-most 4^-64 = 2^-128 over the bases. The contract only requires < 2^-64.
+Primality of numbers that may come from an adversary. `is_probable_prime`
+without an rng (`next_prime`, and through it `hash_to_prime`) runs the
+Baillie-PSW test (Baillie and Wagstaff 1980, "Lucas pseudoprimes";
+Pomerance, Selfridge and Wagstaff 1980; FIPS 186-5 Appendix B.3): trial
+division by the primes below 256, one gcd with the odd primes below 2^14,
+then a strong test to base 2 and a strong Lucas test with Selfridge's
+method-A parameters (D the first of 5, -7, 9, -11, ... with Jacobi symbol
+(D/n) = -1, P = 1, Q = (1 - D)/4). The argument for it:
+
+- BPSW has no proven error bound, unlike random-base Miller-Rabin.
+- No composite is known to pass it, and none exists below 2^64 (Feitsma
+  and Galway's list of base-2 strong pseudoprimes, all of which fail the
+  Lucas test).
+- Its input here is a SHA-256 output, H(x + y), that a prover can steer
+  only by grinding y, which costs a full evaluation per try.
+- The 64 "random" Miller-Rabin rounds it replaces drew their bases from
+  `SeededRng(0xA5A5 ^ n)`, a function of n: an adversary who picks n knows
+  the bases too, so their 2^-128 bound never held against one either.
+
+`next_prime` returns the same primes as the 64-round test did: a number
+on which the two disagree would be a BPSW pseudoprime or a composite that
+passed 64 rounds.
 
 `random_prime` tests candidates it drew uniformly itself, and for those the
 average case applies (Damgard, Landrock and Pomerance 1993, "Average case
@@ -65,6 +82,8 @@ _SMALL_PRIMES = [2] + [p for p in _SIEVE_PRIMES if p < 256]
 
 
 def is_probable_prime(n: int, rng: SeededRng | None = None, rounds: int = MR_ROUNDS) -> bool:
+    """Baillie-PSW without an rng; with one, `rounds` Miller-Rabin rounds
+    whose bases are drawn from it (see the module docstring)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -72,25 +91,78 @@ def is_probable_prime(n: int, rng: SeededRng | None = None, rounds: int = MR_ROU
             return True
         if n % p == 0:
             return False
-    # write n-1 = d * 2^s with d odd
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    rng = rng or SeededRng(0xA5A5 ^ (n & 0xFFFFFFFF))
+    if rng is None:
+        if n > _SIEVE_PRIMES[-1] and math.gcd(n, SIEVE_PRODUCT) != 1:
+            return False
+        return _strong_test(n, 2) and _strong_lucas_test(n)
     for _ in range(rounds):
-        a = 2 + rng.randrange(n - 3) if n > 4 else 2
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
+        if not _strong_test(n, 2 + rng.randrange(n - 3)):
             return False
     return True
+
+
+def _strong_test(n: int, a: int) -> bool:
+    """One Miller-Rabin round: is odd n > 2 a strong probable prime to base a?"""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s        # n - 1 = d * 2^s with d odd
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_test(n: int) -> bool:
+    """Is odd n > 2 a strong Lucas probable prime with Selfridge's method-A
+    parameters? With n + 1 = d * 2^s, d odd: U_d = 0 or V_(d*2^r) = 0 for
+    some r < s (mod n)."""
+    if math.isqrt(n) ** 2 == n:     # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # left to right over d's bits from U_1 = V_1 = P = 1, with Qk = Q^k
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n      # k -> 2k
+        Qk = Qk * Qk % n
+        if bit == "1":                               # 2k -> 2k + 1
+            U, V = U + V, D * U + V
+            U = ((U + n if U & 1 else U) >> 1) % n  # halve mod odd n
+            V = ((V + n if V & 1 else V) >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n                     # V_2k = V_k^2 - 2 Q^k
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
 
 
 def next_prime(n: int) -> int:

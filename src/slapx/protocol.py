@@ -10,6 +10,7 @@ which enforces the byte-exact per-phase payload budgets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf, wire
 from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
-from .group import CURVE, GroupElement, SigningKey, sgn_verify
+from .group import CURVE, GroupElement, PointTable, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .modmath import RsaModulus
 from .rng import SeededRng
@@ -192,6 +193,11 @@ class PublicView:
     rlrs_params: rlrs.RlrsParams
     ring: list[str]
     psd_pk: GroupElement  # the puzzle signer's key
+
+    @functools.cached_property
+    def psd_table(self) -> PointTable:
+        """psd_pk's table, built on first use for every puzzle check."""
+        return CURVE.table(self.psd_pk)
 
 
 # -- access point -------------------------------------------------------------
@@ -680,7 +686,7 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     rec_b, puz_b, sig = wire.unpack_fields(resp_content, 3)
     record = SpectrumRecord.decode(rec_b)
     puzzle = Puzzle.decode(puz_b)
-    if not sgn_verify(client.view.psd_pk, puz_b, sig):
+    if not sgn_verify(client.view.psd_table, puz_b, sig):
         raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle signature invalid")
     trace = PhaseTrace("spectrum_query", req, resp,
                        fields={"presentation": pres_b, "phi": phi_b,

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slapx.errors import CryptoError, ParameterError
+from slapx import vdf
 from slapx.group import (BETA, CURVE, ELEMENT_BYTES, FIELD_P, LAMBDA, Group,
-                         GroupElement, _split)
-from slapx.hashes import H, H_expand, hash_to_prime
+                         GroupElement, SigningKey, _split, sgn_verify)
+from slapx.hashes import (H, H_expand, hash_to_prime, hash_to_prime_floor,
+                          int_sum_to_bytes)
 from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
-                           SIEVE_PRODUCT, FixedBase, fixed_base_multiexp,
-                           is_probable_prime, next_prime, random_prime,
-                           random_prime_rounds, rsa_setup)
+                           SIEVE_PRODUCT, FixedBase, _SMALL_PRIMES,
+                           _strong_lucas_test, _strong_test,
+                           fixed_base_multiexp, is_probable_prime, next_prime,
+                           random_prime, random_prime_rounds, rsa_setup)
 from slapx.rng import SeededRng
 
 GROUP, GEN = CURVE, CURVE.generator
@@ -362,6 +365,133 @@ class TestRandomPrimeFastPath:
             "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d915113f", 16)
 
 
+def reference_is_probable_prime(n: int, rng: SeededRng | None = None,
+                                rounds: int = MR_ROUNDS) -> bool:
+    """The Miller-Rabin test the prime search used before Baillie-PSW:
+    `rounds` bases drawn from rng, or from SeededRng(0xA5A5 ^ n) without one."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    rng = rng or SeededRng(0xA5A5 ^ (n & 0xFFFFFFFF))
+    for _ in range(rounds):
+        a = 2 + rng.randrange(n - 3) if n > 4 else 2
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_next_prime(n: int) -> int:
+    """next_prime over the 64-round reference test."""
+    if n <= 2:
+        return 2
+    c = n | 1
+    if c < n:
+        c += 2
+    while not reference_is_probable_prime(c):
+        c += 2
+    return c
+
+
+def criterion_1_digests() -> list[int]:
+    """H(x + y) of the evals timed by acceptance criterion 1 (b): tau = 2^8
+    ... 2^16 on the SeededRng(1002) 2048-bit modulus, message b"lin"."""
+    params = vdf.vdf_setup(2048, kappa=1000, rng=SeededRng(1002))
+    n = params.modulus.n
+    x = vdf.challenge_base(params, b"lin")
+    y, done, out = x, 0, []
+    for k in range(8, 17):
+        y, _, _ = vdf.sequential_square(y, (1 << k) - done, n)
+        done = 1 << k
+        out.append(hash_to_prime_floor(int_sum_to_bytes(x + y)))
+    return out
+
+
+KNOWN_PRIMES = [257, 16381, 16411, 65537, 2 ** 31 - 1, 2 ** 61 - 1,
+                2 ** 89 - 1, 2 ** 127 - 1, 2 ** 255 - 19, FIELD_P, N,
+                2 ** 521 - 1]
+# strong pseudoprimes to base 2; the last to every prime base up to 23
+BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 3825123056546413051]
+# strong Lucas pseudoprimes under Selfridge's method A (OEIS A217255)
+LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                      40309, 58519]
+
+
+class TestPrimeSearchReference:
+    """Baillie-PSW against the 64-round Miller-Rabin search it replaced."""
+
+    def test_seeded_256_bit_inputs(self):
+        rng = SeededRng(256)
+        for _ in range(200):
+            n = rng.randint_bits(256)
+            assert next_prime(n) == reference_next_prime(n)
+
+    def test_criterion_1_inputs(self):
+        digests = criterion_1_digests()
+        assert len(set(digests)) == 9
+        for h in digests:
+            assert next_prime(h) == reference_next_prime(h)
+
+    def test_known_primes(self):
+        for p in KNOWN_PRIMES:
+            assert is_probable_prime(p) and reference_is_probable_prime(p)
+            assert next_prime(p) == p
+            assert next_prime(p + 1) == reference_next_prime(p + 1)
+
+    def test_rng_path_keeps_rounds_and_draws(self):
+        # random_prime's candidates: same verdicts, same draws consumed
+        for bits, rounds in ((64, 64), (512, random_prime_rounds(512))):
+            draw, new_rng, ref_rng = SeededRng(bits), SeededRng(7), SeededRng(7)
+            for _ in range(300):
+                c = draw.randint_bits(bits) | 1 << (bits - 1) | 1
+                assert (is_probable_prime(c, new_rng, rounds)
+                        == reference_is_probable_prime(c, ref_rng, rounds))
+            assert new_rng.randint_bits(64) == ref_rng.randint_bits(64)
+
+    def test_base_2_pseudoprimes_rejected(self):
+        for n in BASE_2_PSEUDOPRIMES:
+            assert _strong_test(n, 2)
+            assert not is_probable_prime(n)
+
+    def test_lucas_pseudoprimes_fail_base_2(self):
+        for n in LUCAS_PSEUDOPRIMES:
+            assert not brute_force_prime(n)
+            assert _strong_lucas_test(n)
+            assert not _strong_test(n, 2)
+            assert not is_probable_prime(n)
+
+    def test_lucas_step_alone(self):
+        for p in KNOWN_PRIMES[:-1]:
+            assert _strong_lucas_test(p)
+        # 5459 is the least strong Lucas pseudoprime: below it the step
+        # alone is exact
+        small = [n for n in range(3, 5459, 2)
+                 if _strong_lucas_test(n) and not brute_force_prime(n)]
+        assert small == []
+
+    def test_perfect_squares_rejected(self):
+        # 1093^2 and 3511^2 (Wieferich primes) pass the base-2 strong test
+        for p in (1093, 3511, 16411, 65537, 2 ** 61 - 1, 2 ** 127 - 1):
+            assert not _strong_lucas_test(p * p)
+            assert not is_probable_prime(p * p)
+        assert _strong_test(1093 ** 2, 2) and _strong_test(3511 ** 2, 2)
+
+
 MULTIEXP_N = rsa_setup(512, SeededRng(93)).n
 MULTIEXP_BASES = [pow(3 + i, 2, MULTIEXP_N) for i in range(4)]
 # 384 bits: the widest credential response (Z_BYTES); 10 bits is not a
@@ -441,3 +571,25 @@ class TestRngAndHash:
         out = H_expand("t", b"seed", 100)
         assert len(out) == 100
         assert out == H_expand("t", b"seed", 100)
+
+
+class TestSgnVerifyTable:
+    """A fixed key's PointTable verifies exactly as the bare point does."""
+
+    def test_table_matches_point(self):
+        rng = SeededRng(31)
+        key, other = SigningKey.generate(rng), SigningKey.generate(rng)
+        table = GROUP.table(key.pk)
+        for i in range(6):
+            msg = b"puzzle-%d" % i
+            sig = key.sign(msg, rng)
+            forged = other.sign(msg, rng)
+            flipped = bytes([sig[0] ^ 1]) + sig[1:]
+            tail = sig[:-1] + bytes([sig[-1] ^ 1])
+            for s_, m_ in ((sig, msg), (sig, msg + b"!"), (forged, msg),
+                           (flipped, msg), (tail, msg), (sig[:-1], msg),
+                           (sig[:16] + b"\xff" * 32, msg)):
+                want = sgn_verify(key.pk, m_, s_)
+                assert sgn_verify(table, m_, s_) == want
+            assert sgn_verify(table, msg, sig)
+            assert not sgn_verify(table, msg, forged)

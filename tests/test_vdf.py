@@ -46,7 +46,7 @@ class TestEvalOracle:
 
     def test_direct_square_chain(self):
         # 2^(2^3) mod 35 = 256 mod 35
-        y, count = sequential_square(2, 3, 35)
+        y, count, _ = sequential_square(2, 3, 35)
         assert (y, count) == (11, 3)
 
     def test_tau_zero_is_identity(self):
