@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import socket
 import sys
 import threading
+from types import SimpleNamespace
 
 from . import bench as bench_mod
 from . import simnet, wire
 from .errors import ParameterError, ProtocolReject, RejectReason
-from .protocol import (Deployment, DeviceProfile, NeighborDevice, SeededRng,
-                       run_pol_ap, run_pol_nd, run_service_request,
-                       run_spectrum_query)
+from .protocol import (DEVICE_CLASSES, Deployment, DeviceProfile,
+                       NeighborDevice, SeededRng, run_pol_ap, run_pol_nd,
+                       run_service_request, run_spectrum_query)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,14 +175,14 @@ def cmd_protocol(args) -> int:
     dep = _deployment(args)
     if args.transport == "in-process":
         return _run_protocol_once(args, dep, dep.ap, dep.psd, dep.server)
-    roles = [_SocketRole(dep.ap, "issue_pol", "pol_ap"),
-             _SocketRole(dep.psd, "handle_spectrum_request", "spectrum"),
-             _SocketRole(dep.server, "handle_service_request", "service")]
-    try:
-        return _run_protocol_once(args, dep, *roles)
-    finally:
-        for role in roles:
-            role.close()
+    # a client hears the AP's beacon and id over the air, not over the socket
+    ap = SimpleNamespace(ap_id=dep.ap.ap_id, beacon=dep.ap.beacon,
+                         issue_pol=_over_socket("pol_ap", dep.ap.issue_pol))
+    psd = SimpleNamespace(handle_spectrum_request=_over_socket(
+        "spectrum_query", dep.psd.handle_spectrum_request))
+    server = SimpleNamespace(handle_service_request=_over_socket(
+        "service_request", dep.server.handle_service_request))
+    return _run_protocol_once(args, dep, ap, psd, server)
 
 
 # -- socket transport (demo) ------------------------------------------------------
@@ -197,65 +199,44 @@ def _recv_frame(conn: socket.socket) -> wire.WireMessage:
     return msg
 
 
-def _socket_call(address, msg: wire.WireMessage) -> wire.WireMessage:
-    """One request/response exchange; a REJECT frame is raised again here."""
-    with socket.create_connection(address) as conn:
-        conn.sendall(msg.encode())
-        reply = _recv_frame(conn)
-    if reply.type == wire.MessageType.REJECT:
-        raise ProtocolReject(list(RejectReason)[reply.payload[0]],
-                             "rejected over the socket")
-    return reply
+def _over_socket(phase: str, handle):
+    """`handle` behind a loopback socket: each call sends its content as one
+    framed request of `phase` to a listener of its own, whose thread runs
+    the real handler and answers with one frame, and is joined before the
+    call returns. A REJECT frame is raised again here. The handler's
+    arguments after the content model the physical world, which no frame
+    carries, so they reach the thread in memory."""
+    request_name, response_name = wire.PHASE_MESSAGES[phase]
 
+    def serve(srv: socket.socket, world: tuple) -> None:
+        conn, _ = srv.accept()
+        with conn:
+            content = wire.message_content(_recv_frame(conn))
+            try:
+                reply = wire.build_message(response_name, handle(content, *world))
+            except ProtocolReject as e:
+                reply = wire.WireMessage(wire.MessageType.REJECT, bytes(
+                    [list(RejectReason).index(e.reason)]))
+            conn.sendall(reply.encode())
 
-class _SocketRole:
-    """Stands in for a role in the phase drivers: the handler call travels as
-    one framed request over a loopback socket to a thread that runs the real
-    handler. Other attributes (the AP's `beacon` and `ap_id`) come from the
-    local role. The handler's arguments after the content, the clock and
-    the AP's radio measurement, model the physical world, which no frame
-    carries, so they are handed to the thread in memory."""
-
-    def __init__(self, role, handler: str, messages: str):
-        self._role = role
-        self._handle = getattr(role, handler)
-        self._request, self._response = (f"{messages}_request",
-                                         f"{messages}_response")
-        self._args = ()
-        self._srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._srv.bind(("127.0.0.1", 0))
-        self._srv.listen(4)
-        threading.Thread(target=self._serve, daemon=True).start()
-        setattr(self, handler, self._call)
-
-    def __getattr__(self, name):
-        return getattr(self._role, name)
-
-    def _call(self, content: bytes, *args):
-        self._args = args
-        reply = _socket_call(self._srv.getsockname(),
-                             wire.build_message(self._request, content))
+    def call(content: bytes, *world) -> bytes:
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            # connected before the thread starts, so its accept cannot wait
+            conn = socket.create_connection(srv.getsockname())
+            thread = threading.Thread(target=serve, args=(srv, world))
+            thread.start()
+            try:
+                with conn:
+                    conn.sendall(wire.build_message(request_name, content).encode())
+                    reply = _recv_frame(conn)
+            finally:
+                thread.join()
+        if reply.type == wire.MessageType.REJECT:
+            raise ProtocolReject(list(RejectReason)[reply.payload[0]],
+                                 "rejected over the socket")
         return wire.message_content(reply)
 
-    def _serve(self):
-        while True:
-            try:
-                conn, _ = self._srv.accept()
-            except OSError:
-                return
-            with conn:
-                content = wire.message_content(_recv_frame(conn))
-                try:
-                    reply = wire.build_message(self._response,
-                                               self._handle(content, *self._args))
-                except ProtocolReject as e:
-                    reply = wire.WireMessage(wire.MessageType.REJECT, bytes(
-                        [list(RejectReason).index(e.reason)]))
-                conn.sendall(reply.encode())
-
-    def close(self):
-        self._srv.shutdown(socket.SHUT_RDWR)
-        self._srv.close()
+    return call
 
 
 # -- simulations -------------------------------------------------------------------
@@ -347,6 +328,26 @@ def cmd_fragmentation(args) -> int:
 
 # -- argument parsing ------------------------------------------------------------
 
+def _coordinate(text: str) -> float:
+    """A position in metres that the wire's millimetre codec carries."""
+    value = float(text)
+    try:
+        wire.encode_point(value, 0.0)
+    except (OverflowError, ValueError):  # infinite, NaN, or too many mm
+        raise argparse.ArgumentTypeError(
+            f"coordinate out of range: {text}") from None
+    return value
+
+
+def _distance(text: str) -> float:
+    """A finite distance in metres that is not negative."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"distance must be finite and not negative: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="slapx",
                                 description="privacy-preserving spectrum "
@@ -363,12 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     def device(sp):
         deployment(sp)
         sp.add_argument("--device-id", default="DEV-0001")
-        sp.add_argument("--device-class", type=int, default=0)
+        sp.add_argument("--device-class", type=int, default=0,
+                        choices=sorted(DEVICE_CLASSES))
 
     def positioned(sp):
         device(sp)
-        sp.add_argument("-x", type=float, default=10.0)
-        sp.add_argument("-y", type=float, default=20.0)
+        sp.add_argument("-x", type=_coordinate, default=10.0)
+        sp.add_argument("-y", type=_coordinate, default=20.0)
 
     sp = sub.add_parser("keygen", help="provision authority, ring, and PSD keys")
     deployment(sp)
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pol", help="acquire a proof of location")
     positioned(sp)
-    sp.add_argument("--distance", type=float, default=0.0)
+    sp.add_argument("--distance", type=_distance, default=0.0)
     sp.add_argument("--via", choices=["ap", "nd"], default="ap")
     sp.set_defaults(fn=cmd_pol)
 

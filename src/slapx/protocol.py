@@ -5,8 +5,9 @@ primitives.
 
 All roles take explicit timestamps so runs are deterministic; the time
 window index is floor(now / WINDOW_S) and scopes beacons, link checks, and
-proof validity. Every exchanged message is built through wire.build_message,
-which enforces the byte-exact per-phase payload budgets.
+proof validity. Every phase driver frames its request and response through
+`exchange`, whose wire.build_message enforces the byte-exact per-phase
+payload budgets.
 """
 from __future__ import annotations
 
@@ -185,6 +186,17 @@ class Client:
     def fresh_nym(self) -> tuple[int, int]:
         return dac.dac_nymgen(self.view.dac_params, self.pk, self.rng)
 
+    def present(self, cred: dac.Credential, kind: str, window: int,
+                verifier_id: str, disclose: tuple[int, ...],
+                payload: bytes) -> bytes:
+        """The encoded presentation of cred under a fresh pseudonym, for
+        verifier_id's `kind` exchange in window, bound to payload."""
+        params = self.view.dac_params
+        nym, aux = self.fresh_nym()
+        ctx = presentation_context(kind, window, verifier_id)
+        return dac.dac_cred_prove(params, self.sk, nym, aux, cred, disclose, ctx,
+                                  self.rng, payload=payload).to_bytes(params)
+
 
 @dataclass(frozen=True)
 class PublicView:
@@ -240,9 +252,11 @@ class AccessPoint:
             rtt = 2.0 * true_distance_m / dbp.SPEED_OF_LIGHT_M_S
         else:
             rss, rtt = measured
-        d_hat = prox_verify(rss, rtt, RTT_WEIGHT)
+        d_hat = _or_reject(RejectReason.NOT_PROXIMATE, "measurement refused",
+                           prox_verify, rss, rtt, RTT_WEIGHT)
         claimed_d = math.hypot(l_x, l_y)  # AP at the local origin
-        if claimed_d > PROX_THRESHOLD_M or d_hat > PROX_THRESHOLD_M:
+        # grant only within the threshold: a NaN distance compares False
+        if not (claimed_d <= PROX_THRESHOLD_M and d_hat <= PROX_THRESHOLD_M):
             raise ProtocolReject(
                 RejectReason.NOT_PROXIMATE,
                 f"claimed {claimed_d:.0f} m, estimated {d_hat:.0f} m")
@@ -592,38 +606,42 @@ class PhaseTrace:
         return len(self.request.payload) + len(self.response.payload)
 
 
+def exchange(phase: str, handle, content: bytes,
+             *world) -> tuple[bytes, PhaseTrace]:
+    """Frame content as `phase`'s request, hand it to handle, and frame the
+    answer. `world` (the clock, a distance, a radio measurement) models the
+    physical world, so no frame carries it. handle is called here directly,
+    so a tracer sees it as a child of the phase driver."""
+    request_name, response_name = wire.PHASE_MESSAGES[phase]
+    req = wire.build_message(request_name, content)
+    resp_content = handle(wire.message_content(req), *world)
+    resp = wire.build_message(response_name, resp_content)
+    return resp_content, PhaseTrace(phase, req, resp)
+
+
 def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
                now_s: float, true_distance_m: float | None = None,
                measured: tuple[float, float] | None = None
                ) -> tuple[LocationProof, PhaseTrace]:
     window = window_of(now_s)
-    beacon = ap.beacon(now_s)
-    nym, aux = client.fresh_nym()
+    beacon_b = ap.beacon(now_s).encode()
     loc = wire.encode_point(l_x, l_y)
     win_b = window.to_bytes(8, "big")
-    ctx = presentation_context("pol-ap", window, ap.ap_id)
-    pres = dac.dac_cred_prove(client.view.dac_params, client.sk, nym, aux,
-                              client.cred, disclose=(), context=ctx,
-                              rng=client.rng,
-                              payload=beacon.encode() + loc + win_b)
-    pres_b = pres.to_bytes(client.view.dac_params)
-    content = wire.pack_fields(beacon.encode(), loc, win_b, pres_b)
-    req = wire.build_message("pol_ap_request", content)
-
+    pres_b = client.present(client.cred, "pol-ap", window, ap.ap_id, (),
+                            beacon_b + loc + win_b)
     if true_distance_m is None:
         true_distance_m = math.hypot(l_x, l_y)
-    resp_content = ap.issue_pol(wire.message_content(req), now_s,
-                                true_distance_m, measured)
-    resp = wire.build_message("pol_ap_response", resp_content)
+    resp_content, trace = exchange(
+        "pol_ap", ap.issue_pol, wire.pack_fields(beacon_b, loc, win_b, pres_b),
+        now_s, true_distance_m, measured)
 
     proof = LocationProof.decode(resp_content, client.view.rlrs_params)
     if not rlrs.rlrs_verify(client.view.ring, proof.m, proof.event(),
                             proof.sig, client.view.rlrs_params):
         raise ProtocolReject(RejectReason.BAD_POL, "AP returned invalid proof")
-    trace = PhaseTrace("pol_ap", req, resp,
-                       fields={"nym": pres_b[2:2 + client.view.dac_params.n_bytes],
-                               "presentation": pres_b,
-                               "pol_sig": rlrs.encode_signature(proof.sig)})
+    trace.fields = {"nym": pres_b[2:2 + client.view.dac_params.n_bytes],
+                    "presentation": pres_b,
+                    "pol_sig": rlrs.encode_signature(proof.sig)}
     return proof, trace
 
 
@@ -632,27 +650,20 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
                ) -> tuple[dac.DelegatedCredential, PhaseTrace]:
     params = client.view.dac_params
     window = window_of(now_s)
-    nym, aux = client.fresh_nym()
     loc = wire.encode_point(l_x, l_y)
     win_b = window.to_bytes(8, "big")
-    ctx = presentation_context("pol-nd", window, "ND")
-    pres = dac.dac_cred_prove(params, client.sk, nym, aux, client.cred,
-                              disclose=(), context=ctx, rng=client.rng,
-                              payload=loc + win_b)
+    pres_b = client.present(client.cred, "pol-nd", window, "ND", (), loc + win_b)
     dreq, r_d = dac.dac_request_delegation(params, client.sk, client.rng)
-    content = wire.pack_fields(loc, win_b, pres.to_bytes(params),
-                               client.dbp_key.pk.to_bytes(), dreq.to_bytes(params))
-    req = wire.build_message("pol_nd_request", content)
-
-    resp_content = nd.issue_delegated(wire.message_content(req), now_s,
-                                      true_distance_m)
-    resp = wire.build_message("pol_nd_response", resp_content)
+    resp_content, trace = exchange(
+        "pol_nd", nd.issue_delegated,
+        wire.pack_fields(loc, win_b, pres_b, client.dbp_key.pk.to_bytes(),
+                         dreq.to_bytes(params)),
+        now_s, true_distance_m)
 
     vk, cert, ext_sig, _, _ = wire.unpack_fields(resp_content, 5)
     a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
     dcred = dac.dac_receive_cred(params, client.cred, client.sk, r_d,
                                  dreq.nym_d, a_l, 2, vk, cert, ext_sig)
-    trace = PhaseTrace("pol_nd", req, resp)
     return dcred, trace
 
 
@@ -663,34 +674,23 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
                        ) -> tuple[SpectrumRecord, Puzzle, bytes, PhaseTrace]:
     if (proof is None) == (dcred is None):
         raise SlapxError("exactly one of proof or delegated credential required")
-    params = client.view.dac_params
-    window = window_of(now_s)
-    nym, aux = client.fresh_nym()
     loc = wire.encode_point(l_x, l_y)
     ch_b = (1).to_bytes(2, "big")  # one channel requested
     tv_b = (int(now_s).to_bytes(8, "big") + int(now_s + WINDOW_S).to_bytes(8, "big"))
     phi_b = proof.encode(client.view.rlrs_params) if proof else b""
-    ctx = presentation_context("spectrum", window, "PSD")
-    payload = loc + ch_b + tv_b + H_tagged("phi", phi_b)
-    pres = dac.dac_cred_prove(params, client.sk, nym, aux,
-                              dcred if dcred is not None else client.cred,
-                              disclose=DISCLOSE_DEVICE, context=ctx,
-                              rng=client.rng, payload=payload)
-    pres_b = pres.to_bytes(params)
-    content = wire.pack_fields(loc, ch_b, tv_b, pres_b, phi_b)
-    req = wire.build_message("spectrum_request", content)
-
-    resp_content = psd.handle_spectrum_request(wire.message_content(req), now_s)
-    resp = wire.build_message("spectrum_response", resp_content)
+    pres_b = client.present(dcred if dcred is not None else client.cred,
+                            "spectrum", window_of(now_s), "PSD", DISCLOSE_DEVICE,
+                            loc + ch_b + tv_b + H_tagged("phi", phi_b))
+    resp_content, trace = exchange(
+        "spectrum_query", psd.handle_spectrum_request,
+        wire.pack_fields(loc, ch_b, tv_b, pres_b, phi_b), now_s)
 
     rec_b, puz_b, sig = wire.unpack_fields(resp_content, 3)
     record = SpectrumRecord.decode(rec_b)
     puzzle = Puzzle.decode(puz_b)
     if not sgn_verify(client.view.psd_table, puz_b, sig):
         raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle signature invalid")
-    trace = PhaseTrace("spectrum_query", req, resp,
-                       fields={"presentation": pres_b, "phi": phi_b,
-                               "puzzle": puz_b})
+    trace.fields = {"presentation": pres_b, "phi": phi_b, "puzzle": puz_b}
     return record, puzzle, sig, trace
 
 
@@ -700,32 +700,21 @@ def run_service_request(client: Client, server: ServiceServer, message: bytes,
                         dcred: dac.DelegatedCredential | None = None,
                         solution: vdf.VdfSolution | None = None
                         ) -> tuple[bytes, vdf.VdfSolution, PhaseTrace]:
-    params = client.view.dac_params
-    window = window_of(now_s)
     if solution is None:
         solution = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(message))
     sol_b = solution.to_bytes(puzzle.modulus_bytes)
-    nym, aux = client.fresh_nym()
     phi_b = proof.encode(client.view.rlrs_params) if proof else b""
-    ctx = presentation_context("service", window, "SERVER")
-    payload = message + puzzle.puzzle_id + H_tagged("phi", phi_b)
-    pres = dac.dac_cred_prove(params, client.sk, nym, aux,
-                              dcred if dcred is not None else client.cred,
-                              disclose=DISCLOSE_DEVICE, context=ctx,
-                              rng=client.rng, payload=payload)
-    pres_b = pres.to_bytes(params)
-    content = wire.pack_fields(message, puzzle.puzzle_id, sol_b, pres_b, phi_b)
-    req = wire.build_message("service_request", content)
-
-    resp_content = server.handle_service_request(wire.message_content(req), now_s)
-    resp = wire.build_message("service_response", resp_content)
+    pres_b = client.present(dcred if dcred is not None else client.cred,
+                            "service", window_of(now_s), "SERVER", DISCLOSE_DEVICE,
+                            message + puzzle.puzzle_id + H_tagged("phi", phi_b))
+    resp_content, trace = exchange(
+        "service_request", server.handle_service_request,
+        wire.pack_fields(message, puzzle.puzzle_id, sol_b, pres_b, phi_b), now_s)
 
     status, token = wire.unpack_fields(resp_content, 2)
     if status != b"\x01":
         raise ProtocolReject(RejectReason.BAD_SOLUTION, "service denied")
-    trace = PhaseTrace("service_request", req, resp,
-                       fields={"presentation": pres_b, "solution": sol_b,
-                               "token": token})
+    trace.fields = {"presentation": pres_b, "solution": sol_b, "token": token}
     return token, solution, trace
 
 

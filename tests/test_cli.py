@@ -1,5 +1,6 @@
 """Command surface: exit-code mapping, output schemas, and determinism."""
 import json
+import threading
 
 import pytest
 
@@ -31,7 +32,13 @@ class TestExitCodes:
         ("query", "--distance", "70"), ("service", "--distance", "70"),
         ("protocol", "--distance", "70"), ("enroll", "--distance", "70"),
         ("enroll", "-x", "5"), ("keygen", "-y", "5"),
-        ("keygen", "--device-class", "2")])
+        ("keygen", "--device-class", "2"),
+        # values the roles cannot encode or price
+        ("pol", "-x", "inf"), ("pol", "-x", "nan"), ("protocol", "-y", "1e30"),
+        ("enroll", "--device-class", "300"), ("enroll", "--device-class", "-1"),
+        ("query", "--device-class", "7"), ("pol", "--distance", "-1"),
+        ("pol", "--via", "nd", "--distance", "-1"),
+        ("pol", "--distance", "nan")])
     def test_option_the_subcommand_ignores_is_refused(self, capsys, argv):
         # query would otherwise print QUERY_OK for a device 70 m out
         code, out, _ = run_cli(capsys, *argv)
@@ -84,6 +91,15 @@ class TestExitCodes:
         assert "usage error" in err and "'abc'" in err
 
 
+class TestPolCommand:
+    @pytest.mark.parametrize("via, status", [("ap", "POL_AP_OK"),
+                                             ("nd", "POL_ND_OK")])
+    def test_distance_zero_is_accepted(self, capsys, via, status):
+        code, out, _ = run_cli(capsys, "pol", "--seed", "3", "--modulus-bits",
+                               "512", "--via", via, "--distance", "0")
+        assert code == 0 and out.startswith(status)
+
+
 class TestProtocolCommand:
     def test_grant_prints_phase_totals(self, capsys):
         code, out, _ = run_cli(capsys, "protocol", "--seed", "3",
@@ -129,6 +145,23 @@ class TestProtocolCommand:
                                  "-x", "70", "-y", "70")
         assert code == EXIT_CODES[RejectReason.NOT_PROXIMATE]
         assert out == "" and "REJECTED NOT_PROXIMATE" in err
+
+    @pytest.mark.parametrize("flag, reason", [
+        ("--replay", RejectReason.LINKED), ("--expired", RejectReason.EXPIRED)])
+    def test_socket_reject_matches_in_process(self, capsys, flag, reason):
+        argv = ("protocol", "--seed", "3", "--modulus-bits", "512", flag)
+        code, out, err = run_cli(capsys, *argv, "--transport", "socket")
+        _, _, in_process = run_cli(capsys, *argv)
+        assert code == EXIT_CODES[reason] and out == ""
+        assert (err.partition(":")[0] == in_process.partition(":")[0]
+                == f"REJECTED {reason.name}")
+
+    @pytest.mark.parametrize("extra", [(), ("--replay",)])
+    def test_socket_run_leaves_no_thread(self, capsys, extra):
+        before = set(threading.enumerate())
+        run_cli(capsys, "protocol", "--seed", "3", "--modulus-bits", "512",
+                "--transport", "socket", *extra)
+        assert set(threading.enumerate()) <= before
 
 
 class TestSimulateOutputs:

@@ -31,3 +31,50 @@ def test_psd_state_perfbench_reads(deployment):
     assert callable(psd.pool.get)
     for name in ("puzzles", "grants", "links"):
         assert isinstance(len(getattr(psd, name)), int), name
+
+
+def test_each_handler_span_is_a_child_of_its_phase_span():
+    # perfbench's client time of a phase is its span minus its handler
+    # child, so the handler must be called straight from the phase driver.
+    # The drivers are called through their module, where the tracer wraps
+    # them.
+    from slapx import protocol as P
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    dep = P.Deployment.create(seed=5, psd_modulus_bits=512)
+    client = dep.new_client(seed=1005)
+    _, nd_sk, nd_cred = dep.authority.enroll(
+        P.DeviceProfile(b"ND-00001", 30.0, 0))
+    nd = P.NeighborDevice(dep.view, nd_sk, nd_cred, P.SeededRng(6))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        proof, _ = P.run_pol_ap(client, dep.ap, 10.0, 20.0, 120.0)
+        _, puzzle, _, _ = P.run_spectrum_query(client, dep.psd, 10.0, 20.0,
+                                               120.0, proof=proof)
+        P.run_service_request(client, dep.server, b"ap", puzzle, 120.0,
+                              proof=proof)
+        dcred, _ = P.run_pol_nd(client, nd, 5.0, 5.0, 180.0, 5.0)
+        _, puzzle, _, _ = P.run_spectrum_query(client, dep.psd, 5.0, 5.0,
+                                               180.0, dcred=dcred)
+        P.run_service_request(client, dep.server, b"nd", puzzle, 180.0,
+                              dcred=dcred)
+    finally:
+        tracer.uninstall()
+
+    phase_of = {"protocol.issue_pol": "protocol.phase.pol_ap",
+                "protocol.issue_delegated": "protocol.phase.pol_nd",
+                "protocol.handle_spectrum_request":
+                    "protocol.phase.spectrum_query",
+                "protocol.handle_service_request":
+                    "protocol.phase.service_request"}
+    NAME, PARENT = tracer_mod.NAME, tracer_mod.PARENT
+    handled = [s for s in tracer.spans if s[NAME] in phase_of]
+    # one PoL on each path, and a query and a service request after each
+    assert sorted(s[NAME] for s in handled) == sorted(
+        [*phase_of, *list(phase_of)[2:]])
+    for s in handled:
+        assert s[PARENT] >= 0
+        assert tracer.spans[s[PARENT]][NAME] == phase_of[s[NAME]]

@@ -68,6 +68,14 @@ class TestPolAp:
                        true_distance_m=90.0)
         assert e.value.reason == RejectReason.NOT_PROXIMATE
 
+    @pytest.mark.parametrize("measured", [(math.nan, 1e-8), (-40.0, math.nan),
+                                          (-40.0, -1e-9)])
+    def test_unusable_measurement_not_proximate(self, deployment, client,
+                                                measured):
+        with pytest.raises(ProtocolReject) as e:
+            run_pol_ap(client, deployment.ap, 10.0, 20.0, NOW, measured=measured)
+        assert e.value.reason == RejectReason.NOT_PROXIMATE
+
     def test_stale_beacon(self, deployment, client):
         beacon = deployment.ap.beacon(NOW)
         nym, aux = client.fresh_nym()
