@@ -131,17 +131,20 @@ def _run_protocol_once(args, dep: Deployment, ap, psd, server) -> int:
 def cmd_pol(args) -> int:
     dep = _deployment(args)
     client = _client_for(dep, args)
+    distance = args.distance
+    if distance is None:    # the device stands at the position it claims
+        distance = math.hypot(args.x, args.y)
     if args.via == "nd":
         nd_pk, nd_sk, nd_cred = dep.authority.enroll(
             DeviceProfile(b"ND-00001", 30.0, 0), delegable=True)
         nd = NeighborDevice(dep.view, nd_sk, nd_cred,
                             SeededRng(_seed_from_env(args.seed) + 7))
         dcred, tr = run_pol_nd(client, nd, args.x, args.y, 120.0,
-                               true_distance_m=args.distance)
+                               true_distance_m=distance)
         print(f"POL_ND_OK phase_bytes={tr.total_payload}")
     else:
         proof, tr = run_pol_ap(client, dep.ap, args.x, args.y, 120.0,
-                               true_distance_m=args.distance or None)
+                               true_distance_m=distance)
         print(f"POL_AP_OK phase_bytes={tr.total_payload} window={proof.window}")
     return EXIT_OK
 
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pol", help="acquire a proof of location")
     positioned(sp)
-    sp.add_argument("--distance", type=_distance, default=0.0)
+    sp.add_argument("--distance", type=_distance)
     sp.add_argument("--via", choices=["ap", "nd"], default="ap")
     sp.set_defaults(fn=cmd_pol)
 

@@ -208,25 +208,6 @@ def random_prime(bits: int, rng: SeededRng) -> int:
     raise ParameterError(f"no {bits}-bit prime found within retry bound")
 
 
-class RsaModulus:
-    """Composite modulus N = p*q; the factors are discarded after setup."""
-
-    __slots__ = ("n", "bit_length")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.bit_length = n.bit_length()
-
-    def __eq__(self, other):
-        return isinstance(other, RsaModulus) and self.n == other.n
-
-    def __hash__(self):
-        return hash(self.n)
-
-    def __repr__(self):
-        return f"RsaModulus({self.bit_length} bits)"
-
-
 MIN_MODULUS_BITS = 64
 
 
@@ -243,16 +224,14 @@ def random_prime_pair(bit_length: int, rng: SeededRng) -> tuple[int, int]:
     raise ParameterError("could not find distinct prime factors")
 
 
-def rsa_setup(bit_length: int, rng: SeededRng, _allow_tiny: bool = False) -> RsaModulus:
-    """Generate N = p*q. Moduli below 64 bits are only for brute-force
-    oracle tests and must be requested explicitly via _allow_tiny."""
-    floor = 8 if _allow_tiny else MIN_MODULUS_BITS
-    if bit_length < floor:
-        raise ParameterError(f"modulus must be at least {floor} bits, got {bit_length}")
+def rsa_setup(bit_length: int, rng: SeededRng) -> int:
+    """Generate N = p*q and return N; p and q are discarded. Tests that
+    need a modulus below MIN_MODULUS_BITS multiply `random_prime`s."""
+    if bit_length < MIN_MODULUS_BITS:
+        raise ParameterError(f"modulus must be at least {MIN_MODULUS_BITS} "
+                             f"bits, got {bit_length}")
     p, q = random_prime_pair(bit_length, rng)
-    n = p * q
-    del p, q  # factors never persisted
-    return RsaModulus(n)
+    return p * q
 
 
 class FixedBase:

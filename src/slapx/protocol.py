@@ -21,13 +21,13 @@ from . import dac, dbp, rlrs, vdf, wire
 from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
 from .group import CURVE, GroupElement, PointTable, SigningKey, sgn_verify
 from .hashes import H_tagged
-from .modmath import RsaModulus
 from .rng import SeededRng
 from .spectrumdb import SpectrumDatabase, SpectrumRecord
 
 WINDOW_S = 60.0            # TS window length; equals the proof validity bound
 MODULUS_EPOCH_WINDOWS = 60  # windows per puzzle modulus (1 h); README weighs it
 PROX_THRESHOLD_M = 50.0    # FCC-style proximity threshold
+AP_IDS = tuple(f"AP-{i}" for i in range(4))  # a deployment's APs, one ring
 RTT_WEIGHT = 0.5           # w in the AP's distance estimate w*d_rtt + (1-w)*d_rss
 # the neighbor device's rapid bit exchange: 100 rounds, 20 % may fail
 DBP_CONFIG = dbp.DbpConfig(n=100, th=PROX_THRESHOLD_M, tolerance=0.2)
@@ -427,8 +427,9 @@ class Puzzle:
         # epoch's shared modulus is known before the puzzle is issued
         return vdf.VdfChallenge(self.seed + H_tagged("svc", message), self.tau)
 
-    def params(self) -> vdf.VdfParams:
-        return vdf.VdfParams(RsaModulus(self.modulus_n), max(1, self.tau))
+    def params(self) -> int:
+        """The VDF's one parameter: the puzzle's modulus N."""
+        return self.modulus_n
 
 
 @dataclass(frozen=True)
@@ -453,7 +454,7 @@ class Psd:
         self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
         self.puzzles: dict[bytes, IssuedPuzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
-        self._modulus: tuple[int, RsaModulus] | None = None   # (epoch, N)
+        self._modulus: tuple[int, int] | None = None   # (epoch, N)
         self._modulus_lock = threading.Lock()
         self._id_counter = itertools.count(1)
         self._lock = threading.Lock()
@@ -473,7 +474,7 @@ class Psd:
                 raise ProtocolReject(RejectReason.LINKED, detail)
             seen.add(key)
 
-    def _epoch_modulus(self, now_s: float) -> RsaModulus:
+    def _epoch_modulus(self, now_s: float) -> int:
         """The puzzle modulus of now_s's epoch, drawn for its first puzzle.
 
         The draw holds its own lock, never `_lock`: threads that race on a
@@ -526,9 +527,8 @@ class Psd:
                            "delegated proof already used")
 
         kappa = self._kappa_for(pres)
-        modulus = self._epoch_modulus(now_s)
         puzzle = Puzzle(puzzle_id=next(self._id_counter).to_bytes(8, "big"),
-                        modulus_n=modulus.n, tau=kappa,
+                        modulus_n=self._epoch_modulus(now_s), tau=kappa,
                         seed=self.rng.bytes(32), issued_s=now_s,
                         expires_s=now_s + WINDOW_S)
         sig = self.sgn_key.sign(puzzle.encode(), self.rng)
@@ -566,8 +566,8 @@ class ServiceServer:
 
         sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                          vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
-        params, challenge = puzzle.params(), puzzle.challenge_for(m)
-        if not vdf.ell_passes_floor(params, challenge, sol):
+        n, challenge = puzzle.params(), puzzle.challenge_for(m)
+        if not vdf.ell_passes_floor(n, challenge, sol):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
         # the PSD recorded the binding after checking its proof for the
         # puzzle's issue window; a binding of the other path never matches
@@ -580,7 +580,7 @@ class ServiceServer:
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("service", window, "SERVER"),
                             m + pid + phi_digest)
-        if not vdf.vdf_verify(params, challenge, sol):
+        if not vdf.vdf_verify(n, challenge, sol):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
 
         # a puzzle buys one grant: a resent request finds it spent
@@ -733,8 +733,7 @@ class Deployment:
                psd_modulus_bits: int = vdf.DEFAULT_MODULUS_BITS) -> "Deployment":
         rng = SeededRng(seed)
         authority = Authority(rng.spawn("authority"))
-        ap_ids = [f"AP-{i}" for i in range(4)]
-        ap_keys = {a: authority.provision_ap(a) for a in ap_ids}
+        ap_keys = {a: authority.provision_ap(a) for a in AP_IDS}
         psd_rng = rng.spawn("psd")
         # the PSD's key is the first draw on its stream (seeded tests pin it)
         sgn_key = SigningKey.generate(psd_rng)
@@ -742,7 +741,7 @@ class Deployment:
                           rlrs_params=authority.rlrs_params,
                           ring=list(authority.ring), psd_pk=sgn_key.pk)
         psd = Psd(view, sgn_key, psd_rng, psd_modulus_bits)
-        ap = AccessPoint(ap_ids[0], ap_keys[ap_ids[0]], view, rng.spawn("ap"))
+        ap = AccessPoint(AP_IDS[0], ap_keys[AP_IDS[0]], view, rng.spawn("ap"))
         return cls(authority=authority, view=view, ap=ap, psd=psd,
                    server=ServiceServer(psd))
 

@@ -28,7 +28,9 @@ As in the single-group VDFs of Boneh, Bonneau, Bunz and Fisch (2018) and
 of Wesolowski (2019), one modulus serves many inputs: the issuer draws it
 from `ModulusPool.get` once per epoch (`protocol.MODULUS_EPOCH_WINDOWS`),
 keeps p and q to itself, and every puzzle's input x = H(seed || m) carries
-that puzzle's own fresh seed.
+that puzzle's own fresh seed. That modulus N, a plain int, is the VDF's one
+parameter: every function here takes it as `n`, and the difficulty tau
+comes with each challenge.
 """
 from __future__ import annotations
 
@@ -39,14 +41,14 @@ from .errors import ParameterError, SlapxError
 from .hashes import (H_tagged, hash_to_prime, hash_to_prime_floor,
                      int_sum_to_bytes)
 # is_probable_prime is re-exported: perfbench/test_perfbench.py reads it here
-from .modmath import (FIXED_BASE_WINDOW, FixedBase, RsaModulus,  # noqa: F401
+from .modmath import (FIXED_BASE_WINDOW, FixedBase,  # noqa: F401
                       fixed_base_multiexp, is_probable_prime, rsa_setup)
 from .rng import SeededRng
 
 DEFAULT_MODULUS_BITS = 2048
 
 # kappa assigned per disclosed device class; the protocol layer picks the
-# row, vdf only enforces kappa > 0. One squaring per difficulty unit.
+# row and issues it as the challenge's tau. One squaring per difficulty unit.
 DIFFICULTY_TABLE = {
     "default": 10 ** 3,
     "high_power": 10 ** 4,
@@ -56,16 +58,6 @@ DIFFICULTY_TABLE = {
 
 def difficulty_for(device_class: str) -> int:
     return DIFFICULTY_TABLE.get(device_class, DIFFICULTY_TABLE["default"])
-
-
-@dataclass(frozen=True)
-class VdfParams:
-    modulus: RsaModulus
-    kappa: int
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ParameterError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,18 +93,11 @@ class VdfSolution:
         return cls(*(int.from_bytes(b, "big") for b in (ell_b, pi_b, y_b)))
 
 
-def vdf_setup(security_bits: int, kappa: int, rng: SeededRng,
-              _allow_tiny: bool = False) -> VdfParams:
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    return VdfParams(rsa_setup(security_bits, rng, _allow_tiny=_allow_tiny), kappa)
-
-
-def challenge_base(params: VdfParams, m: bytes) -> int:
+def challenge_base(n: int, m: bytes) -> int:
     """x = H(m) reduced into the group, avoiding the trivial fixed points."""
-    x = int.from_bytes(H_tagged("vdf/input", m), "big") % params.modulus.n
-    while x in (0, 1, params.modulus.n - 1):
-        x = (x + 2) % params.modulus.n
+    x = int.from_bytes(H_tagged("vdf/input", m), "big") % n
+    while x in (0, 1, n - 1):
+        x = (x + 2) % n
     return x
 
 
@@ -127,9 +112,8 @@ def sequential_square(x: int, tau: int, n: int) -> tuple[int, int, FixedBase]:
     return y, tau, table
 
 
-def vdf_eval(params: VdfParams, challenge: VdfChallenge) -> VdfSolution:
-    n = params.modulus.n
-    x = challenge_base(params, challenge.m)
+def vdf_eval(n: int, challenge: VdfChallenge) -> VdfSolution:
+    x = challenge_base(n, challenge.m)
     y, count, chain = sequential_square(x, challenge.tau, n)
     ell = hash_to_prime(int_sum_to_bytes(x + y))
     # floor(2^tau / ell) < 2^tau fits the chain's table
@@ -137,39 +121,38 @@ def vdf_eval(params: VdfParams, challenge: VdfChallenge) -> VdfSolution:
     return VdfSolution(ell=ell, pi=pi, y=y, squarings=count)
 
 
-def ell_passes_floor(params: VdfParams, challenge: VdfChallenge,
-                     sol: VdfSolution) -> bool:
+def _floor_base(n: int, challenge: VdfChallenge, sol: VdfSolution) -> int | None:
+    """x when `ell_passes_floor` holds, else None."""
+    if not (0 <= sol.pi < n and 0 <= sol.y < n):
+        return None
+    x = challenge_base(n, challenge.m)
+    return x if sol.ell >= hash_to_prime_floor(int_sum_to_bytes(x + sol.y)) else None
+
+
+def ell_passes_floor(n: int, challenge: VdfChallenge, sol: VdfSolution) -> bool:
     """The checks of `vdf_verify` that need no prime search and no
     exponentiation: pi and y are residues mod N, and ell is not below
     H(x + y). hash_to_prime(xy) >= hash_to_prime_floor(xy), so a smaller
     ell is wrong without the prime search."""
-    n = params.modulus.n
-    if not (0 <= sol.pi < n and 0 <= sol.y < n):
-        return False
-    x = challenge_base(params, challenge.m)
-    return sol.ell >= hash_to_prime_floor(int_sum_to_bytes(x + sol.y))
+    return _floor_base(n, challenge, sol) is not None
 
 
-def vdf_verify(params: VdfParams, challenge: VdfChallenge, sol: VdfSolution) -> bool:
-    if not ell_passes_floor(params, challenge, sol):
-        return False
-    n = params.modulus.n
-    x = challenge_base(params, challenge.m)
-    if sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
+def vdf_verify(n: int, challenge: VdfChallenge, sol: VdfSolution) -> bool:
+    x = _floor_base(n, challenge, sol)
+    if x is None or sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
         return False
     r = pow(2, challenge.tau, sol.ell)
     return (pow(sol.pi, sol.ell, n) * pow(x, r, n)) % n == sol.y
 
 
 class ModulusPool:
-    """Source of the issuer's puzzle moduli: `get` draws a fresh one, which
+    """Source of the issuer's puzzle moduli: `get` draws a fresh N, which
     the PSD asks for on the first puzzle of each epoch and then reuses for
     every puzzle of that epoch."""
 
-    def __init__(self, bits: int = DEFAULT_MODULUS_BITS,
-                 rng: SeededRng | None = None):
+    def __init__(self, bits: int, rng: SeededRng):
         self.bits = bits
-        self._rng = rng or SeededRng()
+        self._rng = rng
 
-    def get(self) -> RsaModulus:
+    def get(self) -> int:
         return rsa_setup(self.bits, self._rng)

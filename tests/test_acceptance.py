@@ -12,7 +12,7 @@ import pytest
 from slapx import vdf, wire
 from slapx.cli import EXIT_CODES, main
 from slapx.errors import ProtocolReject, RejectReason
-from slapx.modmath import RsaModulus, random_prime
+from slapx.modmath import random_prime, rsa_setup
 from slapx.protocol import WINDOW_S, Deployment, DeviceProfile, run_pol_ap, \
     run_service_request, run_spectrum_query
 from slapx.rng import SeededRng
@@ -58,7 +58,7 @@ def test_criterion_1_vdf():
             while q == p:
                 q = random_prime(11, sub)
             n = p * q
-            params = vdf.VdfParams(RsaModulus(n), kappa=4)
+            params = n
             tau = sub.randrange(2 ** 10 + 1)
             m = sub.bytes(16)
             sol = vdf.vdf_eval(params, vdf.VdfChallenge(m, tau))
@@ -72,7 +72,7 @@ def test_criterion_1_vdf():
             assert vdf.vdf_verify(params, vdf.VdfChallenge(m, tau), sol)
 
         # (b) eval wall time linear in tau on a full-size modulus
-        params = vdf.vdf_setup(2048, kappa=1000, rng=SeededRng(1002))
+        params = rsa_setup(2048, SeededRng(1002))
         taus = [2 ** k for k in range(8, 17)]
         times = []
         for tau in taus:

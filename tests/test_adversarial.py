@@ -181,8 +181,8 @@ class TestDacSplicing:
 class TestVdfTransplants:
     def test_solution_for_other_modulus_rejected(self):
         rng = SeededRng(73)
-        pa = vdf.vdf_setup(128, 8, rng)
-        pb = vdf.vdf_setup(128, 8, rng)
+        pa = vdf.rsa_setup(128, rng)
+        pb = vdf.rsa_setup(128, rng)
         ch = vdf.VdfChallenge(b"m", 64)
         sol = vdf.vdf_eval(pa, ch)
         assert vdf.vdf_verify(pa, ch, sol)
@@ -190,7 +190,7 @@ class TestVdfTransplants:
 
     def test_solution_for_other_tau_rejected(self):
         rng = SeededRng(74)
-        params = vdf.vdf_setup(128, 8, rng)
+        params = vdf.rsa_setup(128, rng)
         sol = vdf.vdf_eval(params, vdf.VdfChallenge(b"m", 64))
         assert not vdf.vdf_verify(params, vdf.VdfChallenge(b"m", 65), sol)
 

@@ -2,6 +2,7 @@
 are host-bound; assertions cover shape and plumbing only."""
 import pytest
 
+from slapx import rlrs
 from slapx.bench import BenchReport, bench_all, calibrate, eval_slope
 from slapx.errors import ParameterError
 from slapx.simnet import Calibration
@@ -49,6 +50,20 @@ class TestBenchAll:
         assert len(csv.splitlines()) == len(report.ops) + 1
         assert "pol_ap [client]" in report.table()
 
+    def test_rlrs_ops_sign_over_the_deployments_ring(self, deployment,
+                                                      monkeypatch):
+        class Signed(Exception):
+            pass
+
+        def capture(key, m, ring, *rest):
+            raise Signed(ring)
+
+        # the first signature of the fixtures stops the run before any timing
+        monkeypatch.setattr(rlrs, "rlrs_sign", capture)
+        with pytest.raises(Signed) as e:
+            bench_all(iterations=30)
+        assert len(e.value.args[0]) == len(deployment.view.ring)
+
 
 class TestCalibrate:
     def test_calibration_fields_positive(self, report):
@@ -89,7 +104,7 @@ class TestEvalScaling:
 
         from slapx import vdf
         from slapx.rng import SeededRng
-        params = vdf.vdf_setup(2048, kappa=1000, rng=SeededRng(8))
+        params = vdf.rsa_setup(2048, SeededRng(8))
         times = {}
         for tau in (10 ** 3, 3 * 10 ** 5):
             t0 = time.perf_counter()

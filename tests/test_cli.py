@@ -99,6 +99,16 @@ class TestPolCommand:
                                "512", "--via", via, "--distance", "0")
         assert code == 0 and out.startswith(status)
 
+    @pytest.mark.parametrize("via, reason", [
+        ("ap", RejectReason.NOT_PROXIMATE), ("nd", RejectReason.DBP_FAILED)])
+    def test_default_distance_is_the_claimed_position(self, capsys, via,
+                                                       reason):
+        # 57 m out: the neighbor's distance bound fails before its check of
+        # the claimed coordinates
+        code, out, err = run_cli(capsys, "pol", "--seed", "3", "--modulus-bits",
+                                 "512", "--via", via, "-x", "40", "-y", "40")
+        assert code == EXIT_CODES[reason] and reason.name in err
+
 
 class TestProtocolCommand:
     def test_grant_prints_phase_totals(self, capsys):

@@ -33,14 +33,14 @@ def codecs(dac_env, rlrs_env):
     nym_r, aux_r = dac.dac_nymgen(params, pk_r, rng)
     delegated = dac.dac_cred_prove(params, sk_r, nym_r, aux_r, dcred, (1, 2),
                                    b"c", rng)
-    vparams = vdf.vdf_setup(256, 10, SeededRng(41))
-    nb = (vparams.modulus.n.bit_length() + 7) // 8
+    vparams = vdf.rsa_setup(256, SeededRng(41))
+    nb = (vparams.bit_length() + 7) // 8
     sol = vdf.vdf_eval(vparams, vdf.VdfChallenge(b"m", 50))
     _, rparams, ring, keys, _ = rlrs_env
     event = rlrs.EventId(12.0, -3.5, 42, bytes(range(32)))
     ring_sig = rlrs.rlrs_sign(keys[ring[0]], b"m", ring, event, rparams,
                               SeededRng(43))
-    puzzle = Puzzle(puzzle_id=(7).to_bytes(8, "big"), modulus_n=vparams.modulus.n,
+    puzzle = Puzzle(puzzle_id=(7).to_bytes(8, "big"), modulus_n=vparams,
                     tau=1000, seed=bytes(range(32)), issued_s=121.5,
                     expires_s=181.5)
 

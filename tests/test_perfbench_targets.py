@@ -1,10 +1,13 @@
-"""The names perfbench's span tracer wraps still exist in slapx, so a rename
-that would break `perfbench/run.py --trace 1` fails here."""
+"""The names perfbench's span tracer wraps still exist in slapx, and the
+library calls its workloads make still work, so a rename or a retyping
+that would break `perfbench/run.py` fails here."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def test_every_tracer_target_resolves():
@@ -31,6 +34,25 @@ def test_psd_state_perfbench_reads(deployment):
     assert callable(psd.pool.get)
     for name in ("puzzles", "grants", "links"):
         assert isinstance(len(getattr(psd, name)), int), name
+
+
+def test_workload_units_set_up_and_build_a_flood_round():
+    # the flood's set-up solves a puzzle on the modulus its stand-in for
+    # `psd.pool` hands the PSD, through `Puzzle.params` and `vdf_eval`
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+        workloads.SessionUnit(1, 0)
+        requests = workloads.FloodUnit(1, 0).requests()
+        first_round = [next(requests) for _ in range(len(workloads.ROUND) + 1)]
+    finally:
+        del sys.modules[spec.name]
+    assert [kind for kind, _ in first_round] == ["grant", *workloads.ROUND]
+    assert all(isinstance(request, bytes) and request
+               for _, request in first_round)
 
 
 def test_each_handler_span_is_a_child_of_its_phase_span():

@@ -325,6 +325,24 @@ class TestServiceTrustsPsdRecord:
         assert len(token) == 16
         assert len(calls) == 2      # the client's on receipt and the PSD's
 
+    def test_grant_derives_the_vdf_input_twice(self, deployment, client,
+                                               monkeypatch):
+        t = 9300.0
+        proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
+        _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 10.0,
+                                             20.0, t, proof=proof)
+        sol = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(b"m"))
+        calls = []
+        real_base = vdf.challenge_base
+        monkeypatch.setattr(vdf, "challenge_base",
+                            lambda *a: calls.append(a) or real_base(*a))
+        token, _, _ = run_service_request(client, deployment.server, b"m",
+                                          puzzle, t, proof=proof, solution=sol)
+        assert len(token) == 16
+        # the ell floor ahead of the credential, then the full verify, each
+        # derive x once
+        assert len(calls) == 2
+
 
 class TestNdPath:
     @pytest.fixture()

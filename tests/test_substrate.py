@@ -411,9 +411,8 @@ def reference_next_prime(n: int) -> int:
 def criterion_1_digests() -> list[int]:
     """H(x + y) of the evals timed by acceptance criterion 1 (b): tau = 2^8
     ... 2^16 on the SeededRng(1002) 2048-bit modulus, message b"lin"."""
-    params = vdf.vdf_setup(2048, kappa=1000, rng=SeededRng(1002))
-    n = params.modulus.n
-    x = vdf.challenge_base(params, b"lin")
+    n = rsa_setup(2048, SeededRng(1002))
+    x = vdf.challenge_base(n, b"lin")
     y, done, out = x, 0, []
     for k in range(8, 17):
         y, _, _ = vdf.sequential_square(y, (1 << k) - done, n)
@@ -492,7 +491,7 @@ class TestPrimeSearchReference:
         assert _strong_test(1093 ** 2, 2) and _strong_test(3511 ** 2, 2)
 
 
-MULTIEXP_N = rsa_setup(512, SeededRng(93)).n
+MULTIEXP_N = rsa_setup(512, SeededRng(93))
 MULTIEXP_BASES = [pow(3 + i, 2, MULTIEXP_N) for i in range(4)]
 # 384 bits: the widest credential response (Z_BYTES); 10 bits is not a
 # multiple of the window, so that table covers 12
@@ -528,26 +527,17 @@ class TestFixedBaseMultiexp:
 class TestRsaSetup:
     def test_standard_width(self):
         n = rsa_setup(256, SeededRng(1))
-        assert n.bit_length in (255, 256)
-        assert n.n % 2 == 1
-
-    def test_tiny_oracle_mode(self):
-        # 8-bit test gate: N can be as small as a product of 4-bit primes
-        n = rsa_setup(8, SeededRng(3), _allow_tiny=True)
-        assert 4 <= n.bit_length <= 9
-        # recoverable factors witness compositeness
-        assert any(n.n % d == 0 for d in range(2, n.n))
+        assert n.bit_length() in (255, 256)
+        assert n % 2 == 1
 
     def test_below_floor_rejected(self):
         with pytest.raises(ParameterError):
             rsa_setup(63, SeededRng(1))
-        with pytest.raises(ParameterError):
-            rsa_setup(7, SeededRng(1), _allow_tiny=True)
 
     def test_deterministic_per_seed(self):
         for bits in (128, 512, 1024):
-            assert rsa_setup(bits, SeededRng(5)).n == rsa_setup(bits, SeededRng(5)).n
-        assert rsa_setup(1024, SeededRng(5)).n != rsa_setup(1024, SeededRng(6)).n
+            assert rsa_setup(bits, SeededRng(5)) == rsa_setup(bits, SeededRng(5))
+        assert rsa_setup(1024, SeededRng(5)) != rsa_setup(1024, SeededRng(6))
 
 
 class TestRngAndHash:

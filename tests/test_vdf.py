@@ -7,12 +7,12 @@ import pytest
 from slapx.errors import ParameterError
 from slapx import vdf
 from slapx.hashes import hash_to_prime, hash_to_prime_floor, int_sum_to_bytes
-from slapx.modmath import (RsaModulus, is_probable_prime, next_prime,
-                           random_prime)
+from slapx.modmath import (is_probable_prime, next_prime, random_prime,
+                           rsa_setup)
 from slapx.rng import SeededRng
-from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge, VdfParams,
+from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge,
                        VdfSolution, challenge_base, difficulty_for,
-                       sequential_square, vdf_eval, vdf_setup, vdf_verify)
+                       sequential_square, vdf_eval, vdf_verify)
 
 
 def tiny_modulus(rng: SeededRng) -> tuple[int, int, int]:
@@ -36,13 +36,12 @@ class TestEvalOracle:
         rng = SeededRng(42)
         for i in range(100):
             n, p, q = tiny_modulus(rng.spawn(f"m{i}"))
-            params = VdfParams(RsaModulus(n), kappa=4)
             tau = rng.randrange(2 ** 10 + 1)
             m = rng.bytes(12)
-            sol = vdf_eval(params, VdfChallenge(m, tau))
-            x = challenge_base(params, m)
+            sol = vdf_eval(n, VdfChallenge(m, tau))
+            x = challenge_base(n, m)
             assert sol.y == euler_reduced_power(x, tau, n, p, q)
-            assert vdf_verify(params, VdfChallenge(m, tau), sol)
+            assert vdf_verify(n, VdfChallenge(m, tau), sol)
 
     def test_direct_square_chain(self):
         # 2^(2^3) mod 35 = 256 mod 35
@@ -50,15 +49,14 @@ class TestEvalOracle:
         assert (y, count) == (11, 3)
 
     def test_tau_zero_is_identity(self):
-        params = VdfParams(RsaModulus(35), kappa=1)
-        sol = vdf_eval(params, VdfChallenge(b"z", 0))
-        assert sol.y == challenge_base(params, b"z")
-        assert vdf_verify(params, VdfChallenge(b"z", 0), sol)
+        sol = vdf_eval(35, VdfChallenge(b"z", 0))
+        assert sol.y == challenge_base(35, b"z")
+        assert vdf_verify(35, VdfChallenge(b"z", 0), sol)
 
 
 @pytest.fixture(scope="module")
 def setup():
-    params = vdf_setup(256, kappa=64, rng=SeededRng(7))
+    params = rsa_setup(256, SeededRng(7))
     ch = VdfChallenge(b"input", 200)
     return params, ch, vdf_eval(params, ch)
 
@@ -74,7 +72,7 @@ class TestPi:
         ch = VdfChallenge(b"pi", tau)
         sol = vdf_eval(params, ch)
         x = challenge_base(params, ch.m)
-        assert sol.pi == pow(x, (1 << tau) // sol.ell, params.modulus.n)
+        assert sol.pi == pow(x, (1 << tau) // sol.ell, params)
         assert vdf_verify(params, ch, sol)
 
 
@@ -86,12 +84,12 @@ class TestVerify:
 
     def test_tampered_pi_rejected(self, setup):
         params, ch, sol = setup
-        bad = VdfSolution(sol.ell, (sol.pi + 1) % params.modulus.n, sol.y)
+        bad = VdfSolution(sol.ell, (sol.pi + 1) % params, sol.y)
         assert not vdf_verify(params, ch, bad)
 
     def test_tampered_y_rejected(self, setup):
         params, ch, sol = setup
-        bad = VdfSolution(sol.ell, sol.pi, (sol.y + 1) % params.modulus.n)
+        bad = VdfSolution(sol.ell, sol.pi, (sol.y + 1) % params)
         assert not vdf_verify(params, ch, bad)
 
     def test_composite_ell_rejected(self, setup):
@@ -109,13 +107,13 @@ class TestVerify:
 
 class TestUniquenessAndCounters:
     def test_two_evals_identical(self):
-        params = vdf_setup(128, kappa=16, rng=SeededRng(9))
+        params = rsa_setup(128, SeededRng(9))
         ch = VdfChallenge(b"same", 100)
         a, b = vdf_eval(params, ch), vdf_eval(params, ch)
         assert (a.ell, a.pi, a.y) == (b.ell, b.pi, b.y)
 
     def test_squaring_counter_matches_tau(self):
-        params = vdf_setup(128, kappa=16, rng=SeededRng(9))
+        params = rsa_setup(128, SeededRng(9))
         sol = vdf_eval(params, VdfChallenge(b"w", 321))
         assert sol.squarings == 321
 
@@ -123,17 +121,11 @@ class TestUniquenessAndCounters:
 class TestSetup:
     def test_kappa_floor(self):
         with pytest.raises(ParameterError):
-            vdf_setup(128, 0, SeededRng(1))
-        with pytest.raises(ParameterError):
             VdfChallenge(b"x", -1)
-
-    def test_tiny_test_gate(self):
-        params = vdf_setup(8, 4, SeededRng(2), _allow_tiny=True)
-        assert params.modulus.bit_length <= 9
 
     def test_fresh_modulus_per_setup(self):
         rng = SeededRng(3)
-        assert vdf_setup(128, 4, rng).modulus != vdf_setup(128, 4, rng).modulus
+        assert rsa_setup(128, rng) != rsa_setup(128, rng)
 
     def test_difficulty_table(self):
         assert difficulty_for("default") == 10 ** 3
@@ -145,19 +137,18 @@ class TestSetup:
 class TestModulusPool:
     def test_inline_fallback_and_width(self):
         pool = ModulusPool(bits=128, rng=SeededRng(4))
-        assert pool.get().bit_length in (127, 128)
+        assert pool.get().bit_length() in (127, 128)
 
 
-def reference_verify(params, challenge, sol) -> bool:
+def reference_verify(n, challenge, sol) -> bool:
     """vdf_verify as it was before it compared ell first: it tested the
     submitted ell for primality on its own and checked the power equation
     before recomputing ell. vdf_verify must accept exactly what this does."""
-    n = params.modulus.n
     if not (0 <= sol.pi < n and 0 <= sol.y < n):
         return False
     if sol.ell < 2 or not is_probable_prime(sol.ell):
         return False
-    x = challenge_base(params, challenge.m)
+    x = challenge_base(n, challenge.m)
     r = pow(2, challenge.tau, sol.ell)
     y_check = (pow(sol.pi, sol.ell, n) * pow(x, r, n)) % n
     if y_check != sol.y:
@@ -165,10 +156,9 @@ def reference_verify(params, challenge, sol) -> bool:
     return sol.ell == hash_to_prime(int_sum_to_bytes(x + y_check))
 
 
-def tampered_solutions(params, ch, sol, big_prime):
-    n = params.modulus.n
+def tampered_solutions(n, ch, sol, big_prime):
     ell, pi, y = sol.ell, sol.pi, sol.y
-    x = challenge_base(params, ch.m)
+    x = challenge_base(n, ch.m)
 
     def forged(e):
         # a proof for exponent e that satisfies pi^e * x^r == y; only the
@@ -209,12 +199,11 @@ class TestVerifyMatchesReference:
         big_prime = random_prime(512, rng)
         cases = []
         for i in range(3):
-            params = vdf_setup(256, kappa=64, rng=rng.spawn(f"full{i}"))
+            params = rsa_setup(256, rng.spawn(f"full{i}"))
             cases.append((params, VdfChallenge(rng.bytes(8), 50 + 30 * i)))
         for i in range(3):
             n, _, _ = tiny_modulus(rng.spawn(f"tiny{i}"))
-            cases.append((VdfParams(RsaModulus(n), kappa=4),
-                          VdfChallenge(rng.bytes(8), rng.randrange(300))))
+            cases.append((n, VdfChallenge(rng.bytes(8), rng.randrange(300))))
         for params, ch in cases:
             sol = vdf_eval(params, ch)
             assert vdf_verify(params, ch, sol) and reference_verify(params, ch, sol)
@@ -227,7 +216,7 @@ class TestVerifyMatchesReference:
                 assert not vdf_verify(params, ch, bad), name
 
     def test_ell_below_digest_rejected_without_prime_search(self, monkeypatch):
-        params = vdf_setup(256, kappa=64, rng=SeededRng(62))
+        params = rsa_setup(256, SeededRng(62))
         ch = VdfChallenge(b"m", 40)
         sol = vdf_eval(params, ch)
         h = hash_to_prime_floor(int_sum_to_bytes(
