@@ -1,9 +1,10 @@
 """Microbenchmarks for the crypto layers plus simulator calibration.
 
-Reports median/p95 wall time per operation and per-phase client/server
-totals (sums of constituent op medians). Absolute times are host-bound;
-downstream assertions use ratios and monotonicity only. `calibrate`
-derives the service-time table the simulator consumes.
+Reports median/p95 wall time per operation, run on one `Deployment`'s
+keys and parameters and an enrolled client's credential. Absolute times
+are host-bound; downstream assertions use ratios and monotonicity only.
+`calibrate` derives the service-time table the simulator consumes from
+sums of op medians (docs/metrics.md lists them).
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf
 from .errors import ParameterError
-from .group import CURVE, SigningKey, sgn_verify
+from .group import SigningKey, sgn_verify
 from .hashes import hash_to_prime
 from .modmath import rsa_setup
-from .protocol import AP_IDS
+from .protocol import Deployment
 from .rng import SeededRng
 from .simnet import Calibration
 
@@ -41,7 +42,6 @@ class OpTiming:
 class BenchReport:
     host: str
     ops: dict[str, OpTiming] = field(default_factory=dict)
-    phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def median(self, name: str) -> float:
         return self.ops[name].median_s
@@ -58,11 +58,6 @@ class BenchReport:
         for t in self.ops.values():
             lines.append(f"{t.name.ljust(w)}{t.median_s * 1e3:>10.3f}ms"
                          f"{t.p95_s * 1e3:>10.3f}ms")
-        lines.append("")
-        for phase, sides in self.phases.items():
-            for side, total in sides.items():
-                lines.append(f"{(phase + ' [' + side + ']').ljust(w)}"
-                             f"{total * 1e3:>10.3f}ms")
         return "\n".join(lines)
 
 
@@ -103,31 +98,21 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     rng = SeededRng(seed)
     report = BenchReport(host=f"{platform.machine()}/{platform.python_version()}")
 
-    # fixtures
-    params, root = dac.dac_setup(t=8, eta=2, rng=rng)
-    pk, sk = dac.dac_keygen(params, rng)
-    attrs = (dac.Attribute("device_id", b"BENCH-00"),
-             dac.Attribute("tx_power", (300).to_bytes(2, "big")),
-             dac.Attribute("device_type", b"\x00"),
-             dac.Attribute("validity", bytes(16)))
-    cred = dac.issue_credential(root, sk, attrs, 2, rng)
-    nym, aux = dac.dac_nymgen(params, pk, rng)
-
-    msk, rparams = rlrs.rlrs_setup(16, rng)
-    ring = list(AP_IDS)     # the ring a deployment's APs sign over
-    rkeys = {i: rlrs.rlrs_extract(msk, i, rparams) for i in ring}
+    # fixtures: one deployment's keys and parameters, and a client enrolled
+    # in it; the bench's own rng draws the nonces and the VDF modulus
+    dep = Deployment.create(seed, psd_modulus_bits=vdf_modulus_bits)
+    client = dep.new_client()
+    params, rparams, ring = dep.view.dac_params, dep.view.rlrs_params, dep.view.ring
+    sk, cred = client.sk, client.cred
+    nym, aux = client.fresh_nym()
     event = rlrs.EventId(10.0, 20.0, 1, bytes(32))
-
-    sgn_key = SigningKey.generate(rng)
-    dbp_a = SigningKey.generate(rng)
-    dbp_b = SigningKey.generate(rng)
+    peer_pk = SigningKey.generate(rng).pk   # a neighbor device's DBP key
 
     pres = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"bench", rng)
     pres_b = pres.to_bytes(params)
-    sig = rlrs.rlrs_sign(rkeys["AP-0"], b"m", ring, event, rparams, rng)
-    sig2 = rlrs.rlrs_sign(rkeys["AP-0"], b"m2", ring, event, rparams, rng)
-    psig = sgn_key.sign(b"puzzle", rng)
-    sgn_table = CURVE.table(sgn_key.pk)
+    sig = rlrs.rlrs_sign(dep.ap.sk, b"m", ring, event, rparams, rng)
+    sig2 = rlrs.rlrs_sign(dep.ap.sk, b"m2", ring, event, rparams, rng)
+    psig = dep.psd.sgn_key.sign(b"puzzle", rng)
     vdf_n = rsa_setup(vdf_modulus_bits, rng.spawn("fix"))
     # R_sk, S and four attribute bases raised to 336-bit exponents (the
     # width of an honest response), through the fixed-base tables and
@@ -155,15 +140,16 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
         # all a server runs before its puzzle lookup turns a request away
         "presentation_decode": (lambda: dac.Presentation.from_bytes(pres_b, params),
                                 iterations),
-        "rlrs_sign": (lambda: rlrs.rlrs_sign(rkeys["AP-0"], b"m", ring, event,
+        "rlrs_sign": (lambda: rlrs.rlrs_sign(dep.ap.sk, b"m", ring, event,
                                              rparams, rng), iterations),
         "rlrs_verify": (lambda: rlrs.rlrs_verify(ring, b"m", event, sig,
                                                  rparams), iterations),
         "rlrs_link": (lambda: sig.tau == sig2.tau, iterations),
-        "aka": (lambda: dbp.dbp_aka(dbp_a, dbp_b.pk, b"nonce", 100), iterations),
-        "sgn_sign": (lambda: sgn_key.sign(b"puzzle", rng), iterations),
+        "aka": (lambda: dbp.dbp_aka(client.dbp_key, peer_pk, b"nonce", 100),
+                iterations),
+        "sgn_sign": (lambda: dep.psd.sgn_key.sign(b"puzzle", rng), iterations),
         # the client checks puzzles against the PSD key's one table
-        "sgn_verify": (lambda: sgn_verify(sgn_table, b"puzzle", psig),
+        "sgn_verify": (lambda: sgn_verify(dep.view.psd_table, b"puzzle", psig),
                        iterations),
         "vdf_setup": (lambda: rsa_setup(vdf_modulus_bits, rng.spawn("b")),
                       heavy),
@@ -183,29 +169,6 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
             lambda c=ch, s=sol: vdf.vdf_verify(vdf_n, c, s), iterations)
     for name, (med, p95) in _time_ops(ops).items():
         report.ops[name] = OpTiming(name, ops[name][1], med, p95)
-
-    m = report.median
-    report.phases = {
-        "pol_ap": {
-            "client": m("cred_prove") + m("rlrs_verify"),
-            "server": m("cred_verify") + m("rlrs_sign"),
-        },
-        "pol_nd": {
-            "client": m("cred_prove") + m("aka"),
-            "server": m("cred_verify") + m("aka") + m("cred_prove"),
-        },
-        "spectrum_query": {
-            # the client checks the puzzle signature on receipt
-            "client": m("cred_prove") + m("sgn_verify"),
-            "server": (m("cred_verify") + m("rlrs_verify") + m("rlrs_link")
-                       + m("sgn_sign")),
-        },
-        "service_request": {
-            "client": m("cred_prove") + m(f"vdf_eval_k{kappa_grid[0]}"),
-            # the server trusts the PSD's record of Phi: no ring signature
-            "server": m("cred_verify") + m(f"vdf_verify_k{kappa_grid[0]}"),
-        },
-    }
     return report
 
 
@@ -231,10 +194,11 @@ def eval_slope(report: BenchReport, kappa_grid=KAPPA_GRID) -> float:
 def calibrate(report: BenchReport, kappa_grid=KAPPA_GRID) -> Calibration:
     """Service-time table for the simulator, derived from measured costs."""
     m = report.median
+    link_reject_s = m("cred_verify") + m("rlrs_verify") + m("rlrs_link")
     return Calibration(
-        query_verify_s=report.phases["spectrum_query"]["server"],
-        service_verify_s=report.phases["service_request"]["server"],
-        link_reject_s=m("cred_verify") + m("rlrs_verify") + m("rlrs_link"),
+        query_verify_s=link_reject_s + m("sgn_sign"),
+        service_verify_s=m("cred_verify") + m(f"vdf_verify_k{kappa_grid[0]}"),
+        link_reject_s=link_reject_s,
         reject_service_s=m("presentation_decode"),
         client_crypto_s=2 * m("cred_prove") + m("rlrs_verify"),
         vdf_s_per_squaring=max(eval_slope(report, kappa_grid), 1e-9),

@@ -5,8 +5,6 @@ import hashlib
 
 from .modmath import next_prime
 
-DIGEST_BYTES = 32
-
 
 def H(*parts: bytes) -> bytes:
     """Domain-plain SHA-256 over length-prefixed parts (unambiguous)."""

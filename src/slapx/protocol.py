@@ -731,6 +731,15 @@ class Deployment:
     @classmethod
     def create(cls, seed: int = 1,
                psd_modulus_bits: int = vdf.DEFAULT_MODULUS_BITS) -> "Deployment":
+        """Seeded roles, each with its own rng stream.
+
+        Handlers draw from their role's rng outside any lock: the PSD its
+        puzzle seeds and signing nonces, the AP its beacons and shadowing.
+        Concurrent calls may share a role all the same: under CPython an
+        integer or byte draw takes its bits from atomic `getrandbits`
+        calls, so no two draws share bits and no nonce repeats. The seeded
+        bytes are reproducible only for a single-threaded caller, because
+        threads interleave their draws."""
         rng = SeededRng(seed)
         authority = Authority(rng.spawn("authority"))
         ap_keys = {a: authority.provision_ap(a) for a in AP_IDS}

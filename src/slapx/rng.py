@@ -1,8 +1,9 @@
 """Deterministic seeded randomness for reproducible runs.
 
 SeededRng wraps the stdlib Mersenne Twister, whose output stream is
-documented to be stable across Python versions for a fixed seed. It is
-single-owner: never share one instance across threads.
+documented to be stable across Python versions for a fixed seed. Its
+output is reproducible only when one thread draws from it; the roles that
+share one across threads say why that stays safe (`Deployment.create`).
 """
 from __future__ import annotations
 

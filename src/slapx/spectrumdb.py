@@ -62,6 +62,8 @@ class SpectrumRecord:
         channels = tuple(
             Channel(r.uint(8), int.from_bytes(r.take(2), "big", signed=True) / 10)
             for _ in range(r.uint(2)))
+        if any(r.rest()):
+            raise SlapxError("nonzero padding")
         return cls(cell_x, cell_y, valid_from, valid_until,
                    max_devices, device_mask, channels)
 

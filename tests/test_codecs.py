@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import SlapxError
-from slapx.protocol import Puzzle
+from slapx.protocol import LocationProof, Puzzle
 from slapx.rng import SeededRng
+from slapx.spectrumdb import SpectrumDatabase, SpectrumRecord
 
 ATTRS = (dac.Attribute("device_id", b"DEV-0042"),
          dac.Attribute("tx_power", (300).to_bytes(2, "big")),
@@ -43,6 +44,8 @@ def codecs(dac_env, rlrs_env):
     puzzle = Puzzle(puzzle_id=(7).to_bytes(8, "big"), modulus_n=vparams,
                     tau=1000, seed=bytes(range(32)), issued_s=121.5,
                     expires_s=181.5)
+    proof = LocationProof(m=b"m", sig=ring_sig, l_x=event.l_x, l_y=event.l_y,
+                          window=event.ts, beacon_digest=event.beacon_digest)
 
     def presentation(value):
         return (value, lambda b: dac.Presentation.from_bytes(b, params),
@@ -59,11 +62,16 @@ def codecs(dac_env, rlrs_env):
         "ring_signature": (ring_sig, rlrs.decode_signature,
                            rlrs.encode_signature),
         "puzzle": (puzzle, Puzzle.decode, Puzzle.encode),
+        "spectrum_record": (SpectrumDatabase().lookup(10.0, 20.0),
+                            SpectrumRecord.decode, SpectrumRecord.encode),
+        "location_proof": (proof, lambda b: LocationProof.decode(b, rparams),
+                           lambda p: p.encode(rparams)),
     }
 
 
 NAMES = ["presentation", "delegated_presentation", "delegation_request",
-         "vdf_solution", "ring_signature", "puzzle"]
+         "vdf_solution", "ring_signature", "puzzle", "spectrum_record",
+         "location_proof"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -138,6 +146,13 @@ class TestNonCanonicalInputRejected:
                        (pid, n_b, tau_b, seed, iss, b"\x00" + exp)):
             with pytest.raises(SlapxError):
                 decode(tag + wire.pack_fields(*fields))
+
+    def test_spectrum_record_padding(self, codecs):
+        record, decode, encode = codecs["spectrum_record"]
+        encoded = encode(record)
+        assert encoded[-1] == 0
+        with pytest.raises(SlapxError, match="padding"):
+            decode(encoded[:-1] + b"\x01")
 
     def test_puzzle_time_beyond_float_precision(self, codecs):
         puzzle, decode, encode = codecs["puzzle"]

@@ -293,14 +293,15 @@ class TestPrimes:
 
     def test_random_prime_width(self):
         # random_prime runs fewer rounds than the 64-round default above
-        # 256 bits; its outputs must still pass the 64-round test
-        rng = SeededRng(9)
+        # 256 bits; its outputs must still pass 64 Miller-Rabin rounds
+        # (an rng selects the rounds; without one Baillie-PSW runs)
+        rng, bases = SeededRng(9), SeededRng(10)
         for bits, count in ((64, 20), (512, 4), (1024, 2)):
             for _ in range(count):
                 p = random_prime(bits, rng)
                 assert p.bit_length() == bits
                 assert p >> (bits - 2) == 0b11          # top two bits forced
-                assert is_probable_prime(p, rounds=64)
+                assert is_probable_prime(p, bases, rounds=64)
 
 
 def brute_force_prime(n: int) -> bool:
