@@ -122,9 +122,11 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     terms = [(key, rng.randint_bits(336)) for key in bases]
 
     # the prime search's cost is the gap above H(m), which varies by input,
-    # so each sample takes the next of `iterations` distinct inputs
+    # so each sample takes the next of `iterations` distinct inputs; so does
+    # each VDF sample, whose eval and verify search for a prime l
     h2p_rng = rng.spawn("h2p")
     h2p_inputs = itertools.cycle([h2p_rng.bytes(32) for _ in range(iterations)])
+    vdf_rng = rng.spawn("vdf")
 
     def pow_product():
         out = 1
@@ -158,15 +160,15 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
         "pow_product": (pow_product, iterations),
     }
     for kappa in kappa_grid:
-        ch = vdf.VdfChallenge(b"bench-input", kappa)
-        sol = vdf.vdf_eval(vdf_n, ch)
         # below 5e4 squarings an eval is cheap enough for the full sample
-        ops[f"vdf_eval_k{kappa}"] = (lambda c=ch: vdf.vdf_eval(vdf_n, c),
-                                     heavy if kappa >= 5 * 10 ** 4
-                                     else iterations)
+        evals = heavy if kappa >= 5 * 10 ** 4 else iterations
+        chs = [vdf.VdfChallenge(vdf_rng.bytes(32), kappa) for _ in range(evals)]
+        solved = itertools.cycle([(c, vdf.vdf_eval(vdf_n, c)) for c in chs])
+        ops[f"vdf_eval_k{kappa}"] = (
+            lambda cs=itertools.cycle(chs): vdf.vdf_eval(vdf_n, next(cs)), evals)
         # verification is O(log kappa) modular exponentiations at any kappa
         ops[f"vdf_verify_k{kappa}"] = (
-            lambda c=ch, s=sol: vdf.vdf_verify(vdf_n, c, s), iterations)
+            lambda cs=solved: vdf.vdf_verify(vdf_n, *next(cs)), iterations)
     for name, (med, p95) in _time_ops(ops).items():
         report.ops[name] = OpTiming(name, ops[name][1], med, p95)
     return report

@@ -1,13 +1,15 @@
 """Attribute credentials with selective disclosure, re-randomizable
 presentations, and one-level delegation.
 
-Instantiation. The root issuer holds an RSA modulus with one signing
-exponent per delegation level. A credential on attribute set A bound to
-user secret u is the e-th root
+Instantiation. The root issuer holds an RSA modulus and signs with the one
+exponent e = exponents[0]. A credential on attribute set A bound to user
+secret u is the e-th root
 
-    sigma = (R_sk^u * S^o * prod_i R_i^{m_i})^(1/e_level)  mod n,
+    sigma = (R_sk^u * S^o * prod_i R_i^{m_i})^(1/e)  mod n,
 
 a multi-base commitment to u, an opening o, and the attribute digests m_i.
+Setup draws a second exponent that signs nothing: it enters the parameter
+fingerprint, and is kept so that seeded parameters do not change.
 A presentation re-randomizes sigma by a fresh factor t (sigma' = sigma*t,
 with t^e folded into the proven relation), so every transcript is
 statistically fresh, and proves knowledge of the hidden exponents by a
@@ -16,7 +18,7 @@ disclosed subset, a caller context string, and an arbitrary payload.
 Forging a presentation without a credential reduces to extracting e-th
 roots mod n.
 
-Delegation (level 2, terminal): the root
+Delegation (level DELEGATION_DEPTH = 2, terminal): the root
 certifies a delegation verification key; the delegator signs an extension
 binding the recipient's one-time pseudonym nym_d and the added attribute
 set. Compound presentations prove the base credential and the extension
@@ -52,6 +54,8 @@ _TABLE_BITS = 8 * Z_BYTES
 
 # DacParams.multiexp keys of R_sk and S; a key i >= 0 is attribute base R_i
 BASE_SK, BASE_S = -2, -1
+
+DELEGATION_DEPTH = 2  # the level of a delegated credential; root ones are 1
 
 
 # -- attributes ---------------------------------------------------------
@@ -105,7 +109,7 @@ class DacParams:
     def __init__(self, n: int, exponents: tuple[int, ...], t: int,
                  cert_pk: GroupElement):
         self.n = n
-        self.exponents = exponents    # one signing exponent per level
+        self.exponents = exponents    # exponents[0] signs; see the module doc
         self.t = t
         self.eta = len(exponents)
         self.cert_pk = cert_pk
@@ -150,16 +154,15 @@ class DacParams:
 @dataclass
 class RootIssuerKey:
     params: DacParams
-    roots: tuple[int, ...]          # d_level with d*e = 1 mod lambda(n)
+    roots: tuple[int, ...]          # d with d*e = 1 mod lambda(n), per exponent
     cert_key: SigningKey
 
 
 @dataclass(frozen=True)
 class DelegationKey:
-    max_level: int
-    secret: int | None              # EC signing scalar; None on received side
+    secret: int                     # EC signing scalar
     vk_bytes: bytes                 # delegation verification key
-    cert: bytes                     # root certificate over (vk, max_level)
+    cert: bytes                     # root certificate over vk
 
 
 @dataclass
@@ -184,19 +187,15 @@ class DelegatedCredential:
     dk: DelegationKey | None = None  # terminal when None
 
 
-def dac_setup(t: int, eta: int,
-              rng: SeededRng | None = None,
+def dac_setup(t: int, rng: SeededRng,
               modulus_bits: int = DEFAULT_MODULUS_BITS) -> tuple[DacParams, RootIssuerKey]:
-    if eta < 2:
-        raise ParameterError("delegation depth must exceed 1")
     if t < 1:
         raise ParameterError("attribute bound must be at least 1")
-    rng = rng or SeededRng()
     p, q = random_prime_pair(modulus_bits, rng)
     n = p * q
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
     exps, roots = [], []
-    while len(exps) < eta:
+    while len(exps) < DELEGATION_DEPTH:
         e = random_prime(192, rng)
         if math.gcd(e, lam) == 1 and e not in exps:
             exps.append(e)
@@ -221,6 +220,40 @@ def dac_nymgen(params: DacParams, pk: int, rng: SeededRng) -> tuple[int, int]:
 
 # -- issuance -------------------------------------------------------------
 
+def _opening_challenge(params: DacParams, delegation: bool, X: int, T: int) -> int:
+    """Fiat-Shamir challenge of a proof of an opening X = R_sk^a * S^b: the
+    blinded key of an issuance request, or nym_d of a delegation request."""
+    nb = params.n_bytes
+    return H_int("dac/delegate" if delegation else "dac/getcred",
+                 params.fingerprint(), X.to_bytes(nb, "big"),
+                 T.to_bytes(nb, "big")) >> (256 - _CHAL_BITS)
+
+
+def _prove_opening(params: DacParams, delegation: bool, a: int, b: int,
+                   rng: SeededRng) -> tuple[int, int, int, int]:
+    """(X, c, z_a, z_b): X = R_sk^a * S^b and a proof that its sender knows
+    (a, b)."""
+    X = params.multiexp((BASE_SK, a), (BASE_S, b))
+    width = _SECRET_BITS + _CHAL_BITS + _SLACK_BITS
+    k_a, k_b = rng.randint_bits(width), rng.randint_bits(width)
+    c = _opening_challenge(params, delegation, X,
+                           params.multiexp((BASE_SK, k_a), (BASE_S, k_b)))
+    return X, c, k_a + c * a, k_b + c * b
+
+
+def _opening_valid(params: DacParams, delegation: bool, X: int, c: int,
+                   z_a: int, z_b: int) -> bool:
+    n = params.n
+    if not 0 < X < n:
+        return False
+    T = (params.multiexp((BASE_SK, z_a), (BASE_S, z_b)) * pow(X, -c, n)) % n
+    return _opening_challenge(params, delegation, X, T) == c
+
+
+def _dkcert_body(vk_bytes: bytes) -> bytes:
+    return H_tagged("dac/dkcert", vk_bytes, bytes([DELEGATION_DEPTH]))
+
+
 @dataclass(frozen=True)
 class IssuanceRequest:
     blinded: int       # R_sk^u * S^{o_u}
@@ -232,14 +265,7 @@ class IssuanceRequest:
 def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[IssuanceRequest, int]:
     """User side of GetCred: blind the secret key, prove the opening."""
     o_u = rng.randint_bits(_SECRET_BITS)
-    blinded = params.multiexp((BASE_SK, sk), (BASE_S, o_u))
-    k_u = rng.randint_bits(_SECRET_BITS + _CHAL_BITS + _SLACK_BITS)
-    k_o = rng.randint_bits(_SECRET_BITS + _CHAL_BITS + _SLACK_BITS)
-    T = params.multiexp((BASE_SK, k_u), (BASE_S, k_o))
-    c = H_int("dac/getcred", params.fingerprint(),
-              blinded.to_bytes(params.n_bytes, "big"),
-              T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
-    return IssuanceRequest(blinded, c, k_u + c * sk, k_o + c * o_u), o_u
+    return IssuanceRequest(*_prove_opening(params, False, sk, o_u, rng)), o_u
 
 
 def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
@@ -250,28 +276,21 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     n = params.n
     if len(attrs) > params.t:
         raise ParameterError("attribute set exceeds bound t")
-    if not 1 <= max_delegation_level <= params.eta:
+    if not 1 <= max_delegation_level <= DELEGATION_DEPTH:
         raise ParameterError("delegation level out of range")
-    # check the requester's opening proof
-    T = (params.multiexp((BASE_SK, request.z_u), (BASE_S, request.z_o))
-         * pow(request.blinded, -request.c, n)) % n
-    c = H_int("dac/getcred", params.fingerprint(),
-              request.blinded.to_bytes(params.n_bytes, "big"),
-              T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
-    if c != request.c:
+    if not _opening_valid(params, False, request.blinded, request.c,
+                          request.z_u, request.z_o):
         raise CryptoError("issuance request proof invalid")
     o_i = rng.randint_bits(_SECRET_BITS)
     body = (request.blinded * params.multiexp(
         (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
     sigma = pow(body, root.roots[0], n)
     dk = None
-    if max_delegation_level >= 2:
+    if max_delegation_level == DELEGATION_DEPTH:
         dk_key = SigningKey.generate(rng)
-        cert = root.cert_key.sign(
-            H_tagged("dac/dkcert", dk_key.pk.to_bytes(),
-                     bytes([max_delegation_level])), rng)
-        dk = DelegationKey(max_delegation_level, dk_key.sk,
-                           dk_key.pk.to_bytes(), cert)
+        vk_bytes = dk_key.pk.to_bytes()
+        dk = DelegationKey(dk_key.sk, vk_bytes,
+                           root.cert_key.sign(_dkcert_body(vk_bytes), rng))
     return sigma, o_i, dk
 
 
@@ -381,6 +400,31 @@ class Presentation:
                    disclosed=disclosed, ext=ext)
 
 
+def _ext_body(params: DacParams, nym_d: int, attrs: tuple[Attribute, ...]) -> bytes:
+    """What the delegator signs: the extension for nym_d."""
+    return H_tagged("dac/ext", nym_d.to_bytes(params.n_bytes, "big"),
+                    attrs_digest(attrs), bytes([DELEGATION_DEPTH]), b"\x01")
+
+
+def _ext_part(params: DacParams, ext: ExtShow | DelegatedCredential) -> bytes:
+    """The extension's bytes in a compound presentation's challenge."""
+    return H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
+                    ext.nym_d.to_bytes(params.n_bytes, "big"),
+                    attrs_digest(ext.attrs), bytes([DELEGATION_DEPTH]))
+
+
+def _chain_valid(params: DacParams, ext: ExtShow | DelegatedCredential) -> bool:
+    """The root certified ext's delegation key, and that key signed ext."""
+    if ext.level != DELEGATION_DEPTH or not 0 < ext.nym_d < params.n:
+        return False
+    try:
+        vk = CURVE.from_bytes(ext.vk_bytes)
+    except CryptoError:
+        return False
+    return (sgn_verify(params.cert_table, _dkcert_body(ext.vk_bytes), ext.cert)
+            and sgn_verify(vk, _ext_body(params, ext.nym_d, ext.attrs), ext.ext_sig))
+
+
 def _disclosed_enc(disclosed) -> bytes:
     return H_tagged("dac/disclosed",
                     *[bytes([idx]) + a.encode() for idx, a in disclosed])
@@ -406,12 +450,8 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
     """Zero-knowledge presentation disclosing the attribute slots in
     `disclose`; bound to (context, payload). For delegated credentials the
     extension attributes are shown in full alongside the base credential."""
-    ext_cred = None
-    if isinstance(cred, DelegatedCredential):
-        ext_cred = cred
-        base = cred.base
-    else:
-        base = cred
+    ext_cred = cred if isinstance(cred, DelegatedCredential) else None
+    base = cred if ext_cred is None else ext_cred.base
     n = params.n
     e = params.exponents[0]
     if any(i >= len(base.attrs) for i in disclose):
@@ -438,10 +478,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
     T_ext = None
     k_rd = 0
     if ext_cred is not None:
-        ext_part = H_tagged("dac/extpart", ext_cred.vk_bytes, ext_cred.cert,
-                            ext_cred.ext_sig,
-                            ext_cred.nym_d.to_bytes(params.n_bytes, "big"),
-                            attrs_digest(ext_cred.attrs), bytes([ext_cred.level]))
+        ext_part = _ext_part(params, ext_cred)
         k_rd = rng.randint_bits(width)
         T_ext = (sk_k * params.multiexp((BASE_S, k_rd))) % n
 
@@ -490,22 +527,9 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
     T_ext = None
     if pres.ext is not None:
         ext = pres.ext
-        if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
+        if not _chain_valid(params, ext):
             return False
-        try:
-            vk = CURVE.from_bytes(ext.vk_bytes)
-        except CryptoError:
-            return False
-        cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
-        if not sgn_verify(params.cert_table, cert_body, ext.cert):
-            return False
-        ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
-                            attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
-        if not sgn_verify(vk, ext_body, ext.ext_sig):
-            return False
-        ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
-                            ext.nym_d.to_bytes(params.n_bytes, "big"),
-                            attrs_digest(ext.attrs), bytes([ext.level]))
+        ext_part = _ext_part(params, ext)
         T_ext = (sk_z * params.multiexp((BASE_S, ext.z_rd))
                  * pow(ext.nym_d, -c, n)) % n
 
@@ -540,65 +564,39 @@ def dac_request_delegation(params: DacParams, sk: int,
                            rng: SeededRng) -> tuple[DelegationRequest, int]:
     """Recipient side: one-time pseudonym nym_d plus opening proof."""
     r_d = rng.randint_bits(_SECRET_BITS) | 1
-    nym_d = params.multiexp((BASE_SK, sk), (BASE_S, r_d))
-    width = _SECRET_BITS + _CHAL_BITS + _SLACK_BITS
-    k_u, k_r = rng.randint_bits(width), rng.randint_bits(width)
-    T = params.multiexp((BASE_SK, k_u), (BASE_S, k_r))
-    c = H_int("dac/delegate", params.fingerprint(),
-              nym_d.to_bytes(params.n_bytes, "big"),
-              T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
-    return DelegationRequest(nym_d, c, k_u + c * sk, k_r + c * r_d), r_d
+    return DelegationRequest(*_prove_opening(params, True, sk, r_d, rng)), r_d
 
 
 def dac_issue_cred(params: DacParams, delegator: Credential,
                    request: DelegationRequest, attrs: tuple[Attribute, ...],
-                   level: int, rng: SeededRng) -> tuple[bytes, bytes, bytes]:
+                   rng: SeededRng) -> tuple[bytes, bytes, bytes]:
     """Delegator side of IssueCred: sign the extension for the recipient.
 
-    Returns (vk, cert, ext_sig); raises if the delegator's key is missing
-    (dk = None is terminal) or the requested level exceeds its bound.
+    Returns (vk, cert, ext_sig); raises if the delegator holds no delegation
+    key (dk = None is terminal) or the request's opening proof fails.
     """
-    if delegator.dk is None or delegator.dk.secret is None:
+    if delegator.dk is None:
         raise CryptoError("credential is terminal: no delegation key")
-    if level > delegator.dk.max_level:
-        raise CryptoError("delegation beyond authorized level")
-    if level != delegator.level + 1 or level > params.eta:
-        raise CryptoError("invalid delegation level")
     if len(attrs) > params.t:
         raise ParameterError("attribute extension exceeds bound t")
-    n = params.n
-    if not 0 < request.nym_d < n:
-        raise CryptoError("delegation pseudonym out of range")
-    T = (params.multiexp((BASE_SK, request.z_u), (BASE_S, request.z_r))
-         * pow(request.nym_d, -request.c, n)) % n
-    c = H_int("dac/delegate", params.fingerprint(),
-              request.nym_d.to_bytes(params.n_bytes, "big"),
-              T.to_bytes(params.n_bytes, "big")) >> (256 - _CHAL_BITS)
-    if c != request.c:
+    if not _opening_valid(params, True, request.nym_d, request.c,
+                          request.z_u, request.z_r):
         raise CryptoError("delegation request proof invalid")
-    dk_key = SigningKey(delegator.dk.secret)
-    ext_body = H_tagged("dac/ext", request.nym_d.to_bytes(params.n_bytes, "big"),
-                        attrs_digest(attrs), bytes([level]), b"\x01")
-    ext_sig = dk_key.sign(ext_body, rng)
+    ext_sig = SigningKey(delegator.dk.secret).sign(
+        _ext_body(params, request.nym_d, attrs), rng)
     return delegator.dk.vk_bytes, delegator.dk.cert, ext_sig
 
 
-def dac_receive_cred(params: DacParams, recipient: Credential, sk: int,
-                     r_d: int, nym_d: int, attrs: tuple[Attribute, ...],
-                     level: int, vk_bytes: bytes, cert: bytes,
-                     ext_sig: bytes) -> DelegatedCredential:
+def dac_receive_cred(params: DacParams, recipient: Credential, r_d: int,
+                     nym_d: int, attrs: tuple[Attribute, ...], vk_bytes: bytes,
+                     cert: bytes, ext_sig: bytes) -> DelegatedCredential:
     """Recipient side: check the chain root -> vk -> extension, keep dk = None."""
-    vk = CURVE.from_bytes(vk_bytes)
-    cert_body = H_tagged("dac/dkcert", vk_bytes, bytes([level]))
-    if not sgn_verify(params.cert_table, cert_body, cert):
-        raise CryptoError("delegation key certificate invalid")
-    ext_body = H_tagged("dac/ext", nym_d.to_bytes(params.n_bytes, "big"),
-                        attrs_digest(attrs), bytes([level]), b"\x01")
-    if not sgn_verify(vk, ext_body, ext_sig):
-        raise CryptoError("extension signature invalid")
-    return DelegatedCredential(level=level, attrs=attrs, nym_d=nym_d, r_d=r_d,
-                               vk_bytes=vk_bytes, cert=cert, ext_sig=ext_sig,
-                               base=recipient, dk=None)
+    dcred = DelegatedCredential(level=DELEGATION_DEPTH, attrs=attrs, nym_d=nym_d,
+                                r_d=r_d, vk_bytes=vk_bytes, cert=cert,
+                                ext_sig=ext_sig, base=recipient, dk=None)
+    if not _chain_valid(params, dcred):
+        raise CryptoError("delegation chain invalid")
+    return dcred
 
 
 # -- fixed-size wire encoding ----------------------------------------------
@@ -610,7 +608,7 @@ def encode_credential(cred: Credential | DelegatedCredential,
         out += bytes([1, cred.level, 1 if cred.dk else 0])
         out += cred.sigma.to_bytes(params.n_bytes, "big")
         if cred.dk is not None:
-            out += cred.dk.vk_bytes + cred.dk.cert + bytes([cred.dk.max_level])
+            out += cred.dk.vk_bytes + cred.dk.cert + bytes([DELEGATION_DEPTH])
     else:
         out += bytes([2, cred.level, 0])
         out += cred.vk_bytes + cred.cert + cred.ext_sig

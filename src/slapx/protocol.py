@@ -147,7 +147,7 @@ class Authority:
     def __init__(self, rng: SeededRng):
         self.rng = rng
         # at most 8 attributes per credential, 16 access points in the ring
-        self.dac_params, self.root_key = dac.dac_setup(t=8, eta=2, rng=rng)
+        self.dac_params, self.root_key = dac.dac_setup(t=8, rng=rng)
         self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(16, rng)
         self.ring: list[str] = []
 
@@ -159,9 +159,9 @@ class Authority:
 
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
+        depth = dac.DELEGATION_DEPTH if delegable else 1
         cred = dac.issue_credential(self.root_key, sk, profile.attributes(),
-                                    max_delegation_level=2 if delegable else 1,
-                                    rng=self.rng)
+                                    max_delegation_level=depth, rng=self.rng)
         return pk, sk, cred
 
     def revoke_double_issuer(self, event: rlrs.EventId,
@@ -371,7 +371,7 @@ class NeighborDevice:
         a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
         vk, cert, ext_sig = _or_reject(
             RejectReason.DELEGATION_DENIED, "delegation request proof invalid",
-            dac.dac_issue_cred, params, self.cred, dreq, a_l, 2, self.rng)
+            dac.dac_issue_cred, params, self.cred, dreq, a_l, self.rng)
         return wire.pack_fields(vk, cert, ext_sig, loc, win_b)
 
 
@@ -662,8 +662,8 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
 
     vk, cert, ext_sig, _, _ = wire.unpack_fields(resp_content, 5)
     a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
-    dcred = dac.dac_receive_cred(params, client.cred, client.sk, r_d,
-                                 dreq.nym_d, a_l, 2, vk, cert, ext_sig)
+    dcred = dac.dac_receive_cred(params, client.cred, r_d, dreq.nym_d, a_l,
+                                 vk, cert, ext_sig)
     return dcred, trace
 
 

@@ -91,13 +91,11 @@ class RlrsParams:
                         self.t_max.to_bytes(2, "big"))
 
 
-def rlrs_setup(t_max: int,
-               rng: SeededRng | None = None) -> tuple[bytes, RlrsParams]:
+def rlrs_setup(t_max: int, rng: SeededRng) -> tuple[bytes, RlrsParams]:
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
     if t_max > MAX_RING:
         raise ParameterError(f"t_max {t_max} exceeds encoding capacity {MAX_RING}")
-    rng = rng or SeededRng()
     msk = rng.bytes(32)
     return msk, RlrsParams(t_max)
 

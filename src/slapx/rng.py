@@ -1,20 +1,19 @@
 """Deterministic seeded randomness for reproducible runs.
 
 SeededRng wraps the stdlib Mersenne Twister, whose output stream is
-documented to be stable across Python versions for a fixed seed. Its
-output is reproducible only when one thread draws from it; the roles that
-share one across threads say why that stays safe (`Deployment.create`).
+documented to be stable across Python versions for a fixed seed. Every
+stream has a seed: the caller's, or one `spawn` derives from its parent's;
+there is no draw from the operating system. Its output is reproducible only
+when one thread draws from it; the roles that share one across threads say
+why that stays safe (`Deployment.create`).
 """
 from __future__ import annotations
 
-import os
 import random
 
 
 class SeededRng:
-    def __init__(self, seed: int | None = None):
-        if seed is None:
-            seed = int.from_bytes(os.urandom(8), "big")
+    def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self._r = random.Random(self.seed)
 

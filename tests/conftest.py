@@ -35,7 +35,7 @@ def client(deployment):
 @pytest.fixture(scope="session")
 def dac_env():
     rng = SeededRng(11)
-    params, root = dac.dac_setup(t=8, eta=2, rng=rng)
+    params, root = dac.dac_setup(t=8, rng=rng)
     return params, root, rng
 
 

@@ -274,7 +274,7 @@ def test_criterion_6_protocol_invariants():
                                             SeededRng(6005))
         with pytest.raises(Exception):
             dac.dac_issue_cred(dep.view.dac_params, dcred, req, dcred.attrs,
-                               2, SeededRng(6006))
+                               SeededRng(6006))
 
         # (e) two runs by one client share zero non-disclosed bytes
         runs = []

@@ -38,7 +38,7 @@ def ring_env():
 @pytest.fixture(scope="module")
 def cred_env():
     rng = SeededRng(72)
-    params, root = dac.dac_setup(t=4, eta=2, rng=rng, modulus_bits=512)
+    params, root = dac.dac_setup(t=4, rng=rng, modulus_bits=512)
     attrs_a = (dac.Attribute("device_id", b"AAAAAAAA"),)
     attrs_b = (dac.Attribute("device_id", b"BBBBBBBB"),)
     pk_a, sk_a = dac.dac_keygen(params, rng)
@@ -125,9 +125,9 @@ class TestDacSplicing:
         # a presentation that never proved nym_d's opening
         req, r_d = dac.dac_request_delegation(params, sk_b, rng)
         a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
-        vk, cert, ext_sig = dac.dac_issue_cred(params, cred_a, req, a_l, 2, rng)
-        dcred = dac.dac_receive_cred(params, cred_b, sk_b, r_d, req.nym_d,
-                                     a_l, 2, vk, cert, ext_sig)
+        vk, cert, ext_sig = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
+        dcred = dac.dac_receive_cred(params, cred_b, r_d, req.nym_d, a_l, vk,
+                                     cert, ext_sig)
         nym_b, aux_b = dac.dac_nymgen(params, pk_b, rng)
         honest = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, dcred, (0,),
                                     b"c", rng)
@@ -156,7 +156,7 @@ class TestDacSplicing:
                             dac.attrs_digest(a_l), bytes([2]), b"\x01")
         ext_sig = rogue.sign(ext_body, rng)
         with pytest.raises(CryptoError):
-            dac.dac_receive_cred(params, cred_b, sk_b, r_d, req.nym_d, a_l, 2,
+            dac.dac_receive_cred(params, cred_b, r_d, req.nym_d, a_l,
                                  rogue.pk.to_bytes(), bad_cert, ext_sig)
 
     def test_delegated_pseudonym_out_of_range_fails_cleanly(self, cred_env):
@@ -167,8 +167,8 @@ class TestDacSplicing:
         a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
         with pytest.raises(CryptoError):
             dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, nym_d=0),
-                               a_l, 2, rng)
-        vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, 2, rng)
+                               a_l, rng)
+        vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
         ext_sig = SigningKey(cred_a.dk.secret).sign(
             H_tagged("dac/ext", bytes(params.n_bytes), dac.attrs_digest(a_l),
                      bytes([2]), b"\x01"), rng)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from slapx import rlrs
+from slapx import bench, rlrs, vdf
 from slapx.bench import BenchReport, bench_all, calibrate, eval_slope
 from slapx.errors import ParameterError
 from slapx.simnet import Calibration
@@ -65,6 +65,31 @@ class TestBenchAll:
         with pytest.raises(Signed) as e:
             bench_all(iterations=30)
         assert len(e.value.args[0]) == len(deployment.view.ring)
+
+    def test_vdf_samples_cycle_over_distinct_challenges(self, monkeypatch):
+        # one input's prime search for l would otherwise land on every
+        # sample of its kappa; 60000 takes the short (heavy) eval sample
+        timing, seen = [False], {}
+
+        def record(fn):
+            def timed(n, ch, *rest):
+                if timing[0]:
+                    seen.setdefault((fn.__name__, ch.tau), set()).add(ch.m)
+                return fn(n, ch, *rest)
+            return timed
+
+        def time_ops(ops, real=bench._time_ops):
+            timing[0] = True
+            return real(ops)
+
+        monkeypatch.setattr(vdf, "vdf_eval", record(vdf.vdf_eval))
+        monkeypatch.setattr(vdf, "vdf_verify", record(vdf.vdf_verify))
+        monkeypatch.setattr(bench, "_time_ops", time_ops)
+        bench_all(iterations=30, kappa_grid=(200, 60000), vdf_modulus_bits=256,
+                  seed=4)
+        assert set(seen) == {(fn, k) for fn in ("vdf_eval", "vdf_verify")
+                             for k in (200, 60000)}
+        assert all(len(inputs) > 1 for inputs in seen.values())
 
 
 class TestCalibrate:

@@ -26,9 +26,9 @@ def codecs(dac_env, rlrs_env):
     recipient = dac.issue_credential(root, sk_r, ATTRS, 1, rng)
     req, r_d = dac.dac_request_delegation(params, sk_r, rng)
     a_l = (dac.Attribute.location(12.0, -3.5), dac.Attribute.ts_window(42))
-    vk, cert, ext_sig = dac.dac_issue_cred(params, cred, req, a_l, 2, rng)
-    dcred = dac.dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
-                                 2, vk, cert, ext_sig)
+    vk, cert, ext_sig = dac.dac_issue_cred(params, cred, req, a_l, rng)
+    dcred = dac.dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
+                                 vk, cert, ext_sig)
     nym, aux = dac.dac_nymgen(params, pk, rng)
     base = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"c", rng)
     nym_r, aux_r = dac.dac_nymgen(params, pk_r, rng)

@@ -36,9 +36,7 @@ def env(dac_env):
 class TestSetup:
     def test_parameter_floors(self):
         with pytest.raises(ParameterError):
-            dac_setup(t=8, eta=1, rng=SeededRng(1))
-        with pytest.raises(ParameterError):
-            dac_setup(t=0, eta=2, rng=SeededRng(1))
+            dac_setup(t=0, rng=SeededRng(1))
 
     def test_valid_setup(self, dac_env):
         params, root, _ = dac_env
@@ -120,13 +118,18 @@ class TestIssuanceAndShowing:
         params, root, rng, pk, sk, cred = env
         assert len(encode_credential(cred, params)) == CRED_WIRE_BYTES
 
-    @pytest.mark.parametrize("field", ["blinded", "c", "z_u", "z_o"])
+    @pytest.mark.parametrize("field", ["blinded", "c", "z_u", "z_o",
+                                       "blinded=0", "blinded=n"])
     def test_issuer_refuses_a_perturbed_opening_proof(self, env, field):
+        # a field moved by +1, or the blinded key set to 0 or n, which have
+        # no inverse mod n
         params, root, _, _, sk, _ = env
         rng = SeededRng(81)
         request, _ = dac_request_cred(params, sk, rng)
         dac_create_cred(root, request, ATTRS, 1, rng)   # the honest one passes
-        bad = dataclasses.replace(request, **{field: getattr(request, field) + 1})
+        name, _, to = field.partition("=")
+        value = {"": getattr(request, name) + 1, "0": 0, "n": params.n}[to]
+        bad = dataclasses.replace(request, **{name: value})
         with pytest.raises(CryptoError):
             dac_create_cred(root, bad, ATTRS, 1, rng)
 
@@ -159,7 +162,7 @@ class TestUnforgeabilityShape:
         # small modulus keeps 10^4 verification attempts affordable; the
         # soundness argument is parameter-independent
         rng = SeededRng(31)
-        params, root = dac_setup(t=2, eta=2, rng=rng, modulus_bits=384)
+        params, root = dac_setup(t=2, rng=rng, modulus_bits=384)
         pk, sk = dac_keygen(params, rng)
         cred = issue_credential(root, sk, ATTRS[:2], 1, rng)
         nym, aux = dac_nymgen(params, pk, rng)
@@ -203,9 +206,9 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
-        dcred = dac_receive_cred(params, recipient_cred, sk_r, r_d, req.nym_d,
-                                 a_l, 2, vk, cert, ext)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
+                                 vk, cert, ext)
         assert dcred.dk is None
         nym, aux = dac_nymgen(params, pk_r, rng)
         pres = dac_cred_prove(params, sk_r, nym, aux, dcred, (), b"q", rng)
@@ -218,21 +221,25 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
-        dcred = dac_receive_cred(params, recipient_cred, sk_r, r_d, req.nym_d,
-                                 a_l, 2, vk, cert, ext)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
+                                 vk, cert, ext)
         with pytest.raises(CryptoError):
-            dac_issue_cred(params, dcred, req, a_l, 2, rng)
+            dac_issue_cred(params, dcred, req, a_l, rng)
         with pytest.raises(CryptoError):
-            dac_issue_cred(params, recipient_cred, req, a_l, 2, rng)
+            dac_issue_cred(params, recipient_cred, req, a_l, rng)
 
-    def test_depth_beyond_authorization(self, env):
-        params, root, rng, pk, sk, cred = env
+    @pytest.mark.parametrize("field", ["nym_d", "c", "z_u", "z_r"])
+    def test_delegator_refuses_a_perturbed_opening_proof(self, env, field):
+        params, root, _, _, _, cred = env
+        rng = SeededRng(83)
         _, sk_r = dac_keygen(params, rng)
-        req, _ = dac_request_delegation(params, sk_r, rng)
-        a_l = (Attribute.location(1.0, 1.0),)
+        request, _ = dac_request_delegation(params, sk_r, rng)
+        a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
+        dac_issue_cred(params, cred, request, a_l, rng)   # the honest one passes
+        bad = dataclasses.replace(request, **{field: getattr(request, field) + 1})
         with pytest.raises(CryptoError):
-            dac_issue_cred(params, cred, req, a_l, 3, rng)
+            dac_issue_cred(params, cred, bad, a_l, rng)
 
     def test_tampered_extension_rejected(self, env):
         params, root, rng, pk, sk, cred = env
@@ -240,11 +247,11 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
         other = (Attribute.location(9.0, 9.0), Attribute.ts_window(1))
         with pytest.raises(CryptoError):
-            dac_receive_cred(params, recipient_cred, sk_r, r_d, req.nym_d,
-                             other, 2, vk, cert, ext)
+            dac_receive_cred(params, recipient_cred, r_d, req.nym_d, other,
+                             vk, cert, ext)
 
     def test_delegated_wire_is_224_bytes(self, env):
         params, root, rng, pk, sk, cred = env
@@ -252,9 +259,9 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(2.0, 2.0), Attribute.ts_window(3))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
-        dcred = dac_receive_cred(params, recipient_cred, sk_r, r_d, req.nym_d,
-                                 a_l, 2, vk, cert, ext)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
+                                 vk, cert, ext)
         assert len(encode_credential(dcred, params)) == CRED_WIRE_BYTES
 
 
@@ -373,9 +380,9 @@ class TestVerifyMatchesReference:
         recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(3.0, 4.0), Attribute.ts_window(9))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
-        dcred = dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
-                                 2, vk, cert, ext)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
+                                 vk, cert, ext)
         out = []
         for holder_pk, holder_sk, c in ((pk, sk, cred), (pk_r, sk_r, dcred)):
             for disclose in ((1, 2), ()):
@@ -450,9 +457,9 @@ class TestSeededBytesPinned:
         recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, 2, rng)
-        dcred = dac_receive_cred(params, recipient, sk_r, r_d, req.nym_d, a_l,
-                                 2, vk, cert, ext)
+        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
+                                 vk, cert, ext)
         nb = params.n_bytes
         h = hashlib.sha256()
         h.update(pk.to_bytes(nb, "big") + encode_credential(cred, params)
