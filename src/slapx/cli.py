@@ -20,6 +20,7 @@ from types import SimpleNamespace
 from . import bench as bench_mod
 from . import simnet, wire
 from .errors import ParameterError, ProtocolReject, RejectReason
+from .modmath import MIN_MODULUS_BITS
 from .protocol import (DEVICE_CLASSES, Deployment, DeviceProfile,
                        NeighborDevice, SeededRng, run_pol_ap, run_pol_nd,
                        run_service_request, run_spectrum_query)
@@ -145,7 +146,7 @@ def cmd_pol(args) -> int:
     else:
         proof, tr = run_pol_ap(client, dep.ap, args.x, args.y, 120.0,
                                true_distance_m=distance)
-        print(f"POL_AP_OK phase_bytes={tr.total_payload} window={proof.window}")
+        print(f"POL_AP_OK phase_bytes={tr.total_payload} window={proof.event.ts}")
     return EXIT_OK
 
 
@@ -351,6 +352,15 @@ def _distance(text: str) -> float:
     return value
 
 
+def _modulus_bits(text: str) -> int:
+    """A modulus size that `modmath.rsa_setup` accepts, so no role meets less."""
+    value = int(text)
+    if value < MIN_MODULUS_BITS:
+        raise argparse.ArgumentTypeError(
+            f"modulus must be at least {MIN_MODULUS_BITS} bits: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="slapx",
                                 description="privacy-preserving spectrum "
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     # then the device's, then the device's position
     def deployment(sp):
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--modulus-bits", type=int, default=2048,
+        sp.add_argument("--modulus-bits", type=_modulus_bits, default=2048,
                         dest="modulus_bits")
 
     def device(sp):
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iterations", type=int, default=30)
     sp.add_argument("--kappa", type=int, nargs="+",
                     default=list(bench_mod.KAPPA_GRID))
-    sp.add_argument("--modulus-bits", type=int, default=2048,
+    sp.add_argument("--modulus-bits", type=_modulus_bits, default=2048,
                     dest="modulus_bits")
     sp.add_argument("--csv", action="store_true")
     sp.add_argument("--calibrate")

@@ -111,7 +111,6 @@ class DacParams:
         self.n = n
         self.exponents = exponents    # exponents[0] signs; see the module doc
         self.t = t
-        self.eta = len(exponents)
         self.cert_pk = cert_pk
         self.cert_table = CURVE.table(cert_pk)    # for every certificate check
         self.base_S = self._derive_base("S", 0)
@@ -154,7 +153,7 @@ class DacParams:
 @dataclass
 class RootIssuerKey:
     params: DacParams
-    roots: tuple[int, ...]          # d with d*e = 1 mod lambda(n), per exponent
+    root: int                       # d with d*e = 1 mod lambda(n), e = exponents[0]
     cert_key: SigningKey
 
 
@@ -194,16 +193,16 @@ def dac_setup(t: int, rng: SeededRng,
     p, q = random_prime_pair(modulus_bits, rng)
     n = p * q
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    exps, roots = [], []
+    exps = []
     while len(exps) < DELEGATION_DEPTH:
         e = random_prime(192, rng)
         if math.gcd(e, lam) == 1 and e not in exps:
             exps.append(e)
-            roots.append(pow(e, -1, lam))
+    root = pow(exps[0], -1, lam)
     del p, q, lam
     cert_key = SigningKey.generate(rng)
     params = DacParams(n, tuple(exps), t, cert_key.pk)
-    return params, RootIssuerKey(params, tuple(roots), cert_key)
+    return params, RootIssuerKey(params, root, cert_key)
 
 
 def dac_keygen(params: DacParams, rng: SeededRng) -> tuple[int, int]:
@@ -284,7 +283,7 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     o_i = rng.randint_bits(_SECRET_BITS)
     body = (request.blinded * params.multiexp(
         (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
-    sigma = pow(body, root.roots[0], n)
+    sigma = pow(body, root.root, n)
     dk = None
     if max_delegation_level == DELEGATION_DEPTH:
         dk_key = SigningKey.generate(rng)

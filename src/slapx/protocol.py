@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dac, dbp, rlrs, vdf, wire
 from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
@@ -85,37 +85,22 @@ class Beacon:
 
 @dataclass(frozen=True)
 class LocationProof:
-    """Phi: signed message bundle plus its event scope."""
+    """Phi: signed message bundle plus the event (location, window, beacon
+    digest) that scopes its link tag."""
     m: bytes
     sig: rlrs.RlrsSignature
-    l_x: float
-    l_y: float
-    window: int
-    beacon_digest: bytes
-
-    def event(self) -> rlrs.EventId:
-        return rlrs.EventId(self.l_x, self.l_y, self.window, self.beacon_digest)
+    event: rlrs.EventId
 
     # `params` is unread by encode and decode; perfbench calls
     # `proof.encode(params)`, so both keep it.
     def encode(self, params: rlrs.RlrsParams) -> bytes:
         return wire.pack_fields(self.m, rlrs.encode_signature(self.sig),
-                                self.event().encode())
+                                self.event.encode())
 
     @classmethod
     def decode(cls, data: bytes, params: rlrs.RlrsParams) -> "LocationProof":
         m, sig_block, ev_b = wire.unpack_fields(data, 3, exact=True)
-        ev = rlrs.EventId.decode(ev_b)
-        return cls(m=m, sig=rlrs.decode_signature(sig_block),
-                   l_x=ev.l_x, l_y=ev.l_y, window=ev.ts,
-                   beacon_digest=ev.beacon_digest)
-
-
-def pol_message(beacon: Beacon, l_x: float, l_y: float, window: int,
-                binding: bytes) -> bytes:
-    """m = D_TS || credential-presentation binding digest."""
-    d_ts = beacon.encode() + wire.encode_point(l_x, l_y) + window.to_bytes(8, "big")
-    return d_ts + binding[:32]
+        return cls(m, rlrs.decode_signature(sig_block), rlrs.EventId.decode(ev_b))
 
 
 # -- issuer / authority -------------------------------------------------------
@@ -142,20 +127,15 @@ DISCLOSE_DEVICE = (1, 2)
 
 
 class Authority:
-    """Root issuer: device credentials, AP ring keys, puzzle-signer identity."""
+    """Root issuer: device credentials and the ring keys of `AP_IDS`."""
 
     def __init__(self, rng: SeededRng):
         self.rng = rng
         # at most 8 attributes per credential, 16 access points in the ring
         self.dac_params, self.root_key = dac.dac_setup(t=8, rng=rng)
         self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(16, rng)
-        self.ring: list[str] = []
-
-    def provision_ap(self, ap_id: str) -> int:
-        sk = rlrs.rlrs_extract(self.rlrs_msk, ap_id, self.rlrs_params)
-        if ap_id not in self.ring:
-            self.ring.append(ap_id)
-        return sk
+        self.ap_keys = {a: rlrs.rlrs_extract(self.rlrs_msk, a, self.rlrs_params)
+                        for a in AP_IDS}
 
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
@@ -230,28 +210,21 @@ class AccessPoint:
             self._beacons[w] = b
         return b
 
-    def issue_pol(self, request: bytes, now_s: float, true_distance_m: float,
-                  measured: tuple[float, float] | None = None) -> bytes:
+    def issue_pol(self, request: bytes, now_s: float, true_distance_m: float) -> bytes:
         """Alg. steps: credential check, proximity gate, ring-sign the bundle.
-
-        `measured` overrides the (rss_dbm, rtt_s) pair; by default both come
-        from the radio model at the true distance.
-        """
+        The radio model measures RSS and RTT at the true distance."""
         beacon_enc, loc, win_b, pres_b = _unpack(request, 4)
         window = window_of(now_s)
         if win_b != window.to_bytes(8, "big") or beacon_enc != self.beacon(now_s).encode():
             raise ProtocolReject(RejectReason.STALE_BEACON, "beacon not current")
         l_x, l_y = _point(loc)
+        d_ts = beacon_enc + loc + win_b   # the time-stamped location claim
         pres = _read_presentation(pres_b, self.view.dac_params)
         _check_presentation(self.view.dac_params, pres,
-                            presentation_context("pol-ap", window, self.ap_id),
-                            beacon_enc + loc + win_b)
+                            presentation_context("pol-ap", window, self.ap_id), d_ts)
 
-        if measured is None:
-            rss = rss_at(true_distance_m, self.rng)
-            rtt = 2.0 * true_distance_m / dbp.SPEED_OF_LIGHT_M_S
-        else:
-            rss, rtt = measured
+        rss = rss_at(true_distance_m, self.rng)
+        rtt = 2.0 * true_distance_m / dbp.SPEED_OF_LIGHT_M_S
         d_hat = _or_reject(RejectReason.NOT_PROXIMATE, "measurement refused",
                            prox_verify, rss, rtt, RTT_WEIGHT)
         claimed_d = math.hypot(l_x, l_y)  # AP at the local origin
@@ -261,15 +234,11 @@ class AccessPoint:
                 RejectReason.NOT_PROXIMATE,
                 f"claimed {claimed_d:.0f} m, estimated {d_hat:.0f} m")
 
-        binding = H_tagged("pol/bind", pres_b)
-        m = pol_message(self.beacon(now_s), l_x, l_y, window, binding)
-        event = rlrs.EventId(l_x, l_y, window,
-                             H_tagged("beacon", beacon_enc))
+        m = d_ts + H_tagged("pol/bind", pres_b)
+        event = rlrs.EventId(l_x, l_y, window, H_tagged("beacon", beacon_enc))
         sig = rlrs.rlrs_sign(self.sk, m, self.view.ring, event,
                              self.view.rlrs_params, self.rng)
-        proof = LocationProof(m=m, sig=sig, l_x=l_x, l_y=l_y, window=window,
-                              beacon_digest=H_tagged("beacon", beacon_enc))
-        return proof.encode(self.view.rlrs_params)
+        return LocationProof(m, sig, event).encode(self.view.rlrs_params)
 
 
 def presentation_context(kind: str, window: int, verifier_id: str) -> bytes:
@@ -505,12 +474,12 @@ class Psd:
             # window, then scan the window
             proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
                                LocationProof.decode, phi_b, self.view.rlrs_params)
-            if proof.window != window:
+            if proof.event.ts != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event(),
+            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event,
                                     proof.sig, self.view.rlrs_params):
                 raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
-            if (proof.l_x, proof.l_y) != (l_x, l_y):
+            if (proof.event.l_x, proof.event.l_y) != (l_x, l_y):
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the proof")
             self._use_once(self.links, (window, proof.sig.tau.to_bytes()),
@@ -599,7 +568,6 @@ class PhaseTrace:
     phase: str
     request: wire.WireMessage
     response: wire.WireMessage
-    fields: dict[str, bytes] = field(default_factory=dict)
 
     @property
     def total_payload(self) -> int:
@@ -609,9 +577,9 @@ class PhaseTrace:
 def exchange(phase: str, handle, content: bytes,
              *world) -> tuple[bytes, PhaseTrace]:
     """Frame content as `phase`'s request, hand it to handle, and frame the
-    answer. `world` (the clock, a distance, a radio measurement) models the
-    physical world, so no frame carries it. handle is called here directly,
-    so a tracer sees it as a child of the phase driver."""
+    answer. `world` (the clock, and for a PoL the device's true distance)
+    models the physical world, so no frame carries it. handle is called
+    here directly, so a tracer sees it as a child of the phase driver."""
     request_name, response_name = wire.PHASE_MESSAGES[phase]
     req = wire.build_message(request_name, content)
     resp_content = handle(wire.message_content(req), *world)
@@ -620,8 +588,7 @@ def exchange(phase: str, handle, content: bytes,
 
 
 def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
-               now_s: float, true_distance_m: float | None = None,
-               measured: tuple[float, float] | None = None
+               now_s: float, true_distance_m: float | None = None
                ) -> tuple[LocationProof, PhaseTrace]:
     window = window_of(now_s)
     beacon_b = ap.beacon(now_s).encode()
@@ -633,15 +600,12 @@ def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
         true_distance_m = math.hypot(l_x, l_y)
     resp_content, trace = exchange(
         "pol_ap", ap.issue_pol, wire.pack_fields(beacon_b, loc, win_b, pres_b),
-        now_s, true_distance_m, measured)
+        now_s, true_distance_m)
 
     proof = LocationProof.decode(resp_content, client.view.rlrs_params)
-    if not rlrs.rlrs_verify(client.view.ring, proof.m, proof.event(),
+    if not rlrs.rlrs_verify(client.view.ring, proof.m, proof.event,
                             proof.sig, client.view.rlrs_params):
         raise ProtocolReject(RejectReason.BAD_POL, "AP returned invalid proof")
-    trace.fields = {"nym": pres_b[2:2 + client.view.dac_params.n_bytes],
-                    "presentation": pres_b,
-                    "pol_sig": rlrs.encode_signature(proof.sig)}
     return proof, trace
 
 
@@ -667,20 +631,29 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
     return dcred, trace
 
 
+def _credential_and_phi(client: Client, proof: LocationProof | None,
+                        dcred: dac.DelegatedCredential | None):
+    """The credential a query or service request presents, and the Phi bytes
+    it carries: the client's own credential and the AP's proof, or the
+    delegated credential and no Phi. Exactly one of proof and dcred."""
+    if (proof is None) == (dcred is None):
+        raise SlapxError("exactly one of proof or delegated credential required")
+    if dcred is not None:
+        return dcred, b""
+    return client.cred, proof.encode(client.view.rlrs_params)
+
+
 def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
                        now_s: float,
                        proof: LocationProof | None = None,
                        dcred: dac.DelegatedCredential | None = None
                        ) -> tuple[SpectrumRecord, Puzzle, bytes, PhaseTrace]:
-    if (proof is None) == (dcred is None):
-        raise SlapxError("exactly one of proof or delegated credential required")
+    cred, phi_b = _credential_and_phi(client, proof, dcred)
     loc = wire.encode_point(l_x, l_y)
     ch_b = (1).to_bytes(2, "big")  # one channel requested
     tv_b = (int(now_s).to_bytes(8, "big") + int(now_s + WINDOW_S).to_bytes(8, "big"))
-    phi_b = proof.encode(client.view.rlrs_params) if proof else b""
-    pres_b = client.present(dcred if dcred is not None else client.cred,
-                            "spectrum", window_of(now_s), "PSD", DISCLOSE_DEVICE,
-                            loc + ch_b + tv_b + H_tagged("phi", phi_b))
+    pres_b = client.present(cred, "spectrum", window_of(now_s), "PSD",
+                            DISCLOSE_DEVICE, loc + ch_b + tv_b + H_tagged("phi", phi_b))
     resp_content, trace = exchange(
         "spectrum_query", psd.handle_spectrum_request,
         wire.pack_fields(loc, ch_b, tv_b, pres_b, phi_b), now_s)
@@ -690,7 +663,6 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     puzzle = Puzzle.decode(puz_b)
     if not sgn_verify(client.view.psd_table, puz_b, sig):
         raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle signature invalid")
-    trace.fields = {"presentation": pres_b, "phi": phi_b, "puzzle": puz_b}
     return record, puzzle, sig, trace
 
 
@@ -700,12 +672,12 @@ def run_service_request(client: Client, server: ServiceServer, message: bytes,
                         dcred: dac.DelegatedCredential | None = None,
                         solution: vdf.VdfSolution | None = None
                         ) -> tuple[bytes, vdf.VdfSolution, PhaseTrace]:
+    cred, phi_b = _credential_and_phi(client, proof, dcred)
     if solution is None:
         solution = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(message))
     sol_b = solution.to_bytes(puzzle.modulus_bytes)
-    phi_b = proof.encode(client.view.rlrs_params) if proof else b""
-    pres_b = client.present(dcred if dcred is not None else client.cred,
-                            "service", window_of(now_s), "SERVER", DISCLOSE_DEVICE,
+    pres_b = client.present(cred, "service", window_of(now_s), "SERVER",
+                            DISCLOSE_DEVICE,
                             message + puzzle.puzzle_id + H_tagged("phi", phi_b))
     resp_content, trace = exchange(
         "service_request", server.handle_service_request,
@@ -714,7 +686,6 @@ def run_service_request(client: Client, server: ServiceServer, message: bytes,
     status, token = wire.unpack_fields(resp_content, 2)
     if status != b"\x01":
         raise ProtocolReject(RejectReason.BAD_SOLUTION, "service denied")
-    trace.fields = {"presentation": pres_b, "solution": sol_b, "token": token}
     return token, solution, trace
 
 
@@ -742,15 +713,15 @@ class Deployment:
         threads interleave their draws."""
         rng = SeededRng(seed)
         authority = Authority(rng.spawn("authority"))
-        ap_keys = {a: authority.provision_ap(a) for a in AP_IDS}
         psd_rng = rng.spawn("psd")
         # the PSD's key is the first draw on its stream (seeded tests pin it)
         sgn_key = SigningKey.generate(psd_rng)
         view = PublicView(dac_params=authority.dac_params,
                           rlrs_params=authority.rlrs_params,
-                          ring=list(authority.ring), psd_pk=sgn_key.pk)
+                          ring=list(AP_IDS), psd_pk=sgn_key.pk)
         psd = Psd(view, sgn_key, psd_rng, psd_modulus_bits)
-        ap = AccessPoint(AP_IDS[0], ap_keys[AP_IDS[0]], view, rng.spawn("ap"))
+        ap = AccessPoint(AP_IDS[0], authority.ap_keys[AP_IDS[0]], view,
+                         rng.spawn("ap"))
         return cls(authority=authority, view=view, ap=ap, psd=psd,
                    server=ServiceServer(psd))
 

@@ -459,8 +459,8 @@ def run_fraud(rounds: int, tolerance: float, guess_prob: float, trials: int,
         raise ParameterError("guess probability must be in [0, 1]")
     if not 0.0 <= tolerance < 1.0:
         raise ParameterError("tolerance must be in [0, 1)")
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    if trials < 1 or rounds < 1:
+        raise ParameterError("trials and rounds must be at least 1")
     allowed = int(tolerance * rounds)
     q = guess_prob + (1.0 - guess_prob) / 2.0
     rnd = random.Random(seed).random

@@ -34,7 +34,7 @@ comes with each challenge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 from .errors import ParameterError, SlapxError
@@ -75,7 +75,6 @@ class VdfSolution:
     ell: int
     pi: int
     y: int
-    squarings: int = field(compare=False, default=0)  # telemetry, not wire
 
     def to_bytes(self, modulus_bytes: int) -> bytes:
         return wire.pack_fields(self.ell.to_bytes((self.ell.bit_length() + 7) // 8, "big"),
@@ -101,24 +100,24 @@ def challenge_base(n: int, m: bytes) -> int:
     return x
 
 
-def sequential_square(x: int, tau: int, n: int) -> tuple[int, int, FixedBase]:
-    """tau dependent squarings of x mod n; returns (result, count performed,
-    table). The table is FixedBase(x, n, tau + 1): the chain's first
-    4*floor(tau/4) squarings, with every fourth power kept."""
+def sequential_square(x: int, tau: int, n: int) -> tuple[int, FixedBase]:
+    """x^(2^tau) mod n by tau dependent squarings; returns (result, table).
+    The table is FixedBase(x, n, tau + 1): the chain's first 4*floor(tau/4)
+    squarings, with every fourth power kept."""
     table = FixedBase(x, n, tau + 1)
     y = table.powers[-1]
     for _ in range(tau % FIXED_BASE_WINDOW):
         y = (y * y) % n
-    return y, tau, table
+    return y, table
 
 
 def vdf_eval(n: int, challenge: VdfChallenge) -> VdfSolution:
     x = challenge_base(n, challenge.m)
-    y, count, chain = sequential_square(x, challenge.tau, n)
+    y, chain = sequential_square(x, challenge.tau, n)
     ell = hash_to_prime(int_sum_to_bytes(x + y))
     # floor(2^tau / ell) < 2^tau fits the chain's table
     pi = fixed_base_multiexp([(chain, (1 << challenge.tau) // ell)], n)
-    return VdfSolution(ell=ell, pi=pi, y=y, squarings=count)
+    return VdfSolution(ell=ell, pi=pi, y=y)
 
 
 def _floor_base(n: int, challenge: VdfChallenge, sol: VdfSolution) -> int | None:

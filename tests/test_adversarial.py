@@ -496,9 +496,9 @@ def _earlier_order(server, request: bytes, now_s: float) -> bytes:
     if pres.ext is None:
         proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
                            LocationProof.decode, phi_b, server.view.rlrs_params)
-        if proof.window != window:
+        if proof.event.ts != window:
             raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-        if not rlrs.rlrs_verify(server.view.ring, proof.m, proof.event(),
+        if not rlrs.rlrs_verify(server.view.ring, proof.m, proof.event,
                                 proof.sig, server.view.rlrs_params):
             raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
     elif _delegated(pres, "ts_window") != window.to_bytes(8, "big"):

@@ -38,11 +38,15 @@ class TestExitCodes:
         ("enroll", "--device-class", "300"), ("enroll", "--device-class", "-1"),
         ("query", "--device-class", "7"), ("pol", "--distance", "-1"),
         ("pol", "--via", "nd", "--distance", "-1"),
-        ("pol", "--distance", "nan")])
+        ("pol", "--distance", "nan"),
+        # a modulus rsa_setup refuses, which a socket thread would meet
+        ("protocol", "--modulus-bits", "32"),
+        ("protocol", "--transport", "socket", "--modulus-bits", "32")])
     def test_option_the_subcommand_ignores_is_refused(self, capsys, argv):
         # query would otherwise print QUERY_OK for a device 70 m out
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "spoof", "--attack", "fraud", "--trials", "0"),
@@ -59,7 +63,9 @@ class TestExitCodes:
         ("fragmentation", "--mtu", "0"),
         ("fragmentation", "--header-bytes", "-1", "--mtu", "100"),
         ("SLAPX_SEED=abc", "simulate", "spoof", "--trials", "10"),
-        ("simulate", "dos", "--config", "{bogus_scenario}")])
+        ("simulate", "dos", "--config", "{bogus_scenario}"),
+        ("simulate", "spoof", "--attack", "fraud", "--rounds", "0"),
+        ("simulate", "spoof", "--attack", "fraud", "--rounds", "-3")])
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                         argv):
         if argv[0].startswith("SLAPX_SEED="):

@@ -44,8 +44,7 @@ def codecs(dac_env, rlrs_env):
     puzzle = Puzzle(puzzle_id=(7).to_bytes(8, "big"), modulus_n=vparams,
                     tau=1000, seed=bytes(range(32)), issued_s=121.5,
                     expires_s=181.5)
-    proof = LocationProof(m=b"m", sig=ring_sig, l_x=event.l_x, l_y=event.l_y,
-                          window=event.ts, beacon_digest=event.beacon_digest)
+    proof = LocationProof(m=b"m", sig=ring_sig, event=event)
 
     def presentation(value):
         return (value, lambda b: dac.Presentation.from_bytes(b, params),

@@ -7,11 +7,11 @@ import threading
 
 import pytest
 
-from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, Attribute, DacParams,
-                       Presentation, _show_challenge, attrs_digest,
-                       dac_create_cred, dac_cred_prove, dac_cred_verify,
-                       dac_get_cred, dac_issue_cred, dac_keygen, dac_nymgen,
-                       dac_receive_cred, dac_request_cred,
+from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, DELEGATION_DEPTH,
+                       Attribute, DacParams, Presentation, _show_challenge,
+                       attrs_digest, dac_create_cred, dac_cred_prove,
+                       dac_cred_verify, dac_get_cred, dac_issue_cred,
+                       dac_keygen, dac_nymgen, dac_receive_cred, dac_request_cred,
                        dac_request_delegation, dac_setup, encode_credential,
                        issue_credential)
 from slapx.errors import CryptoError, ParameterError
@@ -40,8 +40,8 @@ class TestSetup:
 
     def test_valid_setup(self, dac_env):
         params, root, _ = dac_env
-        assert params.eta == 2 and params.t == 8
-        assert len(root.roots) == 2
+        assert len(params.exponents) == 2 and params.t == 8
+        assert pow(pow(5, params.exponents[0], params.n), root.root, params.n) == 5
 
     def test_seeded_parameters_pinned(self, deployment):
         # the fixture is Deployment.create(seed=3); its DAC parameters do not
@@ -308,7 +308,7 @@ def reference_verify(params, pres, context, payload=b""):
     T_ext = None
     if pres.ext is not None:
         ext = pres.ext
-        if not 2 <= ext.level <= params.eta or not 0 < ext.nym_d < n:
+        if not 2 <= ext.level <= DELEGATION_DEPTH or not 0 < ext.nym_d < n:
             return False
         try:
             vk = CURVE.from_bytes(ext.vk_bytes)

@@ -54,7 +54,7 @@ class TestProxVerify:
 class TestPolAp:
     def test_honest_client_within_threshold(self, deployment, client):
         proof, trace = run_pol_ap(client, deployment.ap, 10.0, 20.0, NOW)
-        assert proof.window == window_of(NOW)
+        assert proof.event.ts == window_of(NOW)
         assert trace.total_payload == 2456
 
     def test_claimed_coords_too_far(self, deployment, client):
@@ -68,12 +68,13 @@ class TestPolAp:
                        true_distance_m=90.0)
         assert e.value.reason == RejectReason.NOT_PROXIMATE
 
-    @pytest.mark.parametrize("measured", [(math.nan, 1e-8), (-40.0, math.nan),
-                                          (-40.0, -1e-9)])
+    # NaN measures NaN RSS and RTT; a negative distance, a negative RTT
+    @pytest.mark.parametrize("true_distance_m", [math.nan, -1e-6, -math.inf])
     def test_unusable_measurement_not_proximate(self, deployment, client,
-                                                measured):
+                                                true_distance_m):
         with pytest.raises(ProtocolReject) as e:
-            run_pol_ap(client, deployment.ap, 10.0, 20.0, NOW, measured=measured)
+            run_pol_ap(client, deployment.ap, 10.0, 20.0, NOW,
+                       true_distance_m=true_distance_m)
         assert e.value.reason == RejectReason.NOT_PROXIMATE
 
     def test_stale_beacon(self, deployment, client):
@@ -119,8 +120,9 @@ class TestSpectrumAndService:
         token, sol, tr2 = run_service_request(
             client, deployment.server, b"report", puzzle, t, proof=proof)
         assert len(token) == 16
-        # every grant is preceded by at least kappa sequential squarings
-        assert sol.squarings >= puzzle.tau
+        # the granted solution is an evaluation at the puzzle's tau
+        assert vdf.vdf_verify(puzzle.modulus_n, puzzle.challenge_for(b"report"),
+                              sol)
 
     def test_replayed_proof_linked(self, deployment, client):
         t = 420.0
@@ -378,6 +380,22 @@ class TestNdPath:
             run_spectrum_query(c, deployment.psd, 5.0, 5.0, t + 1, dcred=dcred)
         assert e.value.reason == RejectReason.LINKED
 
+    @pytest.mark.parametrize("both", [True, False])
+    def test_service_request_takes_one_of_proof_and_dcred(self, deployment,
+                                                          nd, both):
+        # both, or neither, is refused before any request is sent
+        t = 9420.0
+        c = deployment.new_client(seed=2007)
+        creds = {}
+        if both:
+            creds["proof"], _ = run_pol_ap(c, deployment.ap, 5.0, 5.0, t)
+            creds["dcred"], _ = run_pol_nd(c, nd, 5.0, 5.0, t,
+                                           true_distance_m=10.0)
+        puzzle = Puzzle(puzzle_id=bytes(8), modulus_n=35, tau=3, seed=b"s",
+                        issued_s=t, expires_s=t + WINDOW_S)
+        with pytest.raises(SlapxError, match="exactly one"):
+            run_service_request(c, _Capture(), b"m", puzzle, t, **creds)
+
 
 class TestRevocation:
     def test_double_issuing_ap_identified(self, deployment):
@@ -390,7 +408,7 @@ class TestRevocation:
         assert proof_a.sig.tau == proof_b.sig.tau
         ring = deployment.view.ring
         who = deployment.authority.revoke_double_issuer(
-            proof_a.event(), ring, (proof_a.m, proof_a.sig),
+            proof_a.event, ring, (proof_a.m, proof_a.sig),
             ring, (proof_b.m, proof_b.sig))
         assert who == deployment.ap.ap_id
 
@@ -403,7 +421,7 @@ class TestRevocation:
 
 
 class TestAnonymityShape:
-    def test_two_runs_share_no_crypto_bytes(self, deployment):
+    def test_two_runs_share_no_crypto_bytes(self, deployment, run_bytes):
         c = deployment.new_client(seed=4001)
         fields = []
         for t in (1080.0, 1140.0):  # consecutive windows
@@ -412,11 +430,8 @@ class TestAnonymityShape:
                 c, deployment.psd, 10.0, 20.0, t, proof=proof)
             _, _, tr3 = run_service_request(c, deployment.server, b"m",
                                             puzzle, t, proof=proof)
-            run = {}
-            for tr in (tr1, tr2, tr3):
-                for name, v in tr.fields.items():
-                    run[f"{tr.phase}.{name}"] = v
-            fields.append(run)
+            fields.append(run_bytes(deployment.view.dac_params, tr1, tr2, tr3))
+        assert len(fields[0]) == 9
         for key in fields[0]:
             assert fields[0][key] != fields[1][key], f"{key} repeated across runs"
 
@@ -426,7 +441,7 @@ class TestAnonymityShape:
         blob = proof.encode(deployment.view.rlrs_params)
         back = LocationProof.decode(blob, deployment.view.rlrs_params)
         assert back.sig == proof.sig
-        assert back.event() == proof.event()
+        assert back.event == proof.event
 
 
 class TestWireObjects:
@@ -446,7 +461,8 @@ class TestWireObjects:
                                              20.0, t, proof=proof)
         _, sol, tr = run_service_request(client, deployment.server, b"m",
                                          puzzle, t, proof=proof)
-        ell_b, pi_b, y_b = wire.unpack_fields(tr.fields["solution"], 3)
+        sol_b = wire.unpack_fields(wire.message_content(tr.request), 3)[2]
+        ell_b, pi_b, y_b = wire.unpack_fields(sol_b, 3)
         assert int.from_bytes(ell_b, "big") == sol.ell
         assert int.from_bytes(pi_b, "big") == sol.pi
         assert int.from_bytes(y_b, "big") == sol.y
@@ -527,10 +543,13 @@ class _Captured(Exception):
 
 
 class _Capture:
-    """Stands in for the PSD so the client driver builds a request only."""
+    """Stands in for the PSD or the service server so a client driver
+    builds a request only."""
 
     def handle_spectrum_request(self, request, now_s):
         raise _Captured(request)
+
+    handle_service_request = handle_spectrum_request
 
 
 class TestEpochModulus:

@@ -416,7 +416,7 @@ def criterion_1_digests() -> list[int]:
     x = vdf.challenge_base(n, b"lin")
     y, done, out = x, 0, []
     for k in range(8, 17):
-        y, _, _ = vdf.sequential_square(y, (1 << k) - done, n)
+        y, _ = vdf.sequential_square(y, (1 << k) - done, n)
         done = 1 << k
         out.append(hash_to_prime_floor(int_sum_to_bytes(x + y)))
     return out
