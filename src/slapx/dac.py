@@ -18,14 +18,17 @@ disclosed subset, a caller context string, and an arbitrary payload.
 Forging a presentation without a credential reduces to extracting e-th
 roots mod n.
 
-Delegation (level DELEGATION_DEPTH = 2, terminal): the root
-certifies a delegation verification key; the delegator signs an extension
-binding the recipient's one-time pseudonym nym_d and the added attribute
-set. Compound presentations prove the base credential and the extension
-under one challenge with a shared response for u, so both certify the same
-holder. Presentations of one delegated credential share the nym_d/extension
-bytes; a fresh delegated credential is issued per time window, which scopes
-that linkability to the window.
+Delegation (terminal, one level): the root certifies a delegation
+verification key; the delegator signs an extension binding the recipient's
+one-time pseudonym nym_d and the added attribute set. Compound
+presentations prove the base credential and the extension under one
+challenge with a shared response for u, so both certify the same holder.
+Presentations of one delegated credential share the nym_d/extension bytes;
+a fresh delegated credential is issued per time window, which scopes that
+linkability to the window. The levels are constants that no object holds:
+1 for a root credential and a presentation, DELEGATION_DEPTH = 2 for a
+delegated credential and its extension. Encoders write them, and the
+presentation decoder refuses any other level byte.
 """
 from __future__ import annotations
 
@@ -159,14 +162,13 @@ class RootIssuerKey:
 
 @dataclass(frozen=True)
 class DelegationKey:
-    secret: int                     # EC signing scalar
+    key: SigningKey
     vk_bytes: bytes                 # delegation verification key
     cert: bytes                     # root certificate over vk
 
 
 @dataclass
 class Credential:
-    level: int
     sigma: int
     opening: int
     attrs: tuple[Attribute, ...]
@@ -175,7 +177,6 @@ class Credential:
 
 @dataclass
 class DelegatedCredential:
-    level: int
     attrs: tuple[Attribute, ...]    # extension attribute set A_l
     nym_d: int                      # one-time recipient pseudonym
     r_d: int                        # its opening randomness (holder-side)
@@ -268,15 +269,14 @@ def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[Issuan
 
 
 def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
-                    attrs: tuple[Attribute, ...], max_delegation_level: int,
+                    attrs: tuple[Attribute, ...], delegable: bool,
                     rng: SeededRng) -> tuple[int, int, DelegationKey | None]:
-    """Issuer side of CreateCred: returns (sigma, issuer opening share, dk)."""
+    """Issuer side of CreateCred: returns (sigma, issuer opening share, dk),
+    with a delegation key dk only for a delegable credential."""
     params = root.params
     n = params.n
     if len(attrs) > params.t:
         raise ParameterError("attribute set exceeds bound t")
-    if not 1 <= max_delegation_level <= DELEGATION_DEPTH:
-        raise ParameterError("delegation level out of range")
     if not _opening_valid(params, False, request.blinded, request.c,
                           request.z_u, request.z_o):
         raise CryptoError("issuance request proof invalid")
@@ -285,10 +285,10 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
         (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
     sigma = pow(body, root.root, n)
     dk = None
-    if max_delegation_level == DELEGATION_DEPTH:
+    if delegable:
         dk_key = SigningKey.generate(rng)
         vk_bytes = dk_key.pk.to_bytes()
-        dk = DelegationKey(dk_key.sk, vk_bytes,
+        dk = DelegationKey(dk_key, vk_bytes,
                            root.cert_key.sign(_dkcert_body(vk_bytes), rng))
     return sigma, o_i, dk
 
@@ -300,14 +300,14 @@ def dac_get_cred(params: DacParams, sk: int, o_u: int, sigma: int, o_i: int,
                            *((i, a.digest()) for i, a in enumerate(attrs)))
     if pow(sigma, params.exponents[0], params.n) != body:
         raise CryptoError("issued credential does not verify")
-    return Credential(level=1, sigma=sigma, opening=o_u + o_i, attrs=attrs, dk=dk)
+    return Credential(sigma=sigma, opening=o_u + o_i, attrs=attrs, dk=dk)
 
 
 def issue_credential(root: RootIssuerKey, sk: int, attrs: tuple[Attribute, ...],
-                     max_delegation_level: int, rng: SeededRng) -> Credential:
+                     delegable: bool, rng: SeededRng) -> Credential:
     """CreateCred <-> GetCred round trip in one call (in-process issuance)."""
     request, o_u = dac_request_cred(root.params, sk, rng)
-    sigma, o_i, dk = dac_create_cred(root, request, attrs, max_delegation_level, rng)
+    sigma, o_i, dk = dac_create_cred(root, request, attrs, delegable, rng)
     return dac_get_cred(root.params, sk, o_u, sigma, o_i, attrs, dk)
 
 
@@ -321,12 +321,10 @@ class ExtShow:
     cert: bytes
     ext_sig: bytes
     attrs: tuple[Attribute, ...]
-    level: int
 
 
 @dataclass(frozen=True)
 class Presentation:
-    level: int
     nym: int
     sigma_r: int
     c: int
@@ -341,7 +339,7 @@ class Presentation:
     def to_bytes(self, params: DacParams) -> bytes:
         nb = params.n_bytes
         out = bytearray()
-        out += bytes([1, self.level])
+        out += bytes([1, 1])          # version, level
         out += self.nym.to_bytes(nb, "big")
         out += self.sigma_r.to_bytes(nb, "big")
         out += self.c.to_bytes(16, "big")
@@ -358,7 +356,7 @@ class Presentation:
             out += b"\x00"
         else:
             e = self.ext
-            out += b"\x01" + bytes([e.level])
+            out += bytes([1, DELEGATION_DEPTH])     # flag, extension level
             out += e.nym_d.to_bytes(nb, "big")
             out += e.z_rd.to_bytes(Z_BYTES, "big")
             out += e.vk_bytes + e.cert + e.ext_sig
@@ -370,12 +368,14 @@ class Presentation:
     @classmethod
     def from_bytes(cls, data: bytes, params: DacParams) -> "Presentation":
         """Strict inverse of to_bytes: raises SlapxError unless `data` is
-        exactly the encoding of the presentation it returns."""
+        exactly the encoding of the presentation it returns, so a level
+        byte other than 1 (DELEGATION_DEPTH in an extension) is refused."""
         nb = params.n_bytes
         r = wire.Reader(data)
         if r.uint(1) != 1:
             raise SlapxError("bad presentation version")
-        level = r.uint(1)
+        if r.uint(1) != 1:
+            raise SlapxError("bad presentation level")
         nym = r.uint(nb)
         sigma_r = r.uint(nb)
         c = r.uint(16)
@@ -386,15 +386,17 @@ class Presentation:
         ext = None
         flag = r.uint(1)
         if flag == 1:
+            if r.uint(1) != DELEGATION_DEPTH:
+                raise SlapxError("bad extension level")
             ssz = 16 + SCALAR_BYTES
-            ext = ExtShow(level=r.uint(1), nym_d=r.uint(nb), z_rd=r.uint(Z_BYTES),
+            ext = ExtShow(nym_d=r.uint(nb), z_rd=r.uint(Z_BYTES),
                           vk_bytes=r.take(ELEMENT_BYTES),
                           cert=r.take(ssz), ext_sig=r.take(ssz),
                           attrs=tuple(Attribute.read(r) for _ in range(r.uint(1))))
         elif flag != 0:
             raise SlapxError("bad extension flag")
         r.end()
-        return cls(level=level, nym=nym, sigma_r=sigma_r, c=c, z_t=z_t,
+        return cls(nym=nym, sigma_r=sigma_r, c=c, z_t=z_t,
                    z_u=z_u, z_o=z_o, z_r=z_r, hidden=hidden,
                    disclosed=disclosed, ext=ext)
 
@@ -414,7 +416,7 @@ def _ext_part(params: DacParams, ext: ExtShow | DelegatedCredential) -> bytes:
 
 def _chain_valid(params: DacParams, ext: ExtShow | DelegatedCredential) -> bool:
     """The root certified ext's delegation key, and that key signed ext."""
-    if ext.level != DELEGATION_DEPTH or not 0 < ext.nym_d < params.n:
+    if not 0 < ext.nym_d < params.n:
         return False
     try:
         vk = CURVE.from_bytes(ext.vk_bytes)
@@ -429,11 +431,11 @@ def _disclosed_enc(disclosed) -> bytes:
                     *[bytes([idx]) + a.encode() for idx, a in disclosed])
 
 
-def _show_challenge(params: DacParams, level: int, nym: int, sigma_r: int,
+def _show_challenge(params: DacParams, nym: int, sigma_r: int,
                     disclosed, context: bytes, payload: bytes,
                     T_V: int, T_nym: int, ext_part: bytes, T_ext: int | None) -> int:
     nb = params.n_bytes
-    parts = [params.fingerprint(), bytes([level]),
+    parts = [params.fingerprint(), b"\x01",        # the presentation level
              nym.to_bytes(nb, "big"), sigma_r.to_bytes(nb, "big"),
              _disclosed_enc(disclosed), context, payload,
              T_V.to_bytes(nb, "big"), T_nym.to_bytes(nb, "big"), ext_part]
@@ -481,17 +483,16 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
         k_rd = rng.randint_bits(width)
         T_ext = (sk_k * params.multiexp((BASE_S, k_rd))) % n
 
-    c = _show_challenge(params, base.level, nym, sigma_r, disclosed,
+    c = _show_challenge(params, nym, sigma_r, disclosed,
                         context, payload, T_V, T_nym, ext_part, T_ext)
 
     ext_show = None
     if ext_cred is not None:
         ext_show = ExtShow(nym_d=ext_cred.nym_d, z_rd=k_rd + c * ext_cred.r_d,
                            vk_bytes=ext_cred.vk_bytes, cert=ext_cred.cert,
-                           ext_sig=ext_cred.ext_sig, attrs=ext_cred.attrs,
-                           level=ext_cred.level)
+                           ext_sig=ext_cred.ext_sig, attrs=ext_cred.attrs)
     return Presentation(
-        level=base.level, nym=nym, sigma_r=sigma_r, c=c,
+        nym=nym, sigma_r=sigma_r, c=c,
         z_t=(k_t * pow(t_r, c, n)) % n,
         z_u=k_u + c * sk, z_o=k_o + c * base.opening, z_r=k_r + c * aux,
         hidden=tuple((i, k_h[i] + c * base.attrs[i].digest()) for i in hidden_idx),
@@ -501,7 +502,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
 def dac_cred_verify(params: DacParams, pres: Presentation,
                     context: bytes, payload: bytes = b"") -> bool:
     n = params.n
-    if pres.level != 1 or not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
+    if not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
         return False
     e = params.exponents[0]
     slots = {i for i, _ in pres.hidden} | {i for i, _ in pres.disclosed}
@@ -532,7 +533,7 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
         T_ext = (sk_z * params.multiexp((BASE_S, ext.z_rd))
                  * pow(ext.nym_d, -c, n)) % n
 
-    return _show_challenge(params, pres.level, pres.nym, pres.sigma_r,
+    return _show_challenge(params, pres.nym, pres.sigma_r,
                            pres.disclosed, context, payload, T_V, T_nym,
                            ext_part, T_ext) == c
 
@@ -581,8 +582,7 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
     if not _opening_valid(params, True, request.nym_d, request.c,
                           request.z_u, request.z_r):
         raise CryptoError("delegation request proof invalid")
-    ext_sig = SigningKey(delegator.dk.secret).sign(
-        _ext_body(params, request.nym_d, attrs), rng)
+    ext_sig = delegator.dk.key.sign(_ext_body(params, request.nym_d, attrs), rng)
     return delegator.dk.vk_bytes, delegator.dk.cert, ext_sig
 
 
@@ -590,7 +590,7 @@ def dac_receive_cred(params: DacParams, recipient: Credential, r_d: int,
                      nym_d: int, attrs: tuple[Attribute, ...], vk_bytes: bytes,
                      cert: bytes, ext_sig: bytes) -> DelegatedCredential:
     """Recipient side: check the chain root -> vk -> extension, keep dk = None."""
-    dcred = DelegatedCredential(level=DELEGATION_DEPTH, attrs=attrs, nym_d=nym_d,
+    dcred = DelegatedCredential(attrs=attrs, nym_d=nym_d,
                                 r_d=r_d, vk_bytes=vk_bytes, cert=cert,
                                 ext_sig=ext_sig, base=recipient, dk=None)
     if not _chain_valid(params, dcred):
@@ -604,12 +604,12 @@ def encode_credential(cred: Credential | DelegatedCredential,
                       params: DacParams) -> bytes:
     out = bytearray()
     if isinstance(cred, Credential):
-        out += bytes([1, cred.level, 1 if cred.dk else 0])
+        out += bytes([1, 1, 1 if cred.dk else 0])     # kind, level, has_dk
         out += cred.sigma.to_bytes(params.n_bytes, "big")
         if cred.dk is not None:
             out += cred.dk.vk_bytes + cred.dk.cert + bytes([DELEGATION_DEPTH])
     else:
-        out += bytes([2, cred.level, 0])
+        out += bytes([2, DELEGATION_DEPTH, 0])
         out += cred.vk_bytes + cred.cert + cred.ext_sig
         out += H_tagged("dac/nymd", cred.nym_d.to_bytes(params.n_bytes, "big"))[:16]
         out += attrs_digest(cred.attrs)

@@ -139,9 +139,8 @@ class Authority:
 
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
-        depth = dac.DELEGATION_DEPTH if delegable else 1
         cred = dac.issue_credential(self.root_key, sk, profile.attributes(),
-                                    max_delegation_level=depth, rng=self.rng)
+                                    delegable=delegable, rng=self.rng)
         return pk, sk, cred
 
     def revoke_double_issuer(self, event: rlrs.EventId,

@@ -7,13 +7,16 @@ Two signatures by one signer under one event therefore carry identical
 tags; the issuer resolves a linked tag back to an identity by recomputing
 u0^s(id) for the candidates in the ring intersection, and only then.
 
+The ring is a fixed set of identities whose keys are all extracted at
+set-up: `rlrs_extract` fills `RlrsParams.keys` with each member's public key
+table, and signing and verification only look tables up.
+
 The wire encoding is a fixed 640-byte block (tag, ring size, challenge,
 response scalars, zero padding) so message-size accounting is independent
 of the ring size.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import wire
@@ -61,30 +64,13 @@ class RlrsSignature:
 class RlrsParams:
     def __init__(self, t_max: int):
         self.t_max = t_max
-        self._directory: dict[str, GroupElement] = {}
-        self._tables: dict[GroupElement, PointTable] = {}
-        self._lock = threading.Lock()
-
-    def register(self, identity: str, pk: GroupElement) -> None:
-        with self._lock:
-            self._directory[identity] = pk
-
-    def public_key(self, identity: str) -> GroupElement:
-        with self._lock:
-            pk = self._directory.get(identity)
-        if pk is None:
-            raise CryptoError(f"unknown identity: {identity}")
-        return pk
+        self.keys: dict[str, PointTable] = {}   # identity -> public key table
 
     def key_table(self, identity: str) -> PointTable:
-        """The registered key's `PointTable`, built on its first use. Tables
-        are never mutated, so threads racing on that first use build equal
-        tables, and either one may be kept."""
-        pk = self.public_key(identity)
-        table = self._tables.get(pk)
-        if table is None:
-            table = self._tables[pk] = CURVE.table(pk)
-        return table
+        try:
+            return self.keys[identity]
+        except KeyError:
+            raise CryptoError(f"unknown identity: {identity}") from None
 
     def fingerprint(self) -> bytes:
         return H_tagged("rlrs/pp", b"secp256k1",
@@ -101,11 +87,12 @@ def rlrs_setup(t_max: int, rng: SeededRng) -> tuple[bytes, RlrsParams]:
 
 
 def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
-    """Deterministic per (msk, identity); registers the public key."""
+    """Deterministic per (msk, identity); builds the public key's table
+    into params.keys."""
     if not identity:
         raise ParameterError("identity must be nonempty")
     s = _member_secret(msk, identity)
-    params.register(identity, CURVE.mul(CURVE.generator, s))
+    params.keys[identity] = CURVE.table(CURVE.mul(CURVE.generator, s))
     return s
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
                           RejectReason, SlapxError)
-from slapx.group import CURVE, SigningKey
+from slapx.group import CURVE
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
                             NeighborDevice, Puzzle, _binding, _check_presentation,
@@ -43,8 +43,8 @@ def cred_env():
     attrs_b = (dac.Attribute("device_id", b"BBBBBBBB"),)
     pk_a, sk_a = dac.dac_keygen(params, rng)
     pk_b, sk_b = dac.dac_keygen(params, rng)
-    cred_a = dac.issue_credential(root, sk_a, attrs_a, 2, rng)
-    cred_b = dac.issue_credential(root, sk_b, attrs_b, 2, rng)
+    cred_a = dac.issue_credential(root, sk_a, attrs_a, True, rng)
+    cred_b = dac.issue_credential(root, sk_b, attrs_b, True, rng)
     return params, rng, (pk_a, sk_a, cred_a), (pk_b, sk_b, cred_b)
 
 
@@ -89,7 +89,7 @@ class TestDacSplicing:
         pres = dac.dac_cred_prove(params, sk_a, nym, aux, cred_a, (0,),
                                   b"c", rng)
         forged = dac.Presentation(
-            pres.level, pres.nym, pres.sigma_r, pres.c, pres.z_t, pres.z_u,
+            pres.nym, pres.sigma_r, pres.c, pres.z_t, pres.z_u,
             pres.z_o, pres.z_r, pres.hidden,
             ((0, dac.Attribute("device_id", b"BBBBBBBB")),), pres.ext)
         assert not dac.dac_cred_verify(params, forged, b"c")
@@ -103,7 +103,7 @@ class TestDacSplicing:
         pres_b = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, cred_b, (0,),
                                     b"c", rng)
         spliced = dac.Presentation(
-            pres_a.level, pres_a.nym, pres_b.sigma_r, pres_a.c, pres_a.z_t,
+            pres_a.nym, pres_b.sigma_r, pres_a.c, pres_a.z_t,
             pres_a.z_u, pres_a.z_o, pres_a.z_r, pres_a.hidden,
             pres_a.disclosed, pres_a.ext)
         assert not dac.dac_cred_verify(params, spliced, b"c")
@@ -115,7 +115,7 @@ class TestDacSplicing:
         pres = dac.dac_cred_prove(params, sk_a, nym_a, aux_a, cred_a, (0,),
                                   b"c", rng)
         forged = dac.Presentation(
-            pres.level, nym_b, pres.sigma_r, pres.c, pres.z_t, pres.z_u,
+            nym_b, pres.sigma_r, pres.c, pres.z_t, pres.z_u,
             pres.z_o, pres.z_r, pres.hidden, pres.disclosed, pres.ext)
         assert not dac.dac_cred_verify(params, forged, b"c")
 
@@ -137,7 +137,7 @@ class TestDacSplicing:
         base_only = dac.dac_cred_prove(params, sk_a, nym_a, aux_a, cred_a,
                                        (0,), b"c", rng)
         grafted = dac.Presentation(
-            base_only.level, base_only.nym, base_only.sigma_r, base_only.c,
+            base_only.nym, base_only.sigma_r, base_only.c,
             base_only.z_t, base_only.z_u, base_only.z_o, base_only.z_r,
             base_only.hidden, base_only.disclosed, honest.ext)
         assert not dac.dac_cred_verify(params, grafted, b"c")
@@ -169,10 +169,10 @@ class TestDacSplicing:
             dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, nym_d=0),
                                a_l, rng)
         vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
-        ext_sig = SigningKey(cred_a.dk.secret).sign(
+        ext_sig = cred_a.dk.key.sign(
             H_tagged("dac/ext", bytes(params.n_bytes), dac.attrs_digest(a_l),
                      bytes([2]), b"\x01"), rng)
-        dcred = dac.DelegatedCredential(2, a_l, 0, r_d, vk, cert, ext_sig, cred_b)
+        dcred = dac.DelegatedCredential(a_l, 0, r_d, vk, cert, ext_sig, cred_b)
         nym_b, aux_b = dac.dac_nymgen(params, pk_b, rng)
         pres = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, dcred, (0,), b"c", rng)
         assert not dac.dac_cred_verify(params, pres, b"c")

@@ -21,9 +21,9 @@ def codecs(dac_env, rlrs_env):
     """name -> (an honest value, decode(bytes), encode(value))."""
     params, root, rng = dac_env
     pk, sk = dac.dac_keygen(params, rng)
-    cred = dac.issue_credential(root, sk, ATTRS, 2, rng)
+    cred = dac.issue_credential(root, sk, ATTRS, True, rng)
     pk_r, sk_r = dac.dac_keygen(params, rng)
-    recipient = dac.issue_credential(root, sk_r, ATTRS, 1, rng)
+    recipient = dac.issue_credential(root, sk_r, ATTRS, False, rng)
     req, r_d = dac.dac_request_delegation(params, sk_r, rng)
     a_l = (dac.Attribute.location(12.0, -3.5), dac.Attribute.ts_window(42))
     vk, cert, ext_sig = dac.dac_issue_cred(params, cred, req, a_l, rng)

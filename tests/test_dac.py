@@ -29,7 +29,7 @@ ATTRS = (Attribute("device_id", b"DEV-0007"),
 def env(dac_env):
     params, root, rng = dac_env
     pk, sk = dac_keygen(params, rng)
-    cred = issue_credential(root, sk, ATTRS, max_delegation_level=2, rng=rng)
+    cred = issue_credential(root, sk, ATTRS, delegable=True, rng=rng)
     return params, root, rng, pk, sk, cred
 
 
@@ -97,7 +97,7 @@ class TestIssuanceAndShowing:
         too_many = tuple(Attribute("pol", bytes([i]) * 32) for i in range(9))
         _, sk2 = dac_keygen(params, rng)
         with pytest.raises(ParameterError):
-            issue_credential(root, sk2, too_many, 1, rng)
+            issue_credential(root, sk2, too_many, False, rng)
 
     def test_context_binding(self, env):
         params, root, rng, pk, sk, cred = env
@@ -164,7 +164,7 @@ class TestUnforgeabilityShape:
         rng = SeededRng(31)
         params, root = dac_setup(t=2, rng=rng, modulus_bits=384)
         pk, sk = dac_keygen(params, rng)
-        cred = issue_credential(root, sk, ATTRS[:2], 1, rng)
+        cred = issue_credential(root, sk, ATTRS[:2], False, rng)
         nym, aux = dac_nymgen(params, pk, rng)
         pres = dac_cred_prove(params, sk, nym, aux, cred, (0,), b"c", rng)
         n = params.n
@@ -172,27 +172,27 @@ class TestUnforgeabilityShape:
         for i in range(10_000):
             mode = i % 5
             if mode == 0:
-                cand = Presentation(pres.level, pres.nym,
+                cand = Presentation(pres.nym,
                                     2 + rng.randrange(n - 2), pres.c, pres.z_t,
                                     pres.z_u, pres.z_o, pres.z_r, pres.hidden,
                                     pres.disclosed)
             elif mode == 1:
-                cand = Presentation(pres.level, pres.nym, pres.sigma_r,
+                cand = Presentation(pres.nym, pres.sigma_r,
                                     rng.randint_bits(128), pres.z_t, pres.z_u,
                                     pres.z_o, pres.z_r, pres.hidden,
                                     pres.disclosed)
             elif mode == 2:
-                cand = Presentation(pres.level, pres.nym, pres.sigma_r, pres.c,
+                cand = Presentation(pres.nym, pres.sigma_r, pres.c,
                                     2 + rng.randrange(n - 2), pres.z_u,
                                     pres.z_o, pres.z_r, pres.hidden,
                                     pres.disclosed)
             elif mode == 3:
-                cand = Presentation(pres.level, pres.nym, pres.sigma_r, pres.c,
+                cand = Presentation(pres.nym, pres.sigma_r, pres.c,
                                     pres.z_t, rng.randint_bits(300), pres.z_o,
                                     pres.z_r, pres.hidden, pres.disclosed)
             else:
                 swapped = ((0, Attribute("device_id", rng.bytes(8))),)
-                cand = Presentation(pres.level, pres.nym, pres.sigma_r, pres.c,
+                cand = Presentation(pres.nym, pres.sigma_r, pres.c,
                                     pres.z_t, pres.z_u, pres.z_o, pres.z_r,
                                     pres.hidden, swapped)
             forgeries += dac_cred_verify(params, cand, b"c")
@@ -203,7 +203,7 @@ class TestDelegation:
     def test_terminal_delegation_flow(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -218,7 +218,7 @@ class TestDelegation:
     def test_terminal_credential_cannot_redelegate(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -244,7 +244,7 @@ class TestDelegation:
     def test_tampered_extension_rejected(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -256,7 +256,7 @@ class TestDelegation:
     def test_delegated_wire_is_224_bytes(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(2.0, 2.0), Attribute.ts_window(3))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -286,9 +286,11 @@ class TestAttributes:
 
 def reference_verify(params, pres, context, payload=b""):
     """dac_cred_verify as it was before the fixed-base tables: one pow per
-    base and exponent. dac_cred_verify must return what this returns."""
+    base and exponent. dac_cred_verify must return what this returns. The
+    levels are the constants 1 and DELEGATION_DEPTH, which the decoder
+    enforces."""
     n = params.n
-    if pres.level != 1 or not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
+    if not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
         return False
     e = params.exponents[0]
     slots = {i for i, _ in pres.hidden} | {i for i, _ in pres.disclosed}
@@ -308,25 +310,25 @@ def reference_verify(params, pres, context, payload=b""):
     T_ext = None
     if pres.ext is not None:
         ext = pres.ext
-        if not 2 <= ext.level <= DELEGATION_DEPTH or not 0 < ext.nym_d < n:
+        if not 0 < ext.nym_d < n:
             return False
         try:
             vk = CURVE.from_bytes(ext.vk_bytes)
         except CryptoError:
             return False
-        cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([ext.level]))
+        cert_body = H_tagged("dac/dkcert", ext.vk_bytes, bytes([DELEGATION_DEPTH]))
         if not sgn_verify(params.cert_pk, cert_body, ext.cert):
             return False
         ext_body = H_tagged("dac/ext", ext.nym_d.to_bytes(params.n_bytes, "big"),
-                            attrs_digest(ext.attrs), bytes([ext.level]), b"\x01")
+                            attrs_digest(ext.attrs), bytes([DELEGATION_DEPTH]), b"\x01")
         if not sgn_verify(vk, ext_body, ext.ext_sig):
             return False
         ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                             ext.nym_d.to_bytes(params.n_bytes, "big"),
-                            attrs_digest(ext.attrs), bytes([ext.level]))
+                            attrs_digest(ext.attrs), bytes([DELEGATION_DEPTH]))
         T_ext = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, ext.z_rd, n)
                  * pow(ext.nym_d, -pres.c, n)) % n
-    c = _show_challenge(params, pres.level, pres.nym, pres.sigma_r,
+    c = _show_challenge(params, pres.nym, pres.sigma_r,
                         pres.disclosed, context, payload, T_V, T_nym,
                         ext_part, T_ext)
     return c == pres.c
@@ -345,7 +347,7 @@ def variants(pres, params, rng):
            rep(pres, z_u=pres.z_u + 1), rep(pres, z_u=rng.randint_bits(384)),
            rep(pres, z_u=(1 << 384) + pres.z_u),     # wider than any table
            rep(pres, z_u=0), rep(pres, z_o=pres.z_o ^ (1 << 200)),
-           rep(pres, z_r=pres.z_r + 1), rep(pres, level=2),
+           rep(pres, z_r=pres.z_r + 1),
            rep(pres, disclosed=pres.disclosed + pres.disclosed)]
     if pres.hidden:
         (i, z), *rest = pres.hidden
@@ -364,7 +366,6 @@ def variants(pres, params, rng):
         out += [rep(pres, ext=rep(ext, z_rd=ext.z_rd + 1)),
                 rep(pres, ext=rep(ext, nym_d=(ext.nym_d * 3) % n)),
                 rep(pres, ext=rep(ext, attrs=ext.attrs[:1])),
-                rep(pres, ext=rep(ext, level=3)),
                 rep(pres, ext=rep(ext, ext_sig=bytes(len(ext.ext_sig)))),
                 rep(pres, ext=None)]
     return out
@@ -377,7 +378,7 @@ class TestVerifyMatchesReference:
         device disclose set (1, 2) and with nothing disclosed."""
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(3.0, 4.0), Attribute.ts_window(9))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -452,9 +453,9 @@ class TestSeededBytesPinned:
         params, root, _ = dac_env
         rng = SeededRng(71)
         pk, sk = dac_keygen(params, rng)
-        cred = issue_credential(root, sk, ATTRS, 2, rng)
+        cred = issue_credential(root, sk, ATTRS, True, rng)
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient = issue_credential(root, sk_r, ATTRS, 1, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
         vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
