@@ -25,10 +25,9 @@ presentations prove the base credential and the extension under one
 challenge with a shared response for u, so both certify the same holder.
 Presentations of one delegated credential share the nym_d/extension bytes;
 a fresh delegated credential is issued per time window, which scopes that
-linkability to the window. The levels are constants that no object holds:
-1 for a root credential and a presentation, DELEGATION_DEPTH = 2 for a
-delegated credential and its extension. Encoders write them, and the
-presentation decoder refuses any other level byte.
+linkability to the window. No object holds a level: it is 1 for a root
+credential and a presentation, DELEGATION_DEPTH = 2 for a delegated one and
+its extension; encoders write these bytes, and the decoder refuses others.
 """
 from __future__ import annotations
 
@@ -372,10 +371,8 @@ class Presentation:
         byte other than 1 (DELEGATION_DEPTH in an extension) is refused."""
         nb = params.n_bytes
         r = wire.Reader(data)
-        if r.uint(1) != 1:
-            raise SlapxError("bad presentation version")
-        if r.uint(1) != 1:
-            raise SlapxError("bad presentation level")
+        if r.take(2) != b"\x01\x01":
+            raise SlapxError("bad presentation version or level")
         nym = r.uint(nb)
         sigma_r = r.uint(nb)
         c = r.uint(16)

@@ -139,9 +139,8 @@ class Authority:
 
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
-        cred = dac.issue_credential(self.root_key, sk, profile.attributes(),
-                                    delegable=delegable, rng=self.rng)
-        return pk, sk, cred
+        return pk, sk, dac.issue_credential(self.root_key, sk, profile.attributes(),
+                                            delegable=delegable, rng=self.rng)
 
     def revoke_double_issuer(self, event: rlrs.EventId,
                              ring_a: list[str], signed_a, ring_b: list[str],
@@ -519,6 +518,8 @@ class ServiceServer:
     def __init__(self, psd: Psd):
         self.psd = psd
         self.view = psd.view
+        # keys the grant token; a spawned stream leaves the PSD's draws alone
+        self._token_key = psd.rng.spawn("grant").bytes(32)
 
     def handle_service_request(self, request: bytes, now_s: float) -> bytes:
         m, pid, sol_b, pres_b, phi_b = _unpack(request, 5, RejectReason.BAD_SOLUTION)
@@ -555,7 +556,7 @@ class ServiceServer:
         with self.psd._lock:
             if self.psd.puzzles.pop(pid, None) is None:
                 raise ProtocolReject(RejectReason.BAD_PUZZLE, "puzzle already redeemed")
-        token = H_tagged("grant", pid, m)[:16]
+        token = H_tagged("grant", self._token_key, pid, m)[:16]
         return wire.pack_fields(b"\x01", token)
 
 

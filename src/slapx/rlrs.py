@@ -7,9 +7,9 @@ Two signatures by one signer under one event therefore carry identical
 tags; the issuer resolves a linked tag back to an identity by recomputing
 u0^s(id) for the candidates in the ring intersection, and only then.
 
-The ring is a fixed set of identities whose keys are all extracted at
-set-up: `rlrs_extract` fills `RlrsParams.keys` with each member's public key
-table, and signing and verification only look tables up.
+The ring is a fixed set of identities, all extracted at set-up:
+`rlrs_extract` puts each public key's table into `RlrsParams.keys`, where
+signing and verification look it up.
 
 The wire encoding is a fixed 640-byte block (tag, ring size, challenge,
 response scalars, zero padding) so message-size accounting is independent
@@ -87,8 +87,7 @@ def rlrs_setup(t_max: int, rng: SeededRng) -> tuple[bytes, RlrsParams]:
 
 
 def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
-    """Deterministic per (msk, identity); builds the public key's table
-    into params.keys."""
+    """Deterministic per (msk, identity); fills params.keys[identity]."""
     if not identity:
         raise ParameterError("identity must be nonempty")
     s = _member_secret(msk, identity)

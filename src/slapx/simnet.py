@@ -89,8 +89,10 @@ class Calibration:
         if not isinstance(data, dict):
             raise ValueError("calibration is not a JSON object")
         known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        if not all(isinstance(v, (int, float)) for v in known.values()):
-            raise ValueError("calibration times must be numbers")
+        # a JSON true is a bool, an int subclass; NaN fails both comparisons
+        if not all(type(v) in (int, float) and 0 <= v < float("inf")
+                   for v in known.values()):
+            raise ValueError("calibration times must be finite numbers >= 0")
         return cls(**known)
 
     def to_file(self, path: str) -> None:

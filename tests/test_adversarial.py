@@ -419,20 +419,32 @@ def valid_requests(deployment):
     }
 
 
+def _psd_state(psd) -> tuple:
+    """What a request may leave behind at the PSD: used keys, live puzzles
+    and the epoch modulus."""
+    return set(psd.links), set(psd.grants), dict(psd.puzzles), psd._modulus
+
+
 class TestMutatedRequestsRejectCleanly:
     """Outside bytes reach a handler's decision only through its strict
     decoders: whatever one field of a valid request is changed to, the
-    handler answers or raises ProtocolReject, and nothing else."""
+    handler raises ProtocolReject, and nothing else, and leaves the PSD as
+    it was."""
 
     @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_one_field_flipped_cut_or_extended(self, valid_requests, role, data):
+    def test_one_field_flipped_cut_or_extended(self, deployment, valid_requests,
+                                               role, data):
         handle, request = valid_requests[role]
+        before = _psd_state(deployment.psd)
         try:
             handle(_one_field_mutated(data, request, ROLE_FIELDS[role][0]))
         except ProtocolReject:
-            pass
+            assert _psd_state(deployment.psd) == before
+        else:
+            # no check covers the ND request's peer key yet (ROADMAP item 6)
+            assert role == "nd", "a request with one field changed was answered"
 
     @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
     def test_presentation_with_trailing_bytes_is_bad_credential(self, valid_requests,
@@ -441,6 +453,19 @@ class TestMutatedRequestsRejectCleanly:
         count, pres_at = ROLE_FIELDS[role]
         fields = wire.unpack_fields(request, count)
         fields[pres_at] += b"\x00"
+        with pytest.raises(ProtocolReject) as e:
+            handle(wire.pack_fields(*fields))
+        assert e.value.reason == RejectReason.BAD_CREDENTIAL
+
+    @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_presentation_with_other_level_is_bad_credential(self, valid_requests,
+                                                             role, level):
+        handle, request = valid_requests[role]
+        count, pres_at = ROLE_FIELDS[role]
+        fields = wire.unpack_fields(request, count)
+        assert fields[pres_at][:2] == b"\x01\x01"    # version, level
+        fields[pres_at] = b"\x01" + bytes([level]) + fields[pres_at][2:]
         with pytest.raises(ProtocolReject) as e:
             handle(wire.pack_fields(*fields))
         assert e.value.reason == RejectReason.BAD_CREDENTIAL

@@ -65,7 +65,12 @@ class TestExitCodes:
         ("SLAPX_SEED=abc", "simulate", "spoof", "--trials", "10"),
         ("simulate", "dos", "--config", "{bogus_scenario}"),
         ("simulate", "spoof", "--attack", "fraud", "--rounds", "0"),
-        ("simulate", "spoof", "--attack", "fraud", "--rounds", "-3")])
+        ("simulate", "spoof", "--attack", "fraud", "--rounds", "-3"),
+        # calibration times the simulator's clock cannot schedule
+        ("simulate", "dos", "--calibration", "{calibration_nan}"),
+        ("simulate", "dos", "--calibration", "{calibration_inf}"),
+        ("simulate", "dos", "--calibration", "{calibration_negative}"),
+        ("simulate", "dos", "--calibration", "{calibration_bool}")])
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                         argv):
         if argv[0].startswith("SLAPX_SEED="):
@@ -76,12 +81,20 @@ class TestExitCodes:
                  "bogus_scenario": tmp_path / "bogus.cfg",
                  "bad_calibration": tmp_path / "bad.json",
                  "calibration_list": tmp_path / "list.json",
-                 "calibration_text": tmp_path / "text.json"}
+                 "calibration_text": tmp_path / "text.json",
+                 "calibration_nan": tmp_path / "nan.json",
+                 "calibration_inf": tmp_path / "inf.json",
+                 "calibration_negative": tmp_path / "negative.json",
+                 "calibration_bool": tmp_path / "bool.json"}
         files["bad_config"].write_text("n_ue = many\n")
         files["bogus_scenario"].write_text("scenario = bogus\n")
         files["bad_calibration"].write_text("{not json")
         files["calibration_list"].write_text("[0.1]")
         files["calibration_text"].write_text('{"query_verify_s": "slow"}')
+        files["calibration_nan"].write_text('{"query_verify_s": NaN}')
+        files["calibration_inf"].write_text('{"vdf_s_per_squaring": Infinity}')
+        files["calibration_negative"].write_text('{"query_verify_s": -1.0}')
+        files["calibration_bool"].write_text('{"query_verify_s": true}')
         code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code == EXIT_USAGE
         assert "usage error" in err

@@ -1,5 +1,7 @@
 """Strict wire decoders: each one inverts its encoder exactly, and any other
 input raises SlapxError (never a bare ValueError or UnicodeDecodeError)."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,24 @@ class TestNonCanonicalInputRejected:
         assert value.ext is None and encoded[-1] == 0
         with pytest.raises(SlapxError, match="extension flag"):
             decode(encoded[:-1] + b"\x02")
+
+    @pytest.mark.parametrize("level", [0, 2, 255])
+    def test_presentation_level_other_than_1(self, codecs, level):
+        value, decode, encode = codecs["presentation"]
+        encoded = encode(value)
+        assert encoded[:2] == b"\x01\x01"     # version, level
+        with pytest.raises(SlapxError, match="version or level"):
+            decode(encoded[:1] + bytes([level]) + encoded[2:])
+
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_extension_level_other_than_2(self, codecs, level):
+        value, decode, encode = codecs["delegated_presentation"]
+        encoded = encode(value)
+        # the base part ends where the extension flag and level begin
+        at = len(encode(dataclasses.replace(value, ext=None))) - 1
+        assert encoded[at:at + 2] == b"\x01\x02"
+        with pytest.raises(SlapxError, match="extension level"):
+            decode(encoded[:at + 1] + bytes([level]) + encoded[at + 2:])
 
     def test_attribute_kind_not_utf8(self, codecs):
         value, decode, encode = codecs["presentation"]

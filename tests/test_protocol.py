@@ -10,6 +10,7 @@ import pytest
 
 from slapx import dac, rlrs, vdf, wire
 from slapx.errors import ProtocolReject, RejectReason, SlapxError
+from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, MODULUS_EPOCH_WINDOWS, WINDOW_S,
                             AccessPoint, Deployment, DeviceProfile,
                             LocationProof, NeighborDevice, SeededRng, Puzzle,
@@ -235,6 +236,23 @@ class TestSpectrumAndService:
             run_service_request(client, deployment.server, b"m", puzzle,
                                 stale, proof=fresh_proof)
         assert e.value.reason == RejectReason.EXPIRED
+
+    def test_grant_token_is_keyed_per_deployment(self):
+        # each deployment's first puzzle has id 1; with one message, only the
+        # server's key tells the two tokens apart
+        tokens = []
+        for seed in (2, 5):
+            dep = Deployment.create(seed=seed, psd_modulus_bits=512)
+            client = dep.new_client(DeviceProfile(b"DEV-TOKN", 30.0, 0), seed=1401)
+            proof, _ = run_pol_ap(client, dep.ap, 10.0, 20.0, 300.0)
+            _, puzzle, _, _ = run_spectrum_query(client, dep.psd, 10.0, 20.0,
+                                                 300.0, proof=proof)
+            assert puzzle.puzzle_id == (1).to_bytes(8, "big")
+            token, _, _ = run_service_request(client, dep.server, b"m", puzzle,
+                                              300.0, proof=proof)
+            assert token != H_tagged("grant", puzzle.puzzle_id, b"m")[:16]
+            tokens.append(token)
+        assert tokens[0] != tokens[1]
 
     def test_attacker_difficulty_escalated(self, deployment):
         flagged = deployment.new_client(
@@ -505,7 +523,7 @@ class TestSeededSessionPinned:
                    tr_pol_nd, tr_query_nd, tr_service_nd):
             h.update(tr.request.encode() + tr.response.encode())
         assert h.hexdigest() == (
-            "64b05b3ef4aade8553da4b55eae1a47fcc8e4416fbe8052620ab342baa460962")
+            "48843144d1dba5f447ecc02660ad3f93c463c7329759c0ebb8cedbfbccba166a")
 
 
 EPOCH_S = MODULUS_EPOCH_WINDOWS * WINDOW_S
