@@ -161,9 +161,8 @@ class RootIssuerKey:
 
 @dataclass(frozen=True)
 class DelegationKey:
-    key: SigningKey
-    vk_bytes: bytes                 # delegation verification key
-    cert: bytes                     # root certificate over vk
+    key: SigningKey                 # its pk is the delegation verification key
+    cert: bytes                     # root certificate over that key
 
 
 @dataclass
@@ -286,9 +285,8 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     dk = None
     if delegable:
         dk_key = SigningKey.generate(rng)
-        vk_bytes = dk_key.pk.to_bytes()
-        dk = DelegationKey(dk_key, vk_bytes,
-                           root.cert_key.sign(_dkcert_body(vk_bytes), rng))
+        dk = DelegationKey(dk_key, root.cert_key.sign(
+            _dkcert_body(dk_key.pk.to_bytes()), rng))
     return sigma, o_i, dk
 
 
@@ -580,7 +578,7 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
                           request.z_u, request.z_r):
         raise CryptoError("delegation request proof invalid")
     ext_sig = delegator.dk.key.sign(_ext_body(params, request.nym_d, attrs), rng)
-    return delegator.dk.vk_bytes, delegator.dk.cert, ext_sig
+    return delegator.dk.key.pk.to_bytes(), delegator.dk.cert, ext_sig
 
 
 def dac_receive_cred(params: DacParams, recipient: Credential, r_d: int,
@@ -604,7 +602,7 @@ def encode_credential(cred: Credential | DelegatedCredential,
         out += bytes([1, 1, 1 if cred.dk else 0])     # kind, level, has_dk
         out += cred.sigma.to_bytes(params.n_bytes, "big")
         if cred.dk is not None:
-            out += cred.dk.vk_bytes + cred.dk.cert + bytes([DELEGATION_DEPTH])
+            out += cred.dk.key.pk.to_bytes() + cred.dk.cert + bytes([DELEGATION_DEPTH])
     else:
         out += bytes([2, DELEGATION_DEPTH, 0])
         out += cred.vk_bytes + cred.cert + cred.ext_sig

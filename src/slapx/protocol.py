@@ -139,8 +139,9 @@ class Authority:
 
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
-        return pk, sk, dac.issue_credential(self.root_key, sk, profile.attributes(),
-                                            delegable=delegable, rng=self.rng)
+        cred = dac.issue_credential(self.root_key, sk, profile.attributes(),
+                                    delegable=delegable, rng=self.rng)
+        return pk, sk, cred
 
     def revoke_double_issuer(self, event: rlrs.EventId,
                              ring_a: list[str], signed_a, ring_b: list[str],
