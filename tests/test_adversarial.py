@@ -443,7 +443,8 @@ class TestMutatedRequestsRejectCleanly:
         except ProtocolReject:
             assert _psd_state(deployment.psd) == before
         else:
-            # no check covers the ND request's peer key yet (ROADMAP item 6)
+            # no check covers the ND request's peer key yet: a changed key
+            # that still decodes may be served
             assert role == "nd", "a request with one field changed was answered"
 
     @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
