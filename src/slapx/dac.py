@@ -28,6 +28,12 @@ a fresh delegated credential is issued per time window, which scopes that
 linkability to the window. No object holds a level: it is 1 for a root
 credential and a presentation, DELEGATION_DEPTH = 2 for a delegated one and
 its extension; encoders write these bytes, and the decoder refuses others.
+
+Two records carry the credential messages. An `OpeningProof` is both
+requests: the blinded key of an issuance request and the nym_d of a
+delegation request, each with a proof that its sender knows the opening. An
+`Extension` is what the delegator issues; the recipient's
+`DelegatedCredential` and every presentation's `ExtShow` hold it as issued.
 """
 from __future__ import annotations
 
@@ -173,16 +179,23 @@ class Credential:
     dk: DelegationKey | None
 
 
-@dataclass
-class DelegatedCredential:
-    attrs: tuple[Attribute, ...]    # extension attribute set A_l
+@dataclass(frozen=True)
+class Extension:
+    """The delegator's extension for a one-time pseudonym: its root-certified
+    delegation key, and that key's signature over (nym_d, attrs)."""
     nym_d: int                      # one-time recipient pseudonym
-    r_d: int                        # its opening randomness (holder-side)
     vk_bytes: bytes
     cert: bytes
     ext_sig: bytes
+    attrs: tuple[Attribute, ...]    # extension attribute set A_l
+
+
+@dataclass
+class DelegatedCredential:
+    """Terminal: it holds no delegation key, so it cannot delegate again."""
+    ext: Extension
+    r_d: int                        # nym_d's opening randomness (holder-side)
     base: Credential                # recipient's own root credential
-    dk: DelegationKey | None = None  # terminal when None
 
 
 def dac_setup(t: int, rng: SeededRng,
@@ -219,54 +232,66 @@ def dac_nymgen(params: DacParams, pk: int, rng: SeededRng) -> tuple[int, int]:
 # -- issuance -------------------------------------------------------------
 
 def _opening_challenge(params: DacParams, delegation: bool, X: int, T: int) -> int:
-    """Fiat-Shamir challenge of a proof of an opening X = R_sk^a * S^b: the
-    blinded key of an issuance request, or nym_d of a delegation request."""
+    """Fiat-Shamir challenge of an `OpeningProof`."""
     nb = params.n_bytes
     return H_int("dac/delegate" if delegation else "dac/getcred",
                  params.fingerprint(), X.to_bytes(nb, "big"),
                  T.to_bytes(nb, "big")) >> (256 - _CHAL_BITS)
 
 
+@dataclass(frozen=True)
+class OpeningProof:
+    """X = R_sk^a * S^b and a proof that its sender knows (a, b): an
+    issuance request (X blinds the secret key, a = sk, b = o_u) or a
+    delegation request (X = nym_d, a = sk, b = r_d)."""
+    X: int
+    c: int
+    z_a: int
+    z_b: int
+
+    def to_bytes(self, params: DacParams) -> bytes:
+        return (self.X.to_bytes(params.n_bytes, "big") + self.c.to_bytes(16, "big")
+                + self.z_a.to_bytes(Z_BYTES, "big") + self.z_b.to_bytes(Z_BYTES, "big"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes, params: DacParams) -> "OpeningProof":
+        r = wire.Reader(data)
+        proof = cls(r.uint(params.n_bytes), r.uint(16), r.uint(Z_BYTES),
+                    r.uint(Z_BYTES))
+        r.end()
+        return proof
+
+
 def _prove_opening(params: DacParams, delegation: bool, a: int, b: int,
-                   rng: SeededRng) -> tuple[int, int, int, int]:
-    """(X, c, z_a, z_b): X = R_sk^a * S^b and a proof that its sender knows
-    (a, b)."""
+                   rng: SeededRng) -> OpeningProof:
     X = params.multiexp((BASE_SK, a), (BASE_S, b))
     width = _SECRET_BITS + _CHAL_BITS + _SLACK_BITS
     k_a, k_b = rng.randint_bits(width), rng.randint_bits(width)
     c = _opening_challenge(params, delegation, X,
                            params.multiexp((BASE_SK, k_a), (BASE_S, k_b)))
-    return X, c, k_a + c * a, k_b + c * b
+    return OpeningProof(X, c, k_a + c * a, k_b + c * b)
 
 
-def _opening_valid(params: DacParams, delegation: bool, X: int, c: int,
-                   z_a: int, z_b: int) -> bool:
+def _opening_valid(params: DacParams, delegation: bool, proof: OpeningProof) -> bool:
     n = params.n
-    if not 0 < X < n:
+    if not 0 < proof.X < n:
         return False
-    T = (params.multiexp((BASE_SK, z_a), (BASE_S, z_b)) * pow(X, -c, n)) % n
-    return _opening_challenge(params, delegation, X, T) == c
+    T = (params.multiexp((BASE_SK, proof.z_a), (BASE_S, proof.z_b))
+         * pow(proof.X, -proof.c, n)) % n
+    return _opening_challenge(params, delegation, proof.X, T) == proof.c
 
 
 def _dkcert_body(vk_bytes: bytes) -> bytes:
     return H_tagged("dac/dkcert", vk_bytes, bytes([DELEGATION_DEPTH]))
 
 
-@dataclass(frozen=True)
-class IssuanceRequest:
-    blinded: int       # R_sk^u * S^{o_u}
-    c: int
-    z_u: int
-    z_o: int
-
-
-def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[IssuanceRequest, int]:
+def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[OpeningProof, int]:
     """User side of GetCred: blind the secret key, prove the opening."""
     o_u = rng.randint_bits(_SECRET_BITS)
-    return IssuanceRequest(*_prove_opening(params, False, sk, o_u, rng)), o_u
+    return _prove_opening(params, False, sk, o_u, rng), o_u
 
 
-def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
+def dac_create_cred(root: RootIssuerKey, request: OpeningProof,
                     attrs: tuple[Attribute, ...], delegable: bool,
                     rng: SeededRng) -> tuple[int, int, DelegationKey | None]:
     """Issuer side of CreateCred: returns (sigma, issuer opening share, dk),
@@ -275,11 +300,10 @@ def dac_create_cred(root: RootIssuerKey, request: IssuanceRequest,
     n = params.n
     if len(attrs) > params.t:
         raise ParameterError("attribute set exceeds bound t")
-    if not _opening_valid(params, False, request.blinded, request.c,
-                          request.z_u, request.z_o):
+    if not _opening_valid(params, False, request):
         raise CryptoError("issuance request proof invalid")
     o_i = rng.randint_bits(_SECRET_BITS)
-    body = (request.blinded * params.multiexp(
+    body = (request.X * params.multiexp(
         (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
     sigma = pow(body, root.root, n)
     dk = None
@@ -312,12 +336,8 @@ def issue_credential(root: RootIssuerKey, sk: int, attrs: tuple[Attribute, ...],
 
 @dataclass(frozen=True)
 class ExtShow:
-    nym_d: int
-    z_rd: int
-    vk_bytes: bytes
-    cert: bytes
-    ext_sig: bytes
-    attrs: tuple[Attribute, ...]
+    ext: Extension
+    z_rd: int               # the response for nym_d's opening r_d
 
 
 @dataclass(frozen=True)
@@ -352,10 +372,10 @@ class Presentation:
         if self.ext is None:
             out += b"\x00"
         else:
-            e = self.ext
+            e = self.ext.ext
             out += bytes([1, DELEGATION_DEPTH])     # flag, extension level
             out += e.nym_d.to_bytes(nb, "big")
-            out += e.z_rd.to_bytes(Z_BYTES, "big")
+            out += self.ext.z_rd.to_bytes(Z_BYTES, "big")
             out += e.vk_bytes + e.cert + e.ext_sig
             out += bytes([len(e.attrs)])
             for a in e.attrs:
@@ -384,10 +404,11 @@ class Presentation:
             if r.uint(1) != DELEGATION_DEPTH:
                 raise SlapxError("bad extension level")
             ssz = 16 + SCALAR_BYTES
-            ext = ExtShow(nym_d=r.uint(nb), z_rd=r.uint(Z_BYTES),
-                          vk_bytes=r.take(ELEMENT_BYTES),
-                          cert=r.take(ssz), ext_sig=r.take(ssz),
-                          attrs=tuple(Attribute.read(r) for _ in range(r.uint(1))))
+            nym_d, z_rd = r.uint(nb), r.uint(Z_BYTES)
+            ext = ExtShow(Extension(
+                nym_d, vk_bytes=r.take(ELEMENT_BYTES), cert=r.take(ssz),
+                ext_sig=r.take(ssz),
+                attrs=tuple(Attribute.read(r) for _ in range(r.uint(1)))), z_rd)
         elif flag != 0:
             raise SlapxError("bad extension flag")
         r.end()
@@ -402,14 +423,14 @@ def _ext_body(params: DacParams, nym_d: int, attrs: tuple[Attribute, ...]) -> by
                     attrs_digest(attrs), bytes([DELEGATION_DEPTH]), b"\x01")
 
 
-def _ext_part(params: DacParams, ext: ExtShow | DelegatedCredential) -> bytes:
+def _ext_part(params: DacParams, ext: Extension) -> bytes:
     """The extension's bytes in a compound presentation's challenge."""
     return H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                     ext.nym_d.to_bytes(params.n_bytes, "big"),
                     attrs_digest(ext.attrs), bytes([DELEGATION_DEPTH]))
 
 
-def _chain_valid(params: DacParams, ext: ExtShow | DelegatedCredential) -> bool:
+def _chain_valid(params: DacParams, ext: Extension) -> bool:
     """The root certified ext's delegation key, and that key signed ext."""
     if not 0 < ext.nym_d < params.n:
         return False
@@ -474,7 +495,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
     T_ext = None
     k_rd = 0
     if ext_cred is not None:
-        ext_part = _ext_part(params, ext_cred)
+        ext_part = _ext_part(params, ext_cred.ext)
         k_rd = rng.randint_bits(width)
         T_ext = (sk_k * params.multiexp((BASE_S, k_rd))) % n
 
@@ -483,9 +504,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
 
     ext_show = None
     if ext_cred is not None:
-        ext_show = ExtShow(nym_d=ext_cred.nym_d, z_rd=k_rd + c * ext_cred.r_d,
-                           vk_bytes=ext_cred.vk_bytes, cert=ext_cred.cert,
-                           ext_sig=ext_cred.ext_sig, attrs=ext_cred.attrs)
+        ext_show = ExtShow(ext_cred.ext, k_rd + c * ext_cred.r_d)
     return Presentation(
         nym=nym, sigma_r=sigma_r, c=c,
         z_t=(k_t * pow(t_r, c, n)) % n,
@@ -521,11 +540,11 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
     ext_part = b""
     T_ext = None
     if pres.ext is not None:
-        ext = pres.ext
+        ext = pres.ext.ext
         if not _chain_valid(params, ext):
             return False
         ext_part = _ext_part(params, ext)
-        T_ext = (sk_z * params.multiexp((BASE_S, ext.z_rd))
+        T_ext = (sk_z * params.multiexp((BASE_S, pres.ext.z_rd))
                  * pow(ext.nym_d, -c, n)) % n
 
     return _show_challenge(params, pres.nym, pres.sigma_r,
@@ -535,62 +554,38 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
 
 # -- delegation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DelegationRequest:
-    nym_d: int
-    c: int
-    z_u: int
-    z_r: int
-
-    def to_bytes(self, params: DacParams) -> bytes:
-        return (self.nym_d.to_bytes(params.n_bytes, "big") + self.c.to_bytes(16, "big")
-                + self.z_u.to_bytes(Z_BYTES, "big") + self.z_r.to_bytes(Z_BYTES, "big"))
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: DacParams) -> "DelegationRequest":
-        r = wire.Reader(data)
-        request = cls(r.uint(params.n_bytes), r.uint(16), r.uint(Z_BYTES),
-                      r.uint(Z_BYTES))
-        r.end()
-        return request
-
-
 def dac_request_delegation(params: DacParams, sk: int,
-                           rng: SeededRng) -> tuple[DelegationRequest, int]:
-    """Recipient side: one-time pseudonym nym_d plus opening proof."""
+                           rng: SeededRng) -> tuple[OpeningProof, int]:
+    """Recipient side: one-time pseudonym nym_d = X plus opening proof."""
     r_d = rng.randint_bits(_SECRET_BITS) | 1
-    return DelegationRequest(*_prove_opening(params, True, sk, r_d, rng)), r_d
+    return _prove_opening(params, True, sk, r_d, rng), r_d
 
 
 def dac_issue_cred(params: DacParams, delegator: Credential,
-                   request: DelegationRequest, attrs: tuple[Attribute, ...],
-                   rng: SeededRng) -> tuple[bytes, bytes, bytes]:
+                   request: OpeningProof, attrs: tuple[Attribute, ...],
+                   rng: SeededRng) -> Extension:
     """Delegator side of IssueCred: sign the extension for the recipient.
 
-    Returns (vk, cert, ext_sig); raises if the delegator holds no delegation
-    key (dk = None is terminal) or the request's opening proof fails.
+    Raises unless the delegator is a `Credential` with a delegation key (a
+    delegated credential is terminal) and the request's opening proof holds.
     """
-    if delegator.dk is None:
+    if not isinstance(delegator, Credential) or delegator.dk is None:
         raise CryptoError("credential is terminal: no delegation key")
     if len(attrs) > params.t:
         raise ParameterError("attribute extension exceeds bound t")
-    if not _opening_valid(params, True, request.nym_d, request.c,
-                          request.z_u, request.z_r):
+    if not _opening_valid(params, True, request):
         raise CryptoError("delegation request proof invalid")
-    ext_sig = delegator.dk.key.sign(_ext_body(params, request.nym_d, attrs), rng)
-    return delegator.dk.key.pk.to_bytes(), delegator.dk.cert, ext_sig
+    ext_sig = delegator.dk.key.sign(_ext_body(params, request.X, attrs), rng)
+    return Extension(request.X, delegator.dk.key.pk.to_bytes(), delegator.dk.cert,
+                     ext_sig, attrs)
 
 
 def dac_receive_cred(params: DacParams, recipient: Credential, r_d: int,
-                     nym_d: int, attrs: tuple[Attribute, ...], vk_bytes: bytes,
-                     cert: bytes, ext_sig: bytes) -> DelegatedCredential:
-    """Recipient side: check the chain root -> vk -> extension, keep dk = None."""
-    dcred = DelegatedCredential(attrs=attrs, nym_d=nym_d,
-                                r_d=r_d, vk_bytes=vk_bytes, cert=cert,
-                                ext_sig=ext_sig, base=recipient, dk=None)
-    if not _chain_valid(params, dcred):
+                     ext: Extension) -> DelegatedCredential:
+    """Recipient side: check the chain root -> vk -> extension."""
+    if not _chain_valid(params, ext):
         raise CryptoError("delegation chain invalid")
-    return dcred
+    return DelegatedCredential(ext, r_d, recipient)
 
 
 # -- fixed-size wire encoding ----------------------------------------------
@@ -604,10 +599,11 @@ def encode_credential(cred: Credential | DelegatedCredential,
         if cred.dk is not None:
             out += cred.dk.key.pk.to_bytes() + cred.dk.cert + bytes([DELEGATION_DEPTH])
     else:
+        e = cred.ext
         out += bytes([2, DELEGATION_DEPTH, 0])
-        out += cred.vk_bytes + cred.cert + cred.ext_sig
-        out += H_tagged("dac/nymd", cred.nym_d.to_bytes(params.n_bytes, "big"))[:16]
-        out += attrs_digest(cred.attrs)
+        out += e.vk_bytes + e.cert + e.ext_sig
+        out += H_tagged("dac/nymd", e.nym_d.to_bytes(params.n_bytes, "big"))[:16]
+        out += attrs_digest(e.attrs)
     if len(out) > CRED_WIRE_BYTES:
         raise CryptoError(f"credential encoding exceeds {CRED_WIRE_BYTES} bytes")
     return bytes(out) + b"\x00" * (CRED_WIRE_BYTES - len(out))

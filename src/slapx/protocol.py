@@ -279,7 +279,7 @@ def _check_presentation(params: dac.DacParams, pres: dac.Presentation,
 
 def _delegated(pres: dac.Presentation, kind: str) -> bytes | None:
     """Value of the delegated attribute `kind`, None if absent."""
-    return next((a.value for a in pres.ext.attrs if a.kind == kind), None)
+    return next((a.value for a in pres.ext.ext.attrs if a.kind == kind), None)
 
 
 def _binding(params: dac.DacParams, pres: dac.Presentation,
@@ -289,7 +289,7 @@ def _binding(params: dac.DacParams, pres: dac.Presentation,
     ND path."""
     if pres.ext is None:
         return phi_digest
-    return H_tagged("nymd", pres.ext.nym_d.to_bytes(params.n_bytes, "big"))
+    return H_tagged("nymd", pres.ext.ext.nym_d.to_bytes(params.n_bytes, "big"))
 
 
 # -- neighbor device ----------------------------------------------------------
@@ -319,7 +319,7 @@ class NeighborDevice:
                              CURVE.from_bytes, peer_pk_b)
         dreq = _or_reject(RejectReason.BAD_CREDENTIAL,
                           "delegation request undecodable",
-                          dac.DelegationRequest.from_bytes, dreq_b, params)
+                          dac.OpeningProof.from_bytes, dreq_b, params)
         _check_presentation(params, pres, presentation_context("pol-nd", window, "ND"),
                             loc + win_b)
 
@@ -337,10 +337,10 @@ class NeighborDevice:
                                  "claimed coordinates beyond threshold")
 
         a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
-        vk, cert, ext_sig = _or_reject(
+        ext = _or_reject(
             RejectReason.DELEGATION_DENIED, "delegation request proof invalid",
             dac.dac_issue_cred, params, self.cred, dreq, a_l, self.rng)
-        return wire.pack_fields(vk, cert, ext_sig, loc, win_b)
+        return wire.pack_fields(ext.vk_bytes, ext.cert, ext.ext_sig, loc, win_b)
 
 
 # -- PSD and service server ----------------------------------------------------
@@ -627,9 +627,8 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
 
     vk, cert, ext_sig, _, _ = wire.unpack_fields(resp_content, 5)
     a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
-    dcred = dac.dac_receive_cred(params, client.cred, r_d, dreq.nym_d, a_l,
-                                 vk, cert, ext_sig)
-    return dcred, trace
+    ext = dac.Extension(dreq.X, vk, cert, ext_sig, a_l)
+    return dac.dac_receive_cred(params, client.cred, r_d, ext), trace
 
 
 def _credential_and_phi(client: Client, proof: LocationProof | None,

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from slapx import vdf, wire
+from slapx import rlrs, vdf, wire
 from slapx.cli import EXIT_CODES, main
-from slapx.errors import ProtocolReject, RejectReason
+from slapx.errors import CryptoError, ProtocolReject, RejectReason
 from slapx.modmath import random_prime, rsa_setup
 from slapx.protocol import WINDOW_S, Deployment, DeviceProfile, run_pol_ap, \
     run_service_request, run_spectrum_query
@@ -257,9 +257,10 @@ def test_criterion_6_protocol_invariants(run_bytes):
         t2 = 240.0
         p_a, _ = run_pol_ap(c2, dep.ap, 10.0, 20.0, t2)
         p_b, _ = run_pol_ap(c3, dep.ap, 10.0, 20.0, t2)
-        who = dep.authority.revoke_double_issuer(
-            p_a.event, dep.view.ring, (p_a.m, p_a.sig),
-            dep.view.ring, (p_b.m, p_b.sig))
+        who = rlrs.rlrs_revoke(dep.authority.rlrs_msk, p_a.event,
+                               dep.view.ring, (p_a.m, p_a.sig),
+                               dep.view.ring, (p_b.m, p_b.sig),
+                               dep.view.rlrs_params)
         assert who == dep.ap.ap_id
 
         # (d) terminal delegated credentials reject re-delegation
@@ -270,11 +271,10 @@ def test_criterion_6_protocol_invariants(run_bytes):
         nd = NeighborDevice(dep.view, nd_sk, nd_cred, SeededRng(6004))
         t3 = 300.0
         dcred, _ = run_pol_nd(c2, nd, 5.0, 5.0, t3, true_distance_m=10.0)
-        assert dcred.dk is None
         req, _ = dac.dac_request_delegation(dep.view.dac_params, c3.sk,
                                             SeededRng(6005))
-        with pytest.raises(Exception):
-            dac.dac_issue_cred(dep.view.dac_params, dcred, req, dcred.attrs,
+        with pytest.raises(CryptoError, match="terminal"):
+            dac.dac_issue_cred(dep.view.dac_params, dcred, req, dcred.ext.attrs,
                                SeededRng(6006))
 
         # (e) two runs by one client share zero non-disclosed bytes

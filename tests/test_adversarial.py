@@ -125,9 +125,8 @@ class TestDacSplicing:
         # a presentation that never proved nym_d's opening
         req, r_d = dac.dac_request_delegation(params, sk_b, rng)
         a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
-        vk, cert, ext_sig = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
-        dcred = dac.dac_receive_cred(params, cred_b, r_d, req.nym_d, a_l, vk,
-                                     cert, ext_sig)
+        ext = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
+        dcred = dac.dac_receive_cred(params, cred_b, r_d, ext)
         nym_b, aux_b = dac.dac_nymgen(params, pk_b, rng)
         honest = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, dcred, (0,),
                                     b"c", rng)
@@ -152,12 +151,12 @@ class TestDacSplicing:
         bad_cert = rogue.sign(H_tagged("dac/dkcert", rogue.pk.to_bytes(),
                                        bytes([2])), rng)
         ext_body = H_tagged("dac/ext",
-                            req.nym_d.to_bytes(params.n_bytes, "big"),
+                            req.X.to_bytes(params.n_bytes, "big"),
                             dac.attrs_digest(a_l), bytes([2]), b"\x01")
         ext_sig = rogue.sign(ext_body, rng)
         with pytest.raises(CryptoError):
-            dac.dac_receive_cred(params, cred_b, r_d, req.nym_d, a_l,
-                                 rogue.pk.to_bytes(), bad_cert, ext_sig)
+            dac.dac_receive_cred(params, cred_b, r_d, dac.Extension(
+                req.X, rogue.pk.to_bytes(), bad_cert, ext_sig, a_l))
 
     def test_delegated_pseudonym_out_of_range_fails_cleanly(self, cred_env):
         # a delegator that signs an extension for nym_d = 0 must not make
@@ -166,13 +165,14 @@ class TestDacSplicing:
         req, r_d = dac.dac_request_delegation(params, sk_b, rng)
         a_l = (dac.Attribute.location(1.0, 1.0), dac.Attribute.ts_window(9))
         with pytest.raises(CryptoError):
-            dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, nym_d=0),
+            dac.dac_issue_cred(params, cred_a, dataclasses.replace(req, X=0),
                                a_l, rng)
-        vk, cert, _ = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
+        ext = dac.dac_issue_cred(params, cred_a, req, a_l, rng)
         ext_sig = cred_a.dk.key.sign(
             H_tagged("dac/ext", bytes(params.n_bytes), dac.attrs_digest(a_l),
                      bytes([2]), b"\x01"), rng)
-        dcred = dac.DelegatedCredential(a_l, 0, r_d, vk, cert, ext_sig, cred_b)
+        dcred = dac.DelegatedCredential(
+            dataclasses.replace(ext, nym_d=0, ext_sig=ext_sig), r_d, cred_b)
         nym_b, aux_b = dac.dac_nymgen(params, pk_b, rng)
         pres = dac.dac_cred_prove(params, sk_b, nym_b, aux_b, dcred, (0,), b"c", rng)
         assert not dac.dac_cred_verify(params, pres, b"c")

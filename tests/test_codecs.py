@@ -28,9 +28,8 @@ def codecs(dac_env, rlrs_env):
     recipient = dac.issue_credential(root, sk_r, ATTRS, False, rng)
     req, r_d = dac.dac_request_delegation(params, sk_r, rng)
     a_l = (dac.Attribute.location(12.0, -3.5), dac.Attribute.ts_window(42))
-    vk, cert, ext_sig = dac.dac_issue_cred(params, cred, req, a_l, rng)
-    dcred = dac.dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
-                                 vk, cert, ext_sig)
+    ext = dac.dac_issue_cred(params, cred, req, a_l, rng)
+    dcred = dac.dac_receive_cred(params, recipient, r_d, ext)
     nym, aux = dac.dac_nymgen(params, pk, rng)
     base = dac.dac_cred_prove(params, sk, nym, aux, cred, (1, 2), b"c", rng)
     nym_r, aux_r = dac.dac_nymgen(params, pk_r, rng)
@@ -47,17 +46,21 @@ def codecs(dac_env, rlrs_env):
                     tau=1000, seed=bytes(range(32)), issued_s=121.5,
                     expires_s=181.5)
     proof = LocationProof(m=b"m", sig=ring_sig, event=event)
+    issuance_req, _ = dac.dac_request_cred(params, sk, SeededRng(44))
 
     def presentation(value):
         return (value, lambda b: dac.Presentation.from_bytes(b, params),
                 lambda p: p.to_bytes(params))
 
+    def opening_proof(value):
+        return (value, lambda b: dac.OpeningProof.from_bytes(b, params),
+                lambda r: r.to_bytes(params))
+
     return {
         "presentation": presentation(base),
         "delegated_presentation": presentation(delegated),
-        "delegation_request": (req,
-                               lambda b: dac.DelegationRequest.from_bytes(b, params),
-                               lambda r: r.to_bytes(params)),
+        "delegation_request": opening_proof(req),
+        "issuance_request": opening_proof(issuance_req),
         "vdf_solution": (sol, lambda b: vdf.VdfSolution.from_bytes(b, nb),
                          lambda s: s.to_bytes(nb)),
         "ring_signature": (ring_sig, rlrs.decode_signature,
@@ -71,7 +74,7 @@ def codecs(dac_env, rlrs_env):
 
 
 NAMES = ["presentation", "delegated_presentation", "delegation_request",
-         "vdf_solution", "ring_signature", "puzzle", "spectrum_record",
+         "issuance_request", "vdf_solution", "ring_signature", "puzzle", "spectrum_record",
          "location_proof"]
 
 

@@ -15,7 +15,7 @@ from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, DELEGATION_DEPTH,
                        dac_request_delegation, dac_setup, encode_credential,
                        issue_credential)
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import CURVE, sgn_verify
+from slapx.group import CURVE, SigningKey, sgn_verify
 from slapx.hashes import H_tagged
 from slapx.rng import SeededRng
 
@@ -118,10 +118,9 @@ class TestIssuanceAndShowing:
         params, root, rng, pk, sk, cred = env
         assert len(encode_credential(cred, params)) == CRED_WIRE_BYTES
 
-    @pytest.mark.parametrize("field", ["blinded", "c", "z_u", "z_o",
-                                       "blinded=0", "blinded=n"])
+    @pytest.mark.parametrize("field", ["X", "c", "z_a", "z_b", "X=0", "X=n"])
     def test_issuer_refuses_a_perturbed_opening_proof(self, env, field):
-        # a field moved by +1, or the blinded key set to 0 or n, which have
+        # a field moved by +1, or the blinded key X set to 0 or n, which have
         # no inverse mod n
         params, root, _, _, sk, _ = env
         rng = SeededRng(81)
@@ -206,14 +205,14 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
-                                 vk, cert, ext)
-        assert dcred.dk is None
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, ext)
+        with pytest.raises(CryptoError, match="terminal"):
+            dac_issue_cred(params, dcred, req, a_l, rng)
         nym, aux = dac_nymgen(params, pk_r, rng)
         pres = dac_cred_prove(params, sk_r, nym, aux, dcred, (), b"q", rng)
         assert dac_cred_verify(params, pres, b"q")
-        assert tuple(a for a in pres.ext.attrs) == a_l
+        assert pres.ext.ext.attrs == a_l
 
     def test_terminal_credential_cannot_redelegate(self, env):
         params, root, rng, pk, sk, cred = env
@@ -221,15 +220,14 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
-                                 vk, cert, ext)
-        with pytest.raises(CryptoError):
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, ext)
+        with pytest.raises(CryptoError, match="terminal"):
             dac_issue_cred(params, dcred, req, a_l, rng)
-        with pytest.raises(CryptoError):
+        with pytest.raises(CryptoError, match="terminal"):
             dac_issue_cred(params, recipient_cred, req, a_l, rng)
 
-    @pytest.mark.parametrize("field", ["nym_d", "c", "z_u", "z_r"])
+    @pytest.mark.parametrize("field", ["X", "c", "z_a", "z_b"])
     def test_delegator_refuses_a_perturbed_opening_proof(self, env, field):
         params, root, _, _, _, cred = env
         rng = SeededRng(83)
@@ -241,17 +239,24 @@ class TestDelegation:
         with pytest.raises(CryptoError):
             dac_issue_cred(params, cred, bad, a_l, rng)
 
-    def test_tampered_extension_rejected(self, env):
+    @pytest.mark.parametrize("field", ["nym_d", "vk_bytes", "cert", "ext_sig",
+                                       "attrs"])
+    def test_tampered_extension_rejected(self, env, field):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
         recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        other = (Attribute.location(9.0, 9.0), Attribute.ts_window(1))
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dac_receive_cred(params, recipient_cred, r_d, ext)   # the honest one passes
+        flip = lambda b: b[:-1] + bytes([b[-1] ^ 1])  # noqa: E731
+        other = {"nym_d": ext.nym_d + 1,
+                 "vk_bytes": SigningKey.generate(rng).pk.to_bytes(),
+                 "cert": flip(ext.cert), "ext_sig": flip(ext.ext_sig),
+                 "attrs": (Attribute.location(9.0, 9.0), Attribute.ts_window(1))}
         with pytest.raises(CryptoError):
-            dac_receive_cred(params, recipient_cred, r_d, req.nym_d, other,
-                             vk, cert, ext)
+            dac_receive_cred(params, recipient_cred, r_d,
+                             dataclasses.replace(ext, **{field: other[field]}))
 
     def test_delegated_wire_is_224_bytes(self, env):
         params, root, rng, pk, sk, cred = env
@@ -259,9 +264,8 @@ class TestDelegation:
         recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(2.0, 2.0), Attribute.ts_window(3))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        dcred = dac_receive_cred(params, recipient_cred, r_d, req.nym_d, a_l,
-                                 vk, cert, ext)
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient_cred, r_d, ext)
         assert len(encode_credential(dcred, params)) == CRED_WIRE_BYTES
 
 
@@ -309,7 +313,7 @@ def reference_verify(params, pres, context, payload=b""):
     ext_part = b""
     T_ext = None
     if pres.ext is not None:
-        ext = pres.ext
+        ext = pres.ext.ext
         if not 0 < ext.nym_d < n:
             return False
         try:
@@ -326,7 +330,7 @@ def reference_verify(params, pres, context, payload=b""):
         ext_part = H_tagged("dac/extpart", ext.vk_bytes, ext.cert, ext.ext_sig,
                             ext.nym_d.to_bytes(params.n_bytes, "big"),
                             attrs_digest(ext.attrs), bytes([DELEGATION_DEPTH]))
-        T_ext = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, ext.z_rd, n)
+        T_ext = (pow(params.base_sk, pres.z_u, n) * pow(params.base_S, pres.ext.z_rd, n)
                  * pow(ext.nym_d, -pres.c, n)) % n
     c = _show_challenge(params, pres.nym, pres.sigma_r,
                         pres.disclosed, context, payload, T_V, T_nym,
@@ -362,11 +366,11 @@ def variants(pres, params, rng):
                 rep(pres, disclosed=((i + 4, a), *rest)),
                 rep(pres, disclosed=pres.disclosed[1:])]
     if pres.ext is not None:
-        ext = pres.ext
-        out += [rep(pres, ext=rep(ext, z_rd=ext.z_rd + 1)),
-                rep(pres, ext=rep(ext, nym_d=(ext.nym_d * 3) % n)),
-                rep(pres, ext=rep(ext, attrs=ext.attrs[:1])),
-                rep(pres, ext=rep(ext, ext_sig=bytes(len(ext.ext_sig)))),
+        show, ext = pres.ext, pres.ext.ext
+        out += [rep(pres, ext=rep(show, z_rd=show.z_rd + 1)),
+                rep(pres, ext=rep(show, ext=rep(ext, nym_d=(ext.nym_d * 3) % n))),
+                rep(pres, ext=rep(show, ext=rep(ext, attrs=ext.attrs[:1]))),
+                rep(pres, ext=rep(show, ext=rep(ext, ext_sig=bytes(len(ext.ext_sig))))),
                 rep(pres, ext=None)]
     return out
 
@@ -381,9 +385,8 @@ class TestVerifyMatchesReference:
         recipient = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(3.0, 4.0), Attribute.ts_window(9))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        dcred = dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
-                                 vk, cert, ext)
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient, r_d, ext)
         out = []
         for holder_pk, holder_sk, c in ((pk, sk, cred), (pk_r, sk_r, dcred)):
             for disclose in ((1, 2), ()):
@@ -458,9 +461,8 @@ class TestSeededBytesPinned:
         recipient = issue_credential(root, sk_r, ATTRS, False, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
-        vk, cert, ext = dac_issue_cred(params, cred, req, a_l, rng)
-        dcred = dac_receive_cred(params, recipient, r_d, req.nym_d, a_l,
-                                 vk, cert, ext)
+        ext = dac_issue_cred(params, cred, req, a_l, rng)
+        dcred = dac_receive_cred(params, recipient, r_d, ext)
         nb = params.n_bytes
         h = hashlib.sha256()
         h.update(pk.to_bytes(nb, "big") + encode_credential(cred, params)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from slapx import dac, rlrs, vdf, wire
-from slapx.errors import ProtocolReject, RejectReason, SlapxError
+from slapx.errors import CryptoError, ProtocolReject, RejectReason, SlapxError
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, MODULUS_EPOCH_WINDOWS, WINDOW_S,
                             AccessPoint, Deployment, DeviceProfile,
@@ -376,7 +376,10 @@ class TestNdPath:
         c = deployment.new_client(seed=2002)
         dcred, tr = run_pol_nd(c, nd, 5.0, 5.0, t, true_distance_m=10.0)
         assert tr.total_payload == 1944
-        assert dcred.dk is None
+        params = deployment.view.dac_params
+        req, _ = dac.dac_request_delegation(params, c.sk, SeededRng(2005))
+        with pytest.raises(CryptoError, match="terminal"):
+            dac.dac_issue_cred(params, dcred, req, dcred.ext.attrs, SeededRng(2006))
         record, puzzle, sig, tr2 = run_spectrum_query(
             c, deployment.psd, 5.0, 5.0, t, dcred=dcred)
         token, sol, _ = run_service_request(c, deployment.server, b"m", puzzle,
@@ -425,9 +428,10 @@ class TestRevocation:
         proof_b, _ = run_pol_ap(b, deployment.ap, 10.0, 20.0, t)
         assert proof_a.sig.tau == proof_b.sig.tau
         ring = deployment.view.ring
-        who = deployment.authority.revoke_double_issuer(
-            proof_a.event, ring, (proof_a.m, proof_a.sig),
-            ring, (proof_b.m, proof_b.sig))
+        who = rlrs.rlrs_revoke(deployment.authority.rlrs_msk, proof_a.event,
+                               ring, (proof_a.m, proof_a.sig),
+                               ring, (proof_b.m, proof_b.sig),
+                               deployment.view.rlrs_params)
         assert who == deployment.ap.ap_id
 
     def test_distinct_events_not_linked(self, deployment):
