@@ -18,9 +18,11 @@ disclosed subset, a caller context string, and an arbitrary payload.
 Forging a presentation without a credential reduces to extracting e-th
 roots mod n.
 
+Both requests, for issuance and for delegation, are one `OpeningProof`.
 Delegation (terminal, one level): the root certifies a delegation
-verification key; the delegator signs an extension binding the recipient's
-one-time pseudonym nym_d and the added attribute set. Compound
+verification key; the delegator signs an `Extension` binding the recipient's
+one-time pseudonym nym_d and the added attribute set, which the recipient's
+`DelegatedCredential` and each presentation's `ExtShow` hold whole. Compound
 presentations prove the base credential and the extension under one
 challenge with a shared response for u, so both certify the same holder.
 Presentations of one delegated credential share the nym_d/extension bytes;
@@ -28,12 +30,6 @@ a fresh delegated credential is issued per time window, which scopes that
 linkability to the window. No object holds a level: it is 1 for a root
 credential and a presentation, DELEGATION_DEPTH = 2 for a delegated one and
 its extension; encoders write these bytes, and the decoder refuses others.
-
-Two records carry the credential messages. An `OpeningProof` is both
-requests: the blinded key of an issuance request and the nym_d of a
-delegation request, each with a proof that its sender knows the opening. An
-`Extension` is what the delegator issues; the recipient's
-`DelegatedCredential` and every presentation's `ExtShow` hold it as issued.
 """
 from __future__ import annotations
 
@@ -181,8 +177,7 @@ class Credential:
 
 @dataclass(frozen=True)
 class Extension:
-    """The delegator's extension for a one-time pseudonym: its root-certified
-    delegation key, and that key's signature over (nym_d, attrs)."""
+    """A root-certified delegation key and its signature on (nym_d, attrs)."""
     nym_d: int                      # one-time recipient pseudonym
     vk_bytes: bytes
     cert: bytes
@@ -192,7 +187,7 @@ class Extension:
 
 @dataclass
 class DelegatedCredential:
-    """Terminal: it holds no delegation key, so it cannot delegate again."""
+    """Terminal: it holds no delegation key, so it cannot delegate."""
     ext: Extension
     r_d: int                        # nym_d's opening randomness (holder-side)
     base: Credential                # recipient's own root credential
@@ -241,9 +236,8 @@ def _opening_challenge(params: DacParams, delegation: bool, X: int, T: int) -> i
 
 @dataclass(frozen=True)
 class OpeningProof:
-    """X = R_sk^a * S^b and a proof that its sender knows (a, b): an
-    issuance request (X blinds the secret key, a = sk, b = o_u) or a
-    delegation request (X = nym_d, a = sk, b = r_d)."""
+    """X = R_sk^a * S^b and a proof that its sender knows (a, b): X blinds
+    sk in an issuance request, and is nym_d in a delegation request."""
     X: int
     c: int
     z_a: int
@@ -406,9 +400,8 @@ class Presentation:
             ssz = 16 + SCALAR_BYTES
             nym_d, z_rd = r.uint(nb), r.uint(Z_BYTES)
             ext = ExtShow(Extension(
-                nym_d, vk_bytes=r.take(ELEMENT_BYTES), cert=r.take(ssz),
-                ext_sig=r.take(ssz),
-                attrs=tuple(Attribute.read(r) for _ in range(r.uint(1)))), z_rd)
+                nym_d, r.take(ELEMENT_BYTES), r.take(ssz), r.take(ssz),
+                tuple(Attribute.read(r) for _ in range(r.uint(1)))), z_rd)
         elif flag != 0:
             raise SlapxError("bad extension flag")
         r.end()
@@ -501,16 +494,13 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
 
     c = _show_challenge(params, nym, sigma_r, disclosed,
                         context, payload, T_V, T_nym, ext_part, T_ext)
-
-    ext_show = None
-    if ext_cred is not None:
-        ext_show = ExtShow(ext_cred.ext, k_rd + c * ext_cred.r_d)
     return Presentation(
         nym=nym, sigma_r=sigma_r, c=c,
         z_t=(k_t * pow(t_r, c, n)) % n,
         z_u=k_u + c * sk, z_o=k_o + c * base.opening, z_r=k_r + c * aux,
         hidden=tuple((i, k_h[i] + c * base.attrs[i].digest()) for i in hidden_idx),
-        disclosed=disclosed, ext=ext_show)
+        disclosed=disclosed,
+        ext=ext_cred and ExtShow(ext_cred.ext, k_rd + c * ext_cred.r_d))
 
 
 def dac_cred_verify(params: DacParams, pres: Presentation,
@@ -565,10 +555,8 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
                    request: OpeningProof, attrs: tuple[Attribute, ...],
                    rng: SeededRng) -> Extension:
     """Delegator side of IssueCred: sign the extension for the recipient.
-
     Raises unless the delegator is a `Credential` with a delegation key (a
-    delegated credential is terminal) and the request's opening proof holds.
-    """
+    delegated credential is terminal) and the request's opening proof holds."""
     if not isinstance(delegator, Credential) or delegator.dk is None:
         raise CryptoError("credential is terminal: no delegation key")
     if len(attrs) > params.t:

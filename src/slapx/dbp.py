@@ -82,14 +82,14 @@ def dbp_respond(a: bytes, i: int, c: int) -> int:
 
 def dbp_verify(cfg: DbpConfig, a: bytes,
                transcripts: list[RoundTranscript]) -> bool:
-    """Round i passes iff its RTT is within 2*th at light speed and the
+    """Round i passes iff 0 <= its RTT <= 2*th at light speed and the
     response equals the table bit; accept iff failures <= tolerance*n."""
     if len(transcripts) != cfg.n:
         return False
     failures = 0
     bound = cfg.rtt_bound_ns
     for i, t in enumerate(transcripts, start=1):
-        ok = t.rtt_ns <= bound and t.r == dbp_respond(a, i, t.c)
+        ok = 0 <= t.rtt_ns <= bound and t.r == dbp_respond(a, i, t.c)
         if not ok:
             failures += 1
     return failures <= cfg.max_failures

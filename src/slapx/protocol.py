@@ -320,8 +320,9 @@ class NeighborDevice:
         dreq = _or_reject(RejectReason.BAD_CREDENTIAL,
                           "delegation request undecodable",
                           dac.OpeningProof.from_bytes, dreq_b, params)
+        # every part has a fixed width, so the concatenation is unambiguous
         _check_presentation(params, pres, presentation_context("pol-nd", window, "ND"),
-                            loc + win_b)
+                            loc + win_b + peer_pk_b + dreq_b)
 
         # authenticated key agreement, then the rapid bit exchange
         nonce = H_tagged("dbp/nonce", win_b, peer_pk_b)
@@ -617,12 +618,14 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
     window = window_of(now_s)
     loc = wire.encode_point(l_x, l_y)
     win_b = window.to_bytes(8, "big")
-    pres_b = client.present(client.cred, "pol-nd", window, "ND", (), loc + win_b)
+    peer_pk_b = client.dbp_key.pk.to_bytes()
     dreq, r_d = dac.dac_request_delegation(params, client.sk, client.rng)
+    dreq_b = dreq.to_bytes(params)
+    pres_b = client.present(client.cred, "pol-nd", window, "ND", (),
+                            loc + win_b + peer_pk_b + dreq_b)
     resp_content, trace = exchange(
         "pol_nd", nd.issue_delegated,
-        wire.pack_fields(loc, win_b, pres_b, client.dbp_key.pk.to_bytes(),
-                         dreq.to_bytes(params)),
+        wire.pack_fields(loc, win_b, pres_b, peer_pk_b, dreq_b),
         now_s, true_distance_m)
 
     vk, cert, ext_sig, _, _ = wire.unpack_fields(resp_content, 5)

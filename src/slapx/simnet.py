@@ -65,6 +65,9 @@ HIJACK_WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 # -- calibration --------------------------------------------------------------
 
+MAX_CALIBRATION_S = 1e6  # keeps every delay the simulator schedules finite
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Per-request service times and client-side costs, in seconds."""
@@ -90,9 +93,10 @@ class Calibration:
             raise ValueError("calibration is not a JSON object")
         known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
         # a JSON true is a bool, an int subclass; NaN fails both comparisons
-        if not all(type(v) in (int, float) and 0 <= v < float("inf")
+        if not all(type(v) in (int, float) and 0 <= v <= MAX_CALIBRATION_S
                    for v in known.values()):
-            raise ValueError("calibration times must be finite numbers >= 0")
+            raise ValueError(
+                f"calibration times must be in [0, {MAX_CALIBRATION_S:g}] s")
         return cls(**known)
 
     def to_file(self, path: str) -> None:

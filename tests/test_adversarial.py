@@ -438,14 +438,9 @@ class TestMutatedRequestsRejectCleanly:
                                                role, data):
         handle, request = valid_requests[role]
         before = _psd_state(deployment.psd)
-        try:
+        with pytest.raises(ProtocolReject):
             handle(_one_field_mutated(data, request, ROLE_FIELDS[role][0]))
-        except ProtocolReject:
-            assert _psd_state(deployment.psd) == before
-        else:
-            # no check covers the ND request's peer key yet: a changed key
-            # that still decodes may be served
-            assert role == "nd", "a request with one field changed was answered"
+        assert _psd_state(deployment.psd) == before
 
     @pytest.mark.parametrize("role", sorted(ROLE_FIELDS))
     def test_presentation_with_trailing_bytes_is_bad_credential(self, valid_requests,
@@ -471,18 +466,29 @@ class TestMutatedRequestsRejectCleanly:
             handle(wire.pack_fields(*fields))
         assert e.value.reason == RejectReason.BAD_CREDENTIAL
 
-    def test_neighbor_device_peer_key_and_delegation_request(self, valid_requests):
+    def test_neighbor_device_peer_key_and_delegation_request(self, deployment,
+                                                             valid_requests):
         handle, request = valid_requests["nd"]
         loc, win_b, pres_b, peer_b, dreq_b = wire.unpack_fields(request, 5)
         tampered = dreq_b[:-1] + bytes([dreq_b[-1] ^ 1])
+        # the presentation binds both fields, so a changed one is refused
+        # with it, before the delegator checks the request's opening proof
         cases = [((b"\x02" + b"\xff" * 32, dreq_b), RejectReason.BAD_CREDENTIAL),
                  ((bytes(33), dreq_b), RejectReason.BAD_CREDENTIAL),  # identity
                  ((peer_b, dreq_b[:-1]), RejectReason.BAD_CREDENTIAL),
-                 ((peer_b, tampered), RejectReason.DELEGATION_DENIED)]
+                 ((peer_b, tampered), RejectReason.BAD_CREDENTIAL)]
         for (peer, dreq), reason in cases:
             with pytest.raises(ProtocolReject) as e:
                 handle(wire.pack_fields(loc, win_b, pres_b, peer, dreq))
             assert e.value.reason == reason
+        # a presentation that binds a request with a bad opening proof
+        c = deployment.new_client(DeviceProfile(b"FUZ-0002", 30.0, 0), seed=7203)
+        window = int.from_bytes(win_b, "big")
+        pres_bad = c.present(c.cred, "pol-nd", window, "ND", (),
+                             loc + win_b + peer_b + tampered)
+        with pytest.raises(ProtocolReject) as e:
+            handle(wire.pack_fields(loc, win_b, pres_bad, peer_b, tampered))
+        assert e.value.reason == RejectReason.DELEGATION_DENIED
 
     def test_unknown_puzzle_rejected_before_credential_check(self, valid_requests,
                                                             monkeypatch):

@@ -70,7 +70,9 @@ class TestExitCodes:
         ("simulate", "dos", "--calibration", "{calibration_nan}"),
         ("simulate", "dos", "--calibration", "{calibration_inf}"),
         ("simulate", "dos", "--calibration", "{calibration_negative}"),
-        ("simulate", "dos", "--calibration", "{calibration_bool}")])
+        ("simulate", "dos", "--calibration", "{calibration_bool}"),
+        ("simulate", "dos", "--calibration", "{calibration_huge}"),
+        ("simulate", "dos", "--calibration", "{calibration_huge_rate}")])
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                         argv):
         if argv[0].startswith("SLAPX_SEED="):
@@ -85,7 +87,9 @@ class TestExitCodes:
                  "calibration_nan": tmp_path / "nan.json",
                  "calibration_inf": tmp_path / "inf.json",
                  "calibration_negative": tmp_path / "negative.json",
-                 "calibration_bool": tmp_path / "bool.json"}
+                 "calibration_bool": tmp_path / "bool.json",
+                 "calibration_huge": tmp_path / "huge.json",
+                 "calibration_huge_rate": tmp_path / "huge_rate.json"}
         files["bad_config"].write_text("n_ue = many\n")
         files["bogus_scenario"].write_text("scenario = bogus\n")
         files["bad_calibration"].write_text("{not json")
@@ -95,6 +99,8 @@ class TestExitCodes:
         files["calibration_inf"].write_text('{"vdf_s_per_squaring": Infinity}')
         files["calibration_negative"].write_text('{"query_verify_s": -1.0}')
         files["calibration_bool"].write_text('{"query_verify_s": true}')
+        files["calibration_huge"].write_text('{"query_verify_s": 1e300}')
+        files["calibration_huge_rate"].write_text('{"vdf_s_per_squaring": 1e296}')
         code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code == EXIT_USAGE
         assert "usage error" in err

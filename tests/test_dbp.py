@@ -127,6 +127,15 @@ class TestVerify:
         assert dbp_verify(cfg, a, corrupt(20))       # exactly 80 correct
         assert not dbp_verify(cfg, a, corrupt(21))   # 79 correct
 
+    # a round answered with the right bit but no measurable distance fails
+    @pytest.mark.parametrize("rtt_ns", [-1e-6, -math.inf, math.nan])
+    def test_unmeasurable_rtt_fails(self, rtt_ns):
+        cfg = DbpConfig(n=1, th=50.0)
+        a = bits("01")
+        assert dbp_verify(cfg, a, [RoundTranscript(1, dbp_respond(a, 1, 1), 0.0)])
+        assert not dbp_verify(cfg, a, [RoundTranscript(1, dbp_respond(a, 1, 1),
+                                                       rtt_ns)])
+
     def test_wrong_round_count_rejected(self):
         cfg = DbpConfig(n=10, th=50.0)
         assert not dbp_verify(cfg, bits("10" * 10), [])

@@ -392,6 +392,15 @@ class TestNdPath:
             run_pol_nd(c, nd, 5.0, 5.0, 840.0, true_distance_m=80.0)
         assert e.value.reason == RejectReason.DBP_FAILED
 
+    # as at the AP: NaN, a negative distance, a negative RTT
+    @pytest.mark.parametrize("true_distance_m", [math.nan, -1e-6, -math.inf])
+    def test_unusable_measurement_dbp_failed(self, deployment, nd,
+                                             true_distance_m):
+        c = deployment.new_client(seed=2008)
+        with pytest.raises(ProtocolReject) as e:
+            run_pol_nd(c, nd, 5.0, 5.0, 845.0, true_distance_m=true_distance_m)
+        assert e.value.reason == RejectReason.DBP_FAILED
+
     def test_delegated_grant_rate_limited(self, deployment, nd):
         t = 900.0
         c = deployment.new_client(seed=2004)
@@ -527,7 +536,7 @@ class TestSeededSessionPinned:
                    tr_pol_nd, tr_query_nd, tr_service_nd):
             h.update(tr.request.encode() + tr.response.encode())
         assert h.hexdigest() == (
-            "48843144d1dba5f447ecc02660ad3f93c463c7329759c0ebb8cedbfbccba166a")
+            "c31ba2eb085eb55a32b5fda02c1cadf14c6395d965299c3fc68972a47fafcea0")
 
 
 EPOCH_S = MODULUS_EPOCH_WINDOWS * WINDOW_S
