@@ -137,7 +137,7 @@ def cmd_pol(args) -> int:
         distance = math.hypot(args.x, args.y)
     if args.via == "nd":
         nd_pk, nd_sk, nd_cred = dep.authority.enroll(
-            DeviceProfile(b"ND-00001", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-00001", 30.0, 0))
         nd = NeighborDevice(dep.view, nd_sk, nd_cred,
                             SeededRng(_seed_from_env(args.seed) + 7))
         dcred, tr = run_pol_nd(client, nd, args.x, args.y, 120.0,
@@ -219,8 +219,7 @@ def _over_socket(phase: str, handle):
             try:
                 reply = wire.build_message(response_name, handle(content, *world))
             except ProtocolReject as e:
-                reply = wire.WireMessage(wire.MessageType.REJECT, bytes(
-                    [list(RejectReason).index(e.reason)]))
+                reply = wire.encode_reject(e.reason)
             conn.sendall(reply.encode())
 
     def call(content: bytes, *world) -> bytes:
@@ -236,7 +235,7 @@ def _over_socket(phase: str, handle):
             finally:
                 thread.join()
         if reply.type == wire.MessageType.REJECT:
-            raise ProtocolReject(list(RejectReason)[reply.payload[0]],
+            raise ProtocolReject(wire.decode_reject(reply.payload),
                                  "rejected over the socket")
         return wire.message_content(reply)
 

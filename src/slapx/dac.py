@@ -19,9 +19,10 @@ Forging a presentation without a credential reduces to extracting e-th
 roots mod n.
 
 Both requests, for issuance and for delegation, are one `OpeningProof`.
-Delegation (terminal, one level): the root certifies a delegation
-verification key; the delegator signs an `Extension` binding the recipient's
-one-time pseudonym nym_d and the added attribute set, which the recipient's
+Delegation (terminal, one level): every root credential carries a
+delegation key, whose verification key the root certifies at issuance; the
+delegator signs an `Extension` binding the recipient's one-time pseudonym
+nym_d and the added attribute set, which the recipient's
 `DelegatedCredential` and each presentation's `ExtShow` hold whole. Compound
 presentations prove the base credential and the extension under one
 challenge with a shared response for u, so both certify the same holder.
@@ -172,7 +173,7 @@ class Credential:
     sigma: int
     opening: int
     attrs: tuple[Attribute, ...]
-    dk: DelegationKey | None
+    dk: DelegationKey
 
 
 @dataclass(frozen=True)
@@ -286,10 +287,10 @@ def dac_request_cred(params: DacParams, sk: int, rng: SeededRng) -> tuple[Openin
 
 
 def dac_create_cred(root: RootIssuerKey, request: OpeningProof,
-                    attrs: tuple[Attribute, ...], delegable: bool,
-                    rng: SeededRng) -> tuple[int, int, DelegationKey | None]:
+                    attrs: tuple[Attribute, ...],
+                    rng: SeededRng) -> tuple[int, int, DelegationKey]:
     """Issuer side of CreateCred: returns (sigma, issuer opening share, dk),
-    with a delegation key dk only for a delegable credential."""
+    with dk a fresh root-certified delegation key."""
     params = root.params
     n = params.n
     if len(attrs) > params.t:
@@ -300,16 +301,13 @@ def dac_create_cred(root: RootIssuerKey, request: OpeningProof,
     body = (request.X * params.multiexp(
         (BASE_S, o_i), *((i, a.digest()) for i, a in enumerate(attrs)))) % n
     sigma = pow(body, root.root, n)
-    dk = None
-    if delegable:
-        dk_key = SigningKey.generate(rng)
-        dk = DelegationKey(dk_key, root.cert_key.sign(
-            _dkcert_body(dk_key.pk.to_bytes()), rng))
-    return sigma, o_i, dk
+    dk_key = SigningKey.generate(rng)
+    return sigma, o_i, DelegationKey(dk_key, root.cert_key.sign(
+        _dkcert_body(dk_key.pk.to_bytes()), rng))
 
 
 def dac_get_cred(params: DacParams, sk: int, o_u: int, sigma: int, o_i: int,
-                 attrs: tuple[Attribute, ...], dk: DelegationKey | None) -> Credential:
+                 attrs: tuple[Attribute, ...], dk: DelegationKey) -> Credential:
     """User side completion: verify the root signature, assemble the credential."""
     body = params.multiexp((BASE_SK, sk), (BASE_S, o_u + o_i),
                            *((i, a.digest()) for i, a in enumerate(attrs)))
@@ -319,10 +317,10 @@ def dac_get_cred(params: DacParams, sk: int, o_u: int, sigma: int, o_i: int,
 
 
 def issue_credential(root: RootIssuerKey, sk: int, attrs: tuple[Attribute, ...],
-                     delegable: bool, rng: SeededRng) -> Credential:
+                     rng: SeededRng) -> Credential:
     """CreateCred <-> GetCred round trip in one call (in-process issuance)."""
     request, o_u = dac_request_cred(root.params, sk, rng)
-    sigma, o_i, dk = dac_create_cred(root, request, attrs, delegable, rng)
+    sigma, o_i, dk = dac_create_cred(root, request, attrs, rng)
     return dac_get_cred(root.params, sk, o_u, sigma, o_i, attrs, dk)
 
 
@@ -555,9 +553,9 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
                    request: OpeningProof, attrs: tuple[Attribute, ...],
                    rng: SeededRng) -> Extension:
     """Delegator side of IssueCred: sign the extension for the recipient.
-    Raises unless the delegator is a `Credential` with a delegation key (a
-    delegated credential is terminal) and the request's opening proof holds."""
-    if not isinstance(delegator, Credential) or delegator.dk is None:
+    Raises unless the delegator is a root `Credential` (a delegated
+    credential is terminal) and the request's opening proof holds."""
+    if not isinstance(delegator, Credential):
         raise CryptoError("credential is terminal: no delegation key")
     if len(attrs) > params.t:
         raise ParameterError("attribute extension exceeds bound t")
@@ -582,10 +580,9 @@ def encode_credential(cred: Credential | DelegatedCredential,
                       params: DacParams) -> bytes:
     out = bytearray()
     if isinstance(cred, Credential):
-        out += bytes([1, 1, 1 if cred.dk else 0])     # kind, level, has_dk
+        out += bytes([1, 1, 1])                       # kind, level, has_dk
         out += cred.sigma.to_bytes(params.n_bytes, "big")
-        if cred.dk is not None:
-            out += cred.dk.key.pk.to_bytes() + cred.dk.cert + bytes([DELEGATION_DEPTH])
+        out += cred.dk.key.pk.to_bytes() + cred.dk.cert + bytes([DELEGATION_DEPTH])
     else:
         e = cred.ext
         out += bytes([2, DELEGATION_DEPTH, 0])

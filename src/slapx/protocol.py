@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 
 from . import dac, dbp, rlrs, vdf, wire
-from .errors import CryptoError, ProtocolReject, RejectReason, SlapxError
+from .errors import ProtocolReject, RejectReason, SlapxError
 from .group import CURVE, GroupElement, PointTable, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .rng import SeededRng
@@ -99,7 +99,7 @@ class LocationProof:
 
     @classmethod
     def decode(cls, data: bytes, params: rlrs.RlrsParams) -> "LocationProof":
-        m, sig_block, ev_b = wire.unpack_fields(data, 3, exact=True)
+        m, sig_block, ev_b = wire.unpack_fields(data, 3)
         return cls(m, rlrs.decode_signature(sig_block), rlrs.EventId.decode(ev_b))
 
 
@@ -137,17 +137,12 @@ class Authority:
         self.ap_keys = {a: rlrs.rlrs_extract(self.rlrs_msk, a, self.rlrs_params)
                         for a in AP_IDS}
 
+    # `delegable` is unread (every credential can delegate); perfbench passes it
     def enroll(self, profile: DeviceProfile, delegable: bool = True):
         pk, sk = dac.dac_keygen(self.dac_params, self.rng)
         cred = dac.issue_credential(self.root_key, sk, profile.attributes(),
-                                    delegable=delegable, rng=self.rng)
+                                    self.rng)
         return pk, sk, cred
-
-    def revoke_double_issuer(self, event: rlrs.EventId,
-                             ring_a: list[str], signed_a, ring_b: list[str],
-                             signed_b) -> str | None:
-        return rlrs.rlrs_revoke(self.rlrs_msk, event, ring_a, signed_a,
-                                ring_b, signed_b, self.rlrs_params)
 
 
 # -- client -------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _or_reject(reason: RejectReason, detail: str, fn, *args):
 def _unpack(request: bytes, count: int,
             reason: RejectReason = RejectReason.BAD_CREDENTIAL) -> list[bytes]:
     return _or_reject(reason, "malformed request", wire.unpack_fields,
-                      request, count, True)
+                      request, count)
 
 
 def _point(loc: bytes) -> tuple[float, float]:
@@ -297,8 +292,6 @@ def _binding(params: dac.DacParams, pres: dac.Presentation,
 class NeighborDevice:
     def __init__(self, view: PublicView, sk: int, cred: dac.Credential,
                  rng: SeededRng):
-        if cred.dk is None:
-            raise CryptoError("neighbor device needs a delegable credential")
         self.view = view
         self.sk = sk
         self.cred = cred

@@ -28,12 +28,6 @@ class SeededRng:
         """Uniform integer in [0, upper)."""
         return self._r.randrange(upper)
 
-    def random(self) -> float:
-        return self._r.random()
-
-    def uniform(self, a: float, b: float) -> float:
-        return self._r.uniform(a, b)
-
     def gauss(self, mu: float, sigma: float) -> float:
         return self._r.gauss(mu, sigma)
 

@@ -85,7 +85,7 @@ class VdfSolution:
     def from_bytes(cls, data: bytes, modulus_bytes: int) -> "VdfSolution":
         """Strict inverse of to_bytes: ell without leading zero bytes, pi and
         y exactly modulus-width, nothing after."""
-        ell_b, pi_b, y_b = wire.unpack_fields(data, 3, exact=True)
+        ell_b, pi_b, y_b = wire.unpack_fields(data, 3)
         if (ell_b[:1] == b"\x00" or len(pi_b) != modulus_bytes
                 or len(y_b) != modulus_bytes):
             raise SlapxError("non-canonical VDF solution")

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SlapxError
+from .errors import ParameterError, RejectReason, SlapxError
 
 HEADER_LEN = 5  # framing: type byte + u32 payload length
 
@@ -68,6 +68,18 @@ class WireMessage:
         return bytes([self.type]) + len(self.payload).to_bytes(4, "big") + self.payload
 
 
+def encode_reject(reason: RejectReason) -> WireMessage:
+    """The REJECT frame: one byte, `reason`'s index in declaration order."""
+    return WireMessage(MessageType.REJECT, bytes([list(RejectReason).index(reason)]))
+
+
+def decode_reject(payload: bytes) -> RejectReason:
+    """Inverse of encode_reject; raises SlapxError on any other payload."""
+    if len(payload) != 1 or payload[0] >= len(RejectReason):
+        raise SlapxError("malformed reject frame")
+    return list(RejectReason)[payload[0]]
+
+
 def build_message(catalog_name: str, content: bytes) -> WireMessage:
     mtype, budget = MESSAGE_CATALOG[catalog_name]
     if len(content) + 4 > budget:
@@ -86,7 +98,10 @@ def decode_message(data: bytes) -> tuple[WireMessage, bytes]:
     """Parse one framed message from a byte stream; returns (message, rest)."""
     if len(data) < HEADER_LEN:
         raise SlapxError("short frame")
-    mtype = MessageType(data[0])
+    try:
+        mtype = MessageType(data[0])
+    except ValueError as e:
+        raise SlapxError(f"unknown frame type {data[0]}") from e
     plen = int.from_bytes(data[1:5], "big")
     if len(data) < HEADER_LEN + plen:
         raise SlapxError("truncated frame")
@@ -134,12 +149,11 @@ def pack_fields(*fields: bytes) -> bytes:
     return bytes(out)
 
 
-def unpack_fields(data: bytes, count: int, exact: bool = False) -> list[bytes]:
-    """The first `count` fields of `data`; with `exact`, nothing may follow."""
+def unpack_fields(data: bytes, count: int) -> list[bytes]:
+    """The `count` fields that make up all of `data`, else SlapxError."""
     r = Reader(data)
     out = [r.field() for _ in range(count)]
-    if exact:
-        r.end()
+    r.end()
     return out
 
 

@@ -46,10 +46,10 @@ def run_bytes():
         return {
             "pol_ap.nym": dac.Presentation.from_bytes(pol_pres, params).nym,
             "pol_ap.presentation": pol_pres,
-            "pol_ap.pol_sig": fields(pol.response, 2)[1],
+            "pol_ap.pol_sig": fields(pol.response, 3)[1],
             "spectrum_query.presentation": query_pres,
             "spectrum_query.phi": phi,
-            "spectrum_query.puzzle": fields(query.response, 2)[1],
+            "spectrum_query.puzzle": fields(query.response, 3)[1],
             "service_request.presentation": service_pres,
             "service_request.solution": solution,
             "service_request.token": fields(service.response, 2)[1]}

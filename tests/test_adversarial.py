@@ -43,8 +43,8 @@ def cred_env():
     attrs_b = (dac.Attribute("device_id", b"BBBBBBBB"),)
     pk_a, sk_a = dac.dac_keygen(params, rng)
     pk_b, sk_b = dac.dac_keygen(params, rng)
-    cred_a = dac.issue_credential(root, sk_a, attrs_a, True, rng)
-    cred_b = dac.issue_credential(root, sk_b, attrs_b, True, rng)
+    cred_a = dac.issue_credential(root, sk_a, attrs_a, rng)
+    cred_b = dac.issue_credential(root, sk_b, attrs_b, rng)
     return params, rng, (pk_a, sk_a, cred_a), (pk_b, sk_b, cred_b)
 
 

@@ -29,7 +29,7 @@ ATTRS = (Attribute("device_id", b"DEV-0007"),
 def env(dac_env):
     params, root, rng = dac_env
     pk, sk = dac_keygen(params, rng)
-    cred = issue_credential(root, sk, ATTRS, delegable=True, rng=rng)
+    cred = issue_credential(root, sk, ATTRS, rng=rng)
     return params, root, rng, pk, sk, cred
 
 
@@ -97,7 +97,7 @@ class TestIssuanceAndShowing:
         too_many = tuple(Attribute("pol", bytes([i]) * 32) for i in range(9))
         _, sk2 = dac_keygen(params, rng)
         with pytest.raises(ParameterError):
-            issue_credential(root, sk2, too_many, False, rng)
+            issue_credential(root, sk2, too_many, rng)
 
     def test_context_binding(self, env):
         params, root, rng, pk, sk, cred = env
@@ -125,18 +125,18 @@ class TestIssuanceAndShowing:
         params, root, _, _, sk, _ = env
         rng = SeededRng(81)
         request, _ = dac_request_cred(params, sk, rng)
-        dac_create_cred(root, request, ATTRS, 1, rng)   # the honest one passes
+        dac_create_cred(root, request, ATTRS, rng)   # the honest one passes
         name, _, to = field.partition("=")
         value = {"": getattr(request, name) + 1, "0": 0, "n": params.n}[to]
         bad = dataclasses.replace(request, **{name: value})
         with pytest.raises(CryptoError):
-            dac_create_cred(root, bad, ATTRS, 1, rng)
+            dac_create_cred(root, bad, ATTRS, rng)
 
     def test_holder_refuses_a_wrong_sigma(self, env):
         params, root, _, _, sk, _ = env
         rng = SeededRng(82)
         request, o_u = dac_request_cred(params, sk, rng)
-        sigma, o_i, dk = dac_create_cred(root, request, ATTRS, 1, rng)
+        sigma, o_i, dk = dac_create_cred(root, request, ATTRS, rng)
         assert dac_get_cred(params, sk, o_u, sigma, o_i, ATTRS, dk).sigma == sigma
         with pytest.raises(CryptoError):
             dac_get_cred(params, sk, o_u, sigma + 1, o_i, ATTRS, dk)
@@ -163,7 +163,7 @@ class TestUnforgeabilityShape:
         rng = SeededRng(31)
         params, root = dac_setup(t=2, rng=rng, modulus_bits=384)
         pk, sk = dac_keygen(params, rng)
-        cred = issue_credential(root, sk, ATTRS[:2], False, rng)
+        cred = issue_credential(root, sk, ATTRS[:2], rng)
         nym, aux = dac_nymgen(params, pk, rng)
         pres = dac_cred_prove(params, sk, nym, aux, cred, (0,), b"c", rng)
         n = params.n
@@ -202,7 +202,7 @@ class TestDelegation:
     def test_terminal_delegation_flow(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -217,15 +217,13 @@ class TestDelegation:
     def test_terminal_credential_cannot_redelegate(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
         dcred = dac_receive_cred(params, recipient_cred, r_d, ext)
         with pytest.raises(CryptoError, match="terminal"):
             dac_issue_cred(params, dcred, req, a_l, rng)
-        with pytest.raises(CryptoError, match="terminal"):
-            dac_issue_cred(params, recipient_cred, req, a_l, rng)
 
     @pytest.mark.parametrize("field", ["X", "c", "z_a", "z_b"])
     def test_delegator_refuses_a_perturbed_opening_proof(self, env, field):
@@ -244,7 +242,7 @@ class TestDelegation:
     def test_tampered_extension_rejected(self, env, field):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(1.0, 1.0), Attribute.ts_window(1))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -261,7 +259,7 @@ class TestDelegation:
     def test_delegated_wire_is_224_bytes(self, env):
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient_cred = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient_cred = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(2.0, 2.0), Attribute.ts_window(3))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -382,7 +380,7 @@ class TestVerifyMatchesReference:
         device disclose set (1, 2) and with nothing disclosed."""
         params, root, rng, pk, sk, cred = env
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(3.0, 4.0), Attribute.ts_window(9))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -456,9 +454,9 @@ class TestSeededBytesPinned:
         params, root, _ = dac_env
         rng = SeededRng(71)
         pk, sk = dac_keygen(params, rng)
-        cred = issue_credential(root, sk, ATTRS, True, rng)
+        cred = issue_credential(root, sk, ATTRS, rng)
         pk_r, sk_r = dac_keygen(params, rng)
-        recipient = issue_credential(root, sk_r, ATTRS, False, rng)
+        recipient = issue_credential(root, sk_r, ATTRS, rng)
         req, r_d = dac_request_delegation(params, sk_r, rng)
         a_l = (Attribute.location(12.0, 34.0), Attribute.ts_window(42))
         ext = dac_issue_cred(params, cred, req, a_l, rng)
@@ -475,4 +473,4 @@ class TestSeededBytesPinned:
             h.update(dac_cred_prove(params, holder_sk, nym, aux, c, disclose,
                                     b"ctx", rng, payload=b"pl").to_bytes(params))
         assert h.hexdigest() == (
-            "bbfe69a92a67709ce2908f83abf53c8e753bfe2ed099fd918ee551e8e4aac7ae")
+            "1cb1b290672b6fc9ac0a2cfb99109eae80ddc671c59e7f651907c76eaac9ddd6")

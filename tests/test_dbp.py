@@ -1,6 +1,7 @@
 """Distance bounding: key agreement, response table indexing, verification
 thresholds, and the fraud acceptance bound."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +150,7 @@ class TestVerify:
         # early-responder with guess probability 1/2: acceptance over many
         # sessions tracks the (3/4)^n bound for zero tolerance
         n, trials = 20, 20000
-        rng = SeededRng(9)
+        rng = random.Random(9)
         hits = 0
         q = 0.75
         for _ in range(trials):

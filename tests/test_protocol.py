@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,7 +153,7 @@ class TestSpectrumAndService:
 
     def test_delegated_query_coords_must_match(self, deployment):
         _, nd_sk, nd_cred = deployment.authority.enroll(
-            DeviceProfile(b"ND-LOCCH", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-LOCCH", 30.0, 0))
         nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(78))
         c = deployment.new_client(seed=2005)
         t = 490.0
@@ -168,7 +169,7 @@ class TestSpectrumAndService:
         t, x, y = 540.0, -10.0, 5.0
         proof, _ = run_pol_ap(client, deployment.ap, x, y, t)
         _, nd_sk, nd_cred = deployment.authority.enroll(
-            DeviceProfile(b"ND-AREA0", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-AREA0", 30.0, 0))
         nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(79))
         c = deployment.new_client(seed=2006)
         dcred, _ = run_pol_nd(c, nd, x, y, t, true_distance_m=11.0)
@@ -285,7 +286,7 @@ class TestServiceTrustsPsdRecord:
 
     def test_ap_request_on_nd_puzzle_is_bad_pol(self, deployment):
         _, nd_sk, nd_cred = deployment.authority.enroll(
-            DeviceProfile(b"ND-TRUST", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-TRUST", 30.0, 0))
         nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(80))
         c = deployment.new_client(seed=2007)
         t = 9060.0
@@ -302,7 +303,7 @@ class TestServiceTrustsPsdRecord:
         # a device holding only a delegated credential, which never queried
         # the PSD, solves another device's AP-path puzzle
         _, nd_sk, nd_cred = deployment.authority.enroll(
-            DeviceProfile(b"ND-TRST2", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-TRST2", 30.0, 0))
         nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(81))
         t = 9120.0
         proof, _ = run_pol_ap(client, deployment.ap, 5.0, 5.0, t)
@@ -368,7 +369,7 @@ class TestNdPath:
     @pytest.fixture()
     def nd(self, deployment):
         _, nd_sk, nd_cred = deployment.authority.enroll(
-            DeviceProfile(b"ND-00001", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-00001", 30.0, 0))
         return NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(77))
 
     def test_delegated_flow(self, deployment, nd):
@@ -425,6 +426,50 @@ class TestNdPath:
                         issued_s=t, expires_s=t + WINDOW_S)
         with pytest.raises(SlapxError, match="exactly one"):
             run_service_request(c, _Capture(), b"m", puzzle, t, **creds)
+
+
+def _one_byte_more(handle):
+    """handle's answer with one byte appended."""
+    return lambda *args: handle(*args) + b"\0"
+
+
+class TestDriversReadResponsesWhole:
+    """Each phase driver refuses a response with a byte after its fields,
+    as strictly as the handlers refuse such a request. One window; each
+    query has its own location, so no link tag is shared."""
+    T = 30000.0
+
+    def test_pol_ap(self, deployment):
+        c = deployment.new_client(seed=2101)
+        ap = SimpleNamespace(ap_id=deployment.ap.ap_id, beacon=deployment.ap.beacon,
+                             issue_pol=_one_byte_more(deployment.ap.issue_pol))
+        with pytest.raises(SlapxError, match="trailing"):
+            run_pol_ap(c, ap, 5.0, 5.0, self.T)
+
+    def test_pol_nd(self, deployment):
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"ND-WHOLE", 30.0, 0))
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(2102))
+        nd = SimpleNamespace(issue_delegated=_one_byte_more(nd.issue_delegated))
+        c = deployment.new_client(seed=2103)
+        with pytest.raises(SlapxError, match="trailing"):
+            run_pol_nd(c, nd, 5.0, 5.0, self.T, true_distance_m=10.0)
+
+    def test_spectrum_query(self, deployment):
+        c = deployment.new_client(seed=2104)
+        proof, _ = run_pol_ap(c, deployment.ap, 5.0, 5.0, self.T)
+        psd = SimpleNamespace(handle_spectrum_request=_one_byte_more(
+            deployment.psd.handle_spectrum_request))
+        with pytest.raises(SlapxError, match="trailing"):
+            run_spectrum_query(c, psd, 5.0, 5.0, self.T, proof=proof)
+
+    def test_service_request(self, deployment):
+        c = deployment.new_client(seed=2105)
+        proof, puzzle = _query(deployment, c, self.T, 6.0, 6.0)
+        server = SimpleNamespace(handle_service_request=_one_byte_more(
+            deployment.server.handle_service_request))
+        with pytest.raises(SlapxError, match="trailing"):
+            run_service_request(c, server, b"m", puzzle, self.T, proof=proof)
 
 
 class TestRevocation:
@@ -492,7 +537,7 @@ class TestWireObjects:
                                              20.0, t, proof=proof)
         _, sol, tr = run_service_request(client, deployment.server, b"m",
                                          puzzle, t, proof=proof)
-        sol_b = wire.unpack_fields(wire.message_content(tr.request), 3)[2]
+        sol_b = wire.unpack_fields(wire.message_content(tr.request), 5)[2]
         ell_b, pi_b, y_b = wire.unpack_fields(sol_b, 3)
         assert int.from_bytes(ell_b, "big") == sol.ell
         assert int.from_bytes(pi_b, "big") == sol.pi
@@ -522,7 +567,7 @@ class TestSeededSessionPinned:
         _, _, tr_service = run_service_request(ap_client, dep.server, b"pin",
                                                puzzle, t, proof=proof)
         _, nd_sk, nd_cred = dep.authority.enroll(
-            DeviceProfile(b"ND-PIN01", 30.0, 0), delegable=True)
+            DeviceProfile(b"ND-PIN01", 30.0, 0))
         nd = NeighborDevice(dep.view, nd_sk, nd_cred, SeededRng(1302))
         nd_client = dep.new_client(DeviceProfile(b"DEV-PIN2", 30.0, 0), seed=1303)
         t += WINDOW_S

@@ -6,6 +6,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "slapx"
 
 ALLOWED = {
+    "protocol.Authority.enroll:delegable":
+        "perfbench calls enroll(..., delegable=True)",
     "protocol.LocationProof.encode:params":
         "perfbench calls proof.encode(params)",
     "protocol.LocationProof.decode:params":

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slapx.errors import ParameterError, SlapxError
-from slapx.wire import (HEADER_LEN, MESSAGE_CATALOG, PHASE_MESSAGES, Reader,
-                        build_message, decode_message, decode_point,
+from slapx import wire
+from slapx.errors import ParameterError, RejectReason, SlapxError
+from slapx.wire import (HEADER_LEN, MESSAGE_CATALOG, PHASE_MESSAGES, MessageType,
+                        Reader, build_message, decode_message, decode_point,
                         encode_point, fragmentation_report,
                         fragmentation_sweep, message_content, pack_fields,
                         packet_count, phase_total, unpack_fields)
@@ -42,6 +43,26 @@ class TestBudgets:
         assert HEADER_LEN == 5
 
 
+class TestRejectFrame:
+    def test_each_reason_round_trips(self):
+        for i, reason in enumerate(RejectReason):
+            msg = wire.encode_reject(reason)
+            assert (msg.type, msg.payload) == (MessageType.REJECT, bytes([i]))
+            assert wire.decode_reject(msg.payload) == reason
+
+    @pytest.mark.parametrize("payload", [b"", bytes([len(RejectReason)]),
+                                         b"\xff", b"\x00\x00"],
+                             ids=["empty", "index_11", "index_255", "two_bytes"])
+    def test_malformed_payload_refused(self, payload):
+        with pytest.raises(SlapxError, match="reject frame"):
+            wire.decode_reject(payload)
+
+    @pytest.mark.parametrize("mtype", [0, 8, 9, 255])
+    def test_unknown_frame_type_refused(self, mtype):
+        with pytest.raises(SlapxError, match="unknown frame type"):
+            decode_message(bytes([mtype, 0, 0, 0, 0]))
+
+
 class TestFields:
     @given(st.lists(st.binary(max_size=200), min_size=0, max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -53,11 +74,12 @@ class TestFields:
         with pytest.raises(SlapxError):
             unpack_fields(b"\x00\x05ab", 1)
 
-    def test_exact_rejects_trailing_bytes(self):
-        packed = pack_fields(b"ab", b"c") + b"x"
-        assert unpack_fields(packed, 2) == [b"ab", b"c"]
+    def test_trailing_bytes_rejected(self):
+        packed = pack_fields(b"ab", b"c")
         with pytest.raises(SlapxError, match="trailing"):
-            unpack_fields(packed, 2, exact=True)
+            unpack_fields(packed + b"x", 2)
+        with pytest.raises(SlapxError, match="trailing"):
+            unpack_fields(packed, 1)
 
 
 class TestReader:
