@@ -121,9 +121,10 @@ class DacParams:
         self.base_S = self._derive_base("S", 0)
         self.base_sk = self._derive_base("R_sk", 0)
         self.bases = tuple(self._derive_base("R", i) for i in range(t))
-        # indexed by multiexp key: R_0 .. R_{t-1}, then R_sk (-2) and S (-1)
-        self._public_bases = self.bases + (self.base_sk, self.base_S)
-        self._tables: list[FixedBase | None] = [None] * (t + 2)
+        # indexed by multiexp key: R_0 .. R_{t-1}, then R_sk (-2) and S (-1);
+        # ~16 KB and ~1.6 ms each at 1024 bits
+        self._tables = tuple(FixedBase(g, n, _TABLE_BITS) for g in
+                             self.bases + (self.base_sk, self.base_S))
 
     def _derive_base(self, tag: str, i: int) -> int:
         x = H_int("dac/base", tag.encode(), i.to_bytes(2, "big"),
@@ -132,18 +133,9 @@ class DacParams:
 
     def multiexp(self, *terms: tuple[int, int]) -> int:
         """prod base^e mod n over (key, e) terms, key BASE_SK for R_sk,
-        BASE_S for S and i for R_i. Each base's fixed-base table is built on
-        its first use (~16 KB at 1024 bits); threads racing on that first
-        use build equal tables, and either one may be kept."""
-        tables = self._tables
-        pairs = []
-        for key, e in terms:
-            table = tables[key]
-            if table is None:
-                table = tables[key] = FixedBase(self._public_bases[key],
-                                                self.n, _TABLE_BITS)
-            pairs.append((table, e))
-        return fixed_base_multiexp(pairs, self.n)
+        BASE_S for S and i for R_i, over the bases' fixed-base tables."""
+        return fixed_base_multiexp(
+            [(self._tables[key], e) for key, e in terms], self.n)
 
     def fingerprint(self) -> bytes:
         return H_tagged("dac/pp", self.n.to_bytes(256, "big").lstrip(b"\x00"),

@@ -236,8 +236,7 @@ def rsa_setup(bit_length: int, rng: SeededRng) -> int:
 
 class FixedBase:
     """The table g^(2^(w*i)) mod n, for i < ceil(max_bits / w), of one base
-    g (w = FIXED_BASE_WINDOW). It is never mutated once built, so threads
-    that race to build the same table build equal ones."""
+    g (w = FIXED_BASE_WINDOW). It is never mutated once built."""
 
     __slots__ = ("powers",)
 

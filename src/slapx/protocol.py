@@ -11,7 +11,6 @@ payload budgets.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 from . import dac, dbp, rlrs, vdf, wire
 from .errors import ProtocolReject, RejectReason, SlapxError
-from .group import CURVE, GroupElement, PointTable, SigningKey, sgn_verify
+from .group import CURVE, PointTable, SigningKey, sgn_verify
 from .hashes import H_tagged
 from .rng import SeededRng
 from .spectrumdb import SpectrumDatabase, SpectrumRecord
@@ -178,12 +177,7 @@ class PublicView:
     dac_params: dac.DacParams
     rlrs_params: rlrs.RlrsParams
     ring: list[str]
-    psd_pk: GroupElement  # the puzzle signer's key
-
-    @functools.cached_property
-    def psd_table(self) -> PointTable:
-        """psd_pk's table, built on first use for every puzzle check."""
-        return CURVE.table(self.psd_pk)
+    psd_table: PointTable  # the puzzle signer's key, tabled for every check
 
 
 # -- access point -------------------------------------------------------------
@@ -194,14 +188,15 @@ class AccessPoint:
         self.sk = sk
         self.view = view
         self.rng = rng
-        self._beacons: dict[int, Beacon] = {}
+        self._beacon: Beacon | None = None
 
     def beacon(self, now_s: float) -> Beacon:
+        """The beacon of now_s's window. Only the latest one is held: a
+        caller back in an earlier window gets a fresh beacon for it."""
+        b = self._beacon
         w = window_of(now_s)
-        b = self._beacons.get(w)
-        if b is None:
-            b = Beacon(self.ap_id, w, self.rng.bytes(16))
-            self._beacons[w] = b
+        if b is None or b.window != w:
+            b = self._beacon = Beacon(self.ap_id, w, self.rng.bytes(16))
         return b
 
     def issue_pol(self, request: bytes, now_s: float, true_distance_m: float) -> bytes:
@@ -714,7 +709,7 @@ class Deployment:
         sgn_key = SigningKey.generate(psd_rng)
         view = PublicView(dac_params=authority.dac_params,
                           rlrs_params=authority.rlrs_params,
-                          ring=list(AP_IDS), psd_pk=sgn_key.pk)
+                          ring=list(AP_IDS), psd_table=CURVE.table(sgn_key.pk))
         psd = Psd(view, sgn_key, psd_rng, psd_modulus_bits)
         ap = AccessPoint(AP_IDS[0], authority.ap_keys[AP_IDS[0]], view,
                          rng.spawn("ap"))

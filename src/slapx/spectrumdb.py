@@ -1,8 +1,8 @@
 """Spectrum geolocation database: grid-indexed availability records.
 
 Records are indexed by cell coordinates quantized to the grid resolution
-and encode to exactly 560 bytes. Each cell's record is synthesized from the
-database seed on its first lookup and then kept in memory.
+and encode to exactly 560 bytes. Each lookup synthesizes the cell's record
+from the database seed; nothing is kept between lookups.
 """
 from __future__ import annotations
 
@@ -71,9 +71,6 @@ class SpectrumRecord:
 class SpectrumDatabase:
     """Service-area grid; records synthesized deterministically per cell."""
 
-    def __init__(self):
-        self._records: dict[tuple[int, int], SpectrumRecord] = {}
-
     def cell_of(self, l_x: float, l_y: float) -> tuple[float, float]:
         if not (0.0 <= l_x < AREA_M and 0.0 <= l_y < AREA_M):
             raise ProtocolReject(RejectReason.OUT_OF_AREA,
@@ -82,14 +79,6 @@ class SpectrumDatabase:
 
     def lookup(self, l_x: float, l_y: float) -> SpectrumRecord:
         cx, cy = self.cell_of(l_x, l_y)
-        key = (int(cx * 1000), int(cy * 1000))
-        rec = self._records.get(key)
-        if rec is None:
-            rec = self._synthesize(cx, cy)
-            self._records[key] = rec
-        return rec
-
-    def _synthesize(self, cx: float, cy: float) -> SpectrumRecord:
         h = H_int("spectrumdb", SEED.to_bytes(8, "big"),
                   int(cx * 1000).to_bytes(8, "big", signed=True),
                   int(cy * 1000).to_bytes(8, "big", signed=True))

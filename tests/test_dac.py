@@ -2,13 +2,11 @@
 unforgeability / unlinkability shape checks."""
 import dataclasses
 import hashlib
-import sys
-import threading
 
 import pytest
 
 from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, DELEGATION_DEPTH,
-                       Attribute, DacParams, Presentation, _show_challenge,
+                       Attribute, Presentation, _show_challenge,
                        attrs_digest, dac_create_cred, dac_cred_prove,
                        dac_cred_verify, dac_get_cred, dac_issue_cred,
                        dac_keygen, dac_nymgen, dac_receive_cred, dac_request_cred,
@@ -17,6 +15,7 @@ from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, DELEGATION_DEPTH,
 from slapx.errors import CryptoError, ParameterError
 from slapx.group import CURVE, SigningKey, sgn_verify
 from slapx.hashes import H_tagged
+from slapx.modmath import FixedBase
 from slapx.rng import SeededRng
 
 ATTRS = (Attribute("device_id", b"DEV-0007"),
@@ -425,26 +424,13 @@ class TestFixedBaseTables:
             assert params.multiexp(*terms) == want, width
         assert params.multiexp() == 1
 
-    def test_threads_racing_on_first_build(self, dac_env):
-        p = dac_env[0]
-        fresh = DacParams(p.n, p.exponents, p.t, p.cert_pk)
-        terms = [(BASE_SK, 3 ** 200), (BASE_S, 5 ** 150), (0, 7 ** 100)]
-        want = p.multiexp(*terms)
-        results = []
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: results.append(fresh.multiexp(*terms)))
-                for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(old)
-        assert results == [want] * 8
+    def test_every_table_built_at_setup(self):
+        # before any multiexp: one table per base, R_0 .. R_{t-1}, R_sk, S
+        params, _ = dac_setup(t=3, rng=SeededRng(93), modulus_bits=512)
+        bases = params.bases + (params.base_sk, params.base_S)
+        assert len(params._tables) == params.t + 2
+        assert all(isinstance(tb, FixedBase) for tb in params._tables)
+        assert [tb.powers[0] for tb in params._tables] == list(bases)
 
 
 class TestSeededBytesPinned:

@@ -34,6 +34,12 @@ class TestQuantization:
         assert a == b
         assert a != c
 
+    def test_lookups_keep_nothing(self, db):
+        for i in range(1000):
+            l_x, l_y = (i % 200) * 50.0 + 1.0, (i // 200) * 50.0 + 1.0
+            assert db.lookup(l_x, l_y) == SpectrumDatabase().lookup(l_x, l_y)
+        assert vars(db) == {}
+
 
 class TestRecordEncoding:
     def test_exact_record_size(self, db):
