@@ -285,10 +285,11 @@ def _binding(params: dac.DacParams, pres: dac.Presentation,
 # -- neighbor device ----------------------------------------------------------
 
 class NeighborDevice:
+    # `sk` is unread (the ND delegates with its credential's delegation key);
+    # perfbench passes it positionally
     def __init__(self, view: PublicView, sk: int, cred: dac.Credential,
                  rng: SeededRng):
         self.view = view
-        self.sk = sk
         self.cred = cred
         self.rng = rng
         self.dbp_key = SigningKey.generate(rng)
@@ -329,7 +330,7 @@ class NeighborDevice:
         ext = _or_reject(
             RejectReason.DELEGATION_DENIED, "delegation request proof invalid",
             dac.dac_issue_cred, params, self.cred, dreq, a_l, self.rng)
-        return wire.pack_fields(ext.vk_bytes, ext.cert, ext.ext_sig, loc, win_b)
+        return wire.pack_fields(ext.vk_bytes, ext.cert, ext.ext_sig)
 
 
 # -- PSD and service server ----------------------------------------------------
@@ -616,7 +617,7 @@ def run_pol_nd(client: Client, nd: NeighborDevice, l_x: float, l_y: float,
         wire.pack_fields(loc, win_b, pres_b, peer_pk_b, dreq_b),
         now_s, true_distance_m)
 
-    vk, cert, ext_sig, _, _ = wire.unpack_fields(resp_content, 5)
+    vk, cert, ext_sig = wire.unpack_fields(resp_content, 3)
     a_l = (dac.Attribute.location(l_x, l_y), dac.Attribute.ts_window(window))
     ext = dac.Extension(dreq.X, vk, cert, ext_sig, a_l)
     return dac.dac_receive_cred(params, client.cred, r_d, ext), trace

@@ -606,7 +606,7 @@ class TestSeededSessionPinned:
                    tr_pol_nd, tr_query_nd, tr_service_nd):
             h.update(tr.request.encode() + tr.response.encode())
         assert h.hexdigest() == (
-            "c31ba2eb085eb55a32b5fda02c1cadf14c6395d965299c3fc68972a47fafcea0")
+            "ed18ab1273613e251d80f6e7e360ae36e0af2234115f76d8a0d947943afd91cf")
 
 
 EPOCH_S = MODULUS_EPOCH_WINDOWS * WINDOW_S

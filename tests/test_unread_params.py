@@ -8,6 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "slapx"
 ALLOWED = {
     "protocol.Authority.enroll:delegable":
         "perfbench calls enroll(..., delegable=True)",
+    "protocol.NeighborDevice.__init__:sk":
+        "perfbench calls NeighborDevice(view, nd_sk, nd_cred, rng)",
     "protocol.LocationProof.encode:params":
         "perfbench calls proof.encode(params)",
     "protocol.LocationProof.decode:params":
