@@ -122,7 +122,7 @@ class DacParams:
         self.base_sk = self._derive_base("R_sk", 0)
         self.bases = tuple(self._derive_base("R", i) for i in range(t))
         # indexed by multiexp key: R_0 .. R_{t-1}, then R_sk (-2) and S (-1);
-        # ~16 KB and ~1.6 ms each at 1024 bits
+        # ~16 KB each at 1024 bits
         self._tables = tuple(FixedBase(g, n, _TABLE_BITS) for g in
                              self.bases + (self.base_sk, self.base_S))
 

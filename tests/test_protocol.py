@@ -15,10 +15,9 @@ from slapx.hashes import H_tagged
 from slapx.protocol import (AP_IDS, DISCLOSE_DEVICE, MODULUS_EPOCH_WINDOWS,
                             WINDOW_S, AccessPoint, Beacon, Deployment,
                             DeviceProfile, LocationProof, NeighborDevice,
-                            SeededRng, Puzzle,
-                            distance_from_rss, prox_verify, rss_at,
-                            run_pol_ap, run_pol_nd, run_service_request,
-                            run_spectrum_query, window_of)
+                            SeededRng, Puzzle, distance_from_rss, prox_verify,
+                            rss_at, run_pol_ap, run_pol_nd,
+                            run_service_request, run_spectrum_query, window_of)
 
 NOW = 120.0
 
@@ -552,25 +551,22 @@ class TestWireObjects:
         assert b1.encode() != b3.encode()
         assert len(b1.encode()) == 32
 
+    @staticmethod
+    def _fresh_ap(deployment, seed):
+        return AccessPoint(AP_IDS[0], deployment.authority.ap_keys[AP_IDS[0]],
+                           deployment.view, SeededRng(seed))
+
     def test_ap_holds_one_beacon(self, deployment):
-        ap = AccessPoint(AP_IDS[0], deployment.authority.ap_keys[AP_IDS[0]],
-                         deployment.view, SeededRng(94))
-
-        def beacons_held():
-            held = 0
-            for v in vars(ap).values():
-                items = v.values() if isinstance(v, dict) else (
-                    v if isinstance(v, (list, tuple, set)) else (v,))
-                held += sum(isinstance(x, Beacon) for x in items)
-            return held
-
+        ap = self._fresh_ap(deployment, 94)
         for w in range(1000):
             ap.beacon(w * WINDOW_S)
-            assert beacons_held() == 1, w
+            held = [x for v in vars(ap).values()
+                    for x in (v.values() if isinstance(v, dict) else (v,))
+                    if isinstance(x, Beacon)]
+            assert len(held) == 1, w
 
     def test_pol_granted_after_the_clock_goes_back(self, deployment, client):
-        ap = AccessPoint(AP_IDS[0], deployment.authority.ap_keys[AP_IDS[0]],
-                         deployment.view, SeededRng(95))
+        ap = self._fresh_ap(deployment, 95)
         for window in (3, 2):
             proof, _ = run_pol_ap(client, ap, 10.0, 20.0,
                                   window * WINDOW_S + 1.0)
