@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import dac, dbp, rlrs, vdf
 from .errors import ParameterError
-from .group import SigningKey, sgn_verify
+from .group import CURVE, SigningKey, sgn_verify
 from .hashes import hash_to_prime
 from .modmath import rsa_setup
 from .protocol import Deployment
@@ -120,6 +120,15 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     bases = {dac.BASE_SK: params.base_sk, dac.BASE_S: params.base_S,
              **dict(enumerate(params.bases[:4]))}
     terms = [(key, rng.randint_bits(336)) for key in bases]
+    # curve scalars, the generator's and a ring key's comb tables, and the
+    # PointTables of two bases that are new per signature (u0 and tau);
+    # from a spawned stream, so the other fixtures' draws do not move
+    curve_rng = rng.spawn("curve")
+    s, c = (CURVE.random_scalar(curve_rng) for _ in range(2))
+    ring_key = rparams.key_table(ring[0])
+    fresh = [CURVE.table(CURVE.mul(CURVE.generator,
+                                   CURVE.random_scalar(curve_rng)))
+             for _ in range(2)]
 
     # the prime search's cost is the gap above H(m), which varies by input,
     # so each sample takes the next of `iterations` distinct inputs; so does
@@ -157,6 +166,13 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
                       heavy),
         "hash_to_prime": (lambda: hash_to_prime(next(h2p_inputs)), iterations),
         "dac_multiexp": (lambda: params.multiexp(*terms), iterations),
+        "group_mul_g": (lambda: CURVE.mul(CURVE.generator, s), iterations),
+        # L_i = s*G + c*PK_i, both bases tabled for the deployment
+        "group_muladd_fixed": (lambda: CURVE.muladd(s, CURVE.generator, c,
+                                                    ring_key), iterations),
+        # R_i = s*u0 + c*tau, over the two PointTables
+        "group_muladd_fresh": (lambda: CURVE.muladd(s, fresh[0], c, fresh[1]),
+                               iterations),
         "pow_product": (pow_product, iterations),
     }
     for kappa in kappa_grid:

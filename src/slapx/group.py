@@ -9,13 +9,27 @@ every curve point lies in the prime-order group.
 
 `mul` and `muladd` share one kernel, after libsecp256k1's `ecmult`. Each
 scalar is split by the GLV endomorphism (Gallant, Lambert and Vanstone,
-CRYPTO 2001) into two ~128-bit halves, each half is recoded in width-w NAF,
-and one interleaved (Straus) loop of Jacobian doublings adds affine table
-entries by mixed addition. A base's `PointTable` holds its odd multiples
-and their endomorphism images: 64 + 64 points for the generator, built at
-import, and 8 + 8 for any other base. A caller that multiplies one base
-several times builds its table once with `Group.table`; `mul` and `muladd`
-accept a table wherever they accept a point. The kernel is variable-time.
+CRYPTO 2001) into two ~128-bit halves, and each half is added in from its
+base's table, which `mul` and `muladd` accept wherever they accept a point.
+There are two kinds of table:
+
+- A base that lives for the whole deployment has a `CombTable` (the fixed-
+  base comb of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92): the
+  affine points d*2^(w*j)*P for 0 < d <= 2^(w-1) and every row j a GLV half
+  needs. Each half is recoded in signed radix 2^w and adds one entry per
+  nonzero digit, with no doubling at all. The generator's, at w = 8
+  (17 rows of 128 points, 136 KiB), is built once at import; each ring
+  key's, at w = 5 (26 rows of 16 points, 26 KiB), is built by
+  `rlrs_extract` with `Group.comb`. Each table is one `bytes` buffer of
+  32-byte x || 32-byte y entries.
+- Any other base has a `PointTable` of its odd multiples and their
+  endomorphism images (8 + 8 points at w = 5), built by `Group.table`; its
+  halves are recoded in width-w NAF and run one interleaved (Straus) loop of
+  ~128 Jacobian doublings that adds the entries by mixed addition. A caller
+  that multiplies one base several times builds its table once.
+
+A product's comb entries are added into the Straus loop's accumulator after
+the loop. The kernel is variable-time.
 """
 from __future__ import annotations
 
@@ -45,8 +59,12 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-G_WINDOW = 8    # wNAF width of the generator's table: 64 + 64 points
-WINDOW = 5      # wNAF width of any other base's table: 8 + 8 points
+WINDOW = 5          # wNAF width of a PointTable: 8 + 8 points
+G_COMB_WIDTH = 8    # comb width of the generator's table: 17 rows of 128 points
+COMB_WIDTH = 5      # comb width of any other base's: 26 rows of 16 points
+# |k1|, |k2| < 2^129 (see _split), and signed radix-2^w digits of such a
+# half fill at most ceil(130 / w) rows
+_HALF_BITS = 130
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +99,18 @@ class PointTable:
     lam: tuple
 
 
+@dataclass(frozen=True, slots=True)
+class CombTable:
+    """The affine points d*2^(width*j)*P, 0 < d <= 2^(width-1), of one base
+    P, for the rows = ceil(130 / width) rows j a GLV half needs; the
+    endomorphism images are not stored but formed on use (x -> BETA*x).
+    Entry (j, d) is the 64 bytes x || y at ((d - 1) * rows + j) * 64 of
+    `entries`. Never mutated once built, so threads may share one."""
+    point: GroupElement
+    width: int
+    entries: bytes
+
+
 class Group:
     """The curve's arithmetic; `CURVE` below is its one instance."""
 
@@ -90,33 +120,50 @@ class Group:
         0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8)
     identity = GroupElement(None, None)
 
-    def table(self, P: GroupElement) -> PointTable:
-        """P's table for `mul` and `muladd`. The generator's is built once,
-        at import; any other base's is built here, for the caller to keep
-        for as long as it multiplies that base."""
+    def table(self, P: GroupElement) -> PointTable | CombTable:
+        """P's table for `mul` and `muladd`. The generator's is its comb
+        table, built once at import; any other base's is a `PointTable`
+        built here, for the caller to keep for as long as it multiplies
+        that base."""
         if P == self.generator:
-            return _G_TABLE
+            return _G_COMB
         return _build_table(P, WINDOW)
 
-    def mul(self, P: GroupElement | PointTable, k: int) -> GroupElement:
+    def comb(self, P: GroupElement) -> CombTable:
+        """P's comb table, for a base that lives for the whole deployment:
+        it costs more to build than `table`'s, and its products run no
+        doubling. The generator's is the one built at import."""
+        if P == self.generator:
+            return _G_COMB
+        return _build_comb(P, COMB_WIDTH)
+
+    def mul(self, P: GroupElement | PointTable | CombTable,
+            k: int) -> GroupElement:
         return self._straus(((k, P),))
 
-    def muladd(self, a: int, P: GroupElement | PointTable,
-               b: int, Q: GroupElement | PointTable) -> GroupElement:
+    def muladd(self, a: int, P: GroupElement | PointTable | CombTable,
+               b: int, Q: GroupElement | PointTable | CombTable) -> GroupElement:
         """a*P + b*Q."""
         return self._straus(((a, P), (b, Q)))
 
     def _straus(self, terms) -> GroupElement:
         """The sum of k*P over the (k, P) terms. Each scalar is split into
-        two GLV halves and each half is recoded in width-w NAF; one
-        interleaved loop of ~128 doublings adds the digits' table entries."""
+        two GLV halves. A `PointTable` base's halves are recoded in width-w
+        NAF, and one interleaved loop of ~128 doublings adds the digits'
+        table entries; a `CombTable` base's entries are added after it."""
         steps: dict[int, list] = {}
+        comb: list = []
         for k, base in terms:
             k %= ORDER
             if not k:
                 continue
-            table = base if isinstance(base, PointTable) else self.table(base)
-            if not table.point.is_identity:
+            table = (base if isinstance(base, (PointTable, CombTable))
+                     else self.table(base))
+            if table.point.is_identity:
+                continue
+            if isinstance(table, CombTable):
+                _comb_entries(k, table, comb)
+            else:
                 k1, k2 = _split(k)
                 _schedule(k1, table.odd, table.width, steps)
                 _schedule(k2, table.lam, table.width, steps)
@@ -126,6 +173,8 @@ class Group:
                 X, Y, Z = _double(X, Y, Z)
             for x2, y2 in steps.get(i, ()):
                 X, Y, Z = _madd(X, Y, Z, x2, y2)
+        for x2, y2 in comb:
+            X, Y, Z = _madd(X, Y, Z, x2, y2)
         if not Z:
             return self.identity
         zinv = pow(Z, -1, FIELD_P)
@@ -250,31 +299,82 @@ def _madd(X1: int, Y1: int, Z1: int, x2: int, y2: int) -> tuple[int, int, int]:
     return X3, (r * (V - X3) - 2 * Y1 * J) % p, 2 * Z1 * H % p
 
 
+def _comb_entries(k: int, table: CombTable, out: list) -> None:
+    """Append to out the affine entries of `table` that sum to k*P, for
+    0 < k < ORDER: one per nonzero signed radix-2^w digit of either GLV
+    half, negated (y -> p - y) when the digit and the half differ in sign,
+    with x -> BETA*x for the LAMBDA half."""
+    p = FIELD_P
+    width, buf = table.width, table.entries
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    column = len(buf) // half           # bytes per column
+    for k, lam in zip(_split(k), (False, True)):
+        negative = k < 0
+        k = abs(k)
+        row = 0                         # the digit's row, in bytes
+        while k:
+            d = k & mask
+            k >>= width
+            if d > half:                # digits run over (-half, half]
+                d -= mask + 1
+                k += 1
+            if d:
+                e = (abs(d) - 1) * column + row
+                x = int.from_bytes(buf[e:e + FE_BYTES], "big")
+                y = int.from_bytes(buf[e + FE_BYTES:e + 2 * FE_BYTES], "big")
+                out.append((BETA * x % p if lam else x,
+                            p - y if (d < 0) != negative else y))
+            row += 2 * FE_BYTES
+
+
+def _batch_inverse(values: list[int]) -> list[int]:
+    """The inverses mod FIELD_P of nonzero values, with one field inversion
+    (Montgomery's trick)."""
+    p = FIELD_P
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(values)
+    for j in range(len(values) - 1, -1, -1):
+        out[j] = inv * prefix[j] % p
+        inv = inv * values[j] % p
+    return out
+
+
+def _affine(jac: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Jacobian points, none the identity, made affine with one inversion."""
+    p = FIELD_P
+    out = []
+    for (X, Y, _), zinv in zip(jac, _batch_inverse([Z for _, _, Z in jac])):
+        zinv2 = zinv * zinv % p
+        out.append((X * zinv2 % p, Y * zinv2 * zinv % p))
+    return out
+
+
+def _chord(x1: int, y1: int, x2: int, s: int) -> tuple[int, int]:
+    """(x1, y1) + (x2, y2) in affine form, given the slope s of the line
+    through them (the tangent when the points are equal)."""
+    p = FIELD_P
+    x3 = (s * s - x1 - x2) % p
+    return x3, (s * (x1 - x3) - y1) % p
+
+
 def _build_table(P: GroupElement, width: int) -> PointTable:
     """P, 3P, ..., by mixed additions of 2P, made affine with one batched
-    inversion (Montgomery's trick)."""
+    inversion."""
     if P.is_identity:
         return PointTable(P, width, (), ())
     p = FIELD_P
     x, y = P.x, P.y
-    s = 3 * x * x * pow(2 * y, -1, p) % p      # the tangent's slope at P
-    x2 = (s * s - 2 * x) % p
-    y2 = (s * (x - x2) - y) % p
+    # 2P, by the tangent's slope at P
+    x2, y2 = _chord(x, y, x, 3 * x * x * pow(2 * y, -1, p) % p)
     jac = [(x, y, 1)]
     for _ in range((1 << (width - 2)) - 1):
         jac.append(_madd(*jac[-1], x2, y2))
-    prefix = [1]
-    for _, _, Z in jac:
-        prefix.append(prefix[-1] * Z % p)
-    inv = pow(prefix[-1], -1, p)
     odd = [None] * (1 << width)
     lam = [None] * (1 << width)
-    for j in range(len(jac) - 1, -1, -1):
-        X, Y, Z = jac[j]
-        zinv = inv * prefix[j] % p
-        inv = inv * Z % p
-        zinv2 = zinv * zinv % p
-        ax, ay = X * zinv2 % p, Y * zinv2 * zinv % p
+    for j, (ax, ay) in enumerate(_affine(jac)):
         bx = BETA * ax % p
         d = 2 * j + 1
         odd[d], odd[-d] = (ax, ay), (ax, p - ay)
@@ -282,7 +382,42 @@ def _build_table(P: GroupElement, width: int) -> PointTable:
     return PointTable(P, width, tuple(odd), tuple(lam))
 
 
-_G_TABLE = _build_table(Group.generator, G_WINDOW)
+def _build_comb(P: GroupElement, width: int) -> CombTable:
+    """The row bases B_j = 2^(width*j)*P by Jacobian doublings, made affine
+    with one inversion; then each column d*B_j, d = 2, 3, ..., as column
+    d - 1 plus the row bases, by affine additions with one batched
+    inversion per column."""
+    if P.is_identity:
+        return CombTable(P, width, b"")
+    rows = -(-_HALF_BITS // width)
+    jac = [(P.x, P.y, 1)]
+    for _ in range(rows - 1):
+        X, Y, Z = jac[-1]
+        for _ in range(width):
+            X, Y, Z = _double(X, Y, Z)
+        jac.append((X, Y, Z))
+    bases = column = _affine(jac)
+    entries = bytearray(_packed(column))
+    for d in range(2, (1 << (width - 1)) + 1):
+        if d == 2:      # B + B: the tangent's slope 3x^2 / 2y
+            nums = [3 * x * x for x, _ in column]
+            dens = [2 * y for _, y in column]
+        else:           # (d-1)B + B, where (d-1)B != +-B
+            nums = [by - y for (_, y), (_, by) in zip(column, bases)]
+            dens = [bx - x for (x, _), (bx, _) in zip(column, bases)]
+        column = [_chord(x, y, bx, num * inv % FIELD_P)
+                  for (x, y), (bx, _), num, inv
+                  in zip(column, bases, nums, _batch_inverse(dens))]
+        entries += _packed(column)
+    return CombTable(P, width, bytes(entries))
+
+
+def _packed(points: list[tuple[int, int]]) -> bytes:
+    return b"".join(x.to_bytes(FE_BYTES, "big") + y.to_bytes(FE_BYTES, "big")
+                    for x, y in points)
+
+
+_G_COMB = _build_comb(Group.generator, G_COMB_WIDTH)
 
 
 # -- plain discrete-log signatures (used for puzzle issuance and
@@ -306,9 +441,10 @@ class SigningKey:
         return c.to_bytes(16, "big") + CURVE.scalar_to_bytes(s)
 
 
-def sgn_verify(pk: GroupElement | PointTable, msg: bytes, sig: bytes) -> bool:
+def sgn_verify(pk: GroupElement | PointTable | CombTable, msg: bytes,
+               sig: bytes) -> bool:
     """Check sig on msg under pk. A verifier of one fixed key passes the
-    key's `PointTable`, built once, instead of the bare point."""
+    key's table, built once, instead of the bare point."""
     if len(sig) != 16 + SCALAR_BYTES:
         return False
     c = int.from_bytes(sig[:16], "big")
@@ -316,7 +452,7 @@ def sgn_verify(pk: GroupElement | PointTable, msg: bytes, sig: bytes) -> bool:
         s = CURVE.scalar_from_bytes(sig[16:])
     except CryptoError:
         return False
-    point = pk.point if isinstance(pk, PointTable) else pk
+    point = pk.point if isinstance(pk, (PointTable, CombTable)) else pk
     # R = g^s * pk^-c, then the challenge must recompute
     R = CURVE.muladd(s, CURVE.generator, (-c) % ORDER, pk)
     return c == H_int("sgn", R.to_bytes(), point.to_bytes(), msg) >> 128

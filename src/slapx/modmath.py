@@ -51,6 +51,14 @@ Gordon, McCurley and Wilson (EUROCRYPT '92, "Fast exponentiation with
 precomputation", after Yao): it needs no squaring at all, one
 multiplication per non-zero w-bit digit of every exponent, and at most
 2(2^w - 1) more for the whole product. Like `pow`, it is not constant-time.
+
+Exponentiation of bases that are new per call. `multiexp` computes a
+product of bases raised to non-negative exponents with one shared run of
+squarings (Straus's joint exponentiation, as in Moller, SAC 2001): each
+base gets a table of its powers below 2^w, and each w-bit window of the
+exponents costs w squarings of the one accumulator and one multiplication
+per base with a non-zero digit. Two 256-bit exponents then share 256
+squarings instead of running 256 each.
 """
 from __future__ import annotations
 
@@ -60,7 +68,7 @@ from .errors import ParameterError
 from .rng import SeededRng
 
 MR_ROUNDS = 64
-FIXED_BASE_WINDOW = 4          # digit width w of the fixed-base tables
+FIXED_BASE_WINDOW = 4   # digit width w of the fixed-base tables and of multiexp
 SIEVE_BOUND = 1 << 14
 # p(k, t) target for random candidates: 2^-128, halved because random_prime
 # also forces the second-highest bit
@@ -278,3 +286,26 @@ def fixed_base_multiexp(terms, n: int) -> int:
         if acc is not None:
             out = out * acc % n
     return out
+
+
+def multiexp(terms, n: int) -> int:
+    """prod b^e mod n over the (b, e) pairs in `terms`, every e >= 0; equal
+    to the product of `pow(b, e, n)`."""
+    w = FIXED_BASE_WINDOW
+    mask = (1 << w) - 1
+    rows = []
+    for b, e in terms:
+        row = [1, b % n]                # b^d for d < 2^w
+        for _ in range(mask - 1):
+            row.append(row[-1] * row[1] % n)
+        rows.append((row, e))
+    top = max((e.bit_length() for _, e in terms), default=0)
+    out = 1
+    for shift in range((top - 1) // w * w, -1, -w):
+        for _ in range(w):
+            out = out * out % n
+        for row, e in rows:
+            d = (e >> shift) & mask
+            if d:
+                out = out * row[d] % n
+    return out % n

@@ -527,7 +527,8 @@ class ServiceServer:
         sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                          vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
         n, challenge = puzzle.params(), puzzle.challenge_for(m)
-        if not vdf.ell_passes_floor(n, challenge, sol):
+        x = vdf.floor_base(n, challenge, sol)
+        if x is None:
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
         # the PSD recorded the binding after checking its proof for the
         # puzzle's issue window; a binding of the other path never matches
@@ -540,7 +541,7 @@ class ServiceServer:
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("service", window, "SERVER"),
                             m + pid + phi_digest)
-        if not vdf.vdf_verify(n, challenge, sol):
+        if not vdf.vdf_verify(n, challenge, sol, x):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
 
         # a puzzle buys one grant: a resent request finds it spent

@@ -8,8 +8,11 @@ tags; the issuer resolves a linked tag back to an identity by recomputing
 u0^s(id) for the candidates in the ring intersection, and only then.
 
 The ring is a fixed set of identities, all extracted at set-up:
-`rlrs_extract` puts each public key's table into `RlrsParams.keys`, where
-signing and verification look it up.
+`rlrs_extract` puts each public key's comb table (`Group.comb`) into
+`RlrsParams.keys`, where signing and verification look it up. Each link
+L_i = s_i*G + c_i*PK_i of the challenge chain then runs on two comb tables,
+with no doubling; only R_i = s_i*u0 + c_i*tau, whose bases are new per
+event, runs the doubling loop.
 
 The wire encoding is a fixed 640-byte block (tag, ring size, challenge,
 response scalars, zero padding) so message-size accounting is independent
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 from . import wire
 from .errors import CryptoError, ParameterError
-from .group import (CURVE, ELEMENT_BYTES, ORDER, SCALAR_BYTES, GroupElement,
-                    PointTable)
+from .group import (CURVE, ELEMENT_BYTES, ORDER, SCALAR_BYTES, CombTable,
+                    GroupElement)
 from .hashes import H_tagged
 from .rng import SeededRng
 
@@ -64,9 +67,9 @@ class RlrsSignature:
 class RlrsParams:
     def __init__(self, t_max: int):
         self.t_max = t_max
-        self.keys: dict[str, PointTable] = {}   # identity -> public key table
+        self.keys: dict[str, CombTable] = {}    # identity -> public key table
 
-    def key_table(self, identity: str) -> PointTable:
+    def key_table(self, identity: str) -> CombTable:
         try:
             return self.keys[identity]
         except KeyError:
@@ -91,7 +94,7 @@ def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
     if not identity:
         raise ParameterError("identity must be nonempty")
     s = _member_secret(msk, identity)
-    params.keys[identity] = CURVE.table(CURVE.mul(CURVE.generator, s))
+    params.keys[identity] = CURVE.comb(CURVE.mul(CURVE.generator, s))
     return s
 
 

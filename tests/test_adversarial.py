@@ -576,8 +576,8 @@ def _listed_change(server, puzzles: dict, request: bytes, now_s: float,
             sol = vdf.VdfSolution.from_bytes(sol_b, puzzle.modulus_bytes)
         except SlapxError:
             return old == "BAD_CREDENTIAL"
-        return old == "BAD_CREDENTIAL" and not vdf.ell_passes_floor(
-            puzzle.params(), puzzle.challenge_for(m), sol)
+        return old == "BAD_CREDENTIAL" and vdf.floor_base(
+            puzzle.params(), puzzle.challenge_for(m), sol) is None
     if not same_binding:
         return new == "BAD_POL"
     return new == "EXPIRED" and old in ("BAD_CREDENTIAL", "BAD_SOLUTION")

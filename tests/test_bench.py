@@ -28,7 +28,8 @@ class TestBenchAll:
         expected = {"cred_prove", "cred_verify", "rlrs_sign", "rlrs_verify",
                     "rlrs_link", "aka", "sgn_sign", "sgn_verify", "vdf_setup",
                     "vdf_eval_k1000", "vdf_verify_k1000", "vdf_eval_k8000",
-                    "vdf_verify_k8000", "vdf_eval_k32000", "vdf_verify_k32000"}
+                    "vdf_verify_k8000", "vdf_eval_k32000", "vdf_verify_k32000",
+                    "group_mul_g", "group_muladd_fixed", "group_muladd_fresh"}
         assert expected <= set(report.ops)
         assert all(t.median_s > 0 for t in report.ops.values())
         assert all(t.p95_s >= t.median_s for t in report.ops.values())

@@ -346,23 +346,25 @@ class TestServiceTrustsPsdRecord:
         assert len(token) == 16
         assert len(calls) == 2      # the client's on receipt and the PSD's
 
-    def test_grant_derives_the_vdf_input_twice(self, deployment, client,
-                                               monkeypatch):
+    def test_grant_derives_the_vdf_input_once(self, deployment, client,
+                                              monkeypatch):
         t = 9300.0
         proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
         _, puzzle, _, _ = run_spectrum_query(client, deployment.psd, 10.0,
                                              20.0, t, proof=proof)
         sol = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(b"m"))
-        calls = []
-        real_base = vdf.challenge_base
+        calls, floors = [], []
+        real_base, real_floor = vdf.challenge_base, vdf.hash_to_prime_floor
         monkeypatch.setattr(vdf, "challenge_base",
                             lambda *a: calls.append(a) or real_base(*a))
+        monkeypatch.setattr(vdf, "hash_to_prime_floor",
+                            lambda *a: floors.append(a) or real_floor(*a))
         token, _, _ = run_service_request(client, deployment.server, b"m",
                                           puzzle, t, proof=proof, solution=sol)
         assert len(token) == 16
-        # the ell floor ahead of the credential, then the full verify, each
-        # derive x once
-        assert len(calls) == 2
+        # the ell floor ahead of the credential derives x, and the full
+        # verify takes that x
+        assert len(calls) == len(floors) == 1
 
 
 class TestNdPath:

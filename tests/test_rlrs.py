@@ -3,7 +3,8 @@ and the fixed-size wire block."""
 import pytest
 
 from slapx.errors import CryptoError, ParameterError
-from slapx.group import CURVE
+from slapx import group
+from slapx.group import CURVE, ORDER, CombTable
 from slapx.rlrs import (SIGNATURE_BYTES, EventId, decode_signature,
                         encode_signature, event_base, rlrs_extract, rlrs_link,
                         rlrs_revoke, rlrs_setup, rlrs_sign, rlrs_verify)
@@ -77,6 +78,50 @@ class TestSignVerify:
         msk, pp, ring, keys, rng = rlrs_env
         with pytest.raises(CryptoError):
             rlrs_sign(keys["AP-0"], b"m", ["AP-0", "AP-0"], EVENT, pp, rng)
+
+
+class TestDoublingsCounted:
+    """The comb tables' gain pinned as a count of Jacobian doublings, which
+    repeats exactly, where a timing would not: a product over comb tables
+    runs none, and a ring member's R_i = s_i*u0 + c_i*tau, whose bases are
+    new per event, runs one loop of at most 130."""
+
+    @pytest.fixture
+    def doublings(self, monkeypatch):
+        count = [0]
+        real = group._double
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(group, "_double", counted)
+        return count
+
+    def test_every_key_tabled_at_extraction(self):
+        msk, pp = rlrs_setup(8, SeededRng(14))
+        keys = {i: rlrs_extract(msk, i, pp) for i in ("A", "B", "C")}
+        assert set(pp.keys) == set(keys)
+        for identity, table in pp.keys.items():
+            assert isinstance(table, CombTable) and table.entries
+            assert table.point == CURVE.mul(CURVE.generator, keys[identity])
+
+    def test_comb_products_run_no_doubling(self, rlrs_env, doublings):
+        msk, pp, ring, keys, rng = rlrs_env
+        for k in (1, 2, ORDER - 1, rng.randint_bits(256) % ORDER):
+            CURVE.mul(CURVE.generator, k)
+            CURVE.muladd(k, CURVE.generator, k + 1, pp.keys["AP-1"])
+        assert doublings[0] == 0
+
+    def test_ring_signature_doublings(self, rlrs_env, doublings):
+        msk, pp, ring, keys, rng = rlrs_env
+        ring4 = ring[:4]
+        sig = rlrs_sign(keys["AP-2"], b"msg", ring4, EVENT, pp, SeededRng(5))
+        # tau = s*u0, alpha*u0 and the three other members' R_i
+        assert doublings[0] <= 5 * 130 + 2
+        doublings[0] = 0
+        assert rlrs_verify(ring4, b"msg", EVENT, sig, pp)
+        assert doublings[0] <= 4 * 130 + 2
 
 
 class TestTagAlgebra:

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from slapx.errors import CryptoError, ParameterError
 from slapx import vdf
-from slapx.group import (BETA, CURVE, ELEMENT_BYTES, FIELD_P, LAMBDA, Group,
-                         GroupElement, SigningKey, _split, sgn_verify)
+from slapx.group import (BETA, COMB_WIDTH, CURVE, ELEMENT_BYTES, FIELD_P,
+                         G_COMB_WIDTH, LAMBDA, CombTable, Group, GroupElement,
+                         SigningKey, _build_comb, _split, sgn_verify)
 from slapx.hashes import (H, H_expand, hash_to_prime, hash_to_prime_floor,
                           int_sum_to_bytes)
 from slapx.modmath import (FIXED_BASE_WINDOW, MR_ROUNDS, SIEVE_BOUND,
                            SIEVE_PRODUCT, FixedBase, _SMALL_PRIMES,
                            _strong_lucas_test, _strong_test,
-                           fixed_base_multiexp, is_probable_prime, next_prime,
-                           random_prime, random_prime_rounds, rsa_setup)
+                           fixed_base_multiexp, is_probable_prime, multiexp,
+                           next_prime, random_prime, random_prime_rounds,
+                           rsa_setup)
 from slapx.rng import SeededRng
 
 GROUP, GEN = CURVE, CURVE.generator
@@ -197,10 +199,30 @@ class ReferenceGroup(Group):
 
 REF = ReferenceGroup()
 N = GROUP.order
+
+
+def top_row_scalars() -> list[int]:
+    """The first seeded scalars with a GLV half of each index and sign that
+    carries into the last row of the generator's comb (w = 8, 17 rows):
+    |half| > 128 * (2^128 - 1) / 255, the most the first 16 rows' signed
+    digits sum to. Such a half also reaches the last row of a w = 5 comb
+    (26 rows), which opens above 16 * (2^125 - 1) / 31."""
+    bound = 128 * ((1 << 128) - 1) // 255
+    rng, found = SeededRng(3), {}
+    while len(found) < 4:
+        k = rng.randint_bits(256) % N
+        for index, half in enumerate(_split(k)):
+            if abs(half) > bound:
+                found.setdefault((index, half > 0), k)
+    return sorted(found.values())
+
+
+TOP_ROW_SCALARS = top_row_scalars()
 # edge scalars: a GLV half of k is zero for small k, LAMBDA and N - LAMBDA,
 # and negative for N - LAMBDA and N - 1
 SCALARS = st.one_of(st.sampled_from([0, 1, 2, 3, N - 1, N, N + 1, LAMBDA,
-                                     N - LAMBDA, LAMBDA + 1, N - LAMBDA - 1]),
+                                     N - LAMBDA, LAMBDA + 1, N - LAMBDA - 1,
+                                     *TOP_ROW_SCALARS]),
                     st.integers(0, 2 ** 16),
                     st.integers(0, 2 ** 256 - 1),
                     st.integers(-(2 ** 256), -1))     # reduced mod N first
@@ -211,8 +233,8 @@ def operands(draw):
     """(P, Q, P', Q') with P random, the generator or the identity and Q
     random, the generator, P, -P or the identity; points built by the
     reference arithmetic. P' and Q' are what the kernel is given: the point,
-    or its `Group.table`. The generator is an equal but distinct
-    GroupElement."""
+    its `Group.table` or its `Group.comb`. The generator is an equal but
+    distinct GroupElement."""
     def point():
         kind = draw(st.sampled_from(["random", "generator", "identity"]))
         if kind == "identity":
@@ -224,9 +246,14 @@ def operands(draw):
     Q = draw(st.sampled_from(["random", "same", "negated", "identity"]))
     Q = {"random": point, "same": lambda: P, "negated": lambda: REF.neg(P),
          "identity": lambda: REF.identity}[Q]()
-    P_arg, Q_arg = (GROUP.table(X) if draw(st.booleans()) else X
+    P_arg, Q_arg = (draw(st.sampled_from([X, GROUP.table(X), GROUP.comb(X)]))
                     for X in (P, Q))
     return P, Q, P_arg, Q_arg
+
+
+def comb_tables(P):
+    """P's comb tables at both widths the kernel uses."""
+    return [GROUP.comb(P), _build_comb(P, G_COMB_WIDTH)]
 
 
 class TestLadderMatchesReference:
@@ -242,16 +269,35 @@ class TestLadderMatchesReference:
         P, Q, P_arg, Q_arg = points
         assert GROUP.muladd(a, P_arg, b, Q_arg) == REF.muladd(a, P, b, Q)
 
-    @pytest.mark.parametrize("a", [1, 2, 3, 5, 16, 2 ** 64 + 1, LAMBDA])
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 16, 2 ** 64 + 1, LAMBDA,
+                                   *TOP_ROW_SCALARS])
     @pytest.mark.parametrize("base", ["generator", "random"])
     def test_equal_and_opposite_addends(self, a, base):
-        # a*P + a*P and a*P + a*(-P) add each digit's entry twice at one
-        # step: the mixed addition's equal-points and opposite-points cases
+        # a*P + a*P and a*P + a*(-P) add each digit's entry twice, at one
+        # step of the Straus loop or one after the other from comb tables:
+        # the mixed addition's equal-points and opposite-points cases
         P = GEN if base == "generator" else REF.mul(REF.generator, 0xC0FFEE)
-        for P_arg in (P, GROUP.table(P)):
-            assert GROUP.muladd(a, P_arg, a, P_arg) == REF.mul(P, 2 * a)
-            assert GROUP.muladd(a, P_arg, a, REF.neg(P)).is_identity
-            assert GROUP.muladd(a + 1, P_arg, a, REF.neg(P)) == P
+        for P_arg in (P, GROUP.table(P), *comb_tables(P)):
+            for neg_arg in (REF.neg(P), *comb_tables(REF.neg(P))):
+                assert GROUP.muladd(a, P_arg, a, P_arg) == REF.mul(P, 2 * a)
+                assert GROUP.muladd(a, P_arg, a, neg_arg).is_identity
+                assert GROUP.muladd(a + 1, P_arg, a, neg_arg) == P
+
+    def test_comb_tables(self):
+        # the generator's is the one built at import; the identity's holds
+        # no entry, and its products are the identity
+        assert GROUP.table(GEN) is GROUP.comb(GEN) is GROUP.comb(
+            GroupElement(GEN.x, GEN.y))
+        assert (GROUP.comb(GEN).width, len(GROUP.comb(GEN).entries)) == (
+            G_COMB_WIDTH, 17 * 128 * 64)
+        P = REF.mul(REF.generator, 0xC0FFEE)
+        assert (GROUP.comb(P).width, len(GROUP.comb(P).entries)) == (
+            COMB_WIDTH, 26 * 16 * 64)
+        empty = GROUP.comb(GROUP.identity)
+        assert isinstance(empty, CombTable) and empty.entries == b""
+        for k in (0, 1, 2, N - 1, LAMBDA, *TOP_ROW_SCALARS):
+            assert GROUP.mul(empty, k).is_identity
+            assert GROUP.muladd(k, empty, k, GEN) == REF.mul(GEN, k)
 
     def test_endomorphism(self):
         assert GROUP.mul(GEN, LAMBDA) == GroupElement(BETA * GEN.x % FIELD_P,
@@ -525,6 +571,37 @@ class TestFixedBaseMultiexp:
             assert power == pow(MULTIEXP_BASES[0], 1 << (w * i), MULTIEXP_N)
 
 
+MULTIEXP_EXPONENTS = [0, 1, 2, (1 << FIXED_BASE_WINDOW) - 1,
+                      1 << FIXED_BASE_WINDOW, (1 << 256) - 1, 1 << 2048]
+
+
+class TestMultiexp:
+    """The shared-squaring product against one `pow` per base."""
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0, 1, MULTIEXP_N - 1, MULTIEXP_N,
+                                   MULTIEXP_N + 1]),
+                  st.integers(0, MULTIEXP_N - 1), st.integers(0, 1 << 600)),
+        st.one_of(st.sampled_from(MULTIEXP_EXPONENTS),
+                  st.integers(0, 1 << 16), st.integers(0, 1 << 600))),
+        max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pow_product(self, terms):
+        n = MULTIEXP_N
+        want = 1
+        for b, e in terms:
+            want = want * pow(b, e, n) % n
+        assert multiexp(terms, n) == want
+
+    def test_edges(self):
+        for n in (1, 2, 35, MULTIEXP_N):
+            for b in (0, 1, n - 1, 7):
+                for e, f in ((0, 0), (0, 5), (1, 1 << 300), (3, 2)):
+                    want = pow(b, e, n) * pow(b + 1, f, n) % n
+                    assert multiexp([(b, e), (b + 1, f)], n) == want
+            assert multiexp([], n) == 1 % n
+
+
 class TestRsaSetup:
     def test_standard_width(self):
         n = rsa_setup(256, SeededRng(1))
@@ -565,22 +642,23 @@ class TestRngAndHash:
 
 
 class TestSgnVerifyTable:
-    """A fixed key's PointTable verifies exactly as the bare point does."""
+    """A fixed key's PointTable or comb table verifies exactly as the bare
+    point does."""
 
     def test_table_matches_point(self):
         rng = SeededRng(31)
         key, other = SigningKey.generate(rng), SigningKey.generate(rng)
-        table = GROUP.table(key.pk)
-        for i in range(6):
-            msg = b"puzzle-%d" % i
-            sig = key.sign(msg, rng)
-            forged = other.sign(msg, rng)
-            flipped = bytes([sig[0] ^ 1]) + sig[1:]
-            tail = sig[:-1] + bytes([sig[-1] ^ 1])
-            for s_, m_ in ((sig, msg), (sig, msg + b"!"), (forged, msg),
-                           (flipped, msg), (tail, msg), (sig[:-1], msg),
-                           (sig[:16] + b"\xff" * 32, msg)):
-                want = sgn_verify(key.pk, m_, s_)
-                assert sgn_verify(table, m_, s_) == want
-            assert sgn_verify(table, msg, sig)
-            assert not sgn_verify(table, msg, forged)
+        for table in (GROUP.table(key.pk), GROUP.comb(key.pk)):
+            for i in range(6):
+                msg = b"puzzle-%d" % i
+                sig = key.sign(msg, rng)
+                forged = other.sign(msg, rng)
+                flipped = bytes([sig[0] ^ 1]) + sig[1:]
+                tail = sig[:-1] + bytes([sig[-1] ^ 1])
+                for s_, m_ in ((sig, msg), (sig, msg + b"!"), (forged, msg),
+                               (flipped, msg), (tail, msg), (sig[:-1], msg),
+                               (sig[:16] + b"\xff" * 32, msg)):
+                    want = sgn_verify(key.pk, m_, s_)
+                    assert sgn_verify(table, m_, s_) == want
+                assert sgn_verify(table, msg, sig)
+                assert not sgn_verify(table, msg, forged)

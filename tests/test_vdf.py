@@ -12,7 +12,7 @@ from slapx.modmath import (is_probable_prime, next_prime, random_prime,
 from slapx.rng import SeededRng
 from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge,
                        VdfSolution, challenge_base, difficulty_for,
-                       sequential_square, vdf_eval, vdf_verify)
+                       floor_base, sequential_square, vdf_eval, vdf_verify)
 
 
 def tiny_modulus(rng: SeededRng) -> tuple[int, int, int]:
@@ -202,6 +202,7 @@ class TestVerifyMatchesReference:
         for params, ch in cases:
             sol = vdf_eval(params, ch)
             assert vdf_verify(params, ch, sol) and reference_verify(params, ch, sol)
+            assert vdf_verify(params, ch, sol, floor_base(params, ch, sol))
             for challenge in (VdfChallenge(ch.m + b"!", ch.tau),
                               VdfChallenge(ch.m, ch.tau + 1)):
                 assert vdf_verify(params, challenge, sol) == \
@@ -209,6 +210,9 @@ class TestVerifyMatchesReference:
             for name, bad in tampered_solutions(params, ch, sol, big_prime).items():
                 assert not reference_verify(params, ch, bad), name
                 assert not vdf_verify(params, ch, bad), name
+                # the server's two steps: the floor's x, then the full check
+                x = floor_base(params, ch, bad)
+                assert x is None or not vdf_verify(params, ch, bad, x), name
 
     def test_ell_below_digest_rejected_without_prime_search(self, monkeypatch):
         params = rsa_setup(256, SeededRng(62))
