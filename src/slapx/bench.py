@@ -15,12 +15,13 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from . import dac, dbp, rlrs, vdf
-from .errors import ParameterError
+from . import dac, dbp, rlrs, vdf, wire
+from .errors import ParameterError, ProtocolReject, RejectReason, SlapxError
 from .group import CURVE, SigningKey, sgn_verify
 from .hashes import hash_to_prime
 from .modmath import rsa_setup
-from .protocol import Deployment
+from .protocol import (Deployment, build_service_request, run_pol_ap,
+                       run_spectrum_query)
 from .rng import SeededRng
 from .simnet import Calibration
 
@@ -90,6 +91,24 @@ def _time_ops(ops: dict[str, tuple]) -> dict[str, tuple[float, float]]:
     return out
 
 
+def _refusal(handle, requests: list[bytes], now_s: float,
+             reason: RejectReason):
+    """A timed op that sends the next of requests to a real handler, which
+    must refuse each for reason; checked once here, before any timing."""
+    def refused(request):
+        try:
+            handle(request, now_s)
+        except ProtocolReject as e:
+            return e.reason
+        return None
+
+    if any(refused(request) is not reason for request in requests):
+        raise SlapxError(f"the handler did not refuse the request as "
+                         f"{reason.name}")
+    cycle = itertools.cycle(requests)
+    return lambda: refused(next(cycle))
+
+
 def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
               vdf_modulus_bits: int = 2048, seed: int = 1) -> BenchReport:
     if iterations < 30:
@@ -137,6 +156,22 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     h2p_inputs = itertools.cycle([h2p_rng.bytes(32) for _ in range(iterations)])
     vdf_rng = rng.spawn("vdf")
 
+    # refusals through the real handlers: a query replayed after its proof
+    # bought a puzzle, and service requests on that puzzle whose ell passes
+    # the floor but is not the next prime after H(x + y), one per message,
+    # as the prime search's cost varies by input
+    t = 30.0
+    proof, _ = run_pol_ap(client, dep.ap, 10.0, 20.0, t)
+    _, puzzle, _, query = run_spectrum_query(client, dep.psd, 10.0, 20.0, t,
+                                             proof=proof)
+    wrong_ell = []
+    for i in range(iterations):
+        m = b"bench%d" % i
+        good = vdf.vdf_eval(puzzle.modulus_n, puzzle.challenge_for(m))
+        wrong_ell.append(build_service_request(
+            client, m, puzzle, t, proof=proof,
+            solution=vdf.VdfSolution(good.ell + 2, good.pi, good.y))[0])
+
     def pow_product():
         out = 1
         for key, e in terms:
@@ -174,6 +209,13 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
         "group_muladd_fresh": (lambda: CURVE.muladd(s, fresh[0], c, fresh[1]),
                                iterations),
         "pow_product": (pow_product, iterations),
+        "psd_linked_replay": (_refusal(
+            dep.psd.handle_spectrum_request,
+            [wire.message_content(query.request)], t, RejectReason.LINKED),
+            iterations),
+        "server_wrong_ell": (_refusal(
+            dep.server.handle_service_request, wrong_ell, t,
+            RejectReason.BAD_SOLUTION), iterations),
     }
     for kappa in kappa_grid:
         # below 5e4 squarings an eval is cheap enough for the full sample

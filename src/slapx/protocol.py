@@ -385,6 +385,8 @@ class Puzzle:
         # epoch's shared modulus is known before the puzzle is issued
         return vdf.VdfChallenge(self.seed + H_tagged("svc", message), self.tau)
 
+    # another name for `modulus_n`, kept because perfbench's flood set-up
+    # calls it
     def params(self) -> int:
         """The VDF's one parameter: the puzzle's modulus N."""
         return self.modulus_n
@@ -400,7 +402,23 @@ class IssuedPuzzle:
 
 class Psd:
     """Private spectrum database front end: verifies proofs, rate limits via
-    link tags, issues signed device-specific puzzles."""
+    link tags, issues signed device-specific puzzles.
+
+    A query is checked cheapest refusal first, so the group
+    exponentiations run last:
+    1. unpack, hash Phi, decode the presentation and form the `_binding`;
+    2. a binding already in `grants` for this window is `LINKED`: the
+       proof has bought a puzzle, and the refusal costs a set lookup;
+    3. decode the coordinates and look up the service area;
+    4. on the AP path decode Phi and check its window and coordinates, on
+       the ND path check the delegated window and location;
+    5. verify the credential;
+    6. on the AP path verify the ring signature;
+    7. `_use_once` records the link tag (AP path) and the binding.
+
+    A binding is written only after a full check, so step 2 refuses only
+    the exact proof that was already used; a forged Phi that copies a seen
+    link tag has another digest and goes through every step."""
 
     def __init__(self, view: PublicView, sgn_key: SigningKey, rng: SeededRng,
                  modulus_bits: int):
@@ -409,7 +427,7 @@ class Psd:
         self.rng = rng
         self.db = SpectrumDatabase()
         self.links: set[tuple[int, bytes]] = set()    # (window, link tag)
-        self.grants: set[tuple[int, bytes]] = set()   # (window, H(nym_d))
+        self.grants: set[tuple[int, bytes]] = set()   # (window, binding)
         self.puzzles: dict[bytes, IssuedPuzzle] = {}
         self.pool = vdf.ModulusPool(bits=modulus_bits, rng=rng.spawn("pool"))
         self._modulus: tuple[int, int] | None = None   # (epoch, N)
@@ -424,13 +442,16 @@ class Psd:
                 device_class = attr.value[0]
         return vdf.difficulty_for(DEVICE_CLASSES.get(device_class, "default"))
 
-    def _use_once(self, seen: set[tuple[int, bytes]], key: tuple[int, bytes],
-                  detail: str) -> None:
-        """Record key in seen; a key already there is refused as LINKED."""
+    def _use_once(self, *uses: tuple[set, tuple[int, bytes]]) -> None:
+        """Record each (table, key) pair, all or none: if any key is already
+        in its table, record nothing and refuse as LINKED. Two racing copies
+        of one request both pass the lookup ahead of the checks; this is
+        where one of them is refused."""
         with self._lock:
-            if key in seen:
-                raise ProtocolReject(RejectReason.LINKED, detail)
-            seen.add(key)
+            if any(key in seen for seen, key in uses):
+                raise ProtocolReject(RejectReason.LINKED, "proof already used")
+            for seen, key in uses:
+                seen.add(key)
 
     def _epoch_modulus(self, now_s: float) -> int:
         """The puzzle modulus of now_s's epoch, drawn for its first puzzle.
@@ -445,34 +466,29 @@ class Psd:
             return self._modulus[1]
 
     def handle_spectrum_request(self, request: bytes, now_s: float) -> bytes:
+        params = self.view.dac_params
         loc, ch_b, tv_b, pres_b, phi_b = _unpack(request, 5)
         window = window_of(now_s)
         phi_digest = H_tagged("phi", phi_b)
-        pres = _read_presentation(pres_b, self.view.dac_params)
-        _check_presentation(self.view.dac_params, pres,
-                            presentation_context("spectrum", window, "PSD"),
-                            loc + ch_b + tv_b + phi_digest)
-        binding = _binding(self.view.dac_params, pres, phi_digest)
+        pres = _read_presentation(pres_b, params)
+        binding = _binding(params, pres, phi_digest)
+        with self._lock:
+            used = (window, binding) in self.grants
+        if used:
+            raise ProtocolReject(RejectReason.LINKED, "proof already used")
         l_x, l_y = _point(loc)
-        # refuse an out-of-area query before the proof costs a check or
-        # leaves a tag or grant behind
         record = self.db.lookup(l_x, l_y)
 
         if pres.ext is None:
-            # AP path: verify the ring-signed proof of location for this
-            # window, then scan the window
+            # AP path: a ring-signed proof of location for this window and
+            # these coordinates
             proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
                                LocationProof.decode, phi_b, self.view.rlrs_params)
             if proof.event.ts != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event,
-                                    proof.sig, self.view.rlrs_params):
-                raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
             if (proof.event.l_x, proof.event.l_y) != (l_x, l_y):
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the proof")
-            self._use_once(self.links, (window, proof.sig.tau.to_bytes()),
-                           "tag already seen")
         else:
             # ND path: the delegated attributes carry the proof of location
             if _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
@@ -481,8 +497,17 @@ class Psd:
                 raise ProtocolReject(RejectReason.BAD_POL,
                                      "query coordinates differ from the "
                                      "delegated location")
-            self._use_once(self.grants, (window, binding),
-                           "delegated proof already used")
+        _check_presentation(params, pres,
+                            presentation_context("spectrum", window, "PSD"),
+                            loc + ch_b + tv_b + phi_digest)
+        if pres.ext is None:
+            if not rlrs.rlrs_verify(self.view.ring, proof.m, proof.event,
+                                    proof.sig, self.view.rlrs_params):
+                raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
+            self._use_once((self.links, (window, proof.sig.tau.to_bytes())),
+                           (self.grants, (window, binding)))
+        else:
+            self._use_once((self.grants, (window, binding)))
 
         kappa = self._kappa_for(pres)
         puzzle = Puzzle(puzzle_id=next(self._id_counter).to_bytes(8, "big"),
@@ -497,7 +522,16 @@ class Psd:
 
 class ServiceServer:
     """Grants service after puzzle, solution, proof and credential checks,
-    cheapest refusal first.
+    cheapest refusal first:
+    1. unpack, decode the presentation, look the puzzle up and check its
+       expiry;
+    2. decode the solution and run `vdf.floor_base`, microseconds;
+    3. compare the request's binding with the puzzle's record;
+    4. check that the puzzle was issued in this window;
+    5. `vdf.vdf_verify` on the floor's x: a wrong ell costs one prime
+       search, a wrong pi that search and one joint exponentiation, and
+       neither reaches the credential check;
+    6. verify the credential.
 
     The puzzle is checked one way: it is looked up in the PSD's own table,
     never taken from the request, so its signature needs no second check
@@ -526,7 +560,7 @@ class ServiceServer:
 
         sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                          vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
-        n, challenge = puzzle.params(), puzzle.challenge_for(m)
+        n, challenge = puzzle.modulus_n, puzzle.challenge_for(m)
         x = vdf.floor_base(n, challenge, sol)
         if x is None:
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
@@ -538,11 +572,11 @@ class ServiceServer:
                                  "proof differs from the one queried with")
         if window_of(puzzle.issued_s) != window:
             raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+        if not vdf.vdf_verify(n, challenge, sol, x):
+            raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("service", window, "SERVER"),
                             m + pid + phi_digest)
-        if not vdf.vdf_verify(n, challenge, sol, x):
-            raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
 
         # a puzzle buys one grant: a resent request finds it spent
         with self.psd._lock:
@@ -659,22 +693,34 @@ def run_spectrum_query(client: Client, psd: Psd, l_x: float, l_y: float,
     return record, puzzle, sig, trace
 
 
+def build_service_request(client: Client, message: bytes, puzzle: Puzzle,
+                          now_s: float, proof: LocationProof | None = None,
+                          dcred: dac.DelegatedCredential | None = None,
+                          solution: vdf.VdfSolution | None = None
+                          ) -> tuple[bytes, vdf.VdfSolution]:
+    """The content of a service request for puzzle, and its solution: the
+    given one, or the client's own evaluation of the puzzle."""
+    cred, phi_b = _credential_and_phi(client, proof, dcred)
+    if solution is None:
+        solution = vdf.vdf_eval(puzzle.modulus_n, puzzle.challenge_for(message))
+    sol_b = solution.to_bytes(puzzle.modulus_bytes)
+    pres_b = client.present(cred, "service", window_of(now_s), "SERVER",
+                            DISCLOSE_DEVICE,
+                            message + puzzle.puzzle_id + H_tagged("phi", phi_b))
+    return (wire.pack_fields(message, puzzle.puzzle_id, sol_b, pres_b, phi_b),
+            solution)
+
+
 def run_service_request(client: Client, server: ServiceServer, message: bytes,
                         puzzle: Puzzle, now_s: float,
                         proof: LocationProof | None = None,
                         dcred: dac.DelegatedCredential | None = None,
                         solution: vdf.VdfSolution | None = None
                         ) -> tuple[bytes, vdf.VdfSolution, PhaseTrace]:
-    cred, phi_b = _credential_and_phi(client, proof, dcred)
-    if solution is None:
-        solution = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(message))
-    sol_b = solution.to_bytes(puzzle.modulus_bytes)
-    pres_b = client.present(cred, "service", window_of(now_s), "SERVER",
-                            DISCLOSE_DEVICE,
-                            message + puzzle.puzzle_id + H_tagged("phi", phi_b))
-    resp_content, trace = exchange(
-        "service_request", server.handle_service_request,
-        wire.pack_fields(message, puzzle.puzzle_id, sol_b, pres_b, phi_b), now_s)
+    content, solution = build_service_request(client, message, puzzle, now_s,
+                                              proof, dcred, solution)
+    resp_content, trace = exchange("service_request",
+                                   server.handle_service_request, content, now_s)
 
     status, token = wire.unpack_fields(resp_content, 2)
     if status != b"\x01":

@@ -16,7 +16,7 @@ from slapx.group import CURVE
 from slapx.hashes import H_tagged
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
                             NeighborDevice, Puzzle, _binding, _check_presentation,
-                            _delegated, _or_reject, _read_presentation,
+                            _delegated, _or_reject, _point, _read_presentation,
                             _unpack, presentation_context, run_pol_ap,
                             run_pol_nd, run_service_request, run_spectrum_query,
                             window_of)
@@ -523,7 +523,7 @@ def _earlier_order(server, request: bytes, now_s: float) -> bytes:
                         m + pid + H_tagged("phi", phi_b))
     sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                      vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
-    if not vdf.vdf_verify(puzzle.params(), puzzle.challenge_for(m), sol):
+    if not vdf.vdf_verify(puzzle.modulus_n, puzzle.challenge_for(m), sol):
         raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
     if pres.ext is None:
         proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
@@ -552,9 +552,9 @@ def _listed_change(server, puzzles: dict, request: bytes, now_s: float,
                    old: str, new: str) -> bool:
     """Whether old -> new is one of the decision changes README lists, for
     the puzzle table `puzzles` both orders ran on, taken in the server's
-    order: (1) an undecodable or out-of-range solution, or one with
-    ell < H(x + y), now comes before the credential; (2) a binding other
-    than the puzzle's record, on either path, is BAD_POL whatever the
+    order: (1) a solution that is undecodable or fails the VDF check now
+    comes before the credential; (2) a binding other than the puzzle's
+    record, on either path, is BAD_POL whatever the
     earlier order said: on the AP path a Phi other than the one the PSD
     verified at query time, and a request of one path on a puzzle bought
     on the other; (3) a window fault now comes before the credential and
@@ -576,8 +576,8 @@ def _listed_change(server, puzzles: dict, request: bytes, now_s: float,
             sol = vdf.VdfSolution.from_bytes(sol_b, puzzle.modulus_bytes)
         except SlapxError:
             return old == "BAD_CREDENTIAL"
-        return old == "BAD_CREDENTIAL" and vdf.floor_base(
-            puzzle.params(), puzzle.challenge_for(m), sol) is None
+        return old == "BAD_CREDENTIAL" and not vdf.vdf_verify(
+            puzzle.modulus_n, puzzle.challenge_for(m), sol)
     if not same_binding:
         return new == "BAD_POL"
     return new == "EXPIRED" and old in ("BAD_CREDENTIAL", "BAD_SOLUTION")
@@ -611,6 +611,19 @@ def _service_request(c, m: bytes, puzzle, sol_b: bytes, phi_b: bytes,
     return wire.pack_fields(m, puzzle.puzzle_id, sol_b, pres.to_bytes(params), phi_b)
 
 
+@pytest.fixture(scope="module")
+def flood():
+    """perfbench's workloads module and one flood unit of it, so that the
+    flood's requests are built by its own code."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        yield workloads, workloads.FloodUnit(seed=1, u=0)
+
+
 class TestServerCheckOrderReference:
     """The server's cheapest-first order against the order it replaced: the
     same decision on every request, apart from the changes README lists."""
@@ -639,15 +652,19 @@ class TestServerCheckOrderReference:
                                                 dcred=dcred)
         m = b"order"
         n = puzzle.modulus_n
-        good = vdf.vdf_eval(puzzle.params(), puzzle.challenge_for(m))
-        nd_good = vdf.vdf_eval(nd_puzzle.params(), nd_puzzle.challenge_for(m))
+        good = vdf.vdf_eval(puzzle.modulus_n, puzzle.challenge_for(m))
+        nd_good = vdf.vdf_eval(nd_puzzle.modulus_n, nd_puzzle.challenge_for(m))
         sols = {
             "good": good,
             "low_ell": vdf.VdfSolution(2, good.pi, good.y),
+            # passes the floor, but is not the next prime after H(x + y)
+            "wrong_ell": vdf.VdfSolution(good.ell + 2, good.pi, good.y),
             "y_out_of_range": vdf.VdfSolution(good.ell, good.pi, n),
             "wrong_pi": vdf.VdfSolution(good.ell, (good.pi + 1) % n, good.y),
             "nd_good": nd_good,
             "nd_low_ell": vdf.VdfSolution(2, nd_good.pi, nd_good.y),
+            "nd_wrong_ell": vdf.VdfSolution(nd_good.ell + 2, nd_good.pi,
+                                            nd_good.y),
             "nd_wrong_pi": vdf.VdfSolution(nd_good.ell, (nd_good.pi + 1) % n,
                                            nd_good.y),
         }
@@ -671,6 +688,8 @@ class TestServerCheckOrderReference:
              ("BAD_SOLUTION", "BAD_SOLUTION")),
             ((puzzle, "wrong_pi", "query", t, True),
              ("BAD_SOLUTION", "BAD_SOLUTION")),
+            ((puzzle, "wrong_ell", "query", t, True),
+             ("BAD_SOLUTION", "BAD_SOLUTION")),
             # a bad credential and a cheaper solution fault
             ((puzzle, "low_ell", "query", t, False),
              ("BAD_CREDENTIAL", "BAD_SOLUTION")),
@@ -678,8 +697,10 @@ class TestServerCheckOrderReference:
              ("BAD_CREDENTIAL", "BAD_SOLUTION")),
             ((puzzle, "undecodable", "query", t, False),
              ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((puzzle, "wrong_ell", "query", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
             ((puzzle, "wrong_pi", "query", t, False),
-             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
             # a Phi or window fault and a costlier fault
             ((puzzle, "good", "other", t, False), ("BAD_CREDENTIAL", "BAD_POL")),
             ((puzzle, "good", "query", later, False),
@@ -689,11 +710,18 @@ class TestServerCheckOrderReference:
              ("BAD_SOLUTION", "EXPIRED")),
             ((puzzle, "low_ell", "other", t, True),
              ("BAD_SOLUTION", "BAD_SOLUTION")),
+            ((puzzle, "wrong_ell", "other", t, True), ("BAD_SOLUTION", "BAD_POL")),
+            ((puzzle, "wrong_ell", "other", t, False),
+             ("BAD_CREDENTIAL", "BAD_POL")),
         ]
         nd_cases = [
             ((nd_puzzle, "nd_good", "none", t, True), ("GRANTED", "GRANTED")),
             ((nd_puzzle, "nd_good", "none", later, True), ("EXPIRED", "EXPIRED")),
             ((nd_puzzle, "nd_low_ell", "none", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((nd_puzzle, "nd_wrong_ell", "none", t, False),
+             ("BAD_CREDENTIAL", "BAD_SOLUTION")),
+            ((nd_puzzle, "nd_wrong_pi", "none", t, False),
              ("BAD_CREDENTIAL", "BAD_SOLUTION")),
             ((nd_puzzle, "nd_good", "none", later, False),
              ("BAD_CREDENTIAL", "EXPIRED")),
@@ -726,15 +754,9 @@ class TestServerCheckOrderReference:
         deployment.psd.puzzles.update(saved)
         assert old == new or listed, (old, new)
 
-    def test_flood_classes(self, monkeypatch):
-        # the requests perfbench's flood sends to the server, built by its
-        # own code
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        unit = workloads.FloodUnit(seed=1, u=0)
+    def test_flood_classes(self, flood):
+        # the requests perfbench's flood sends to the server
+        workloads, unit = flood
         server, now = unit.dep.server, workloads.FLOOD_NOW
         seen = {}
         stream = unit.requests()
@@ -752,3 +774,342 @@ class TestServerCheckOrderReference:
             seen[kind] = seen.get(kind, 0) + 1
         assert set(seen) == {"grant", "bad_solution", "bad_puzzle",
                              "service_replay", "malformed_server"}
+
+
+# -- the PSD's check order against the order it replaced ----------------------
+
+def _earlier_psd_order(psd, request: bytes, now_s: float) -> bytes:
+    """The PSD's checks in the order they ran before a used proof was
+    refused at a lookup: the credential first, the ring signature before
+    the coordinates, and the used key looked up last, the link tag on the
+    AP path and the binding on the ND path. A query it serves records that
+    key and issues no puzzle."""
+    params = psd.view.dac_params
+    loc, ch_b, tv_b, pres_b, phi_b = _unpack(request, 5)
+    window = window_of(now_s)
+    phi_digest = H_tagged("phi", phi_b)
+    pres = _read_presentation(pres_b, params)
+    _check_presentation(params, pres,
+                        presentation_context("spectrum", window, "PSD"),
+                        loc + ch_b + tv_b + phi_digest)
+    binding = _binding(params, pres, phi_digest)
+    l_x, l_y = _point(loc)
+    psd.db.lookup(l_x, l_y)
+    if pres.ext is None:
+        proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
+                           LocationProof.decode, phi_b, psd.view.rlrs_params)
+        if proof.event.ts != window:
+            raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
+        if not rlrs.rlrs_verify(psd.view.ring, proof.m, proof.event,
+                                proof.sig, psd.view.rlrs_params):
+            raise ProtocolReject(RejectReason.BAD_POL, "ring signature invalid")
+        if (proof.event.l_x, proof.event.l_y) != (l_x, l_y):
+            raise ProtocolReject(RejectReason.BAD_POL, "coordinates differ")
+        seen, key = psd.links, (window, proof.sig.tau.to_bytes())
+    else:
+        if _delegated(pres, "ts_window") != window.to_bytes(8, "big"):
+            raise ProtocolReject(RejectReason.EXPIRED, "delegated proof expired")
+        if _delegated(pres, "location") != loc:
+            raise ProtocolReject(RejectReason.BAD_POL, "coordinates differ")
+        seen, key = psd.grants, (window, binding)
+    if key in seen:
+        raise ProtocolReject(RejectReason.LINKED, "already seen")
+    seen.add(key)
+    return b""
+
+
+def _listed_psd_change(psd, grants: set, request: bytes, now_s: float,
+                       old: str, new: str) -> bool:
+    """Whether old -> new is one of the PSD's decision changes README lists,
+    for the recorded bindings `grants` both orders ran on: (1) a proof
+    whose binding is recorded for the window is LINKED, whatever else is
+    wrong with the request; (2) a bad credential together with an
+    out-of-area location, an undecodable Phi, a proof or delegation of
+    another window or coordinates other than the proof's is OUT_OF_AREA,
+    BAD_POL or EXPIRED."""
+    params = psd.view.dac_params
+    loc, ch_b, tv_b, pres_b, phi_b = wire.unpack_fields(request, 5)
+    pres = dac.Presentation.from_bytes(pres_b, params)
+    window = window_of(now_s)
+    phi_digest = H_tagged("phi", phi_b)
+    if (window, _binding(params, pres, phi_digest)) in grants:
+        return new == "LINKED"
+    credential_ok = dac.dac_cred_verify(
+        params, pres, presentation_context("spectrum", window, "PSD"),
+        loc + ch_b + tv_b + phi_digest)
+    return (old == "BAD_CREDENTIAL" and not credential_ok
+            and new in ("OUT_OF_AREA", "BAD_POL", "EXPIRED"))
+
+
+def _restore_psd(psd, state: tuple) -> None:
+    """Put back what `_psd_state` read."""
+    links, grants, puzzles, _ = state
+    for table, saved in ((psd.links, links), (psd.grants, grants),
+                         (psd.puzzles, puzzles)):
+        table.clear()
+        table.update(saved)
+
+
+def _both_psd_orders(psd, request: bytes, now_s: float) -> tuple[str, str, bool]:
+    """(the earlier order's decision, the PSD's, whether a change is
+    listed), each order run on the same used keys; the PSD is left as its
+    own run leaves it."""
+    before = _psd_state(psd)
+    old = _decision(lambda r, t: _earlier_psd_order(psd, r, t), request, now_s)
+    _restore_psd(psd, before)
+    new = _decision(psd.handle_spectrum_request, request, now_s)
+    return old, new, old != new and _listed_psd_change(psd, before[1], request,
+                                                       now_s, old, new)
+
+
+def _spectrum_request(c, xy: tuple[float, float], phi_b: bytes, now_s: float,
+                      dcred=None, good_cred: bool = True) -> bytes:
+    """A spectrum query with the given parts; with good_cred False its
+    presentation signs another payload, so the credential check fails."""
+    params = c.view.dac_params
+    loc = wire.encode_point(*xy)
+    ch_b = (1).to_bytes(2, "big")
+    tv_b = int(now_s).to_bytes(8, "big") + int(now_s + 60).to_bytes(8, "big")
+    payload = loc + ch_b + tv_b + H_tagged("phi", phi_b)
+    nym, aux = c.fresh_nym()
+    pres = dac.dac_cred_prove(
+        params, c.sk, nym, aux, dcred if dcred is not None else c.cred,
+        DISCLOSE_DEVICE, presentation_context("spectrum", window_of(now_s), "PSD"),
+        c.rng, payload=payload if good_cred else b"x" + payload)
+    return wire.pack_fields(loc, ch_b, tv_b, pres.to_bytes(params), phi_b)
+
+
+class TestPsdCheckOrderReference:
+    """The PSD's cheapest-first order against the order it replaced: the
+    same decision on every request, apart from the changes README lists."""
+
+    def test_every_listed_case(self, deployment):
+        t = 13_150.0
+        later = t + 60.0
+        psd, ap = deployment.psd, deployment.ap
+        c = deployment.new_client(DeviceProfile(b"PSD-0001", 30.0, 0), seed=7401)
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"PSD-ND01", 30.0, 0))
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(7402))
+        params = c.view.rlrs_params
+        here, there, elsewhere, outside = (5.0, 6.0), (7.0, 6.0), (8.0, 6.0), \
+            (-10.0, 5.0)
+        # a proof and a delegated credential that have bought a puzzle
+        used, _ = run_pol_ap(c, ap, *here, t)
+        run_spectrum_query(c, psd, *here, t, proof=used)
+        used_d, _ = run_pol_nd(c, nd, *here, t, 10.0)
+        run_spectrum_query(c, psd, *here, t, dcred=used_d)
+        # a second proof for the used one's event carries its link tag
+        same_tag, _ = run_pol_ap(c, ap, *here, t)
+        fresh, _ = run_pol_ap(c, ap, *there, t)
+        phis = {
+            "used": used.encode(params), "same_tag": same_tag.encode(params),
+            "fresh": fresh.encode(params),
+            "tampered": dataclasses.replace(
+                fresh, m=bytes([fresh.m[0] ^ 1]) + fresh.m[1:]).encode(params),
+            "undecodable": malformed_phi(fresh, params, SeededRng(83)),
+            "previous": run_pol_ap(c, ap, *there, t - 60.0)[0].encode(params),
+            "outside": run_pol_ap(c, ap, *outside, t)[0].encode(params),
+        }
+        dcreds = {
+            "used": used_d,
+            "fresh": run_pol_nd(c, nd, *there, t, 10.0)[0],
+            "previous": run_pol_nd(c, nd, *there, t - 60.0, 10.0)[0],
+            "outside": run_pol_nd(c, nd, *outside, t, 10.0)[0],
+        }
+        # (path, proof, query coordinates, now, credential valid) -> (old, new)
+        cases = [
+            # one fault, or none
+            (("ap", "fresh", there, t, True), ("GRANTED", "GRANTED")),
+            (("ap", "used", here, t, True), ("LINKED", "LINKED")),
+            (("ap", "same_tag", here, t, True), ("LINKED", "LINKED")),
+            (("ap", "tampered", there, t, True), ("BAD_POL", "BAD_POL")),
+            (("ap", "undecodable", there, t, True), ("BAD_POL", "BAD_POL")),
+            (("ap", "previous", there, t, True), ("EXPIRED", "EXPIRED")),
+            (("ap", "used", here, later, True), ("EXPIRED", "EXPIRED")),
+            (("ap", "fresh", elsewhere, t, True), ("BAD_POL", "BAD_POL")),
+            (("ap", "outside", outside, t, True), ("OUT_OF_AREA", "OUT_OF_AREA")),
+            (("ap", "fresh", there, t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            # a used proof and another fault
+            (("ap", "used", here, t, False), ("BAD_CREDENTIAL", "LINKED")),
+            (("ap", "used", elsewhere, t, True), ("BAD_POL", "LINKED")),
+            (("ap", "used", outside, t, True), ("OUT_OF_AREA", "LINKED")),
+            # a bad credential and a cheaper fault
+            (("ap", "outside", outside, t, False),
+             ("BAD_CREDENTIAL", "OUT_OF_AREA")),
+            (("ap", "undecodable", there, t, False), ("BAD_CREDENTIAL", "BAD_POL")),
+            (("ap", "previous", there, t, False), ("BAD_CREDENTIAL", "EXPIRED")),
+            (("ap", "fresh", elsewhere, t, False), ("BAD_CREDENTIAL", "BAD_POL")),
+            # a bad credential and a costlier fault, and two faults of a kind
+            (("ap", "tampered", there, t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            (("ap", "same_tag", here, t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            (("ap", "tampered", elsewhere, t, True), ("BAD_POL", "BAD_POL")),
+            (("ap", "undecodable", outside, t, True),
+             ("OUT_OF_AREA", "OUT_OF_AREA")),
+            # the neighbor-device path
+            (("nd", "fresh", there, t, True), ("GRANTED", "GRANTED")),
+            (("nd", "used", here, t, True), ("LINKED", "LINKED")),
+            (("nd", "fresh", elsewhere, t, True), ("BAD_POL", "BAD_POL")),
+            (("nd", "previous", there, t, True), ("EXPIRED", "EXPIRED")),
+            (("nd", "outside", outside, t, True), ("OUT_OF_AREA", "OUT_OF_AREA")),
+            (("nd", "fresh", there, t, False),
+             ("BAD_CREDENTIAL", "BAD_CREDENTIAL")),
+            (("nd", "used", here, t, False), ("BAD_CREDENTIAL", "LINKED")),
+            (("nd", "used", elsewhere, t, True), ("BAD_POL", "LINKED")),
+            (("nd", "fresh", elsewhere, t, False), ("BAD_CREDENTIAL", "BAD_POL")),
+            (("nd", "previous", there, t, False), ("BAD_CREDENTIAL", "EXPIRED")),
+            (("nd", "outside", outside, t, False),
+             ("BAD_CREDENTIAL", "OUT_OF_AREA")),
+        ]
+        for (path, name, xy, now, cred_ok), want in cases:
+            if path == "ap":
+                request = _spectrum_request(c, xy, phis[name], now,
+                                            good_cred=cred_ok)
+            else:
+                request = _spectrum_request(c, xy, b"", now, dcred=dcreds[name],
+                                            good_cred=cred_ok)
+            saved = _psd_state(psd)
+            old, new, listed = _both_psd_orders(psd, request, now)
+            _restore_psd(psd, saved)        # a served query used its proof
+            case = (path, name, xy, now, cred_ok)
+            assert (old, new) == want, case
+            assert listed == (old != new), case
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_requests(self, deployment, valid_requests, data):
+        psd, t = deployment.psd, 7000.0
+        request = _one_field_mutated(data, valid_requests["psd"][1], 5)
+        saved = _psd_state(psd)
+        old, new, listed = _both_psd_orders(psd, request, t)
+        _restore_psd(psd, saved)
+        assert old == new or listed, (old, new)
+
+    def test_flood_classes(self, flood):
+        # the requests perfbench's flood sends to the PSD
+        workloads, unit = flood
+        psd, now = unit.dep.psd, workloads.FLOOD_NOW
+        seen = {}
+        stream = unit.requests()
+        while len(seen) < 4 or sum(seen.values()) < 10:
+            kind, request = next(stream)
+            if kind not in workloads.PSD_KINDS:
+                continue
+            old, new, _ = _both_psd_orders(psd, request, now)
+            assert old == new, (kind, old, new)
+            want = workloads.EXPECTED[kind]
+            assert new != "GRANTED" and (want is None or new == want.name), kind
+            seen[kind] = seen.get(kind, 0) + 1
+        assert set(seen) == workloads.PSD_KINDS
+
+
+# -- what each request class costs its handler, counted -----------------------
+
+# the costly calls a handler can make, as (module, name) pairs the handlers
+# look up at call time
+COSTLY = ((dac, "dac_cred_verify"), (rlrs, "rlrs_verify"),
+          (vdf, "hash_to_prime"), (vdf, "multiexp"))
+
+# request class -> (decision, calls to each of COSTLY), in the order sent
+REFUSAL_COSTS = {
+    "query, AP path": ("GRANTED", (1, 1, 0, 0)),
+    "query, ND path": ("GRANTED", (1, 0, 0, 0)),
+    "linked replay, AP path": ("LINKED", (0, 0, 0, 0)),
+    "linked replay, ND path": ("LINKED", (0, 0, 0, 0)),
+    "tampered Phi": ("BAD_POL", (1, 1, 0, 0)),
+    "malformed Phi": ("BAD_POL", (0, 0, 0, 0)),
+    "out of area": ("OUT_OF_AREA", (0, 0, 0, 0)),
+    "proof of another window": ("EXPIRED", (0, 0, 0, 0)),
+    "unknown puzzle": ("BAD_PUZZLE", (0, 0, 0, 0)),
+    "ell below the floor": ("BAD_SOLUTION", (0, 0, 0, 0)),
+    "wrong ell above the floor": ("BAD_SOLUTION", (0, 0, 1, 0)),
+    "wrong pi": ("BAD_SOLUTION", (0, 0, 1, 1)),
+    "service, AP path": ("GRANTED", (1, 0, 1, 1)),
+    "service, ND path": ("GRANTED", (1, 0, 1, 1)),
+    "service replay": ("BAD_PUZZLE", (0, 0, 0, 0)),
+}
+
+
+class TestRefusalCosts:
+    """Each request class's decision and its count of costly calls at the
+    handler. A refusal must cost the server less than the request cost its
+    sender: a used proof costs a lookup and a wrong ell one prime search."""
+
+    def test_counts_per_class(self, deployment, monkeypatch):
+        t = 14_150.0
+        psd, server, ap = deployment.psd, deployment.server, deployment.ap
+        c = deployment.new_client(DeviceProfile(b"CST-0001", 30.0, 0), seed=7501)
+        _, nd_sk, nd_cred = deployment.authority.enroll(
+            DeviceProfile(b"CST-ND01", 30.0, 0))
+        nd = NeighborDevice(deployment.view, nd_sk, nd_cred, SeededRng(7502))
+        params = c.view.rlrs_params
+        proof, _ = run_pol_ap(c, ap, 5.0, 6.0, t)
+        dcred, _ = run_pol_nd(c, nd, 5.0, 6.0, t, 10.0)
+        other, _ = run_pol_ap(c, ap, 7.0, 6.0, t)
+        tampered = dataclasses.replace(other, m=bytes([other.m[0] ^ 1]) + other.m[1:])
+        query = _spectrum_request(c, (5.0, 6.0), proof.encode(params), t)
+        nd_query = _spectrum_request(c, (5.0, 6.0), b"", t, dcred=dcred)
+
+        counts = dict.fromkeys((name for _, name in COSTLY), 0)
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        for module, name in COSTLY:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        measured, responses = {}, {}
+
+        def send(label, handle, request):
+            for name in counts:
+                counts[name] = 0
+            try:
+                responses[label] = handle(request, t)
+                decision = "GRANTED"
+            except ProtocolReject as e:
+                decision = e.reason.name
+            measured[label] = (decision, tuple(counts.values()))
+
+        to_psd, to_server = psd.handle_spectrum_request, server.handle_service_request
+        send("query, AP path", to_psd, query)
+        send("query, ND path", to_psd, nd_query)
+        send("linked replay, AP path", to_psd, query)
+        send("linked replay, ND path", to_psd, nd_query)
+        send("tampered Phi", to_psd,
+             _spectrum_request(c, (7.0, 6.0), tampered.encode(params), t))
+        send("malformed Phi", to_psd, _spectrum_request(
+            c, (7.0, 6.0), malformed_phi(other, params, SeededRng(84)), t))
+        send("out of area", to_psd, _spectrum_request(
+            c, (-10.0, 5.0), run_pol_ap(c, ap, -10.0, 5.0, t)[0].encode(params), t))
+        send("proof of another window", to_psd, _spectrum_request(
+            c, (7.0, 6.0), run_pol_ap(c, ap, 7.0, 6.0, t - 60.0)[0].encode(params), t))
+
+        puzzle, nd_puzzle = (Puzzle.decode(wire.unpack_fields(responses[k], 3)[1])
+                             for k in ("query, AP path", "query, ND path"))
+        m, n = b"cost", puzzle.modulus_n
+        good = vdf.vdf_eval(n, puzzle.challenge_for(m))
+        nd_good = vdf.vdf_eval(nd_puzzle.modulus_n, nd_puzzle.challenge_for(m))
+        phi_b = proof.encode(params)
+
+        def service(pz, sol, phi=phi_b, dc=None):
+            return _service_request(c, m, pz, sol.to_bytes(pz.modulus_bytes),
+                                    phi, t, dcred=dc)
+
+        unknown = dataclasses.replace(puzzle, puzzle_id=b"\xff" * 8)
+        send("unknown puzzle", to_server, service(unknown, good))
+        send("ell below the floor", to_server,
+             service(puzzle, vdf.VdfSolution(2, good.pi, good.y)))
+        send("wrong ell above the floor", to_server,
+             service(puzzle, vdf.VdfSolution(good.ell + 2, good.pi, good.y)))
+        send("wrong pi", to_server,
+             service(puzzle, vdf.VdfSolution(good.ell, (good.pi + 1) % n, good.y)))
+        granted = service(puzzle, good)
+        send("service, AP path", to_server, granted)
+        send("service, ND path", to_server, service(nd_puzzle, nd_good, b"", dcred))
+        send("service replay", to_server, granted)
+        assert measured == REFUSAL_COSTS

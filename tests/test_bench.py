@@ -29,7 +29,8 @@ class TestBenchAll:
                     "rlrs_link", "aka", "sgn_sign", "sgn_verify", "vdf_setup",
                     "vdf_eval_k1000", "vdf_verify_k1000", "vdf_eval_k8000",
                     "vdf_verify_k8000", "vdf_eval_k32000", "vdf_verify_k32000",
-                    "group_mul_g", "group_muladd_fixed", "group_muladd_fresh"}
+                    "group_mul_g", "group_muladd_fixed", "group_muladd_fresh",
+                    "psd_linked_replay", "server_wrong_ell"}
         assert expected <= set(report.ops)
         assert all(t.median_s > 0 for t in report.ops.values())
         assert all(t.p95_s >= t.median_s for t in report.ops.values())
@@ -88,8 +89,11 @@ class TestBenchAll:
         monkeypatch.setattr(bench, "_time_ops", time_ops)
         bench_all(iterations=30, kappa_grid=(200, 60000), vdf_modulus_bits=256,
                   seed=4)
+        # the server_wrong_ell row's requests verify at the bench client's
+        # puzzle difficulty
         assert set(seen) == {(fn, k) for fn in ("vdf_eval", "vdf_verify")
-                             for k in (200, 60000)}
+                             for k in (200, 60000)} | {
+            ("vdf_verify", vdf.difficulty_for("default"))}
         assert all(len(inputs) > 1 for inputs in seen.values())
 
 
