@@ -20,12 +20,24 @@ Scenario behaviors
   precompute    attackers bank solved puzzles (bounded by the validity
                 window over the eval time) and drain the bank during the
                 attack window.
+
+Event engine
+  `SimClock` keeps a binary heap of `(at_ns, seq, fn)`: the least time runs
+  first, and one counter's seq breaks ties in the order events were
+  scheduled. Fixed-period sources share one more structure, a FIFO lane
+  (`SimClock.every`), that sits in the heap as a single entry and runs its
+  fires in a tight loop until a heap event or the run's end comes first.
+  The baseline flooders, which are most of a DoS grid's events, run there,
+  and a flood arrival that finds the queue full only bumps counters
+  (`ServerModel.flood`). Both keep the order and the seqs of one heap entry
+  per fire, so every CSV row is the same as with that engine.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .dbp import SPEED_OF_LIGHT_M_S
@@ -127,7 +139,8 @@ class ScenarioConfig:
 
     @property
     def n_malicious(self) -> int:
-        return int(self.n_ue * self.r_mal)
+        # guard the floor against float dust: 100 * 0.29 is 28.999999999999996
+        return int(self.n_ue * self.r_mal + 1e-9)
 
     @property
     def n_benign(self) -> int:
@@ -180,6 +193,7 @@ class SimClock:
     def __init__(self):
         self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
+        self._end_ns = 0
         self.now_ns = 0
 
     def schedule(self, delay_s: float, fn) -> None:
@@ -187,8 +201,61 @@ class SimClock:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, fn))
 
+    def every(self, period_s: float, first_delays_s, fn) -> None:
+        """Fixed-period sources: one fires `fn` at each of `first_delays_s`
+        from now, and again `period_s` after each fire at which `fn()`
+        returns True. The delays must lie within one period of each other.
+
+        The sources share one FIFO lane of `(at_ns, seq)` entries. Their
+        seqs are drawn from the clock's counter in the order of
+        `first_delays_s`, as one `schedule` call each would draw them, and
+        the lane is sorted once. It sits in the heap as one entry keyed by
+        its front, and re-pushing that entry draws no seq. Popped, it runs
+        fires while its front comes before the heap's top and no later than
+        the end of `run_until`. A re-entry draws the next seq after `fn()`
+        returns, so an offer that schedules its completion draws first, as
+        it would with `schedule`.
+
+        The order is exact. A fire at `now` re-enters at now + period, and
+        every pending entry is at most that: a re-entry was made at an
+        earlier fire plus the period, and a first entry is within one
+        period of the first fire. Its seq is larger than any pending seq, so
+        the lane stays sorted by `(at, seq)`, and the engine always runs the
+        least `(at, seq)` across the heap and the lane.
+        """
+        period_ns = max(0, int(round(period_s * 1e9)))
+        entries = []
+        for delay_s in first_delays_s:
+            self._seq += 1
+            entries.append(
+                (self.now_ns + max(0, int(round(delay_s * 1e9))), self._seq))
+        if not entries:
+            return
+        entries.sort()
+        if entries[-1][0] - entries[0][0] > period_ns:
+            raise ParameterError("first delays must lie within one period")
+        lane = deque(entries)
+        heap = self._heap
+        push = heapq.heappush
+
+        def run():
+            while True:
+                at = lane.popleft()[0]
+                self.now_ns = at
+                if fn():
+                    self._seq += 1
+                    lane.append((at + period_ns, self._seq))
+                if not lane:
+                    return
+                front = lane[0]
+                if front[0] > self._end_ns or (heap and heap[0] < front):
+                    push(heap, (*front, run))
+                    return
+
+        push(heap, (*lane[0], run))
+
     def run_until(self, t_end_s: float) -> None:
-        end_ns = int(t_end_s * 1e9)
+        end_ns = self._end_ns = int(t_end_s * 1e9)
         while self._heap and self._heap[0][0] <= end_ns:
             at, _, fn = heapq.heappop(self._heap)
             if at < self.now_ns:
@@ -224,7 +291,7 @@ class ServerModel:
         self.clock = clock
         self.metrics = metrics
         self.busy = 0
-        self.queue: list[Request] = []
+        self.queue: deque[Request] = deque()
         self._wait_sum_ns = 0
         self._wait_count = 0
         self._mal_generated = 0
@@ -252,6 +319,16 @@ class ServerModel:
         else:
             self.metrics.n_dropped_benign += 1
 
+    def flood(self, service_s: float) -> None:
+        """A flooder's arrival. At a full queue it is dropped, which only
+        counts it, so a drop builds no Request."""
+        if len(self.queue) < QUEUE_CAPACITY:
+            self.offer(Request(True, service_s))
+            return
+        self.metrics.n_generated += 1
+        self._mal_generated += 1
+        self.metrics.n_dropped_malicious += 1
+
     def _begin(self, req: Request) -> None:
         self.busy += 1
         self.clock.schedule(req.service_s, lambda r=req: self._complete(r))
@@ -264,7 +341,7 @@ class ServerModel:
         if req.done_cb is not None:
             req.done_cb()
         if self.queue and self.busy < WORKERS:
-            nxt = self.queue.pop(0)
+            nxt = self.queue.popleft()
             self._wait_sum_ns += self.clock.now_ns - nxt.enqueued_ns
             self._wait_count += 1
             self._begin(nxt)
@@ -333,16 +410,18 @@ def _benign_run(clock: SimClock, server: ServerModel, cfg: ScenarioConfig,
 
 
 def _spawn_baseline_attackers(clock, server, cfg, cal, rng):
+    """Open loop: each attacker fires a cheap request every period from a
+    uniform phase at the window's start until the window ends."""
     period = 1.0 / BASELINE_ATTACK_RATE_HZ
 
     def fire():
         if clock.now_s >= ATTACK_END_S:
-            return
-        server.offer(Request(True, cal.baseline_service_s))
-        clock.schedule(period, fire)
+            return False
+        server.flood(cal.baseline_service_s)
+        return True
 
-    for _ in range(cfg.n_malicious):
-        clock.schedule(ATTACK_START_S + rng.uniform(0, period), fire)
+    clock.every(period, [ATTACK_START_S + rng.uniform(0, period)
+                         for _ in range(cfg.n_malicious)], fire)
 
 
 def _spawn_full_attackers(clock, server, cfg, cal, rng):
@@ -400,18 +479,20 @@ def _spawn_precompute_attackers(clock, server, cfg, cal, rng):
     submit_period = 1.0 / PRECOMPUTE_SUBMIT_HZ
 
     for i in range(cfg.n_malicious):
-        state = {"bank": [], "first": True}  # bank holds expiry stamps
+        # the bank holds expiry stamps, appended in ascending order
+        state = {"bank": deque(), "first": True}
 
         def solver(state=state):
             def solved():
                 now = clock.now_s
-                state["bank"] = [e for e in state["bank"] if e > now]
-                state["bank"].append(now + WINDOW_S)
-                if len(state["bank"]) > bank_bound:
+                bank = state["bank"]
+                _expire(bank, now)
+                bank.append(now + WINDOW_S)
+                if len(bank) > bank_bound:
                     raise AssertionError(
                         "precompute bank exceeded the validity bound")
                 metrics.max_precomputed_bank = max(metrics.max_precomputed_bank,
-                                                   len(state["bank"]))
+                                                   len(bank))
                 if now + t_eval < DURATION_S:
                     clock.schedule(t_eval, solved)
             return solved
@@ -421,9 +502,10 @@ def _spawn_precompute_attackers(clock, server, cfg, cal, rng):
                 now = clock.now_s
                 if now >= ATTACK_END_S:
                     return
-                state["bank"] = [e for e in state["bank"] if e > now]
-                if state["bank"]:
-                    state["bank"].pop(0)
+                bank = state["bank"]
+                _expire(bank, now)
+                if bank:
+                    bank.popleft()
                     svc = (cal.service_verify_s if state["first"]
                            else cal.link_reject_s)
                     server.offer(Request(True, svc, granted=state["first"]))
@@ -434,6 +516,12 @@ def _spawn_precompute_attackers(clock, server, cfg, cal, rng):
         clock.schedule(t_eval, solver())
         clock.schedule(ATTACK_START_S + (i % 10) * submit_period / 10,
                        submitter())
+
+
+def _expire(bank: deque, now: float) -> None:
+    """Drop the stamps at or before `now`; ascending, they are a prefix."""
+    while bank and bank[0] <= now:
+        bank.popleft()
 
 
 # the attackers of each scenario, spawned after the benign UEs

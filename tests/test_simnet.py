@@ -1,14 +1,23 @@
-"""Simulator invariants: determinism, conservation, queue behavior, and the
+"""Simulator invariants: determinism, conservation, queue behavior, the
+event engine against the one-heap-entry-per-fire path it replaced, and the
 spoofing Monte Carlos against closed-form oracles."""
+import heapq
 import math
+from collections import Counter, deque
+from types import SimpleNamespace
 
 import pytest
 
+from slapx import simnet
 from slapx.errors import ParameterError
 from slapx.protocol import WINDOW_S
-from slapx.simnet import (DEFAULT_CALIBRATION, PRECOMPUTE_KAPPA, Calibration,
-                          ScenarioConfig, SimClock, SimMetrics, precompute_limit,
-                          run_dos, run_fraud, run_hijack, run_hijack_cell)
+from slapx.simnet import (ATTACK_END_S, ATTACK_START_S,
+                          BASELINE_ATTACK_RATE_HZ, DEFAULT_CALIBRATION,
+                          DOS_SCENARIOS, DURATION_S, PRECOMPUTE_KAPPA,
+                          PRECOMPUTE_SUBMIT_HZ, Calibration, Request,
+                          ScenarioConfig, SimClock, SimMetrics, dos_grid,
+                          precompute_limit, run_dos, run_fraud, run_hijack,
+                          run_hijack_cell)
 
 
 def binom_tail(n: int, q: float, k: int) -> float:
@@ -34,7 +43,114 @@ class TestClock:
         assert order == ["c", "a", "b"]
 
 
+def reference_every(clock, period_s, first_delays_s, fn):
+    """`SimClock.every` as one heap entry per fire: the path it replaced."""
+    def fire():
+        if fn():
+            clock.schedule(period_s, fire)
+
+    for delay_s in first_delays_s:
+        clock.schedule(delay_s, fire)
+
+
+class TestEvery:
+    """`SimClock.every` runs fires in the order, and draws seqs in the order,
+    of one `schedule` call per fire."""
+
+    @staticmethod
+    def trace(every):
+        """Two lanes and heap events that tie with lane fires, before and
+        after the lanes' entries, and from inside a fire."""
+        clock = SimClock()
+        log = []
+        fires = Counter()
+
+        def note(tag):
+            return lambda: log.append((clock.now_ns, tag))
+
+        def source(tag, fires_left):
+            def fn():
+                fires[tag] += 1
+                log.append((clock.now_ns, tag))
+                # a zero delay ties with the lane's next entry at that ns
+                clock.schedule(0.0, note(tag + "-now"))
+                clock.schedule(0.25, note(tag + "-later"))
+                return fires[tag] < fires_left
+            return fn
+
+        clock.schedule(1.0, note("before"))
+        clock.schedule(1.5, note("before-1.5"))
+        every(clock, 0.5, [1.0, 1.5, 1.0], source("a", 4))
+        clock.schedule(1.0, note("after"))
+        clock.schedule(2.0, note("after-2.0"))
+        every(clock, 0.25, [1.0, 1.25], source("b", 3))
+        clock.run_until(1.6)
+        clock.run_until(10.0)
+        return log
+
+    def test_matches_one_heap_entry_per_fire(self):
+        want = self.trace(reference_every)
+        assert self.trace(SimClock.every) == want
+        assert want[:3] == [(10 ** 9, "before"), (10 ** 9, "a"), (10 ** 9, "a")]
+        assert (10 ** 9, "after") in want
+
+    def test_same_ns_ties_with_heap_events(self):
+        clock = SimClock()
+        order = []
+        clock.schedule(1.0, lambda: order.append("before"))
+        clock.every(1.0, [1.0, 1.0], lambda: order.append("lane") or False)
+        clock.schedule(1.0, lambda: order.append("after"))
+        clock.run_until(5.0)
+        assert order == ["before", "lane", "lane", "after"]
+
+    def test_false_stops_only_that_source(self):
+        clock = SimClock()
+        at = []
+
+        def fn():
+            at.append(clock.now_ns)
+            return len(at) < 4
+
+        clock.every(1.0, [0.5], fn)
+        clock.run_until(100.0)
+        assert at == [500_000_000, 1_500_000_000, 2_500_000_000,
+                      3_500_000_000]
+        assert clock._heap == []
+
+    def test_zero_first_delay_and_empty_list(self):
+        clock = SimClock()
+        clock.every(1.0, [], lambda: True)
+        assert clock._heap == []
+        order = []
+        clock.schedule(0.0, lambda: order.append("heap"))
+        clock.every(1.0, [0.0], lambda: order.append("lane") or False)
+        clock.run_until(0.0)
+        assert order == ["heap", "lane"]
+
+    def test_entry_at_the_end_and_successive_runs(self):
+        clock = SimClock()
+        at = []
+        clock.every(0.5, [0.0], lambda: at.append(clock.now_ns) or True)
+        clock.run_until(1.0)
+        assert at == [0, 500_000_000, 1_000_000_000]
+        clock.run_until(2.0)
+        assert at[3:] == [1_500_000_000, 2_000_000_000]
+        assert clock.now_ns == 2_000_000_000
+
+    def test_first_delays_beyond_one_period_refused(self):
+        with pytest.raises(ParameterError):
+            SimClock().every(1.0, [0.0, 1.5], lambda: True)
+
+
 class TestScenarioConfig:
+    @pytest.mark.parametrize("n_ue,r_mal,n_malicious",
+                             [(100, 0.29, 29), (90, 0.7, 63), (180, 0.35, 63)])
+    def test_malicious_count_survives_float_dust(self, n_ue, r_mal,
+                                                 n_malicious):
+        cfg = ScenarioConfig("baseline", n_ue=n_ue, r_mal=r_mal)
+        assert cfg.n_malicious == n_malicious
+        assert cfg.n_benign == n_ue - n_malicious
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ScenarioConfig("nonsense")
@@ -87,6 +203,132 @@ class TestDosRuns:
         assert SimMetrics.CSV_HEADER.count(",") == m.csv_row().count(",")
 
 
+# -- the reference path: the baseline flooders with one heap entry and one
+# Request per fire, and the precompute bank as a rebuilt list ---------------
+
+def reference_baseline_attackers(clock, server, cfg, cal, rng):
+    period = 1.0 / BASELINE_ATTACK_RATE_HZ
+
+    def fire():
+        if clock.now_s >= ATTACK_END_S:
+            return
+        server.offer(Request(True, cal.baseline_service_s))
+        clock.schedule(period, fire)
+
+    for _ in range(cfg.n_malicious):
+        clock.schedule(ATTACK_START_S + rng.uniform(0, period), fire)
+
+
+def reference_precompute_attackers(clock, server, cfg, cal, rng):
+    metrics = server.metrics
+    t_eval = cal.vdf_eval_s(PRECOMPUTE_KAPPA)
+    bank_bound = precompute_limit(PRECOMPUTE_KAPPA, WINDOW_S,
+                                  cal.vdf_s_per_squaring)
+    submit_period = 1.0 / PRECOMPUTE_SUBMIT_HZ
+
+    for i in range(cfg.n_malicious):
+        state = {"bank": [], "first": True}
+
+        def solver(state=state):
+            def solved():
+                now = clock.now_s
+                state["bank"] = [e for e in state["bank"] if e > now]
+                state["bank"].append(now + WINDOW_S)
+                assert len(state["bank"]) <= bank_bound
+                metrics.max_precomputed_bank = max(metrics.max_precomputed_bank,
+                                                   len(state["bank"]))
+                if now + t_eval < DURATION_S:
+                    clock.schedule(t_eval, solved)
+            return solved
+
+        def submitter(state=state):
+            def submit():
+                now = clock.now_s
+                if now >= ATTACK_END_S:
+                    return
+                state["bank"] = [e for e in state["bank"] if e > now]
+                if state["bank"]:
+                    state["bank"].pop(0)
+                    svc = (cal.service_verify_s if state["first"]
+                           else cal.link_reject_s)
+                    server.offer(Request(True, svc, granted=state["first"]))
+                    state["first"] = False
+                clock.schedule(submit_period, submit)
+            return submit
+
+        clock.schedule(t_eval, solver())
+        clock.schedule(ATTACK_START_S + (i % 10) * submit_period / 10,
+                       submitter())
+
+
+def grid_rows(calibration, seeds):
+    return [m.csv_row() for seed in seeds for scenario in DOS_SCENARIOS
+            for m in dos_grid(scenario, seed=seed, calibration=calibration)]
+
+
+class TestReferencePath:
+    """Every CSV row of the full grids equals the reference path's."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def rows(calibration, seeds):
+            with monkeypatch.context() as m:
+                m.setitem(simnet._ATTACKERS, "baseline",
+                          reference_baseline_attackers)
+                m.setitem(simnet._ATTACKERS, "precompute",
+                          reference_precompute_attackers)
+                return grid_rows(calibration, seeds)
+        return rows
+
+    def test_seeds(self, reference):
+        seeds = (1, 2, 3, 77)
+        assert grid_rows(DEFAULT_CALIBRATION, seeds) == reference(
+            DEFAULT_CALIBRATION, seeds)
+
+    # a flood request served in no time, in less than, in exactly and in
+    # more than the 10 ms flood period; a rejection as long as a bypass pulse
+    @pytest.mark.parametrize("baseline_service_s", [0.0, 0.005, 0.01, 0.024])
+    def test_calibrations(self, reference, baseline_service_s):
+        cal = Calibration(baseline_service_s=baseline_service_s,
+                          reject_service_s=1 / 11.6)
+        assert grid_rows(cal, (1,)) == reference(cal, (1,))
+
+
+class TestWorkCounted:
+    """The flood's saving pinned as counts, which repeat exactly: in the
+    baseline cell, a dropped arrival pushes no heap entry and builds no
+    Request, so both stay bounded by the arrivals the server takes in."""
+
+    def test_drops_add_no_heap_push_or_request(self, monkeypatch):
+        pushes = [0]
+        built = Counter()
+
+        def counted_push(heap, item):
+            pushes[0] += 1
+            heapq.heappush(heap, item)
+
+        class CountedRequest(Request):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built[self.malicious] += 1
+
+        monkeypatch.setattr(simnet, "heapq", SimpleNamespace(
+            heappush=counted_push, heappop=heapq.heappop))
+        monkeypatch.setattr(simnet, "Request", CountedRequest)
+        cfg = ScenarioConfig("baseline", n_ue=250, r_mal=0.4, seed=1)
+        m = run_dos(cfg)
+        taken_in = m.n_generated - m.n_dropped_malicious
+        n_built = built[True] + built[False]
+        assert n_built <= taken_in
+        # per benign UE a start, a query and a service step; per Request
+        # one completion; per rejected arrival one retry; and a lane entry
+        # at most once per other event popped, and once more at the start
+        # and at the end of the run
+        assert pushes[0] <= 2 * (3 * cfg.n_benign + n_built
+                                 + m.n_rejected_arrival) + 2
+        assert m.n_dropped_malicious > 10 * pushes[0]
+
+
 class TestCalibration:
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "cal.json")
@@ -106,6 +348,14 @@ class TestPrecomputeLimit:
 
     def test_zero_validity(self):
         assert precompute_limit(1000, 0.0, 1e-5) == 0
+
+    def test_bank_expires_its_prefix_at_or_before_now(self):
+        # a 10 s DoS run ends before any 60 s stamp expires
+        bank = deque([1.0, 2.0, 2.0, 3.0])
+        simnet._expire(bank, 2.0)
+        assert list(bank) == [3.0]
+        simnet._expire(bank, 4.0)
+        assert not bank
 
     def test_doubling_kappa_halves_limit(self):
         base = precompute_limit(10_000, 60.0, 1.2e-5)
