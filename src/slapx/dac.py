@@ -1,15 +1,13 @@
 """Attribute credentials with selective disclosure, re-randomizable
 presentations, and one-level delegation.
 
-Instantiation. The root issuer holds an RSA modulus and signs with the one
-exponent e = exponents[0]. A credential on attribute set A bound to user
-secret u is the e-th root
+Instantiation. The root issuer holds an RSA modulus n and one public
+exponent e, a 192-bit prime coprime to lambda(n). A credential on at most
+MAX_ATTRS attributes bound to user secret u is the e-th root
 
     sigma = (R_sk^u * S^o * prod_i R_i^{m_i})^(1/e)  mod n,
 
 a multi-base commitment to u, an opening o, and the attribute digests m_i.
-Setup draws a second exponent that signs nothing: it enters the parameter
-fingerprint, and is kept so that seeded parameters do not change.
 A presentation re-randomizes sigma by a fresh factor t (sigma' = sigma*t,
 with t^e folded into the proven relation), so every transcript is
 statistically fresh, and proves knowledge of the hidden exponents by a
@@ -61,6 +59,7 @@ _TABLE_BITS = 8 * Z_BYTES
 BASE_SK, BASE_S = -2, -1
 
 DELEGATION_DEPTH = 2  # the level of a delegated credential; root ones are 1
+MAX_ATTRS = 4         # attribute slots R_0..R_3: a DeviceProfile's four
 
 
 # -- attributes ---------------------------------------------------------
@@ -111,17 +110,15 @@ def attrs_digest(attrs: tuple[Attribute, ...]) -> bytes:
 # -- public parameters and keys ------------------------------------------
 
 class DacParams:
-    def __init__(self, n: int, exponents: tuple[int, ...], t: int,
-                 cert_pk: GroupElement):
+    def __init__(self, n: int, e: int, cert_pk: GroupElement):
         self.n = n
-        self.exponents = exponents    # exponents[0] signs; see the module doc
-        self.t = t
+        self.e = e
         self.cert_pk = cert_pk
         self.cert_table = CURVE.table(cert_pk)    # for every certificate check
         self.base_S = self._derive_base("S", 0)
         self.base_sk = self._derive_base("R_sk", 0)
-        self.bases = tuple(self._derive_base("R", i) for i in range(t))
-        # indexed by multiexp key: R_0 .. R_{t-1}, then R_sk (-2) and S (-1);
+        self.bases = tuple(self._derive_base("R", i) for i in range(MAX_ATTRS))
+        # indexed by multiexp key: R_0 .. R_3, then R_sk (-2) and S (-1);
         # ~16 KB each at 1024 bits
         self._tables = tuple(FixedBase(g, n, _TABLE_BITS) for g in
                              self.bases + (self.base_sk, self.base_S))
@@ -139,8 +136,7 @@ class DacParams:
 
     def fingerprint(self) -> bytes:
         return H_tagged("dac/pp", self.n.to_bytes(256, "big").lstrip(b"\x00"),
-                        *[e.to_bytes(24, "big") for e in self.exponents],
-                        self.t.to_bytes(2, "big"), self.cert_pk.to_bytes())
+                        self.e.to_bytes(24, "big"), self.cert_pk.to_bytes())
 
     @property
     def n_bytes(self) -> int:
@@ -150,7 +146,7 @@ class DacParams:
 @dataclass
 class RootIssuerKey:
     params: DacParams
-    root: int                       # d with d*e = 1 mod lambda(n), e = exponents[0]
+    root: int                       # d with d*e = 1 mod lambda(n)
     cert_key: SigningKey
 
 
@@ -186,22 +182,18 @@ class DelegatedCredential:
     base: Credential                # recipient's own root credential
 
 
-def dac_setup(t: int, rng: SeededRng,
+def dac_setup(rng: SeededRng,
               modulus_bits: int = DEFAULT_MODULUS_BITS) -> tuple[DacParams, RootIssuerKey]:
-    if t < 1:
-        raise ParameterError("attribute bound must be at least 1")
     p, q = random_prime_pair(modulus_bits, rng)
     n = p * q
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    exps = []
-    while len(exps) < DELEGATION_DEPTH:
+    e = random_prime(192, rng)
+    while math.gcd(e, lam) != 1:
         e = random_prime(192, rng)
-        if math.gcd(e, lam) == 1 and e not in exps:
-            exps.append(e)
-    root = pow(exps[0], -1, lam)
+    root = pow(e, -1, lam)
     del p, q, lam
     cert_key = SigningKey.generate(rng)
-    params = DacParams(n, tuple(exps), t, cert_key.pk)
+    params = DacParams(n, e, cert_key.pk)
     return params, RootIssuerKey(params, root, cert_key)
 
 
@@ -285,8 +277,8 @@ def dac_create_cred(root: RootIssuerKey, request: OpeningProof,
     with dk a fresh root-certified delegation key."""
     params = root.params
     n = params.n
-    if len(attrs) > params.t:
-        raise ParameterError("attribute set exceeds bound t")
+    if len(attrs) > MAX_ATTRS:
+        raise ParameterError(f"attribute set exceeds {MAX_ATTRS} slots")
     if not _opening_valid(params, False, request):
         raise CryptoError("issuance request proof invalid")
     o_i = rng.randint_bits(_SECRET_BITS)
@@ -303,7 +295,7 @@ def dac_get_cred(params: DacParams, sk: int, o_u: int, sigma: int, o_i: int,
     """User side completion: verify the root signature, assemble the credential."""
     body = params.multiexp((BASE_SK, sk), (BASE_S, o_u + o_i),
                            *((i, a.digest()) for i, a in enumerate(attrs)))
-    if pow(sigma, params.exponents[0], params.n) != body:
+    if pow(sigma, params.e, params.n) != body:
         raise CryptoError("issued credential does not verify")
     return Credential(sigma=sigma, opening=o_u + o_i, attrs=attrs, dk=dk)
 
@@ -452,8 +444,7 @@ def dac_cred_prove(params: DacParams, sk: int, nym: int, aux: int,
     extension attributes are shown in full alongside the base credential."""
     ext_cred = cred if isinstance(cred, DelegatedCredential) else None
     base = cred if ext_cred is None else ext_cred.base
-    n = params.n
-    e = params.exponents[0]
+    n, e = params.n, params.e
     if any(i >= len(base.attrs) for i in disclose):
         raise CryptoError("disclosed attribute not in committed set")
     disclosed = tuple((i, base.attrs[i]) for i in sorted(disclose))
@@ -498,10 +489,10 @@ def dac_cred_verify(params: DacParams, pres: Presentation,
     n = params.n
     if not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
         return False
-    e = params.exponents[0]
+    e = params.e
     slots = {i for i, _ in pres.hidden} | {i for i, _ in pres.disclosed}
     if len(slots) != len(pres.hidden) + len(pres.disclosed) or any(
-            i >= params.t for i in slots):
+            i >= MAX_ATTRS for i in slots):
         return False
 
     c = pres.c
@@ -549,8 +540,8 @@ def dac_issue_cred(params: DacParams, delegator: Credential,
     credential is terminal) and the request's opening proof holds."""
     if not isinstance(delegator, Credential):
         raise CryptoError("credential is terminal: no delegation key")
-    if len(attrs) > params.t:
-        raise ParameterError("attribute extension exceeds bound t")
+    if len(attrs) > MAX_ATTRS:
+        raise ParameterError(f"attribute extension exceeds {MAX_ATTRS} slots")
     if not _opening_valid(params, True, request):
         raise CryptoError("delegation request proof invalid")
     ext_sig = delegator.dk.key.sign(_ext_body(params, request.X, attrs), rng)

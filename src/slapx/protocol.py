@@ -90,14 +90,13 @@ class LocationProof:
     sig: rlrs.RlrsSignature
     event: rlrs.EventId
 
-    # `params` is unread by encode and decode; perfbench calls
-    # `proof.encode(params)`, so both keep it.
+    # `params` is unread; perfbench calls `proof.encode(params)`
     def encode(self, params: rlrs.RlrsParams) -> bytes:
         return wire.pack_fields(self.m, rlrs.encode_signature(self.sig),
                                 self.event.encode())
 
     @classmethod
-    def decode(cls, data: bytes, params: rlrs.RlrsParams) -> "LocationProof":
+    def decode(cls, data: bytes) -> "LocationProof":
         m, sig_block, ev_b = wire.unpack_fields(data, 3)
         return cls(m, rlrs.decode_signature(sig_block), rlrs.EventId.decode(ev_b))
 
@@ -130,9 +129,10 @@ class Authority:
 
     def __init__(self, rng: SeededRng):
         self.rng = rng
-        # at most 8 attributes per credential, 16 access points in the ring
-        self.dac_params, self.root_key = dac.dac_setup(t=8, rng=rng)
-        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(16, rng)
+        # at most dac.MAX_ATTRS attributes per credential and rlrs.MAX_RING
+        # members per ring; the ring here is the len(AP_IDS) access points
+        self.dac_params, self.root_key = dac.dac_setup(rng)
+        self.rlrs_msk, self.rlrs_params = rlrs.rlrs_setup(rng)
         self.ap_keys = {a: rlrs.rlrs_extract(self.rlrs_msk, a, self.rlrs_params)
                         for a in AP_IDS}
 
@@ -483,7 +483,7 @@ class Psd:
             # AP path: a ring-signed proof of location for this window and
             # these coordinates
             proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
-                               LocationProof.decode, phi_b, self.view.rlrs_params)
+                               LocationProof.decode, phi_b)
             if proof.event.ts != window:
                 raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
             if (proof.event.l_x, proof.event.l_y) != (l_x, l_y):
@@ -628,7 +628,7 @@ def run_pol_ap(client: Client, ap: AccessPoint, l_x: float, l_y: float,
         "pol_ap", ap.issue_pol, wire.pack_fields(beacon_b, loc, win_b, pres_b),
         now_s, true_distance_m)
 
-    proof = LocationProof.decode(resp_content, client.view.rlrs_params)
+    proof = LocationProof.decode(resp_content)
     if not rlrs.rlrs_verify(client.view.ring, proof.m, proof.event,
                             proof.sig, client.view.rlrs_params):
         raise ProtocolReject(RejectReason.BAD_POL, "AP returned invalid proof")

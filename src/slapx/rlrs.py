@@ -32,6 +32,7 @@ from .rng import SeededRng
 SIGNATURE_BYTES = 640
 # tau || u8 n || c1 || n scalars must fit the fixed block
 MAX_RING = (SIGNATURE_BYTES - ELEMENT_BYTES - 1 - SCALAR_BYTES) // SCALAR_BYTES
+_FINGERPRINT = H_tagged("rlrs/pp", b"secp256k1")  # bound by every challenge
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ class RlrsSignature:
 
 
 class RlrsParams:
-    def __init__(self, t_max: int):
-        self.t_max = t_max
+    def __init__(self):
         self.keys: dict[str, CombTable] = {}    # identity -> public key table
 
     def key_table(self, identity: str) -> CombTable:
@@ -75,18 +75,9 @@ class RlrsParams:
         except KeyError:
             raise CryptoError(f"unknown identity: {identity}") from None
 
-    def fingerprint(self) -> bytes:
-        return H_tagged("rlrs/pp", b"secp256k1",
-                        self.t_max.to_bytes(2, "big"))
 
-
-def rlrs_setup(t_max: int, rng: SeededRng) -> tuple[bytes, RlrsParams]:
-    if t_max < 1:
-        raise ParameterError("t_max must be at least 1")
-    if t_max > MAX_RING:
-        raise ParameterError(f"t_max {t_max} exceeds encoding capacity {MAX_RING}")
-    msk = rng.bytes(32)
-    return msk, RlrsParams(t_max)
+def rlrs_setup(rng: SeededRng) -> tuple[bytes, RlrsParams]:
+    return rng.bytes(32), RlrsParams()
 
 
 def rlrs_extract(msk: bytes, identity: str, params: RlrsParams) -> int:
@@ -106,11 +97,10 @@ def _ring_digest(ring: list[str]) -> bytes:
     return H_tagged("rlrs/ring", *[i.encode() for i in ring])
 
 
-def _chain_challenge(params: RlrsParams, ring_digest: bytes, m: bytes,
-                     event_enc: bytes, tau: GroupElement,
-                     L: GroupElement, R: GroupElement) -> int:
+def _chain_challenge(ring_digest: bytes, m: bytes, event_enc: bytes,
+                     tau: GroupElement, L: GroupElement, R: GroupElement) -> int:
     return CURVE.hash_to_scalar(
-        "rlrs/chain", params.fingerprint(), ring_digest, m, event_enc,
+        "rlrs/chain", _FINGERPRINT, ring_digest, m, event_enc,
         tau.to_bytes(), L.to_bytes(), R.to_bytes())
 
 
@@ -118,18 +108,18 @@ def event_base(event: EventId) -> GroupElement:
     return CURVE.hash_to_point("rlrs/event", event.encode())
 
 
-def _validate_ring(params: RlrsParams, ring: list[str]) -> None:
+def _validate_ring(ring: list[str]) -> None:
     if not ring:
         raise CryptoError("empty ring")
-    if len(ring) > params.t_max:
-        raise CryptoError("ring exceeds t_max")
+    if len(ring) > MAX_RING:
+        raise CryptoError(f"ring exceeds {MAX_RING} members")
     if len(set(ring)) != len(ring):
         raise CryptoError("duplicate ring member")
 
 
 def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
               params: RlrsParams, rng: SeededRng) -> RlrsSignature:
-    _validate_ring(params, ring)
+    _validate_ring(ring)
     own_pk = CURVE.mul(CURVE.generator, sk)
     keys = [params.key_table(i) for i in ring]
     try:
@@ -149,13 +139,13 @@ def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
     alpha = CURVE.random_scalar(rng)
     L = CURVE.mul(CURVE.generator, alpha)
     R = CURVE.mul(u0, alpha)
-    c[(signer + 1) % n] = _chain_challenge(params, rd, m, ev, tau, L, R)
+    c[(signer + 1) % n] = _chain_challenge(rd, m, ev, tau, L, R)
     idx = (signer + 1) % n
     while idx != signer:
         s_vals[idx] = CURVE.random_scalar(rng)
         L = CURVE.muladd(s_vals[idx], CURVE.generator, c[idx], keys[idx])
         R = CURVE.muladd(s_vals[idx], u0, c[idx], tau_table)
-        c[(idx + 1) % n] = _chain_challenge(params, rd, m, ev, tau, L, R)
+        c[(idx + 1) % n] = _chain_challenge(rd, m, ev, tau, L, R)
         idx = (idx + 1) % n
     s_vals[signer] = (alpha - c[signer] * sk) % ORDER
     return RlrsSignature(c1=c[0], responses=tuple(s_vals), tau=tau)
@@ -164,7 +154,7 @@ def rlrs_sign(sk: int, m: bytes, ring: list[str], event: EventId,
 def rlrs_verify(ring: list[str], m: bytes, event: EventId,
                 sig: RlrsSignature, params: RlrsParams) -> bool:
     try:
-        _validate_ring(params, ring)
+        _validate_ring(ring)
         keys = [params.key_table(i) for i in ring]
     except CryptoError:
         return False
@@ -179,7 +169,7 @@ def rlrs_verify(ring: list[str], m: bytes, event: EventId,
     for i in range(len(ring)):
         L = CURVE.muladd(sig.responses[i], CURVE.generator, c_i, keys[i])
         R = CURVE.muladd(sig.responses[i], u0, c_i, tau)
-        c_i = _chain_challenge(params, rd, m, ev, sig.tau, L, R)
+        c_i = _chain_challenge(rd, m, ev, sig.tau, L, R)
     return c_i == sig.c1
 
 

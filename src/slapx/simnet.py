@@ -187,6 +187,11 @@ class SimMetrics:
 
 # -- event engine ---------------------------------------------------------------
 
+def _ns(seconds: float) -> int:
+    """The clock's one conversion of seconds to nanoseconds: rounded."""
+    return int(round(seconds * 1e9))
+
+
 class SimClock:
     """Monotone event loop; equal-time events run in insertion order."""
 
@@ -197,7 +202,7 @@ class SimClock:
         self.now_ns = 0
 
     def schedule(self, delay_s: float, fn) -> None:
-        at = self.now_ns + max(0, int(round(delay_s * 1e9)))
+        at = self.now_ns + max(0, _ns(delay_s))
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, fn))
 
@@ -223,12 +228,12 @@ class SimClock:
         the lane stays sorted by `(at, seq)`, and the engine always runs the
         least `(at, seq)` across the heap and the lane.
         """
-        period_ns = max(0, int(round(period_s * 1e9)))
+        period_ns = max(0, _ns(period_s))
         entries = []
         for delay_s in first_delays_s:
             self._seq += 1
             entries.append(
-                (self.now_ns + max(0, int(round(delay_s * 1e9))), self._seq))
+                (self.now_ns + max(0, _ns(delay_s)), self._seq))
         if not entries:
             return
         entries.sort()
@@ -255,7 +260,7 @@ class SimClock:
         push(heap, (*lane[0], run))
 
     def run_until(self, t_end_s: float) -> None:
-        end_ns = self._end_ns = int(t_end_s * 1e9)
+        end_ns = self._end_ns = _ns(t_end_s)
         while self._heap and self._heap[0][0] <= end_ns:
             at, _, fn = heapq.heappop(self._heap)
             if at < self.now_ns:

@@ -59,14 +59,14 @@ def run_bytes():
 @pytest.fixture(scope="session")
 def dac_env():
     rng = SeededRng(11)
-    params, root = dac.dac_setup(t=8, rng=rng)
+    params, root = dac.dac_setup(rng)
     return params, root, rng
 
 
 @pytest.fixture(scope="session")
 def rlrs_env():
     rng = SeededRng(12)
-    msk, params = rlrs.rlrs_setup(16, rng)
+    msk, params = rlrs.rlrs_setup(rng)
     ring = [f"AP-{i}" for i in range(5)]
     keys = {i: rlrs.rlrs_extract(msk, i, params) for i in ring}
     return msk, params, ring, keys, rng

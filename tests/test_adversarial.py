@@ -29,7 +29,7 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 @pytest.fixture(scope="module")
 def ring_env():
     rng = SeededRng(71)
-    msk, pp = rlrs.rlrs_setup(8, rng)
+    msk, pp = rlrs.rlrs_setup(rng)
     ring = [f"R-{i}" for i in range(4)]
     keys = {i: rlrs.rlrs_extract(msk, i, pp) for i in ring}
     return pp, ring, keys, rng
@@ -38,7 +38,7 @@ def ring_env():
 @pytest.fixture(scope="module")
 def cred_env():
     rng = SeededRng(72)
-    params, root = dac.dac_setup(t=4, rng=rng, modulus_bits=512)
+    params, root = dac.dac_setup(rng, modulus_bits=512)
     attrs_a = (dac.Attribute("device_id", b"AAAAAAAA"),)
     attrs_b = (dac.Attribute("device_id", b"BBBBBBBB"),)
     pk_a, sk_a = dac.dac_keygen(params, rng)
@@ -274,7 +274,7 @@ def malformed_phi(proof: LocationProof, params, rng: SeededRng) -> bytes:
     for _ in range(20):
         phi = wire.pack_fields(m_b, rng.bytes(len(sig_b)), ev_b)
         try:
-            LocationProof.decode(phi, params)
+            LocationProof.decode(phi)
         except SlapxError:
             return phi
     raise AssertionError("no undecodable signature block found")
@@ -527,7 +527,7 @@ def _earlier_order(server, request: bytes, now_s: float) -> bytes:
         raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
     if pres.ext is None:
         proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
-                           LocationProof.decode, phi_b, server.view.rlrs_params)
+                           LocationProof.decode, phi_b)
         if proof.event.ts != window:
             raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
         if not rlrs.rlrs_verify(server.view.ring, proof.m, proof.event,
@@ -797,7 +797,7 @@ def _earlier_psd_order(psd, request: bytes, now_s: float) -> bytes:
     psd.db.lookup(l_x, l_y)
     if pres.ext is None:
         proof = _or_reject(RejectReason.BAD_POL, "proof undecodable",
-                           LocationProof.decode, phi_b, psd.view.rlrs_params)
+                           LocationProof.decode, phi_b)
         if proof.event.ts != window:
             raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
         if not rlrs.rlrs_verify(psd.view.ring, proof.m, proof.event,

@@ -68,7 +68,7 @@ def codecs(dac_env, rlrs_env):
         "puzzle": (puzzle, Puzzle.decode, Puzzle.encode),
         "spectrum_record": (SpectrumDatabase().lookup(10.0, 20.0),
                             SpectrumRecord.decode, SpectrumRecord.encode),
-        "location_proof": (proof, lambda b: LocationProof.decode(b, rparams),
+        "location_proof": (proof, LocationProof.decode,
                            lambda p: p.encode(rparams)),
     }
 

@@ -6,8 +6,9 @@ import hashlib
 import pytest
 
 from slapx.dac import (BASE_S, BASE_SK, CRED_WIRE_BYTES, DELEGATION_DEPTH,
-                       Attribute, Presentation, _show_challenge,
-                       attrs_digest, dac_create_cred, dac_cred_prove,
+                       MAX_ATTRS, Attribute, DacParams, Presentation,
+                       _show_challenge, attrs_digest, dac_create_cred,
+                       dac_cred_prove,
                        dac_cred_verify, dac_get_cred, dac_issue_cred,
                        dac_keygen, dac_nymgen, dac_receive_cred, dac_request_cred,
                        dac_request_delegation, dac_setup, encode_credential,
@@ -33,20 +34,23 @@ def env(dac_env):
 
 
 class TestSetup:
-    def test_parameter_floors(self):
-        with pytest.raises(ParameterError):
-            dac_setup(t=0, rng=SeededRng(1))
-
     def test_valid_setup(self, dac_env):
         params, root, _ = dac_env
-        assert len(params.exponents) == 2 and params.t == 8
-        assert pow(pow(5, params.exponents[0], params.n), root.root, params.n) == 5
+        assert len(params.bases) == MAX_ATTRS
+        assert pow(pow(5, params.e, params.n), root.root, params.n) == 5
+
+    def test_fingerprint_binds_modulus_exponent_and_cert_key(self, dac_env):
+        params, _, _ = dac_env
+        other = (DacParams(params.n + 2, params.e, params.cert_pk),
+                 DacParams(params.n, params.e + 2, params.cert_pk),
+                 DacParams(params.n, params.e, CURVE.generator))
+        assert len({params.fingerprint(), *(p.fingerprint() for p in other)}) == 4
 
     def test_seeded_parameters_pinned(self, deployment):
         # the fixture is Deployment.create(seed=3); its DAC parameters do not
         # depend on the PSD modulus size. Pins the primes dac_setup draws.
         assert deployment.view.dac_params.fingerprint().hex() == (
-            "23db402674cdfb54ca903ccbb53731234d3248bdcb9dcc4cfe919cd50516f2cf")
+            "dbaa3e1359432502f2eff1ef7e4989b074d68b0f58ec123a42f961940b75f804")
 
 
 class TestKeysAndNyms:
@@ -93,7 +97,8 @@ class TestIssuanceAndShowing:
 
     def test_oversized_attribute_set(self, env):
         params, root, rng, pk, sk, cred = env
-        too_many = tuple(Attribute("pol", bytes([i]) * 32) for i in range(9))
+        too_many = tuple(Attribute("pol", bytes([i]) * 32)
+                         for i in range(MAX_ATTRS + 1))
         _, sk2 = dac_keygen(params, rng)
         with pytest.raises(ParameterError):
             issue_credential(root, sk2, too_many, rng)
@@ -160,7 +165,7 @@ class TestUnforgeabilityShape:
         # small modulus keeps 10^4 verification attempts affordable; the
         # soundness argument is parameter-independent
         rng = SeededRng(31)
-        params, root = dac_setup(t=2, rng=rng, modulus_bits=384)
+        params, root = dac_setup(rng, modulus_bits=384)
         pk, sk = dac_keygen(params, rng)
         cred = issue_credential(root, sk, ATTRS[:2], rng)
         nym, aux = dac_nymgen(params, pk, rng)
@@ -293,10 +298,10 @@ def reference_verify(params, pres, context, payload=b""):
     n = params.n
     if not (0 < pres.sigma_r < n) or not (0 < pres.nym < n):
         return False
-    e = params.exponents[0]
+    e = params.e
     slots = {i for i, _ in pres.hidden} | {i for i, _ in pres.disclosed}
     if len(slots) != len(pres.hidden) + len(pres.disclosed) or any(
-            i >= params.t for i in slots):
+            i >= MAX_ATTRS for i in slots):
         return False
     V = pow(pres.sigma_r, e, n)
     for i, a in pres.disclosed:
@@ -425,18 +430,17 @@ class TestFixedBaseTables:
         assert params.multiexp() == 1
 
     def test_every_table_built_at_setup(self):
-        # before any multiexp: one table per base, R_0 .. R_{t-1}, R_sk, S
-        params, _ = dac_setup(t=3, rng=SeededRng(93), modulus_bits=512)
+        # before any multiexp: one table per base, R_0 .. R_3, R_sk, S
+        params, _ = dac_setup(SeededRng(93), modulus_bits=512)
         bases = params.bases + (params.base_sk, params.base_S)
-        assert len(params._tables) == params.t + 2
+        assert len(params._tables) == MAX_ATTRS + 2
         assert all(isinstance(tb, FixedBase) for tb in params._tables)
         assert [tb.powers[0] for tb in params._tables] == list(bases)
 
 
 class TestSeededBytesPinned:
     def test_issuance_and_presentations_unchanged(self, dac_env):
-        # dac_env's parameters come from dac_setup on SeededRng(11) alone;
-        # the digest was taken from the one-pow-per-base implementation
+        # dac_env's parameters come from dac_setup on SeededRng(11) alone
         params, root, _ = dac_env
         rng = SeededRng(71)
         pk, sk = dac_keygen(params, rng)
@@ -459,4 +463,4 @@ class TestSeededBytesPinned:
             h.update(dac_cred_prove(params, holder_sk, nym, aux, c, disclose,
                                     b"ctx", rng, payload=b"pl").to_bytes(params))
         assert h.hexdigest() == (
-            "1cb1b290672b6fc9ac0a2cfb99109eae80ddc671c59e7f651907c76eaac9ddd6")
+            "487407246a2a7e3775e55d05a1160a63443bb8f6d583f55f29d30a7d3c9c21cc")

@@ -517,7 +517,7 @@ class TestAnonymityShape:
         t = 1200.0
         proof, _ = run_pol_ap(client, deployment.ap, 10.0, 20.0, t)
         blob = proof.encode(deployment.view.rlrs_params)
-        back = LocationProof.decode(blob, deployment.view.rlrs_params)
+        back = LocationProof.decode(blob)
         assert back.sig == proof.sig
         assert back.event == proof.event
 
@@ -575,6 +575,31 @@ class TestWireObjects:
             assert proof.event.ts == window
 
 
+def ap_and_nd_session(dep):
+    """Enrol three devices and run one AP and one ND session (PoL, query,
+    service) on dep; the six traces."""
+    t = 300.0
+    ap_client = dep.new_client(DeviceProfile(b"DEV-PIN1", 30.0, 0), seed=1301)
+    proof, tr_pol = run_pol_ap(ap_client, dep.ap, 10.0, 20.0, t)
+    _, puzzle, _, tr_query = run_spectrum_query(ap_client, dep.psd, 10.0,
+                                                20.0, t, proof=proof)
+    _, _, tr_service = run_service_request(ap_client, dep.server, b"pin",
+                                           puzzle, t, proof=proof)
+    _, nd_sk, nd_cred = dep.authority.enroll(
+        DeviceProfile(b"ND-PIN01", 30.0, 0))
+    nd = NeighborDevice(dep.view, nd_sk, nd_cred, SeededRng(1302))
+    nd_client = dep.new_client(DeviceProfile(b"DEV-PIN2", 30.0, 0), seed=1303)
+    t += WINDOW_S
+    dcred, tr_pol_nd = run_pol_nd(nd_client, nd, 5.0, 5.0, t,
+                                  true_distance_m=10.0)
+    _, puzzle, _, tr_query_nd = run_spectrum_query(nd_client, dep.psd, 5.0,
+                                                   5.0, t, dcred=dcred)
+    _, _, tr_service_nd = run_service_request(nd_client, dep.server, b"pin",
+                                              puzzle, t, dcred=dcred)
+    return (tr_pol, tr_query, tr_service,
+            tr_pol_nd, tr_query_nd, tr_service_nd)
+
+
 class TestSeededSessionPinned:
     def test_psd_key_and_session_frames_unchanged(self):
         # a deployment of its own, so the digest does not depend on the order
@@ -582,29 +607,29 @@ class TestSeededSessionPinned:
         # of one AP and one ND session (PoL, query, service)
         dep = Deployment.create(seed=3, psd_modulus_bits=512)
         h = hashlib.sha256(dep.psd.sgn_key.pk.to_bytes())
-        t = 300.0
-        ap_client = dep.new_client(DeviceProfile(b"DEV-PIN1", 30.0, 0), seed=1301)
-        proof, tr_pol = run_pol_ap(ap_client, dep.ap, 10.0, 20.0, t)
-        _, puzzle, _, tr_query = run_spectrum_query(ap_client, dep.psd, 10.0,
-                                                    20.0, t, proof=proof)
-        _, _, tr_service = run_service_request(ap_client, dep.server, b"pin",
-                                               puzzle, t, proof=proof)
-        _, nd_sk, nd_cred = dep.authority.enroll(
-            DeviceProfile(b"ND-PIN01", 30.0, 0))
-        nd = NeighborDevice(dep.view, nd_sk, nd_cred, SeededRng(1302))
-        nd_client = dep.new_client(DeviceProfile(b"DEV-PIN2", 30.0, 0), seed=1303)
-        t += WINDOW_S
-        dcred, tr_pol_nd = run_pol_nd(nd_client, nd, 5.0, 5.0, t,
-                                      true_distance_m=10.0)
-        _, puzzle, _, tr_query_nd = run_spectrum_query(nd_client, dep.psd, 5.0,
-                                                       5.0, t, dcred=dcred)
-        _, _, tr_service_nd = run_service_request(nd_client, dep.server, b"pin",
-                                                  puzzle, t, dcred=dcred)
-        for tr in (tr_pol, tr_query, tr_service,
-                   tr_pol_nd, tr_query_nd, tr_service_nd):
+        for tr in ap_and_nd_session(dep):
             h.update(tr.request.encode() + tr.response.encode())
         assert h.hexdigest() == (
-            "ed18ab1273613e251d80f6e7e360ae36e0af2234115f76d8a0d947943afd91cf")
+            "7ac14e76f8b18bdf5e1c7eb18c758de52dd5244587ea08ab8270d681a0c108b3")
+
+
+class TestSetupBuildsWhatSessionsRead:
+    def test_every_credential_table_is_read(self, monkeypatch):
+        # enrolment and one AP and one ND session raise every base whose
+        # fixed-base table dac_setup builds: keys BASE_SK and BASE_S index
+        # the last two tables, 0, 1, ... the attribute bases
+        dep = Deployment.create(seed=4, psd_modulus_bits=512)
+        read = set()
+        multiexp = dac.DacParams.multiexp
+
+        def recording(params, *terms):
+            read.update(key for key, _ in terms)
+            return multiexp(params, *terms)
+
+        monkeypatch.setattr(dac.DacParams, "multiexp", recording)
+        ap_and_nd_session(dep)
+        built = set(range(-2, len(dep.view.dac_params._tables) - 2))
+        assert read == built == {dac.BASE_SK, dac.BASE_S, 0, 1, 2, 3}
 
 
 EPOCH_S = MODULUS_EPOCH_WINDOWS * WINDOW_S

@@ -3,9 +3,9 @@ and the fixed-size wire block."""
 import pytest
 
 from slapx.errors import CryptoError, ParameterError
-from slapx import group
+from slapx import group, rlrs
 from slapx.group import CURVE, ORDER, CombTable
-from slapx.rlrs import (SIGNATURE_BYTES, EventId, decode_signature,
+from slapx.rlrs import (MAX_RING, SIGNATURE_BYTES, EventId, decode_signature,
                         encode_signature, event_base, rlrs_extract, rlrs_link,
                         rlrs_revoke, rlrs_setup, rlrs_sign, rlrs_verify)
 from slapx.rng import SeededRng
@@ -15,22 +15,10 @@ EVENT2 = EventId(10.0, 20.0, 8, b"beacon-digest-0123456789abcdef..")
 
 
 class TestSetupExtract:
-    def test_ring_cap_passthrough(self):
-        _, pp = rlrs_setup(16, SeededRng(1))
-        assert pp.t_max == 16
-
     def test_deterministic_setup(self):
-        msk_a, _ = rlrs_setup(8, SeededRng(5))
-        msk_b, _ = rlrs_setup(8, SeededRng(5))
+        msk_a, _ = rlrs_setup(SeededRng(5))
+        msk_b, _ = rlrs_setup(SeededRng(5))
         assert msk_a == msk_b
-
-    def test_degenerate_cap(self):
-        with pytest.raises(ParameterError):
-            rlrs_setup(0, SeededRng(1))
-
-    def test_cap_bounded_by_encoding(self):
-        with pytest.raises(ParameterError):
-            rlrs_setup(64, SeededRng(1))
 
     def test_extract_deterministic(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
@@ -38,7 +26,7 @@ class TestSetupExtract:
 
     def test_extract_key_separation(self, rlrs_env):
         msk, pp, *_ = rlrs_env
-        other_msk, other_pp = rlrs_setup(16, SeededRng(99))
+        other_msk, other_pp = rlrs_setup(SeededRng(99))
         assert rlrs_extract(msk, "X", pp) != rlrs_extract(other_msk, "X", other_pp)
 
     def test_empty_identity(self, rlrs_env):
@@ -52,6 +40,13 @@ class TestSignVerify:
         msk, pp, ring, keys, rng = rlrs_env
         sig = rlrs_sign(keys["AP-2"], b"msg", ring, EVENT, pp, rng)
         assert rlrs_verify(ring, b"msg", EVENT, sig, pp)
+
+    def test_empty_ring_refused(self, rlrs_env):
+        msk, pp, ring, keys, rng = rlrs_env
+        sig = rlrs_sign(keys["AP-2"], b"msg", ring, EVENT, pp, rng)
+        with pytest.raises(CryptoError, match="empty ring"):
+            rlrs_sign(keys["AP-2"], b"msg", [], EVENT, pp, rng)
+        assert not rlrs_verify([], b"msg", EVENT, sig, pp)
 
     def test_message_binding(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
@@ -99,7 +94,7 @@ class TestDoublingsCounted:
         return count
 
     def test_every_key_tabled_at_extraction(self):
-        msk, pp = rlrs_setup(8, SeededRng(14))
+        msk, pp = rlrs_setup(SeededRng(14))
         keys = {i: rlrs_extract(msk, i, pp) for i in ("A", "B", "C")}
         assert set(pp.keys) == set(keys)
         for identity, table in pp.keys.items():
@@ -156,7 +151,7 @@ class TestTagAlgebra:
 
     def test_key_tables_fixed_at_extraction(self, rlrs_env):
         msk, _, ring, keys, rng = rlrs_env
-        fresh = rlrs_setup(16, SeededRng(12))[1]
+        fresh = rlrs_setup(SeededRng(12))[1]
         for identity in ring[:4]:
             rlrs_extract(msk, identity, fresh)
         assert sorted(fresh.keys) == ring[:4]
@@ -239,7 +234,7 @@ class TestWireBlock:
     def test_size_independent_of_ring(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env
         sizes = set()
-        for n in range(1, pp.t_max + 1):
+        for n in range(1, MAX_RING + 1):
             r = [f"SZ-{n}-{i}" for i in range(n)]
             sks = [rlrs_extract(msk, i, pp) for i in r]
             sig = rlrs_sign(sks[0], b"x", r, EVENT, pp, rng)
@@ -247,6 +242,22 @@ class TestWireBlock:
             sizes.add(len(blk))
             assert decode_signature(blk) == sig
         assert sizes == {SIGNATURE_BYTES}
+
+    def test_ring_beyond_the_block_refused(self, rlrs_env, monkeypatch):
+        # MAX_RING is the block's capacity: one member more is refused by
+        # sign and verify, although the chain itself would close
+        msk, pp, ring, keys, rng = rlrs_env
+        r = [f"BIG-{i}" for i in range(MAX_RING + 1)]
+        sk = [rlrs_extract(msk, i, pp) for i in r][0]
+        with pytest.raises(CryptoError, match="ring exceeds"):
+            rlrs_sign(sk, b"x", r, EVENT, pp, rng)
+        with monkeypatch.context() as m:
+            m.setattr(rlrs, "_validate_ring", lambda ring: None)
+            sig = rlrs_sign(sk, b"x", r, EVENT, pp, rng)
+            assert rlrs_verify(r, b"x", EVENT, sig, pp)
+        assert not rlrs_verify(r, b"x", EVENT, sig, pp)
+        with pytest.raises(CryptoError):
+            encode_signature(sig)
 
     def test_nonzero_padding_rejected(self, rlrs_env):
         msk, pp, ring, keys, rng = rlrs_env

@@ -42,6 +42,18 @@ class TestClock:
         clock.run_until(2.0)
         assert order == ["c", "a", "b"]
 
+    def test_end_converted_as_delays_are(self):
+        # 2.01 * 1e9 is 2009999999.9999998, so a truncated end would fall
+        # 1 ns short of an event scheduled 2.01 s from zero
+        for end_s in [k / 100 for k in range(1, 2001)]:
+            clock = SimClock()
+            ran = []
+            clock.schedule(end_s, lambda: ran.append("at_end"))
+            clock.schedule(end_s + 1e-9, lambda: ran.append("after"))
+            clock.run_until(end_s)
+            assert ran == ["at_end"], end_s
+            assert clock.now_ns == round(end_s * 1e9)
+
 
 def reference_every(clock, period_s, first_delays_s, fn):
     """`SimClock.every` as one heap entry per fire: the path it replaced."""

@@ -12,8 +12,6 @@ ALLOWED = {
         "perfbench calls NeighborDevice(view, nd_sk, nd_cred, rng)",
     "protocol.LocationProof.encode:params":
         "perfbench calls proof.encode(params)",
-    "protocol.LocationProof.decode:params":
-        "the inverse of encode takes what encode takes",
     "simnet._spawn_bypass_attackers:rng":
         "shares the signature of the _ATTACKERS table's spawners",
     "simnet._spawn_precompute_attackers:rng":
