@@ -19,7 +19,7 @@ from . import dac, dbp, rlrs, vdf, wire
 from .errors import ParameterError, ProtocolReject, RejectReason, SlapxError
 from .group import CURVE, SigningKey, sgn_verify
 from .hashes import hash_to_prime
-from .modmath import rsa_setup
+from .modmath import next_prime, rsa_setup
 from .protocol import (Deployment, build_service_request, run_pol_ap,
                        run_spectrum_query)
 from .rng import SeededRng
@@ -157,20 +157,36 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
     vdf_rng = rng.spawn("vdf")
 
     # refusals through the real handlers: a query replayed after its proof
-    # bought a puzzle, and service requests on that puzzle whose ell passes
-    # the floor but is not the next prime after H(x + y), one per message,
-    # as the prime search's cost varies by input
+    # bought a puzzle, and service requests on that puzzle with a wrong ell
+    # of each kind that passes the floor H(x + y), one message per request,
+    # as the cost of refusing an ell varies by input: a valid solution of
+    # another message (outside the prime-gap window), H(x + y) itself or
+    # the next integer when H(x + y) is prime (a composite in it), and the
+    # prime after the valid ell (in it, so only the prime search refuses it)
     t = 30.0
     proof, _ = run_pol_ap(client, dep.ap, 10.0, 20.0, t)
     _, puzzle, _, query = run_spectrum_query(client, dep.psd, 10.0, 20.0, t,
                                              proof=proof)
-    wrong_ell = []
-    for i in range(iterations):
-        m = b"bench%d" % i
-        good = vdf.vdf_eval(puzzle.modulus_n, puzzle.challenge_for(m))
-        wrong_ell.append(build_service_request(
-            client, m, puzzle, t, proof=proof,
-            solution=vdf.VdfSolution(good.ell + 2, good.pi, good.y))[0])
+    messages = [b"bench%d" % i for i in range(iterations)]
+    goods = [vdf.vdf_eval(puzzle.modulus_n, puzzle.challenge_for(m))
+             for m in messages]
+
+    def floor(m, sol):
+        return vdf.floor_base(puzzle.modulus_n, puzzle.challenge_for(m), sol)
+
+    def service_request(m, sol):
+        return build_service_request(client, m, puzzle, t, proof=proof,
+                                     solution=sol)[0]
+
+    stale_ell, composite_ell, wrong_ell = [], [], []
+    for m, good in zip(messages, goods):
+        h = floor(m, good)[1]
+        stale = next(s for s in goods if s is not good and floor(m, s))
+        stale_ell.append(service_request(m, stale))
+        composite_ell.append(service_request(m, vdf.VdfSolution(
+            h if h != good.ell else h + 1, good.pi, good.y)))
+        wrong_ell.append(service_request(m, vdf.VdfSolution(
+            next_prime(good.ell + 1), good.pi, good.y)))
 
     def pow_product():
         out = 1
@@ -213,6 +229,12 @@ def bench_all(iterations: int = 30, kappa_grid=KAPPA_GRID,
             dep.psd.handle_spectrum_request,
             [wire.message_content(query.request)], t, RejectReason.LINKED),
             iterations),
+        "server_stale_ell": (_refusal(
+            dep.server.handle_service_request, stale_ell, t,
+            RejectReason.BAD_SOLUTION), iterations),
+        "server_composite_ell": (_refusal(
+            dep.server.handle_service_request, composite_ell, t,
+            RejectReason.BAD_SOLUTION), iterations),
         "server_wrong_ell": (_refusal(
             dep.server.handle_service_request, wrong_ell, t,
             RejectReason.BAD_SOLUTION), iterations),
@@ -254,11 +276,11 @@ def eval_slope(report: BenchReport, kappa_grid=KAPPA_GRID) -> float:
 def calibrate(report: BenchReport, kappa_grid=KAPPA_GRID) -> Calibration:
     """Service-time table for the simulator, derived from measured costs."""
     m = report.median
-    link_reject_s = m("cred_verify") + m("rlrs_verify") + m("rlrs_link")
     return Calibration(
-        query_verify_s=link_reject_s + m("sgn_sign"),
+        query_verify_s=(m("cred_verify") + m("rlrs_verify") + m("rlrs_link")
+                        + m("sgn_sign")),
         service_verify_s=m("cred_verify") + m(f"vdf_verify_k{kappa_grid[0]}"),
-        link_reject_s=link_reject_s,
+        link_reject_s=m("psd_linked_replay"),
         reject_service_s=m("presentation_decode"),
         client_crypto_s=2 * m("cred_prove") + m("rlrs_verify"),
         vdf_s_per_squaring=max(eval_slope(report, kappa_grid), 1e-9),

@@ -23,6 +23,14 @@ method-A parameters (D the first of 5, -7, 9, -11, ... with Jacobi symbol
 on which the two disagree would be a BPSW pseudoprime or a composite that
 passed 64 rounds.
 
+`is_strong_base2_probable_prime` is the first half of that test, trial
+division, the gcd and the base-2 strong test, and `is_probable_prime` runs
+it first. Every prime passes it, so the VDF check (`vdf.vdf_verify`) runs
+it alone on a submitted ell to refuse a composite exactly before its
+prime search. On a 256-bit number it takes ~11 us for an average
+composite and ~0.18 ms for a prime or a composite that survives the gcd,
+where the whole test of a prime takes ~0.8 ms.
+
 `random_prime` tests candidates it drew uniformly itself, and for those the
 average case applies (Damgard, Landrock and Pomerance 1993, "Average case
 error estimates for the strong probable prime test"; FIPS 186-5 Appendix
@@ -89,20 +97,37 @@ SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
 _SMALL_PRIMES = [2] + [p for p in _SIEVE_PRIMES if p < 256]
 
 
-def is_probable_prime(n: int, rng: SeededRng | None = None, rounds: int = MR_ROUNDS) -> bool:
-    """Baillie-PSW without an rng; with one, `rounds` Miller-Rabin rounds
-    whose bases are drawn from it (see the module docstring)."""
+def _trial_division(n: int) -> bool | None:
+    """Whether n is prime, when n < 2 or a prime below 256 divides it;
+    else None."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
+    return None
+
+
+def is_strong_base2_probable_prime(n: int) -> bool:
+    """The first half of Baillie-PSW: trial division, the sieve gcd and the
+    strong test to base 2. Every prime passes, so False means composite."""
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
+    if n > _SIEVE_PRIMES[-1] and math.gcd(n, SIEVE_PRODUCT) != 1:
+        return False
+    return _strong_test(n, 2)
+
+
+def is_probable_prime(n: int, rng: SeededRng | None = None, rounds: int = MR_ROUNDS) -> bool:
+    """Baillie-PSW without an rng; with one, `rounds` Miller-Rabin rounds
+    whose bases are drawn from it (see the module docstring)."""
     if rng is None:
-        if n > _SIEVE_PRIMES[-1] and math.gcd(n, SIEVE_PRODUCT) != 1:
-            return False
-        return _strong_test(n, 2) and _strong_lucas_test(n)
+        # below 256 the trial division alone decides
+        return is_strong_base2_probable_prime(n) and (n < 256 or _strong_lucas_test(n))
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
     for _ in range(rounds):
         if not _strong_test(n, 2 + rng.randrange(n - 3)):
             return False

@@ -528,9 +528,12 @@ class ServiceServer:
     2. decode the solution and run `vdf.floor_base`, microseconds;
     3. compare the request's binding with the puzzle's record;
     4. check that the puzzle was issued in this window;
-    5. `vdf.vdf_verify` on the floor's x: a wrong ell costs one prime
-       search, a wrong pi that search and one joint exponentiation, and
-       neither reaches the credential check;
+    5. `vdf.vdf_verify` on the floor's x and H(x + y): a wrong ell is
+       refused in microseconds by the prime-gap window or the base-2
+       strong test unless it is a probable prime within 2^234 above
+       H(x + y), which costs one prime search; a wrong pi costs that
+       search and one joint exponentiation, and neither reaches the
+       credential check;
     6. verify the credential.
 
     The puzzle is checked one way: it is looked up in the PSD's own table,
@@ -561,8 +564,8 @@ class ServiceServer:
         sol = _or_reject(RejectReason.BAD_SOLUTION, "solution malformed",
                          vdf.VdfSolution.from_bytes, sol_b, puzzle.modulus_bytes)
         n, challenge = puzzle.modulus_n, puzzle.challenge_for(m)
-        x = vdf.floor_base(n, challenge, sol)
-        if x is None:
+        floor = vdf.floor_base(n, challenge, sol)
+        if floor is None:
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
         # the PSD recorded the binding after checking its proof for the
         # puzzle's issue window; a binding of the other path never matches
@@ -572,7 +575,7 @@ class ServiceServer:
                                  "proof differs from the one queried with")
         if window_of(puzzle.issued_s) != window:
             raise ProtocolReject(RejectReason.EXPIRED, "proof outside window")
-        if not vdf.vdf_verify(n, challenge, sol, x):
+        if not vdf.vdf_verify(n, challenge, sol, floor):
             raise ProtocolReject(RejectReason.BAD_SOLUTION, "VDF proof invalid")
         _check_presentation(self.view.dac_params, pres,
                             presentation_context("service", window, "SERVER"),

@@ -7,17 +7,33 @@ produces a succinct proof:
     ell = next-prime(H(x + y))         (integer sum, big-endian bytes)
     pi  = x^floor(2^tau / ell) mod N
 
-Verification first rejects an ell below H(x + y), which next-prime cannot
-return (`floor_base`, which the service server also runs ahead of its
-costlier checks and whose x it hands to `vdf_verify`), then recomputes ell
-from x + y and rejects any other value, then checks y == pi^ell * x^r with
-r = 2^tau mod ell. The recomputed ell already passed next_prime's
-Baillie-PSW test (see `modmath`), so a submitted ell is never tested on its
-own. The check's cost does not depend on tau: one prime search above
-H(x + y) and one joint exponentiation (`modmath.multiexp`) whose two
-~256-bit exponents share one run of squarings. On a 2-core x86-64 host the
-exponentiation takes ~4.3 ms at a 2048-bit N, where two `pow` calls take
-~6.6 ms, and ~0.48 ms at 512 bits, against ~0.69 ms.
+Verification refuses a wrong ell at the cheapest step that can tell, and
+each step refuses only what next-prime(H(x + y)) cannot be, so it decides
+as the prime search alone would:
+1. an ell below H(x + y) (`floor_base`, which the service server also
+   runs ahead of its costlier checks and whose x and H(x + y) it hands to
+   `vdf_verify`);
+2. an ell more than `hashes.PRIME_GAP_BOUND` = 2^234 above H(x + y): by
+   Dusart's prime-gap bound (2018, Prop. 5.4) next-prime(H(x + y)) lies
+   within it (`hashes.may_be_next_prime`), and a valid ell of another
+   message lands inside it with probability ~2^-22;
+3. an ell inside that window that fails the first half of Baillie-PSW,
+   trial division, the sieve gcd and the strong test to base 2
+   (`modmath.is_strong_base2_probable_prime`), which every prime passes;
+4. any ell other than next-prime(H(x + y)) as the prime search
+   (`hashes.hash_to_prime`) recomputes it;
+then it checks y == pi^ell * x^r with r = 2^tau mod ell. The recomputed
+ell already passed next_prime's Baillie-PSW test (see `modmath`), so a
+submitted ell needs no full test of its own. On a 2-core x86-64 host
+steps 1 and 2 take under a microsecond, step 3 refuses a composite in
+~11 us on average and ~0.18 ms if it survives the sieve gcd, and step 4
+refuses a prime in the window in one search, ~2 ms on average; a valid
+solution pays one base-2 test, ~0.18 ms, ahead of its search. The
+check's cost does not depend on tau: one prime search above H(x + y)
+and one joint exponentiation (`modmath.multiexp`) whose two ~256-bit
+exponents share one run of squarings. The exponentiation takes ~4.3 ms
+at a 2048-bit N, where two `pow` calls take ~6.6 ms, and ~0.48 ms at 512
+bits, against ~0.69 ms.
 
 The prover forms pi from its own squarings (Wesolowski 2019, "Efficient
 verifiable delay functions", section 4.1): `sequential_square` keeps every
@@ -43,11 +59,11 @@ from dataclasses import dataclass
 from . import wire
 from .errors import ParameterError, SlapxError
 from .hashes import (H_tagged, hash_to_prime, hash_to_prime_floor,
-                     int_sum_to_bytes)
+                     int_sum_to_bytes, may_be_next_prime)
 # is_probable_prime is re-exported: perfbench/test_perfbench.py reads it here
 from .modmath import (FIXED_BASE_WINDOW, FixedBase,  # noqa: F401
-                      fixed_base_multiexp, is_probable_prime, multiexp,
-                      rsa_setup)
+                      fixed_base_multiexp, is_probable_prime,
+                      is_strong_base2_probable_prime, multiexp, rsa_setup)
 from .rng import SeededRng
 
 DEFAULT_MODULUS_BITS = 2048
@@ -125,25 +141,33 @@ def vdf_eval(n: int, challenge: VdfChallenge) -> VdfSolution:
     return VdfSolution(ell=ell, pi=pi, y=y)
 
 
-def floor_base(n: int, challenge: VdfChallenge, sol: VdfSolution) -> int | None:
+def floor_base(n: int, challenge: VdfChallenge,
+               sol: VdfSolution) -> tuple[int, int] | None:
     """The checks of `vdf_verify` that need no prime search and no
-    exponentiation: x when pi and y are residues mod N and ell is not below
-    H(x + y), else None. hash_to_prime(xy) >= hash_to_prime_floor(xy), so a
-    smaller ell is wrong without the prime search."""
+    exponentiation: (x, H(x + y)) when pi and y are residues mod N and ell
+    is not below H(x + y), else None. hash_to_prime(xy) >=
+    hash_to_prime_floor(xy), so a smaller ell is wrong without the prime
+    search."""
     if not (0 <= sol.pi < n and 0 <= sol.y < n):
         return None
     x = challenge_base(n, challenge.m)
-    return x if sol.ell >= hash_to_prime_floor(int_sum_to_bytes(x + sol.y)) else None
+    h = hash_to_prime_floor(int_sum_to_bytes(x + sol.y))
+    return (x, h) if sol.ell >= h else None
 
 
 def vdf_verify(n: int, challenge: VdfChallenge, sol: VdfSolution,
-               x: int | None = None) -> bool:
+               floor: tuple[int, int] | None = None) -> bool:
     """Is sol the solution of challenge? A caller that already ran
-    `floor_base` on these arguments passes the x it returned, and the floor
+    `floor_base` on these arguments passes what it returned, and the floor
     step is not run again."""
-    if x is None:
-        x = floor_base(n, challenge, sol)
-    if x is None or sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
+    if floor is None:
+        floor = floor_base(n, challenge, sol)
+    if floor is None:
+        return False
+    x, h = floor
+    if not (may_be_next_prime(h, sol.ell)
+            and is_strong_base2_probable_prime(sol.ell)
+            and sol.ell == hash_to_prime(int_sum_to_bytes(x + sol.y))):
         return False
     r = pow(2, challenge.tau, sol.ell)
     return multiexp(((sol.pi, sol.ell), (x, r)), n) == sol.y

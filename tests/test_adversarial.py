@@ -14,6 +14,7 @@ from slapx.errors import (CryptoError, ParameterError, ProtocolReject,
                           RejectReason, SlapxError)
 from slapx.group import CURVE
 from slapx.hashes import H_tagged
+from slapx.modmath import next_prime
 from slapx.protocol import (DISCLOSE_DEVICE, DeviceProfile, LocationProof,
                             NeighborDevice, Puzzle, _binding, _check_presentation,
                             _delegated, _or_reject, _point, _read_presentation,
@@ -776,6 +777,34 @@ class TestServerCheckOrderReference:
                              "service_replay", "malformed_server"}
 
 
+class TestFloodWrongSolution:
+    def test_refused_as_by_the_search_alone(self, flood, monkeypatch):
+        # perfbench's bad_solution requests carry a valid solution of
+        # another message; with the prime-gap window and the base-2 test
+        # switched off the server runs the prime search on every ell that
+        # passes the floor, as it did before them
+        workloads, unit = flood
+        server, now = unit.dep.server, workloads.FLOOD_NOW
+        searches = []
+        real_search = vdf.hash_to_prime
+        monkeypatch.setattr(vdf, "hash_to_prime",
+                            lambda m: searches.append(m) or real_search(m))
+
+        def refusal(request):
+            with pytest.raises(ProtocolReject) as e:
+                server.handle_service_request(request, now)
+            return e.value.reason, str(e.value)
+
+        requests = [unit.build("bad_solution") for _ in range(12)]
+        fast = [refusal(request) for request in requests]
+        assert searches == []
+        assert {reason for reason, _ in fast} == {RejectReason.BAD_SOLUTION}
+        monkeypatch.setattr(vdf, "may_be_next_prime", lambda h, ell: True)
+        monkeypatch.setattr(vdf, "is_strong_base2_probable_prime", lambda n: True)
+        assert [refusal(request) for request in requests] == fast
+        assert searches, "no request passed the floor"
+
+
 # -- the PSD's check order against the order it replaced ----------------------
 
 def _earlier_psd_order(psd, request: bytes, now_s: float) -> bytes:
@@ -1025,7 +1054,9 @@ REFUSAL_COSTS = {
     "proof of another window": ("EXPIRED", (0, 0, 0, 0)),
     "unknown puzzle": ("BAD_PUZZLE", (0, 0, 0, 0)),
     "ell below the floor": ("BAD_SOLUTION", (0, 0, 0, 0)),
-    "wrong ell above the floor": ("BAD_SOLUTION", (0, 0, 1, 0)),
+    "ell of another message": ("BAD_SOLUTION", (0, 0, 0, 0)),
+    "composite ell in the window": ("BAD_SOLUTION", (0, 0, 0, 0)),
+    "wrong prime ell in the window": ("BAD_SOLUTION", (0, 0, 1, 0)),
     "wrong pi": ("BAD_SOLUTION", (0, 0, 1, 1)),
     "service, AP path": ("GRANTED", (1, 0, 1, 1)),
     "service, ND path": ("GRANTED", (1, 0, 1, 1)),
@@ -1036,7 +1067,8 @@ REFUSAL_COSTS = {
 class TestRefusalCosts:
     """Each request class's decision and its count of costly calls at the
     handler. A refusal must cost the server less than the request cost its
-    sender: a used proof costs a lookup and a wrong ell one prime search."""
+    sender: a used proof costs a lookup, and a wrong ell one prime search
+    only when it is a probable prime that its sender had to find."""
 
     def test_counts_per_class(self, deployment, monkeypatch):
         t = 14_150.0
@@ -1104,8 +1136,20 @@ class TestRefusalCosts:
         send("unknown puzzle", to_server, service(unknown, good))
         send("ell below the floor", to_server,
              service(puzzle, vdf.VdfSolution(2, good.pi, good.y)))
-        send("wrong ell above the floor", to_server,
-             service(puzzle, vdf.VdfSolution(good.ell + 2, good.pi, good.y)))
+        # a valid solution of another message whose ell passes the floor
+        # lies more than 2^234 above it, but for a ~2^-22 chance
+        stale = next(s for s in (vdf.vdf_eval(n, puzzle.challenge_for(b"%d" % i))
+                                 for i in range(20))
+                     if vdf.floor_base(n, puzzle.challenge_for(m), s))
+        send("ell of another message", to_server, service(puzzle, stale))
+        # H(x + y) itself, the ell that costs its sender one SHA-256, is
+        # composite unless it is the valid ell
+        h = vdf.floor_base(n, puzzle.challenge_for(m), good)[1]
+        send("composite ell in the window", to_server, service(
+            puzzle, vdf.VdfSolution(h if h != good.ell else h + 1,
+                                    good.pi, good.y)))
+        send("wrong prime ell in the window", to_server, service(
+            puzzle, vdf.VdfSolution(next_prime(good.ell + 1), good.pi, good.y)))
         send("wrong pi", to_server,
              service(puzzle, vdf.VdfSolution(good.ell, (good.pi + 1) % n, good.y)))
         granted = service(puzzle, good)

@@ -30,7 +30,8 @@ class TestBenchAll:
                     "vdf_eval_k1000", "vdf_verify_k1000", "vdf_eval_k8000",
                     "vdf_verify_k8000", "vdf_eval_k32000", "vdf_verify_k32000",
                     "group_mul_g", "group_muladd_fixed", "group_muladd_fresh",
-                    "psd_linked_replay", "server_wrong_ell"}
+                    "psd_linked_replay", "server_stale_ell",
+                    "server_composite_ell", "server_wrong_ell"}
         assert expected <= set(report.ops)
         assert all(t.median_s > 0 for t in report.ops.values())
         assert all(t.p95_s >= t.median_s for t in report.ops.values())
@@ -89,7 +90,7 @@ class TestBenchAll:
         monkeypatch.setattr(bench, "_time_ops", time_ops)
         bench_all(iterations=30, kappa_grid=(200, 60000), vdf_modulus_bits=256,
                   seed=4)
-        # the server_wrong_ell row's requests verify at the bench client's
+        # the server_*_ell rows' requests verify at the bench client's
         # puzzle difficulty
         assert set(seen) == {(fn, k) for fn in ("vdf_eval", "vdf_verify")
                              for k in (200, 60000)} | {
@@ -105,8 +106,7 @@ class TestCalibrate:
         assert cal.query_verify_s == (m("cred_verify") + m("rlrs_verify")
                                       + m("rlrs_link") + m("sgn_sign"))
         assert cal.service_verify_s == m("cred_verify") + m("vdf_verify_k1000")
-        assert cal.link_reject_s == (m("cred_verify") + m("rlrs_verify")
-                                     + m("rlrs_link"))
+        assert cal.link_reject_s == m("psd_linked_replay")
         assert cal.client_crypto_s == 2 * m("cred_prove") + m("rlrs_verify")
         assert cal.reject_service_s == m("presentation_decode")
         assert cal.baseline_service_s == Calibration().baseline_service_s

@@ -3,12 +3,16 @@ moduli, proof soundness, and the difficulty plumbing."""
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slapx.errors import ParameterError
 from slapx import vdf
-from slapx.hashes import hash_to_prime, hash_to_prime_floor, int_sum_to_bytes
-from slapx.modmath import (is_probable_prime, next_prime, random_prime,
-                           rsa_setup)
+from slapx.hashes import (PRIME_GAP_BOUND, hash_to_prime, hash_to_prime_floor,
+                          int_sum_to_bytes, may_be_next_prime)
+from slapx.modmath import (SIEVE_PRODUCT, is_probable_prime,
+                           is_strong_base2_probable_prime, multiexp,
+                           next_prime, random_prime, rsa_setup)
 from slapx.rng import SeededRng
 from slapx.vdf import (DIFFICULTY_TABLE, ModulusPool, VdfChallenge,
                        VdfSolution, challenge_base, difficulty_for,
@@ -228,3 +232,112 @@ class TestVerifyMatchesReference:
         assert not vdf_verify(params, ch, VdfSolution(h - 1, sol.pi, sol.y))
         with pytest.raises(AssertionError):
             vdf_verify(params, ch, sol)
+
+
+# -- the prime-gap window and the base-2 test ahead of the prime search -------
+
+def search_verify(n, challenge, sol) -> bool:
+    """vdf_verify as it was before the prime-gap window and the base-2
+    test: every ell at or above the floor is compared with the prime that
+    hash_to_prime searches for. vdf_verify must decide as this does."""
+    if not (0 <= sol.pi < n and 0 <= sol.y < n):
+        return False
+    x = challenge_base(n, challenge.m)
+    if sol.ell < hash_to_prime_floor(int_sum_to_bytes(x + sol.y)):
+        return False
+    if sol.ell != hash_to_prime(int_sum_to_bytes(x + sol.y)):
+        return False
+    r = pow(2, challenge.tau, sol.ell)
+    return multiexp(((sol.pi, sol.ell), (x, r)), n) == sol.y
+
+
+def passes_pre_search(h: int, ell: int) -> bool:
+    """The checks vdf_verify runs on ell between the floor and the search."""
+    return may_be_next_prime(h, ell) and is_strong_base2_probable_prime(ell)
+
+
+class TestPrimeGapWindow:
+    def test_bound_derivation(self):
+        # 2^256 / (256 ln 2)^3, Dusart's gap bound at the largest digest,
+        # is at most 2^234
+        assert PRIME_GAP_BOUND == 2 ** 234
+        assert 2 ** 22 <= (256 * math.log(2)) ** 3
+
+    @given(h=st.integers(0, 2 ** 256 - 1), offset=st.integers(0, 2 ** 256))
+    @settings(max_examples=60, deadline=None)
+    @example(h=0, offset=2)
+    @example(h=89_692, offset=1)
+    @example(h=2 ** 256 - 1, offset=PRIME_GAP_BOUND + 1)
+    def test_refuses_only_what_is_not_the_next_prime(self, h, offset):
+        p = next_prime(h)
+        gap = p - h
+        for off in (0, 1, gap, gap - 2, gap + 2, PRIME_GAP_BOUND,
+                    PRIME_GAP_BOUND + 1, offset):
+            ell = h + off
+            assert may_be_next_prime(h, ell) == (0 <= off <= PRIME_GAP_BOUND)
+            assert passes_pre_search(h, ell) or ell != p, off
+        assert passes_pre_search(h, p)
+
+    def test_next_prime_below_dusarts_range(self):
+        # Dusart's bound starts at 89,693; below it the gaps are small
+        primes = [q for q in range(2, 100_200) if is_probable_prime(q)]
+        for n in range(0, 100_000, 37):
+            p = next_prime(n)
+            assert p == min(q for q in primes if q >= n)
+            assert p - n < 100 and passes_pre_search(n, p), n
+
+    def test_base2_half_is_not_the_full_test(self):
+        # a strong pseudoprime to bases 2..23 with no factor below 2^14
+        spsp = 3825123056546413051
+        assert is_strong_base2_probable_prime(spsp)
+        assert not is_probable_prime(spsp)
+        assert not is_strong_base2_probable_prime(spsp + 2)
+
+
+def ell_kinds(n, ch, sol):
+    """A solution of ch under each kind of wrong ell, and the valid one."""
+    x = challenge_base(n, ch.m)
+    h = hash_to_prime_floor(int_sum_to_bytes(x + sol.y))
+    stale = [vdf_eval(n, VdfChallenge(ch.m + b"%d" % i, ch.tau))
+             for i in range(6)]
+    composite = next(c for c in range(h, h + 10_000)
+                     if not is_probable_prime(c))
+    survivor = next(c for c in range(h | 1, h + 100_000, 2)
+                    if math.gcd(c, SIEVE_PRODUCT) == 1
+                    and not is_probable_prime(c))
+    other_prime = next_prime(sol.ell + 1)
+    return {
+        "valid": sol,
+        **{f"stale {i}": other for i, other in enumerate(stale)},
+        "composite at H(x+y)": VdfSolution(composite, sol.pi, sol.y),
+        "odd ell past the sieve": VdfSolution(survivor, sol.pi, sol.y),
+        "prime in window": VdfSolution(other_prime, sol.pi, sol.y),
+        # pi^e * x^r == y holds, so only the prime search refuses it
+        "forged for a prime in window": VdfSolution(
+            other_prime, pow(x, (1 << ch.tau) // other_prime, n), sol.y),
+        "prime at the window's edge": VdfSolution(
+            next_prime(h + PRIME_GAP_BOUND - 10 ** 6), sol.pi, sol.y),
+        "prime past the window": VdfSolution(
+            next_prime(h + PRIME_GAP_BOUND + 1), sol.pi, sol.y),
+        "wrong pi": VdfSolution(sol.ell, (sol.pi + 1) % n, sol.y),
+    }
+
+
+class TestVerifyMatchesSearch:
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_every_ell_kind(self, bits, monkeypatch):
+        n = rsa_setup(bits, SeededRng(63 + bits))
+        ch = VdfChallenge(b"kinds", 30)
+        sol = vdf_eval(n, ch)
+        searches = []
+        monkeypatch.setattr(vdf, "hash_to_prime",
+                            lambda m: searches.append(m) or hash_to_prime(m))
+        for name, cand in ell_kinds(n, ch, sol).items():
+            searches.clear()
+            assert vdf_verify(n, ch, cand) == search_verify(n, ch, cand), name
+            assert vdf_verify(n, ch, cand) == (name == "valid"), name
+            x = challenge_base(n, ch.m)
+            h = hash_to_prime_floor(int_sum_to_bytes(x + cand.y))
+            # only a probable prime inside the window buys a search
+            searched = bool(searches)
+            assert searched == passes_pre_search(h, cand.ell), name
